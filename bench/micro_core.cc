@@ -19,12 +19,14 @@
 #include <string>
 #include <vector>
 
+#include "src/cache/faast_cache.h"
 #include "src/common/json_writer.h"
 #include "src/common/table_printer.h"
 #include "src/core/bucket_hashing_policy.h"
 #include "src/core/least_assigned_policy.h"
 #include "src/core/palette_load_balancer.h"
 #include "src/core/policy_factory.h"
+#include "src/faas/platform.h"
 #include "src/hash/consistent_hash_ring.h"
 #include "src/hash/hash.h"
 #include "src/sim/simulator.h"
@@ -179,6 +181,95 @@ void BM_SimulatorEvents(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
 BENCHMARK(BM_SimulatorEvents)->Arg(100000);
+
+// The pull matcher at deep pending queues (docs/DISPATCH.md): 32 idle
+// workers face `range(0)` pending colors that none of them may claim (each
+// homed on one busy anchor worker, stealing off), and each iteration
+// submits one invocation homed on an idle worker and runs the platform
+// until its claimer is idle again. One iteration is one claim, so the
+// time per iteration is ns per claim. It covers two matches over the full
+// backlog: the arrival's, which claims, and the claimer's return to the
+// idle set, which finds nothing.
+void BM_PullMatch(benchmark::State& state) {
+  const int pending_colors = static_cast<int>(state.range(0));
+  constexpr int kIdle = 32;
+  PlatformConfig config;
+  config.dispatch_mode = FaasDispatchMode::kPull;
+  config.steal_budget = 0;
+  config.cold_start = SimTime();
+  config.serialization_bytes_per_second = 0;
+  std::vector<std::string> idle_names;
+  for (int i = 0; i < kIdle; ++i) {
+    idle_names.push_back(StrFormat("w%d", i));
+  }
+  const std::string anchor = "anchor";
+  // Colors are picked against the final membership's cache ring, which is
+  // the home rule for work no load balancer placed.
+  FaastCache ring(config.cache);
+  ring.AddInstance(anchor);
+  for (const std::string& name : idle_names) {
+    ring.AddInstance(name);
+  }
+  std::vector<std::string> anchored;
+  std::vector<std::string> idle_homed;
+  for (int i = 0; static_cast<int>(anchored.size()) < pending_colors ||
+                  idle_homed.size() < 64;
+       ++i) {
+    std::string color = StrFormat("color-%d", i);
+    if (ring.HomeInstance(color) == anchor) {
+      if (static_cast<int>(anchored.size()) < pending_colors) {
+        anchored.push_back(std::move(color));
+      }
+    } else if (idle_homed.size() < 64) {
+      idle_homed.push_back(std::move(color));
+    }
+  }
+
+  Simulator sim;
+  FaasPlatform platform(&sim, PolicyKind::kLeastAssigned, 1, config);
+  const InstanceId anchor_id = InternInstance(anchor);
+  // Routed through an external route function, so no color is ever placed
+  // by the platform's load balancer and every home is its ring home.
+  const FaasPlatform::RouteFn route =
+      [anchor_id](const std::optional<Color>&, std::uint64_t, int) {
+        return std::optional<RoutedTarget>(RoutedTarget{anchor_id, 0});
+      };
+  const auto submit = [&](const std::string& color, double cpu_ops) {
+    InvocationSpec spec;
+    spec.function = "f";
+    spec.color = Color(color);
+    spec.cpu_ops = cpu_ops;
+    platform.InvokeVia(std::move(spec), route, nullptr);
+  };
+  // The anchor claims a job that outlives the benchmark, then the backlog
+  // queues behind it; the idle workers join last so the backlog is built
+  // without a match per enqueue against the whole idle set.
+  platform.AddWorker(anchor);
+  submit(anchored.front(), 1e18);
+  for (const std::string& color : anchored) {
+    submit(color, 1e3);
+  }
+  sim.RunUntil(SimTime::FromMillis(10));
+  for (const std::string& name : idle_names) {
+    platform.AddWorker(name);
+  }
+  sim.RunUntil(SimTime::FromMillis(20));
+
+  const std::uint64_t pulls_before = platform.total_pulls();
+  std::size_t i = 0;
+  for (auto _ : state) {
+    submit(idle_homed[i++ % idle_homed.size()], 1e3);
+    sim.RunUntil(sim.Now() + SimTime::FromMillis(10));
+    benchmark::DoNotOptimize(platform.total_pulls());
+  }
+  const std::uint64_t claims = platform.total_pulls() - pulls_before;
+  if (claims != static_cast<std::uint64_t>(state.iterations()) ||
+      platform.PendingTotal() != anchored.size()) {
+    state.SkipWithError("matcher claimed outside the idle-homed work");
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(claims));
+}
+BENCHMARK(BM_PullMatch)->Arg(16)->Arg(256)->Arg(2048);
 
 // Timed summary figures for BENCH_core.json.
 

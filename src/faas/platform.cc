@@ -313,9 +313,9 @@ void FaasPlatform::DispatchTo(const AttemptPtr& attempt, InstanceId target) {
   // Hybrid honors the push binding only when it costs nothing: the routed
   // worker is idle right now AND the bind does not sacrifice locality —
   // the work is uncolored, or the routed worker is the color's home
-  // (cache-ring shard or LB placement). A locality-blind "push when idle"
-  // would let a spraying router tier bind cold workers to foreign colors
-  // at every load dip, spreading replicas fleet-wide.
+  // (HomeOf: LB placement, else cache-ring shard). A locality-blind "push
+  // when idle" would let a spraying router tier bind cold workers to
+  // foreign colors at every load dip, spreading replicas fleet-wide.
   const bool hybrid_push_ok = [&]() {
     if (config_.dispatch_mode != FaasDispatchMode::kHybrid) {
       return false;
@@ -327,14 +327,7 @@ void FaasPlatform::DispatchTo(const AttemptPtr& attempt, InstanceId target) {
     if (key.empty()) {
       return true;  // uncolored: any idle worker is as good as any other
     }
-    // Same home precedence as TryPullFor: the placed instance when a
-    // placement exists, the cache ring home otherwise.
-    const auto placed = lb_.PeekColorId(key);
-    if (placed.has_value()) {
-      return *placed == target;
-    }
-    const auto ring_home = cache_.HomeInstance(key);
-    return ring_home.has_value() && *ring_home == InstanceName(target);
+    return HomeOf(key) == target;
   }();
   const bool bind_now =
       config_.dispatch_mode == FaasDispatchMode::kPush || hybrid_push_ok;
@@ -787,143 +780,163 @@ void FaasPlatform::RemoveFromPending(const AttemptPtr& attempt) {
   }
 }
 
-void FaasPlatform::MatchPending() {
-  while (pending_total_ > 0 && !idle_workers_.empty()) {
-    bool progress = false;
-    // Snapshot: a claim removes the claimer from the idle set mid-loop.
-    // Ascending id order is the fixed claim order per matching epoch.
-    const std::vector<InstanceId> idle(idle_workers_.begin(),
-                                       idle_workers_.end());
-    for (const InstanceId id : idle) {
-      if (pending_total_ == 0) {
-        break;
-      }
-      if (idle_workers_.count(id) == 0) {
-        continue;
-      }
-      progress = TryPullFor(id) || progress;
-    }
-    if (!progress) {
-      return;  // only steal-gated or no matchable work left
-    }
+std::optional<InstanceId> FaasPlatform::HomeOf(
+    const std::string& color) const {
+  if (const auto placed = lb_.PeekColorId(color)) {
+    return placed;
   }
+  if (const auto ring_home = cache_.HomeInstance(color)) {
+    return InternInstance(*ring_home);
+  }
+  return std::nullopt;
 }
 
-bool FaasPlatform::TryPullFor(InstanceId instance) {
-  const auto worker_it = workers_.find(instance);
-  if (worker_it == workers_.end()) {
-    idle_workers_.erase(instance);
-    return false;
+void FaasPlatform::MatchPending() {
+  if (pending_total_ == 0 || idle_workers_.empty()) {
+    return;
   }
-  const std::string& name = InstanceName(instance);
-  // One deterministic scan over the color queues, classifying each by
-  // affinity to this worker:
-  //   0 — this worker hosts the color. The load balancer's placed
-  //       instance wins when a placement exists (that is where the
-  //       color's runs — and cached bytes — have been landing); the
-  //       cache ring's home shard is the fallback, always defined while
-  //       workers exist, for when routing runs in a fronting tier and
-  //       the platform LB never placed the color itself. The two must
-  //       not be OR'd: treating both as home splits a placed color's
-  //       working set across two caches and halves its hit ratio;
-  //   1 — unowned: uncolored work, or a color with no home anywhere to
-  //       prefer (claiming it robs nobody);
-  //   2 — foreign: the color's home is another live worker — claiming is
-  //       a steal, gated by the budget and priced by the remote fetches
-  //       the claimer will pay.
-  // Within the home and unowned classes the *oldest* waiting head wins
-  // (pending_seq), i.e. FIFO across this worker's colors — depth-based
-  // selection here would let a quiet color's lone invocation starve
-  // behind burstier siblings for hundreds of ms of tail. Within the
-  // foreign class, colors with objects already cache-resident on this
-  // worker are preferred (the steal is partly pre-paid); then the
-  // deepest queue wins (steal the hottest color); remaining ties keep
-  // the lexicographically smallest key (map order). Residency
-  // deliberately does NOT bypass the steal budget: replicate-on-remote-
-  // hit makes a single past steal leave residue, and letting that
-  // residue grant free claims compounds into a locality death spiral.
-  int best_class = 3;
-  bool best_resident = false;
-  std::size_t best_depth = 0;
-  std::uint64_t best_seq = 0;
-  const std::string* best_key = nullptr;
-  for (auto it = pending_.begin(); it != pending_.end();) {
-    std::deque<AttemptPtr>& queue = it->second;
+  constexpr std::uint32_t kEnd = UINT32_MAX;
+  // Drops cancelled attempts from the head of a queue; true once it is
+  // empty.
+  const auto drop_cancelled_heads = [this](std::deque<AttemptPtr>& queue) {
     while (!queue.empty() && queue.front()->cancelled) {
       queue.front()->in_pending = false;
       queue.pop_front();
       --pending_total_;
     }
-    if (queue.empty()) {
+    return queue.empty();
+  };
+
+  // Snapshot: a claim removes the claimer from the idle set mid-pass.
+  match_idle_.assign(idle_workers_.begin(), idle_workers_.end());
+  match_home_chain_.assign(match_idle_.size(), kEnd);
+  match_colors_.clear();
+  std::uint32_t unowned_chain = kEnd;
+  // Live owned colors whose queue is deep enough to steal from. A worker
+  // only tries to steal when none of its home colors has work left, so
+  // for that worker every one of these is foreign.
+  std::size_t stealable = 0;
+  const std::size_t min_depth = config_.steal_min_depth;
+  // One pass over pending_ resolves every color's home. Homes hold for the
+  // whole call: a claim pops a queue and schedules the handoff, and never
+  // re-routes, re-plans or changes membership.
+  for (auto it = pending_.begin(); it != pending_.end();) {
+    if (drop_cancelled_heads(it->second)) {
       it = pending_.erase(it);
       continue;
     }
-    const std::string& key = it->first;
-    int affinity;
-    bool resident = false;
-    if (key.empty()) {
-      affinity = 1;
-    } else {
-      const auto placed = lb_.PeekColorId(key);
-      std::optional<std::string> ring_home;
-      if (!placed.has_value()) {
-        ring_home = cache_.HomeInstance(key);
-      }
-      if (placed.has_value() ? *placed == instance
-                             : ring_home.has_value() && *ring_home == name) {
-        affinity = 0;
-      } else if (!ring_home.has_value() && !placed.has_value()) {
-        affinity = 1;
-      } else {
-        // Foreign: only a hot queue qualifies — shallow foreign queues
-        // wait for their home worker (see steal_min_depth).
-        if (queue.size() < config_.steal_min_depth) {
-          ++it;
-          continue;
-        }
-        affinity = 2;
-        resident = cache_.HasKeyObject(name, key);
-      }
+    const auto index = static_cast<std::uint32_t>(match_colors_.size());
+    MatchColor& color = match_colors_.emplace_back(
+        MatchColor{it, std::nullopt, kEnd});
+    std::uint32_t* chain = &unowned_chain;
+    if (!it->first.empty()) {
+      color.home = HomeOf(it->first);
     }
-    bool better;
-    if (affinity != best_class) {
-      better = affinity < best_class;
-    } else if (affinity == 2) {
-      better = resident > best_resident ||
-               (resident == best_resident && queue.size() > best_depth);
-    } else {
-      better = queue.front()->pending_seq < best_seq;
+    if (color.home.has_value()) {
+      if (it->second.size() >= min_depth) {
+        ++stealable;
+      }
+      // Colors homed on a busy (or departed) worker are foreign to every
+      // idle one and join no chain.
+      const auto slot = std::lower_bound(match_idle_.begin(),
+                                         match_idle_.end(), *color.home);
+      chain = slot != match_idle_.end() && *slot == *color.home
+                  ? &match_home_chain_[slot - match_idle_.begin()]
+                  : nullptr;
     }
-    if (better) {
-      best_class = affinity;
-      best_resident = resident;
-      best_depth = queue.size();
-      best_seq = queue.front()->pending_seq;
-      best_key = &key;
+    if (chain != nullptr) {
+      color.next = *chain;
+      *chain = index;
     }
     ++it;
   }
-  if (best_key == nullptr) {
-    return false;
+
+  // Within the home and unowned classes the *oldest* waiting head wins
+  // (pending_seq), i.e. FIFO across a worker's colors: depth-based
+  // selection would let a quiet color's lone invocation starve behind
+  // burstier siblings for hundreds of ms of tail.
+  const auto oldest_head = [this](std::uint32_t chain) -> MatchColor* {
+    MatchColor* oldest = nullptr;
+    for (; chain != kEnd; chain = match_colors_[chain].next) {
+      MatchColor& color = match_colors_[chain];
+      if (color.queue == pending_.end()) {
+        continue;
+      }
+      if (oldest == nullptr || color.queue->second.front()->pending_seq <
+                                   oldest->queue->second.front()->pending_seq) {
+        oldest = &color;
+      }
+    }
+    return oldest;
+  };
+
+  // Ascending InstanceId order is the fixed claim order.
+  for (std::size_t slot = 0; slot < match_idle_.size() && pending_total_ > 0;
+       ++slot) {
+    const InstanceId id = match_idle_[slot];
+    // Home colors first, then unowned work (uncolored, or a color with no
+    // home anywhere: claiming it robs nobody).
+    MatchColor* pick = oldest_head(match_home_chain_[slot]);
+    if (pick == nullptr) {
+      pick = oldest_head(unowned_chain);
+    }
+    const bool steal = pick == nullptr;
+    if (steal) {
+      // A steal claims a color whose home is another worker; it holds a
+      // budget slot and pays the remote fetches when it runs.
+      if (stealable == 0 || config_.steal_budget <= 0 ||
+          steals_in_flight_ >= config_.steal_budget) {
+        continue;
+      }
+      // Colors with objects already cache-resident on this worker first
+      // (the steal is partly pre-paid), then the deepest queue (steal the
+      // hottest color), then pending_ order. Residency deliberately does
+      // NOT bypass the budget: replicate-on-remote-hit makes one past
+      // steal leave residue, and letting that residue grant free claims
+      // compounds into a locality death spiral. A resident pick can only
+      // lose to a deeper resident color, so shallower ones skip the probe.
+      const std::string& name = InstanceName(id);
+      bool pick_resident = false;
+      std::size_t pick_depth = 0;
+      for (MatchColor& color : match_colors_) {
+        if (color.queue == pending_.end() || !color.home.has_value()) {
+          continue;
+        }
+        const std::size_t depth = color.queue->second.size();
+        if (depth < min_depth ||
+            (pick != nullptr && pick_resident && depth <= pick_depth)) {
+          continue;
+        }
+        const bool resident = cache_.HasKeyObject(name, color.queue->first);
+        if (pick == nullptr || (resident && !pick_resident) ||
+            (resident == pick_resident && depth > pick_depth)) {
+          pick = &color;
+          pick_resident = resident;
+          pick_depth = depth;
+        }
+      }
+      assert(pick != nullptr);
+    }
+    std::deque<AttemptPtr>& queue = pick->queue->second;
+    const bool was_stealable =
+        pick->home.has_value() && queue.size() >= min_depth;
+    ClaimFrom(&queue, id, steal);
+    const bool drained = drop_cancelled_heads(queue);
+    if (was_stealable && (drained || queue.size() < min_depth)) {
+      --stealable;
+    }
+    if (drained) {
+      pending_.erase(pick->queue);
+      pick->queue = pending_.end();
+    }
   }
-  const bool steal = best_class == 2;
-  if (steal &&
-      (config_.steal_budget <= 0 || steals_in_flight_ >= config_.steal_budget)) {
-    return false;
-  }
-  ClaimFrom(*best_key, instance, steal);
-  return true;
 }
 
-void FaasPlatform::ClaimFrom(const std::string& key, InstanceId instance,
-                             bool steal) {
-  const auto queue_it = pending_.find(key);
-  AttemptPtr attempt = std::move(queue_it->second.front());
-  queue_it->second.pop_front();
+void FaasPlatform::ClaimFrom(std::deque<AttemptPtr>* queue,
+                             InstanceId instance, bool steal) {
+  AttemptPtr attempt = std::move(queue->front());
+  queue->pop_front();
   --pending_total_;
-  if (queue_it->second.empty()) {
-    pending_.erase(queue_it);
-  }
   attempt->in_pending = false;
 
   ++pulls_;

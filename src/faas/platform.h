@@ -432,17 +432,28 @@ class FaasPlatform {
   static const std::string& PendingKeyOf(const InvocationSpec& spec);
   void EnqueuePending(const AttemptPtr& attempt, bool front);
   void RemoveFromPending(const AttemptPtr& attempt);
-  // Matches idle workers against pending queues until neither side can
-  // make progress (fixed point; claim order is deterministic).
+  // The worker a color's runs should land on: the load balancer's placed
+  // instance when a placement exists (where the color's runs, and cached
+  // bytes, have been landing), else the cache ring's home shard (always
+  // defined while workers exist; the rule when routing runs in a fronting
+  // tier and the platform LB never placed the color). The two are never
+  // OR'd: treating both as home splits a placed color's working set
+  // across two caches. nullopt when neither exists. The matcher's claim
+  // classes and hybrid's free-push check both decide by this one rule.
+  std::optional<InstanceId> HomeOf(const std::string& color) const;
+  // Matches the idle workers against the pending queues in one pass, in
+  // ascending InstanceId order. Each pending color's home is resolved once
+  // per call; a worker then claims the oldest head among its home colors,
+  // else among unowned work, else (budget permitting) steals a foreign
+  // color. A worker that finds nothing could find nothing later in the
+  // same call either (claims only remove work and fill steal slots), so
+  // one pass reaches the fixed point. Order and tie-breaks:
+  // docs/DISPATCH.md, "How a worker claims".
   void MatchPending();
-  // One claim decision for one idle worker: scans the pending queues,
-  // prefers its own colors (placed home, then cache-resident), then
-  // unowned work, then — budget permitting — steals the deepest foreign
-  // queue. True if a claim was made.
-  bool TryPullFor(InstanceId instance);
-  // Pops the head of `key`'s queue and hands it to `instance`; the claim
+  // Pops the head of `queue` and hands it to `instance`; the claim
   // handoff (and any cold start) lands pull_claim_latency later.
-  void ClaimFrom(const std::string& key, InstanceId instance, bool steal);
+  void ClaimFrom(std::deque<AttemptPtr>* queue, InstanceId instance,
+                 bool steal);
   // Claim-handoff arrival: the attempt joins the claimer's FIFO — or, if
   // the worker died mid-handoff, returns to the head of its color queue.
   void OnClaimArrive(const AttemptPtr& attempt, InstanceId instance);
@@ -490,6 +501,20 @@ class FaasPlatform {
   std::size_t pending_total_ = 0;
   std::uint64_t next_pending_seq_ = 1;  // age stamps for oldest-first claims
   std::set<InstanceId> idle_workers_;
+  // MatchPending scratch, kept across calls so a match allocates nothing
+  // once the buffers have grown. One entry per pending color, in pending_
+  // order, with its home resolved for the length of the call; colors with
+  // the same idle home (or none) are chained through `next`.
+  struct MatchColor {
+    // The color's pending_ entry; pending_.end() once drained this call.
+    std::map<std::string, std::deque<AttemptPtr>>::iterator queue;
+    std::optional<InstanceId> home;  // nullopt: unowned
+    std::uint32_t next;              // next color in the same chain
+  };
+  std::vector<MatchColor> match_colors_;
+  std::vector<InstanceId> match_idle_;  // ascending idle snapshot
+  // Per idle snapshot slot: the first color homed on that worker.
+  std::vector<std::uint32_t> match_home_chain_;
   int steals_in_flight_ = 0;
   std::uint64_t pulls_ = 0;
   std::uint64_t steals_ = 0;

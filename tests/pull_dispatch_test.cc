@@ -16,6 +16,7 @@
 #include "src/faas/platform.h"
 #include "src/faas/retry_policy.h"
 #include "src/sim/simulator.h"
+#include "src/workload/fault_schedule.h"
 #include "src/workload/sharded_run.h"
 #include "src/workload/spec.h"
 
@@ -422,6 +423,188 @@ TEST(PullDispatchDeterminismTest, ShardCountsAgreeUnderPull) {
   EXPECT_EQ(one.pulls, four.pulls);
   EXPECT_EQ(one.steals, four.steals);
   EXPECT_EQ(one.steal_bytes, four.steal_bytes);
+}
+
+// ---------------------------------------------------------------------------
+// Golden pins for the claim schedule. The determinism tests above compare a
+// tree only against itself, so a change to claim order (class precedence,
+// oldest-head-first, the steal tie-breaks, the budget gate) would pass them.
+// These cells pin a bursty pull/hybrid run's outcome to fixed values over
+// the steal knobs, with and without a sprayed router tier, plus a crash
+// inside the claim window and planner rounds re-placing colors while steals
+// are in flight. The values were recorded from the matcher that resolved
+// every pending color's home once per idle worker per pass, before it was
+// rewritten to resolve each home once per match; both must agree exactly.
+
+enum class PinFault { kNone, kCrashInClaimWindow, kPlanRacingSteal };
+
+struct PinCell {
+  const char* name;
+  FaasDispatchMode mode;
+  int steal_budget;
+  std::size_t steal_min_depth;
+  int routers;  // 0 = the platform's own load balancer
+  PinFault fault;
+  std::uint64_t samples_digest;
+  std::uint64_t pulls;
+  std::uint64_t steals;
+  Bytes steal_bytes;
+};
+
+WorkloadRunResult RunPinCell(const PinCell& cell) {
+  WorkloadSpec spec;
+  spec.arrival.kind = ArrivalKind::kMmpp;
+  spec.arrival.rate_per_sec = 1000;
+  spec.arrival.burst_multiplier = 4;
+  spec.arrival.mean_on_seconds = 0.1;
+  spec.arrival.mean_off_seconds = 0.3;
+  spec.driver.duration = SimTime::FromSeconds(1);
+  spec.mix.color_count = 64;
+  spec.seed = 29;
+  SloConfig slo;
+  PlatformConfig config = DefaultWorkloadPlatformConfig();
+  config.dispatch_mode = cell.mode;
+  config.steal_budget = cell.steal_budget;
+  config.steal_min_depth = cell.steal_min_depth;
+  FaultSchedule faults;
+  PlannerConfig planner;
+  planner.plan_every = SimTime();
+  if (cell.fault == PinFault::kCrashInClaimWindow) {
+    // A long claim handoff keeps most claims in flight when the crashes
+    // land, so claimed-but-unstarted work bounces back to its queue.
+    config.pull_claim_latency = SimTime::FromMillis(5);
+    for (int i = 0; i < 3; ++i) {
+      faults.Add(FaultEvent{SimTime::FromMillis(150 + 250 * i),
+                            FaultKind::kCrash, StrFormat("w%d", 2 * i + 1)});
+      faults.Add(FaultEvent{SimTime::FromMillis(300 + 250 * i),
+                            FaultKind::kRestart, StrFormat("w%d", 2 * i + 1)});
+    }
+  } else if (cell.fault == PinFault::kPlanRacingSteal) {
+    planner.plan_every = SimTime::FromMillis(50);
+    planner.seed = spec.seed;
+  }
+  const PlannerConfig* planner_ptr = planner.enabled() ? &planner : nullptr;
+  if (cell.routers == 0) {
+    return RunWorkload(spec, PolicyKind::kLeastAssigned, 8, slo, config,
+                       &faults, nullptr, planner_ptr);
+  }
+  RouterTierConfig tier;
+  tier.routers = cell.routers;
+  tier.dispatch = DispatchMode::kSpray;
+  return RunRouterWorkload(spec, PolicyKind::kLeastAssigned, 8, tier, slo,
+                           config, &faults, nullptr, planner_ptr);
+}
+
+constexpr FaasDispatchMode kPinPull = FaasDispatchMode::kPull;
+constexpr FaasDispatchMode kPinHybrid = FaasDispatchMode::kHybrid;
+constexpr PinFault kPinNone = PinFault::kNone;
+constexpr PinFault kPinCrash = PinFault::kCrashInClaimWindow;
+constexpr PinFault kPinPlan = PinFault::kPlanRacingSteal;
+
+const PinCell kPinCells[] = {
+    // name, mode, budget, min_depth, routers, fault,
+    //   samples_digest, pulls, steals, steal_bytes
+    {"pull/lb/b0/d1", kPinPull, 0, 1, 0, kPinNone,
+     4979222103533363743ull, 1012, 0, 0},
+    {"pull/lb/b0/d2", kPinPull, 0, 2, 0, kPinNone,
+     4979222103533363743ull, 1012, 0, 0},
+    {"pull/lb/b0/d8", kPinPull, 0, 8, 0, kPinNone,
+     4979222103533363743ull, 1012, 0, 0},
+    {"pull/lb/b1/d1", kPinPull, 1, 1, 0, kPinNone,
+     13352358983132749183ull, 1012, 150, 24848321},
+    {"pull/lb/b1/d2", kPinPull, 1, 2, 0, kPinNone,
+     7503074940992965750ull, 1012, 77, 14030397},
+    {"pull/lb/b1/d8", kPinPull, 1, 8, 0, kPinNone,
+     14111546647360574272ull, 1012, 47, 6671930},
+    {"pull/lb/b4/d1", kPinPull, 4, 1, 0, kPinNone,
+     5444681217069365906ull, 1012, 358, 62257658},
+    {"pull/lb/b4/d2", kPinPull, 4, 2, 0, kPinNone,
+     6236314131512314131ull, 1012, 130, 19698760},
+    {"pull/lb/b4/d8", kPinPull, 4, 8, 0, kPinNone,
+     7286849322613602497ull, 1012, 59, 9775667},
+    {"pull/spray8/b0/d1", kPinPull, 0, 1, 8, kPinNone,
+     9162359929286371410ull, 1012, 0, 0},
+    {"pull/spray8/b0/d2", kPinPull, 0, 2, 8, kPinNone,
+     9162359929286371410ull, 1012, 0, 0},
+    {"pull/spray8/b0/d8", kPinPull, 0, 8, 8, kPinNone,
+     9162359929286371410ull, 1012, 0, 0},
+    {"pull/spray8/b1/d1", kPinPull, 1, 1, 8, kPinNone,
+     9364379708114595911ull, 1012, 145, 29639809},
+    {"pull/spray8/b1/d2", kPinPull, 1, 2, 8, kPinNone,
+     1940561586749071427ull, 1012, 109, 17238609},
+    {"pull/spray8/b1/d8", kPinPull, 1, 8, 8, kPinNone,
+     1408743707046998531ull, 1012, 65, 13094019},
+    {"pull/spray8/b4/d1", kPinPull, 4, 1, 8, kPinNone,
+     6924276812296503597ull, 1012, 414, 66589545},
+    {"pull/spray8/b4/d2", kPinPull, 4, 2, 8, kPinNone,
+     13435622187883100840ull, 1012, 195, 33443796},
+    {"pull/spray8/b4/d8", kPinPull, 4, 8, 8, kPinNone,
+     4573581208069495634ull, 1012, 92, 16452222},
+    {"hybrid/lb/b0/d1", kPinHybrid, 0, 1, 0, kPinNone,
+     10016615640055509762ull, 734, 0, 0},
+    {"hybrid/lb/b0/d2", kPinHybrid, 0, 2, 0, kPinNone,
+     10016615640055509762ull, 734, 0, 0},
+    {"hybrid/lb/b0/d8", kPinHybrid, 0, 8, 0, kPinNone,
+     10016615640055509762ull, 734, 0, 0},
+    {"hybrid/lb/b1/d1", kPinHybrid, 1, 1, 0, kPinNone,
+     14595555598056145773ull, 751, 121, 20272529},
+    {"hybrid/lb/b1/d2", kPinHybrid, 1, 2, 0, kPinNone,
+     6905971768020244680ull, 754, 76, 13771825},
+    {"hybrid/lb/b1/d8", kPinHybrid, 1, 8, 0, kPinNone,
+     17050935018343751855ull, 747, 47, 6403450},
+    {"hybrid/lb/b4/d1", kPinHybrid, 4, 1, 0, kPinNone,
+     9217006758641703050ull, 814, 248, 35548207},
+    {"hybrid/lb/b4/d2", kPinHybrid, 4, 2, 0, kPinNone,
+     17904154256396353323ull, 790, 124, 20989256},
+    {"hybrid/lb/b4/d8", kPinHybrid, 4, 8, 0, kPinNone,
+     13118355278893565575ull, 759, 59, 9561368},
+    {"hybrid/spray8/b0/d1", kPinHybrid, 0, 1, 8, kPinNone,
+     64573191973845852ull, 976, 0, 0},
+    {"hybrid/spray8/b0/d2", kPinHybrid, 0, 2, 8, kPinNone,
+     64573191973845852ull, 976, 0, 0},
+    {"hybrid/spray8/b0/d8", kPinHybrid, 0, 8, 8, kPinNone,
+     64573191973845852ull, 976, 0, 0},
+    {"hybrid/spray8/b1/d1", kPinHybrid, 1, 1, 8, kPinNone,
+     14664147301329794281ull, 980, 151, 26513518},
+    {"hybrid/spray8/b1/d2", kPinHybrid, 1, 2, 8, kPinNone,
+     3474743523156864337ull, 979, 111, 17988873},
+    {"hybrid/spray8/b1/d8", kPinHybrid, 1, 8, 8, kPinNone,
+     15594644069961948429ull, 979, 65, 13094019},
+    {"hybrid/spray8/b4/d1", kPinHybrid, 4, 1, 8, kPinNone,
+     9970791074529688582ull, 987, 394, 64145759},
+    {"hybrid/spray8/b4/d2", kPinHybrid, 4, 2, 8, kPinNone,
+     818011393994902398ull, 978, 188, 33436506},
+    {"hybrid/spray8/b4/d8", kPinHybrid, 4, 8, 8, kPinNone,
+     11311923845282348544ull, 979, 92, 16452222},
+    {"pull/lb/b1/d2/crash", kPinPull, 1, 2, 0, kPinCrash,
+     4304978121742042414ull, 1015, 107, 13504030},
+    {"hybrid/spray8/b4/d2/crash", kPinHybrid, 4, 2, 8, kPinCrash,
+     3585752834852481729ull, 1014, 254, 42342796},
+    {"pull/lb/b4/d1/plan", kPinPull, 4, 1, 0, kPinPlan,
+     14229613929874179597ull, 1012, 330, 52446128},
+    {"hybrid/lb/b1/d2/plan", kPinHybrid, 1, 2, 0, kPinPlan,
+     4127480576585630029ull, 784, 54, 7442643},
+};
+
+TEST(PullMatcherGoldenTest, ClaimScheduleMatchesPinnedValues) {
+  for (const PinCell& cell : kPinCells) {
+    SCOPED_TRACE(cell.name);
+    const WorkloadRunResult r = RunPinCell(cell);
+    EXPECT_EQ(r.platform_submitted, r.platform_completed +
+                                        r.platform_dropped +
+                                        r.platform_abandoned);
+    EXPECT_EQ(r.samples_digest, cell.samples_digest);
+    EXPECT_EQ(r.pulls, cell.pulls);
+    EXPECT_EQ(r.steals, cell.steals);
+    EXPECT_EQ(r.steal_bytes, cell.steal_bytes);
+    if (cell.fault == kPinCrash) {
+      // A bounced claim is claimed again: the crashes did hit the window.
+      EXPECT_GT(r.pulls, r.platform_submitted);
+    } else if (cell.fault == kPinPlan) {
+      EXPECT_GT(r.planner_moves, 0u);
+      EXPECT_GT(r.steals, 0u);
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------

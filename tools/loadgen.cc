@@ -62,6 +62,7 @@
 // threads. Digests are bit-identical for every --shards value; --shards=0
 // (the default) keeps today's monolithic single-simulator paths
 // byte-identical. --routers and --sweep apply to monolithic mode only.
+#include <cstdint>
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -391,8 +392,16 @@ int Run(int argc, char** argv) {
                  dispatch_mode_id.c_str());
     return 1;
   }
-  platform_config.steal_budget = static_cast<int>(
-      flags.GetInt("steal_budget", platform_config.steal_budget));
+  const std::int64_t steal_budget =
+      flags.GetInt("steal_budget", platform_config.steal_budget);
+  if (steal_budget < 0 || steal_budget > INT32_MAX) {
+    std::fprintf(stderr,
+                 "steal_budget must be in [0, %d] (0 disables stealing): "
+                 "%lld\n",
+                 INT32_MAX, static_cast<long long>(steal_budget));
+    return 1;
+  }
+  platform_config.steal_budget = static_cast<int>(steal_budget);
 
   // Stateful storage tier (docs/STORAGE.md). --coherence=off (the default)
   // leaves the layer out of the platform entirely.
