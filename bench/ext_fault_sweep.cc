@@ -226,23 +226,21 @@ bool RunPlannerChurnCell(const WorkloadSpec& spec, const FaultSchedule& faults,
   const WorkloadRunResult run = RunWorkload(
       spec, PolicyKind::kLeastAssigned, kWorkers, slo, config, &faults,
       nullptr, &planner);
-  const bool closes =
-      run.platform_submitted == run.platform_completed +
-                                    run.platform_dropped +
-                                    run.platform_abandoned;
+  const RunCounters& c = run.counters;
+  const bool closes = c.platform.BooksClose();
   bool ok = closes;
   if (!closes) {
     std::fprintf(stderr, "FAIL: planner churn cell books do not close\n");
   }
-  if (run.planner_rounds == 0 || run.planner_moves == 0) {
+  if (c.platform.planner_rounds == 0 || c.planner_moves == 0) {
     std::fprintf(stderr,
                  "FAIL: planner churn cell: planner idle (rounds=%llu "
                  "moves=%llu)\n",
-                 (unsigned long long)run.planner_rounds,
-                 (unsigned long long)run.planner_moves);
+                 (unsigned long long)c.platform.planner_rounds,
+                 (unsigned long long)c.planner_moves);
     ok = false;
   }
-  if (run.recolored == 0) {
+  if (c.recolored == 0) {
     std::fprintf(stderr,
                  "FAIL: planner churn cell: crashes caused no failure "
                  "re-coloring\n");
@@ -253,10 +251,10 @@ bool RunPlannerChurnCell(const WorkloadSpec& spec, const FaultSchedule& faults,
       "recolored %llu vs\nplanner moves %llu + splits %llu over %llu "
       "rounds — both mechanisms active,\ncounted separately, books %s\n",
       run.report.goodput_rps, run.report.p99_ms,
-      (unsigned long long)run.recolored,
-      (unsigned long long)run.planner_moves,
-      (unsigned long long)run.planner_splits,
-      (unsigned long long)run.planner_rounds,
+      (unsigned long long)c.recolored,
+      (unsigned long long)c.planner_moves,
+      (unsigned long long)c.planner_splits,
+      (unsigned long long)c.platform.planner_rounds,
       closes ? "close" : "VIOLATED");
   json->Key("planner_churn_cell");
   json->BeginObject();
@@ -269,17 +267,17 @@ bool RunPlannerChurnCell(const WorkloadSpec& spec, const FaultSchedule& faults,
   json->Key("p99_ms");
   json->Double(run.report.p99_ms);
   json->Key("recolored");
-  json->UInt(run.recolored);
+  json->UInt(c.recolored);
   json->Key("planner_rounds");
-  json->UInt(run.planner_rounds);
+  json->UInt(c.platform.planner_rounds);
   json->Key("planner_moves");
-  json->UInt(run.planner_moves);
+  json->UInt(c.planner_moves);
   json->Key("planner_splits");
-  json->UInt(run.planner_splits);
+  json->UInt(c.planner_splits);
   json->Key("planner_merges");
-  json->UInt(run.planner_merges);
+  json->UInt(c.planner_merges);
   json->Key("planner_moved_bytes");
-  json->UInt(run.planner_moved_bytes);
+  json->UInt(c.platform.planner_moved_bytes);
   json->Key("books_close");
   json->Bool(closes);
   json->Key("samples_digest");
@@ -366,23 +364,21 @@ void Run() {
       const PlatformConfig& config = retries_on ? retry_config : base_config;
       const WorkloadRunResult run =
           RunWorkload(spec, policy, kWorkers, slo, config, &faults);
-      const bool closes =
-          run.platform_submitted == run.platform_completed +
-                                        run.platform_dropped +
-                                        run.platform_abandoned;
+      const RunCounters& c = run.counters;
+      const bool closes = c.platform.BooksClose();
       books_ok = books_ok && closes;
 
       table.AddRow({std::string(PolicyKindId(policy)),
                     retries_on ? "on" : "off",
                     StrFormat("%.1f", run.report.goodput_rps),
                     StrFormat("%.3f", run.report.p99_ms),
-                    StrFormat("%llu", (unsigned long long)run.platform_submitted),
-                    StrFormat("%llu", (unsigned long long)run.platform_completed),
-                    StrFormat("%llu", (unsigned long long)run.platform_dropped),
-                    StrFormat("%llu", (unsigned long long)run.platform_abandoned),
-                    StrFormat("%llu", (unsigned long long)run.retries),
-                    StrFormat("%llu", (unsigned long long)run.timeouts),
-                    StrFormat("%llu", (unsigned long long)run.recolored)});
+                    StrFormat("%llu", (unsigned long long)c.platform.submitted),
+                    StrFormat("%llu", (unsigned long long)c.platform.completed),
+                    StrFormat("%llu", (unsigned long long)c.platform.dropped),
+                    StrFormat("%llu", (unsigned long long)c.platform.abandoned),
+                    StrFormat("%llu", (unsigned long long)c.platform.retries),
+                    StrFormat("%llu", (unsigned long long)c.platform.timeouts),
+                    StrFormat("%llu", (unsigned long long)c.recolored)});
 
       json.BeginObject();
       json.Key("policy");
@@ -390,28 +386,28 @@ void Run() {
       json.Key("retries_enabled");
       json.Bool(retries_on);
       json.Key("submitted");
-      json.UInt(run.platform_submitted);
+      json.UInt(c.platform.submitted);
       json.Key("completed");
-      json.UInt(run.platform_completed);
+      json.UInt(c.platform.completed);
       json.Key("dropped");
-      json.UInt(run.platform_dropped);
+      json.UInt(c.platform.dropped);
       json.Key("abandoned");
-      json.UInt(run.platform_abandoned);
+      json.UInt(c.platform.abandoned);
       json.Key("retries");
-      json.UInt(run.retries);
+      json.UInt(c.platform.retries);
       json.Key("timeouts");
-      json.UInt(run.timeouts);
+      json.UInt(c.platform.timeouts);
       json.Key("recolored");
-      json.UInt(run.recolored);
+      json.UInt(c.recolored);
       // No PlannerConfig in these cells, so every re-homing here is
       // failure re-coloring — the planner counters must stay zero or the
       // two mechanisms have bled into each other (docs/PLANNER.md).
       json.Key("planner_moves");
-      json.UInt(run.planner_moves);
+      json.UInt(c.planner_moves);
       json.Key("planner_splits");
-      json.UInt(run.planner_splits);
-      if (run.planner_moves != 0 || run.planner_splits != 0 ||
-          run.planner_rounds != 0) {
+      json.UInt(c.planner_splits);
+      if (c.planner_moves != 0 || c.planner_splits != 0 ||
+          c.platform.planner_rounds != 0) {
         std::fprintf(stderr,
                      "FAIL: planner counters nonzero without a planner "
                      "(policy=%s)\n",
@@ -419,7 +415,7 @@ void Run() {
         books_ok = false;
       }
       json.Key("cold_starts");
-      json.UInt(run.cold_starts);
+      json.UInt(c.platform.cold_starts);
       json.Key("books_close");
       json.Bool(closes);
       json.Key("samples_digest");

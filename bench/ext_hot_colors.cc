@@ -81,10 +81,7 @@ Cell RunCell(const std::string& label, double zipf_s, PolicyKind policy,
   cell.run = RunWorkload(SkewSpec(zipf_s), policy, kWorkers, slo,
                          DefaultWorkloadPlatformConfig(), nullptr, nullptr,
                          planner);
-  cell.books_close =
-      cell.run.platform_submitted == cell.run.platform_completed +
-                                         cell.run.platform_dropped +
-                                         cell.run.platform_abandoned;
+  cell.books_close = cell.run.counters.platform.BooksClose();
   return cell;
 }
 
@@ -101,15 +98,15 @@ void AppendCellJson(double zipf_s, const Cell& cell, JsonWriter* json) {
   json->Key("routing_imbalance");
   json->Double(cell.run.routing_imbalance);
   json->Key("planner_rounds");
-  json->UInt(cell.run.planner_rounds);
+  json->UInt(cell.run.counters.platform.planner_rounds);
   json->Key("planner_moves");
-  json->UInt(cell.run.planner_moves);
+  json->UInt(cell.run.counters.planner_moves);
   json->Key("planner_splits");
-  json->UInt(cell.run.planner_splits);
+  json->UInt(cell.run.counters.planner_splits);
   json->Key("planner_merges");
-  json->UInt(cell.run.planner_merges);
+  json->UInt(cell.run.counters.planner_merges);
   json->Key("planner_moved_bytes");
-  json->UInt(cell.run.planner_moved_bytes);
+  json->UInt(cell.run.counters.platform.planner_moved_bytes);
   json->Key("books_close");
   json->Bool(cell.books_close);
   json->Key("samples_digest");
@@ -141,10 +138,10 @@ bool RunShardedCell(JsonWriter* json) {
     if (shards == 1) {
       first_samples = run.samples_digest;
       first_engine = run.engine_digest;
-      first_moves = run.planner_moves;
+      first_moves = run.counters.planner_moves;
     } else if (run.samples_digest != first_samples ||
                run.engine_digest != first_engine ||
-               run.planner_moves != first_moves) {
+               run.counters.planner_moves != first_moves) {
       std::fprintf(stderr,
                    "FAIL: sharded planner run diverged at --shards=%d\n",
                    shards);
@@ -155,7 +152,7 @@ bool RunShardedCell(JsonWriter* json) {
                    shards);
       ok = false;
     }
-    if (run.planner_rounds == 0) {
+    if (run.counters.platform.planner_rounds == 0) {
       std::fprintf(stderr, "FAIL: sharded planner never ran\n");
       ok = false;
     }
@@ -167,11 +164,11 @@ bool RunShardedCell(JsonWriter* json) {
     json->Key("engine_digest");
     json->UInt(run.engine_digest);
     json->Key("planner_rounds");
-    json->UInt(run.planner_rounds);
+    json->UInt(run.counters.platform.planner_rounds);
     json->Key("planner_moves");
-    json->UInt(run.planner_moves);
+    json->UInt(run.counters.planner_moves);
     json->Key("planner_splits");
-    json->UInt(run.planner_splits);
+    json->UInt(run.counters.planner_splits);
     json->Key("books_close");
     json->Bool(run.books_close);
     json->EndObject();
@@ -228,14 +225,15 @@ void Run() {
         RunCell("la_planner", s, PolicyKind::kLeastAssigned, &planner);
 
     for (const Cell* cell : {&bucket, &sticky, &planned}) {
+      const RunCounters& c = cell->run.counters;
       table.AddRow(
           {StrFormat("%.1f", s), cell->label,
            StrFormat("%.3f", cell->run.report.p99_ms),
            StrFormat("%.1f", cell->run.report.goodput_rps),
            StrFormat("%.3f", cell->run.routing_imbalance),
-           StrFormat("%llu", (unsigned long long)cell->run.planner_rounds),
-           StrFormat("%llu", (unsigned long long)cell->run.planner_moves),
-           StrFormat("%llu", (unsigned long long)cell->run.planner_splits),
+           StrFormat("%llu", (unsigned long long)c.platform.planner_rounds),
+           StrFormat("%llu", (unsigned long long)c.planner_moves),
+           StrFormat("%llu", (unsigned long long)c.planner_splits),
            cell->books_close ? "close" : "VIOLATED"});
       AppendCellJson(s, *cell, &json);
       if (!cell->books_close) {
@@ -247,8 +245,9 @@ void Run() {
 
     // The planner must actually plan, and above s=1.2 it must win both
     // the tail and the balance against either baseline.
-    if (planned.run.planner_rounds == 0 ||
-        planned.run.planner_moves + planned.run.planner_splits == 0) {
+    const RunCounters& plan = planned.run.counters;
+    if (plan.platform.planner_rounds == 0 ||
+        plan.planner_moves + plan.planner_splits == 0) {
       std::fprintf(stderr, "FAIL: planner idle at s=%.1f\n", s);
       ok = false;
     }
@@ -282,8 +281,9 @@ void Run() {
       const Cell again =
           RunCell("la_planner", s, PolicyKind::kLeastAssigned, &planner);
       if (again.run.samples_digest != planned.run.samples_digest ||
-          again.run.planner_moves != planned.run.planner_moves ||
-          again.run.planner_moved_bytes != planned.run.planner_moved_bytes) {
+          again.run.counters.planner_moves != plan.planner_moves ||
+          again.run.counters.platform.planner_moved_bytes !=
+              plan.platform.planner_moved_bytes) {
         std::fprintf(stderr,
                      "FAIL: planner cell not reproducible per seed\n");
         ok = false;

@@ -85,10 +85,7 @@ Cell RunCell(const std::string& label, ArrivalKind arrival, int routers,
   cell.run = RunRouterWorkload(BurstSpec(arrival), PolicyKind::kLeastAssigned,
                                kWorkers, tier_config, slo, platform_config,
                                faults);
-  cell.books_close =
-      cell.run.platform_submitted == cell.run.platform_completed +
-                                         cell.run.platform_dropped +
-                                         cell.run.platform_abandoned;
+  cell.books_close = cell.run.counters.platform.BooksClose();
   return cell;
 }
 
@@ -106,11 +103,11 @@ void AppendCellJson(std::string_view arrival, const Cell& cell,
   json->Key("goodput_rps");
   json->Double(cell.run.report.goodput_rps);
   json->Key("pulls");
-  json->UInt(cell.run.pulls);
+  json->UInt(cell.run.counters.platform.pulls);
   json->Key("steals");
-  json->UInt(cell.run.steals);
+  json->UInt(cell.run.counters.platform.steals);
   json->Key("steal_bytes");
-  json->UInt(cell.run.steal_bytes);
+  json->UInt(cell.run.counters.platform.steal_bytes);
   json->Key("books_close");
   json->Bool(cell.books_close);
   json->Key("samples_digest");
@@ -142,16 +139,17 @@ bool RunShardedCell(JsonWriter* json) {
     const ShardedRunResult run =
         RunShardedWorkload(spec, PolicyKind::kLeastAssigned, kWorkers,
                            config, slo, platform_config);
+    const PlatformCounters& c = run.counters.platform;
     if (shards == 1) {
       first_samples = run.samples_digest;
       first_engine = run.engine_digest;
-      first_pulls = run.pulls;
-      first_steals = run.steals;
-      first_steal_bytes = run.steal_bytes;
+      first_pulls = c.pulls;
+      first_steals = c.steals;
+      first_steal_bytes = c.steal_bytes;
     } else if (run.samples_digest != first_samples ||
                run.engine_digest != first_engine ||
-               run.pulls != first_pulls || run.steals != first_steals ||
-               run.steal_bytes != first_steal_bytes) {
+               c.pulls != first_pulls || c.steals != first_steals ||
+               c.steal_bytes != first_steal_bytes) {
       std::fprintf(stderr,
                    "FAIL: sharded pull run diverged at --shards=%d\n",
                    shards);
@@ -162,7 +160,7 @@ bool RunShardedCell(JsonWriter* json) {
                    shards);
       ok = false;
     }
-    if (run.pulls == 0) {
+    if (run.counters.platform.pulls == 0) {
       std::fprintf(stderr, "FAIL: sharded pull dispatch never pulled\n");
       ok = false;
     }
@@ -174,11 +172,11 @@ bool RunShardedCell(JsonWriter* json) {
     json->Key("engine_digest");
     json->UInt(run.engine_digest);
     json->Key("pulls");
-    json->UInt(run.pulls);
+    json->UInt(run.counters.platform.pulls);
     json->Key("steals");
-    json->UInt(run.steals);
+    json->UInt(run.counters.platform.steals);
     json->Key("steal_bytes");
-    json->UInt(run.steal_bytes);
+    json->UInt(run.counters.platform.steal_bytes);
     json->Key("books_close");
     json->Bool(run.books_close);
     json->EndObject();
@@ -234,8 +232,10 @@ void Run() {
            StrFormat("%.4f", cell->run.report.local_hit_ratio),
            StrFormat("%.3f", cell->run.report.p99_ms),
            StrFormat("%.1f", cell->run.report.goodput_rps),
-           StrFormat("%llu", (unsigned long long)cell->run.pulls),
-           StrFormat("%llu", (unsigned long long)cell->run.steals),
+           StrFormat("%llu",
+                     (unsigned long long)cell->run.counters.platform.pulls),
+           StrFormat("%llu",
+                     (unsigned long long)cell->run.counters.platform.steals),
            cell->books_close ? "close" : "VIOLATED"});
       AppendCellJson(arrival_id, *cell, &json);
       if (!cell->books_close) {
@@ -267,7 +267,7 @@ void Run() {
                      recovered, gap);
         ok = false;
       }
-      if (late->run.pulls == 0) {
+      if (late->run.counters.platform.pulls == 0) {
         std::fprintf(stderr, "FAIL: %s %s never pulled\n",
                      std::string(arrival_id).c_str(), late->label.c_str());
         ok = false;
@@ -288,10 +288,11 @@ void Run() {
       const Cell again =
           RunCell("pull8", arrival, 8, DispatchMode::kSpray,
                   FaasDispatchMode::kPull, nullptr);
+      const PlatformCounters& a = again.run.counters.platform;
+      const PlatformCounters& b = pull.run.counters.platform;
       if (again.run.samples_digest != pull.run.samples_digest ||
-          again.run.pulls != pull.run.pulls ||
-          again.run.steals != pull.run.steals ||
-          again.run.steal_bytes != pull.run.steal_bytes) {
+          a.pulls != b.pulls || a.steals != b.steals ||
+          a.steal_bytes != b.steal_bytes) {
         std::fprintf(stderr, "FAIL: pull cell not reproducible per seed\n");
         ok = false;
       }
@@ -316,8 +317,10 @@ void Run() {
          StrFormat("%.4f", faulted.run.report.local_hit_ratio),
          StrFormat("%.3f", faulted.run.report.p99_ms),
          StrFormat("%.1f", faulted.run.report.goodput_rps),
-         StrFormat("%llu", (unsigned long long)faulted.run.pulls),
-         StrFormat("%llu", (unsigned long long)faulted.run.steals),
+         StrFormat("%llu",
+                   (unsigned long long)faulted.run.counters.platform.pulls),
+         StrFormat("%llu",
+                   (unsigned long long)faulted.run.counters.platform.steals),
          faulted.books_close ? "close" : "VIOLATED"});
     AppendCellJson("mmpp+faults", faulted, &json);
     if (!faulted.books_close) {

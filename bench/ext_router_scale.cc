@@ -80,39 +80,33 @@ struct CellResult {
 
 void AppendCellJson(const CellResult& cell, JsonWriter* json) {
   json->Key("submitted");
-  json->UInt(cell.run.platform_submitted);
+  json->UInt(cell.run.counters.platform.submitted);
   json->Key("completed");
-  json->UInt(cell.run.platform_completed);
+  json->UInt(cell.run.counters.platform.completed);
   json->Key("dropped");
-  json->UInt(cell.run.platform_dropped);
+  json->UInt(cell.run.counters.platform.dropped);
   json->Key("abandoned");
-  json->UInt(cell.run.platform_abandoned);
+  json->UInt(cell.run.counters.platform.abandoned);
   json->Key("retries");
-  json->UInt(cell.run.retries);
+  json->UInt(cell.run.counters.platform.retries);
   json->Key("recolored");
-  json->UInt(cell.run.recolored);
+  json->UInt(cell.run.counters.recolored);
   json->Key("router_routes");
-  json->UInt(cell.run.router_routes);
+  json->UInt(cell.run.counters.router_routes);
   json->Key("router_stale_routes");
-  json->UInt(cell.run.router_stale_routes);
+  json->UInt(cell.run.counters.router_stale_routes);
   json->Key("router_misroutes");
-  json->UInt(cell.run.router_misroutes);
+  json->UInt(cell.run.counters.router_misroutes);
   json->Key("router_forwards");
-  json->UInt(cell.run.router_forwards);
+  json->UInt(cell.run.counters.router_forwards);
   json->Key("router_recolored");
-  json->UInt(cell.run.router_recolored);
+  json->UInt(cell.run.counters.router_recolored);
   json->Key("books_close");
   json->Bool(cell.books_close);
   json->Key("samples_digest");
   json->UInt(cell.run.samples_digest);
   json->Key("report");
   AppendSloReportJson(cell.run.report, json);
-}
-
-bool BooksClose(const WorkloadRunResult& run) {
-  return run.platform_submitted == run.platform_completed +
-                                       run.platform_dropped +
-                                       run.platform_abandoned;
 }
 
 void Run() {
@@ -166,7 +160,7 @@ void Run() {
         tier_config.dispatch = dispatch;
         const WorkloadRunResult run = RunRouterWorkload(
             spec, policy, kWorkers, tier_config, slo, base_config, nullptr);
-        const bool closes = BooksClose(run);
+        const bool closes = run.counters.platform.BooksClose();
         books_ok = books_ok && closes;
         const std::string key =
             StrFormat("%s/%s/%d", std::string(PolicyKindId(policy)).c_str(),
@@ -179,7 +173,8 @@ void Run() {
              StrFormat("%.4f", run.report.local_hit_ratio),
              StrFormat("%.3f", run.report.p99_ms),
              StrFormat("%.1f", run.report.goodput_rps),
-             StrFormat("%llu", (unsigned long long)run.router_routes),
+             StrFormat("%llu",
+                       (unsigned long long)run.counters.router_routes),
              closes ? "ok" : "VIOLATED"});
 
         json.BeginObject();
@@ -236,16 +231,17 @@ void Run() {
     const WorkloadRunResult run =
         RunRouterWorkload(spec, PolicyKind::kLeastAssigned, kWorkers,
                           tier_config, slo, retry_config, &churn);
-    const bool closes = BooksClose(run);
+    const bool closes = run.counters.platform.BooksClose();
     books_ok = books_ok && closes;
-    misroutes_by_lag.push_back(run.router_misroutes);
+    const RunCounters& c = run.counters;
+    misroutes_by_lag.push_back(c.router_misroutes);
 
     stale_table.AddRow(
         {StrFormat("%.0f", lag_ms),
-         StrFormat("%llu", (unsigned long long)run.router_stale_routes),
-         StrFormat("%llu", (unsigned long long)run.router_misroutes),
-         StrFormat("%llu", (unsigned long long)run.router_forwards),
-         StrFormat("%llu", (unsigned long long)run.retries),
+         StrFormat("%llu", (unsigned long long)c.router_stale_routes),
+         StrFormat("%llu", (unsigned long long)c.router_misroutes),
+         StrFormat("%llu", (unsigned long long)c.router_forwards),
+         StrFormat("%llu", (unsigned long long)c.platform.retries),
          StrFormat("%.1f", run.report.goodput_rps),
          StrFormat("%.3f", run.report.p99_ms), closes ? "ok" : "VIOLATED"});
 
@@ -281,14 +277,15 @@ void Run() {
     const WorkloadRunResult run =
         RunRouterWorkload(spec, PolicyKind::kLeastAssigned, kWorkers,
                           tier_config, slo, base_config, faults);
-    const bool closes = BooksClose(run);
+    const bool closes = run.counters.platform.BooksClose();
     books_ok = books_ok && closes;
     const char* scenario = faults == nullptr ? "steady" : "crash+restart";
     fault_table.AddRow({scenario,
                         StrFormat("%.4f", run.report.local_hit_ratio),
                         StrFormat("%.3f", run.report.p99_ms),
                         StrFormat("%.1f", run.report.goodput_rps),
-                        StrFormat("%llu", (unsigned long long)run.router_routes),
+                        StrFormat("%llu", static_cast<unsigned long long>(
+                                              run.counters.router_routes)),
                         closes ? "ok" : "VIOLATED"});
     json.BeginObject();
     json.Key("scenario");

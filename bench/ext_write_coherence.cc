@@ -111,10 +111,7 @@ Cell RunCell(const std::string& label, CoherenceMode mode, int routers,
   cell.run = RunRouterWorkload(WriteHeavySpec(), PolicyKind::kLeastAssigned,
                                kWorkers, tier_config, slo, platform_config,
                                faults);
-  cell.books_close =
-      cell.run.platform_submitted == cell.run.platform_completed +
-                                         cell.run.platform_dropped +
-                                         cell.run.platform_abandoned;
+  cell.books_close = cell.run.counters.platform.BooksClose();
   return cell;
 }
 
@@ -164,17 +161,17 @@ void AppendCellJson(const Cell& cell, JsonWriter* json) {
   json->Key("samples_digest");
   json->UInt(cell.run.samples_digest);
   json->Key("storage");
-  AppendStorageJson(cell.run.storage, json);
+  AppendStorageJson(cell.run.counters.storage, json);
   json->EndObject();
 }
 
 // Books for a cell: both the platform identity and the write identity.
 bool CellBooksClose(const Cell& cell) {
-  return cell.books_close && cell.run.storage.WriteBooksClose();
+  return cell.books_close && cell.run.counters.storage.WriteBooksClose();
 }
 
 void AddTableRow(TablePrinter* table, const Cell& cell) {
-  const StorageStats& s = cell.run.storage;
+  const StorageStats& s = cell.run.counters.storage;
   table->AddRow(
       {cell.label, std::string(CoherenceModeId(cell.mode)),
        StrFormat("%.4f", cell.run.report.local_hit_ratio),
@@ -212,7 +209,7 @@ bool RunShardedCell(JsonWriter* json) {
     const ShardedRunResult run =
         RunShardedWorkload(spec, PolicyKind::kLeastAssigned, kWorkers,
                            config, slo, platform_config);
-    const StorageStats& s = run.storage;
+    const StorageStats& s = run.counters.storage;
     if (shards == 1) {
       first_samples = run.samples_digest;
       first_engine = run.engine_digest;
@@ -310,22 +307,23 @@ void Run() {
         ok = false;
       }
       if (mode == CoherenceMode::kWriteThrough &&
-          (cell->run.storage.stale_reads != 0 ||
-           cell->run.storage.max_served_staleness_ns != 0)) {
+          (cell->run.counters.storage.stale_reads != 0 ||
+           cell->run.counters.storage.max_served_staleness_ns != 0)) {
         std::fprintf(stderr,
                      "FAIL: write-through served %llu stale reads (%s)\n",
-                     (unsigned long long)cell->run.storage.stale_reads,
+                     (unsigned long long)cell->run.counters.storage.stale_reads,
                      cell->label.c_str());
         ok = false;
       }
       if (mode == CoherenceMode::kCausal &&
-          cell->run.storage.max_served_staleness_ns >
+          cell->run.counters.storage.max_served_staleness_ns >
               staleness_bound.nanos()) {
         std::fprintf(stderr,
                      "FAIL: causal served %.3f ms staleness, bound %.3f ms "
                      "(%s)\n",
-                     static_cast<double>(
-                         cell->run.storage.max_served_staleness_ns) / 1e6,
+                     static_cast<double>(cell->run.counters.storage
+                                             .max_served_staleness_ns) /
+                         1e6,
                      staleness_bound.millis(), cell->label.c_str());
         ok = false;
       }
@@ -334,8 +332,8 @@ void Run() {
     // The headline claim: colored routing makes write coherence nearly
     // free. Spray must pay real coherence traffic (else the comparison is
     // vacuous) and sticky at most a tenth of it.
-    const Bytes sticky_bytes = sticky.run.storage.coherence_bytes;
-    const Bytes spray_bytes = spray.run.storage.coherence_bytes;
+    const Bytes sticky_bytes = sticky.run.counters.storage.coherence_bytes;
+    const Bytes spray_bytes = spray.run.counters.storage.coherence_bytes;
     if (spray_bytes == 0) {
       std::fprintf(stderr,
                    "FAIL: %s spray paid no coherence bytes — the experiment "
@@ -355,7 +353,7 @@ void Run() {
     // bound assert is meaningless if nothing was ever served stale. Spray
     // scatters copies, so its causal cell is where stale serves happen.
     if (mode == CoherenceMode::kCausal &&
-        spray.run.storage.stale_reads == 0) {
+        spray.run.counters.storage.stale_reads == 0) {
       std::fprintf(stderr,
                    "FAIL: causal spray served no bounded-stale reads — the "
                    "bound assert is vacuous\n");
@@ -393,14 +391,14 @@ void Run() {
         ok = false;
       }
       if (mode == CoherenceMode::kWriteThrough &&
-          cell->run.storage.stale_reads != 0) {
+          cell->run.counters.storage.stale_reads != 0) {
         std::fprintf(stderr,
                      "FAIL: write-through served stale under faults (%s)\n",
                      cell->label.c_str());
         ok = false;
       }
       if (mode == CoherenceMode::kCausal &&
-          cell->run.storage.max_served_staleness_ns >
+          cell->run.counters.storage.max_served_staleness_ns >
               staleness_bound.nanos()) {
         std::fprintf(stderr,
                      "FAIL: causal bound exceeded under faults (%s)\n",
@@ -412,14 +410,14 @@ void Run() {
     // must lose something — the loss-accounting path has to be exercised,
     // and surfaced in the books rather than silently dropped.
     if (mode == CoherenceMode::kWriteBack) {
-      if (crashed.run.storage.writes_lost == 0) {
+      if (crashed.run.counters.storage.writes_lost == 0) {
         std::fprintf(stderr,
                      "FAIL: write-back crash cell lost no dirty writes — "
                      "loss accounting unexercised\n");
         ok = false;
       }
-    } else if (crashed.run.storage.writes_lost != 0 ||
-               cycled.run.storage.writes_lost != 0) {
+    } else if (crashed.run.counters.storage.writes_lost != 0 ||
+               cycled.run.counters.storage.writes_lost != 0) {
       std::fprintf(stderr,
                    "FAIL: %s lost writes despite synchronous durability\n",
                    mode_id.c_str());
@@ -427,7 +425,7 @@ void Run() {
     }
     // The restart cell must replay the anti-entropy log into the rejoined
     // instance (cursor catch-up happens even against an empty shard).
-    if (cycled.run.storage.ae_applied == 0) {
+    if (cycled.run.counters.storage.ae_applied == 0) {
       std::fprintf(stderr, "FAIL: restart cell applied no AE records (%s)\n",
                    mode_id.c_str());
       ok = false;
@@ -439,8 +437,8 @@ void Run() {
   {
     const Cell again = RunCell(wb_sticky.label, CoherenceMode::kWriteBack, 1,
                                DispatchMode::kColorPartition, nullptr);
-    const StorageStats& a = again.run.storage;
-    const StorageStats& b = wb_sticky.run.storage;
+    const StorageStats& a = again.run.counters.storage;
+    const StorageStats& b = wb_sticky.run.counters.storage;
     if (again.run.samples_digest != wb_sticky.run.samples_digest ||
         a.writes_total != b.writes_total || a.flushes != b.flushes ||
         a.coherence_bytes != b.coherence_bytes ||

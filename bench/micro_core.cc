@@ -255,14 +255,14 @@ void BM_PullMatch(benchmark::State& state) {
   }
   sim.RunUntil(SimTime::FromMillis(20));
 
-  const std::uint64_t pulls_before = platform.total_pulls();
+  const std::uint64_t pulls_before = platform.counters().pulls;
   std::size_t i = 0;
   for (auto _ : state) {
     submit(idle_homed[i++ % idle_homed.size()], 1e3);
     sim.RunUntil(sim.Now() + SimTime::FromMillis(10));
-    benchmark::DoNotOptimize(platform.total_pulls());
+    benchmark::DoNotOptimize(platform.counters().pulls);
   }
-  const std::uint64_t claims = platform.total_pulls() - pulls_before;
+  const std::uint64_t claims = platform.counters().pulls - pulls_before;
   if (claims != static_cast<std::uint64_t>(state.iterations()) ||
       platform.PendingTotal() != anchored.size()) {
     state.SkipWithError("matcher claimed outside the idle-homed work");

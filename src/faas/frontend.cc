@@ -54,21 +54,14 @@ std::optional<std::uint64_t> FaasFrontend::Invoke(
   return it->second->Invoke(std::move(spec), std::move(cb));
 }
 
-FaasFrontend::AppBooks FaasFrontend::BooksOf(const std::string& app) const {
+PlatformCounters FaasFrontend::BooksOf(const std::string& app) const {
   const auto it = apps_.find(app);
-  if (it == apps_.end()) {
-    return AppBooks{};
-  }
-  const FaasPlatform& platform = *it->second;
-  return AppBooks{platform.submitted_invocations(),
-                  platform.completed_invocations(),
-                  platform.dropped_invocations(),
-                  platform.abandoned_invocations()};
+  return it == apps_.end() ? PlatformCounters{} : it->second->counters();
 }
 
 bool FaasFrontend::AllBooksClosed() const {
-  for (const auto& [name, _] : apps_) {
-    if (!BooksOf(name).Closed()) {
+  for (const auto& [name, platform] : apps_) {
+    if (!platform->counters().BooksClose()) {
       return false;
     }
   }

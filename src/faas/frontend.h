@@ -47,20 +47,11 @@ class FaasFrontend {
                                       FaasPlatform::CompletionCallback cb);
 
   // Per-application accounting books (docs/FAULTS.md identity). Once the
-  // simulator drains, Closed() holds for every registered app no matter
+  // simulator drains, BooksClose() holds for every registered app no matter
   // how invocations entered (frontend Invoke or App(app).Invoke directly)
   // or how they ended (completed, dropped with retries off, abandoned).
-  struct AppBooks {
-    std::uint64_t submitted = 0;
-    std::uint64_t completed = 0;
-    std::uint64_t dropped = 0;
-    std::uint64_t abandoned = 0;
-    bool Closed() const {
-      return submitted == completed + dropped + abandoned;
-    }
-  };
-  // Zeroed books for unknown apps.
-  AppBooks BooksOf(const std::string& app) const;
+  // Zeroed counters for unknown apps.
+  PlatformCounters BooksOf(const std::string& app) const;
   // True iff every registered application's books close.
   bool AllBooksClosed() const;
   std::uint64_t unknown_app_rejections() const {

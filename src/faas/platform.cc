@@ -35,6 +35,22 @@ bool ParseFaasDispatchMode(std::string_view id, FaasDispatchMode* out) {
   return false;
 }
 
+PlatformCounters& PlatformCounters::operator+=(const PlatformCounters& other) {
+  submitted += other.submitted;
+  completed += other.completed;
+  dropped += other.dropped;
+  abandoned += other.abandoned;
+  retries += other.retries;
+  timeouts += other.timeouts;
+  cold_starts += other.cold_starts;
+  pulls += other.pulls;
+  steals += other.steals;
+  steal_bytes += other.steal_bytes;
+  planner_rounds += other.planner_rounds;
+  planner_moved_bytes += other.planner_moved_bytes;
+  return *this;
+}
+
 FaasPlatform::FaasPlatform(Simulator* sim, PolicyKind policy,
                            std::uint64_t seed, PlatformConfig config,
                            Network* shared_network)
@@ -223,7 +239,7 @@ std::optional<std::uint64_t> FaasPlatform::Invoke(
     return std::nullopt;
   }
   const std::uint64_t id = next_id_++;
-  ++submitted_;
+  ++counters_.submitted;
   auto result = std::make_shared<InvocationResult>();
   result->id = id;
   result->submitted = sim_->Now();
@@ -247,7 +263,7 @@ std::optional<std::uint64_t> FaasPlatform::InvokeVia(
     return std::nullopt;
   }
   next_id_ = id + 1;
-  ++submitted_;
+  ++counters_.submitted;
   auto result = std::make_shared<InvocationResult>();
   result->id = id;
   result->submitted = sim_->Now();
@@ -357,7 +373,7 @@ void FaasPlatform::DispatchTo(const AttemptPtr& attempt, InstanceId target) {
   if (!worker.warm) {
     worker.warm = true;
     ++worker.cold_starts;
-    ++cold_starts_;
+    ++counters_.cold_starts;
     if (metrics_ != nullptr) {
       m_cold_starts_->Increment();
     }
@@ -412,7 +428,7 @@ void FaasPlatform::OnDeadline(const AttemptPtr& attempt) {
   if (attempt->cancelled || attempt->committed) {
     return;  // already failed another way, or past the point of no return
   }
-  ++timeouts_;
+  ++counters_.timeouts;
   if (metrics_ != nullptr) {
     m_timeouts_->Increment();
   }
@@ -458,7 +474,7 @@ void FaasPlatform::HandleFailure(const AttemptPtr& attempt,
   attempt->cancelled = true;
   const RetryPolicy& retry = config_.retry;
   if (retry.enabled() && attempt->number < retry.max_attempts) {
-    ++retries_;
+    ++counters_.retries;
     if (metrics_ != nullptr) {
       m_retries_->Increment();
     }
@@ -479,12 +495,12 @@ void FaasPlatform::HandleFailure(const AttemptPtr& attempt,
     return;
   }
   if (retry.enabled()) {
-    ++abandoned_;
+    ++counters_.abandoned;
     if (metrics_ != nullptr) {
       m_abandoned_->Increment();
     }
   } else {
-    ++dropped_;
+    ++counters_.dropped;
     if (metrics_ != nullptr) {
       m_dropped_->Increment();
     }
@@ -721,7 +737,7 @@ void FaasPlatform::StartNextOnWorker(InstanceId instance) {
       if (attempt->cancelled) {
         return;  // worker crashed during the store phase; being retried
       }
-      ++completed_;
+      ++counters_.completed;
       attempt->running = false;
       // A stolen run holds its steal-budget slot through completion, so
       // the budget caps concurrently *executing* stolen work, not just
@@ -939,19 +955,19 @@ void FaasPlatform::ClaimFrom(std::deque<AttemptPtr>* queue,
   --pending_total_;
   attempt->in_pending = false;
 
-  ++pulls_;
+  ++counters_.pulls;
   if (metrics_ != nullptr) {
     m_pulls_->Increment();
   }
   if (steal) {
-    ++steals_;
+    ++counters_.steals;
     ++steals_in_flight_;
     attempt->stolen = true;
     Bytes bytes = 0;
     for (const ObjectRef& input : attempt->spec->inputs) {
       bytes += input.size;
     }
-    steal_bytes_ += bytes;
+    counters_.steal_bytes += bytes;
     if (metrics_ != nullptr) {
       m_steals_->Increment();
       m_steal_bytes_->Add(bytes);
@@ -970,7 +986,7 @@ void FaasPlatform::ClaimFrom(std::deque<AttemptPtr>* queue,
     // unknown until a claim binds it.
     worker.warm = true;
     ++worker.cold_starts;
-    ++cold_starts_;
+    ++counters_.cold_starts;
     if (metrics_ != nullptr) {
       m_cold_starts_->Increment();
     }
@@ -1164,7 +1180,7 @@ std::uint64_t FaasPlatform::WorkerColdStarts(const std::string& name) const {
 }
 
 void FaasPlatform::ApplyPlan(const Plan& plan) {
-  ++planner_rounds_;
+  ++counters_.planner_rounds;
   last_plan_objective_ = plan.objective_after;
 
   // Charge migration costs against the PRE-apply placement (that is where
@@ -1212,7 +1228,7 @@ void FaasPlatform::ApplyPlan(const Plan& plan) {
       }
       const SimTime done =
           network_ptr_->Transfer(src_name, dst_name, object.size);
-      planner_moved_bytes_ += object.size;
+      counters_.planner_moved_bytes += object.size;
       if (done > landed) {
         landed = done;
       }
@@ -1250,16 +1266,16 @@ void FaasPlatform::ExportMetrics(MetricsRegistry* metrics,
     return metrics->gauge(prefix.empty() ? name : prefix + name);
   };
 
-  counter("faas.invocations.submitted").Set(submitted_);
-  counter("faas.invocations.completed").Set(completed_);
-  counter("faas.cold_starts.total").Set(cold_starts_);
-  counter("faas.invocations_dropped").Set(dropped_);
-  counter("faas.invocations_abandoned").Set(abandoned_);
-  counter("faas.retries").Set(retries_);
-  counter("faas.timeouts").Set(timeouts_);
-  counter("faas.pulls").Set(pulls_);
-  counter("faas.steals").Set(steals_);
-  counter("faas.steal_bytes").Set(steal_bytes_);
+  counter("faas.invocations.submitted").Set(counters_.submitted);
+  counter("faas.invocations.completed").Set(counters_.completed);
+  counter("faas.cold_starts.total").Set(counters_.cold_starts);
+  counter("faas.invocations_dropped").Set(counters_.dropped);
+  counter("faas.invocations_abandoned").Set(counters_.abandoned);
+  counter("faas.retries").Set(counters_.retries);
+  counter("faas.timeouts").Set(counters_.timeouts);
+  counter("faas.pulls").Set(counters_.pulls);
+  counter("faas.steals").Set(counters_.steals);
+  counter("faas.steal_bytes").Set(counters_.steal_bytes);
   gauge("faas.pending_depth")
       .SetAt(static_cast<double>(pending_total_), sim_->Now());
 
@@ -1272,9 +1288,9 @@ void FaasPlatform::ExportMetrics(MetricsRegistry* metrics,
   // (lb.recolored) so alert rules can tell them apart.
   counter("lb.planner_moves").Set(lb_.planner_moves());
   counter("lb.planner_splits").Set(lb_.planner_splits());
-  counter("planner.rounds").Set(planner_rounds_);
+  counter("planner.rounds").Set(counters_.planner_rounds);
   counter("planner.merges").Set(lb_.planner_merges());
-  counter("planner.moved_bytes").Set(planner_moved_bytes_);
+  counter("planner.moved_bytes").Set(counters_.planner_moved_bytes);
   gauge("planner.objective").SetAt(last_plan_objective_, sim_->Now());
   gauge("lb.routing_imbalance").SetAt(lb_.RoutingImbalance(), sim_->Now());
   gauge("lb.color_table_bytes")

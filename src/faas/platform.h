@@ -141,6 +141,45 @@ struct PlatformConfig {
   bool translate_object_names = false;
 };
 
+// The platform's invocation books and activity counters, stored once here
+// and exported under the registry names on the right
+// (docs/OBSERVABILITY.md). Harness results carry a copy (RunCounters,
+// src/workload/spec.h); sharded runs sum one per group with +=.
+struct PlatformCounters {
+  std::uint64_t submitted = 0;  // faas.invocations.submitted
+  std::uint64_t completed = 0;  // faas.invocations.completed
+  // Attempts lost to worker removal/crash or timeout while retries are
+  // DISABLED (the pre-retry drop semantics). Their completion callbacks
+  // never fire.
+  std::uint64_t dropped = 0;  // faas.invocations_dropped
+  // Invocations whose final allowed attempt also failed (retries were
+  // enabled but the budget ran out).
+  std::uint64_t abandoned = 0;  // faas.invocations_abandoned
+  // Re-submissions performed and per-attempt deadline expiries observed. A
+  // timed-out attempt that is successfully retried counts in both and,
+  // eventually, in completed.
+  std::uint64_t retries = 0;      // faas.retries
+  std::uint64_t timeouts = 0;     // faas.timeouts
+  std::uint64_t cold_starts = 0;  // faas.cold_starts.total
+  // Pull dispatch (docs/DISPATCH.md): a pull is any claim an idle worker
+  // makes from a pending color queue; a steal is the budget-gated subset
+  // claimed from a foreign color, priced at the stolen attempts' input
+  // bytes.
+  std::uint64_t pulls = 0;  // faas.pulls
+  std::uint64_t steals = 0;  // faas.steals
+  Bytes steal_bytes = 0;     // faas.steal_bytes
+  // Plans applied and the cached bytes they migrated (docs/PLANNER.md).
+  std::uint64_t planner_rounds = 0;  // planner.rounds
+  Bytes planner_moved_bytes = 0;     // planner.moved_bytes
+
+  PlatformCounters& operator+=(const PlatformCounters& other);
+  // The accounting identity, which holds once the simulator drains with no
+  // invocation mid-flight.
+  bool BooksClose() const {
+    return submitted == completed + dropped + abandoned;
+  }
+};
+
 // Why an attempt failed (the retry trace uses the obs-layer RetryReason
 // mirror of this).
 enum class FailureReason {
@@ -253,9 +292,6 @@ class FaasPlatform {
     plan_listener_ = std::move(listener);
   }
 
-  // Planner bookkeeping ("planner.*" metrics).
-  std::uint64_t planner_rounds() const { return planner_rounds_; }
-  Bytes planner_moved_bytes() const { return planner_moved_bytes_; }
   double last_plan_objective() const { return last_plan_objective_; }
 
   // Sharded-engine seam (docs/PERF.md, "Parallel engine"): when attached,
@@ -289,24 +325,9 @@ class FaasPlatform {
   Simulator& simulator() { return *sim_; }
   const PlatformConfig& config() const { return config_; }
 
-  // Accounting identity (once the simulator drains, with no invocation
-  // mid-flight): submitted = completed + dropped + abandoned.
-  std::uint64_t submitted_invocations() const { return submitted_; }
-  std::uint64_t completed_invocations() const { return completed_; }
-  // Attempts lost to worker removal/crash or timeout while retries are
-  // DISABLED (the pre-retry drop semantics). Their completion callbacks
-  // never fire. Exported as "faas.invocations_dropped".
-  std::uint64_t dropped_invocations() const { return dropped_; }
-  // Invocations whose final allowed attempt also failed (retries were
-  // enabled but the budget ran out). Exported as
-  // "faas.invocations_abandoned".
-  std::uint64_t abandoned_invocations() const { return abandoned_; }
-  // Re-submissions performed ("faas.retries") and per-attempt deadline
-  // expiries observed ("faas.timeouts"). A timed-out attempt that is
-  // successfully retried counts in timeouts_ and retries_ and, eventually,
-  // completed_.
-  std::uint64_t total_retries() const { return retries_; }
-  std::uint64_t total_timeouts() const { return timeouts_; }
+  // Books and activity counters (the BooksClose() identity holds once the
+  // simulator drains).
+  const PlatformCounters& counters() const { return counters_; }
   // Busy CPU time per worker (utilization and stragglers).
   std::unordered_map<std::string, SimTime> WorkerBusyTime() const;
 
@@ -329,16 +350,7 @@ class FaasPlatform {
   // Cold starts a worker has paid (0 or 1 under the current model: a
   // worker warms on first dispatch and never cools).
   std::uint64_t WorkerColdStarts(const std::string& name) const;
-  std::uint64_t total_cold_starts() const { return cold_starts_; }
 
-  // Pull-dispatch bookkeeping (docs/DISPATCH.md). A *pull* is any claim an
-  // idle worker makes from a pending color queue ("faas.pulls"); a *steal*
-  // is the budget-gated subset claimed from a foreign color
-  // ("faas.steals"), with the stolen attempts' input bytes — the remote
-  // traffic the steal is priced at — in "faas.steal_bytes".
-  std::uint64_t total_pulls() const { return pulls_; }
-  std::uint64_t total_steals() const { return steals_; }
-  Bytes total_steal_bytes() const { return steal_bytes_; }
   // Attempts currently waiting in pending color queues (all colors), and
   // per color. Both return to zero once the platform drains.
   std::size_t PendingTotal() const { return pending_total_; }
@@ -516,27 +528,16 @@ class FaasPlatform {
   // Per idle snapshot slot: the first color homed on that worker.
   std::vector<std::uint32_t> match_home_chain_;
   int steals_in_flight_ = 0;
-  std::uint64_t pulls_ = 0;
-  std::uint64_t steals_ = 0;
-  Bytes steal_bytes_ = 0;
   std::unordered_map<std::string, Bytes> storage_objects_;
   std::string worker_prefix_ = "w";
   std::uint64_t next_id_ = 1;
-  std::uint64_t submitted_ = 0;
-  std::uint64_t completed_ = 0;
-  std::uint64_t cold_starts_ = 0;
-  std::uint64_t dropped_ = 0;
-  std::uint64_t abandoned_ = 0;
-  std::uint64_t retries_ = 0;
-  std::uint64_t timeouts_ = 0;
+  PlatformCounters counters_;
   int next_worker_index_ = 0;
   // Jitter stream for retry backoff; seeded from the platform seed so runs
   // stay bit-reproducible.
   Rng retry_rng_;
   MembershipListener membership_listener_;
   PlanListener plan_listener_;
-  std::uint64_t planner_rounds_ = 0;
-  Bytes planner_moved_bytes_ = 0;
   double last_plan_objective_ = 0;
   // Sharded-engine seam; null = monolithic (completions run inline).
   EventScheduler* cross_scheduler_ = nullptr;

@@ -255,31 +255,13 @@ ShardedRunResult RunShardedWorkload(
   result.driver_submitted = driver.submitted();
   result.driver_completed = driver.completed();
   for (const GroupState& group : group_states) {
-    result.group_submitted += group.platform->submitted_invocations();
-    result.group_completed += group.platform->completed_invocations();
-    result.group_dropped += group.platform->dropped_invocations();
-    result.group_abandoned += group.platform->abandoned_invocations();
+    result.counters += CollectRunCounters(*group.platform, group.tier.get());
     result.group_rejections += group.rejections;
-    result.cold_starts += group.platform->total_cold_starts();
-    result.retries += group.platform->total_retries();
-    result.pulls += group.platform->total_pulls();
-    result.steals += group.platform->total_steals();
-    result.steal_bytes += group.platform->total_steal_bytes();
-    result.planner_rounds += group.platform->planner_rounds();
-    result.planner_moves += group.platform->load_balancer().planner_moves();
-    result.planner_splits += group.platform->load_balancer().planner_splits();
-    result.planner_merges += group.platform->load_balancer().planner_merges();
-    result.planner_moved_bytes += group.platform->planner_moved_bytes();
-    if (group.platform->storage_layer() != nullptr) {
-      result.storage.Accumulate(group.platform->storage_layer()->stats());
-    }
   }
   result.books_close =
       result.driver_submitted ==
-          result.group_submitted + result.group_rejections &&
-      result.group_submitted == result.group_completed +
-                                    result.group_dropped +
-                                    result.group_abandoned;
+          result.counters.platform.submitted + result.group_rejections &&
+      result.counters.platform.BooksClose();
   return result;
 }
 

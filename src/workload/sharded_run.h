@@ -86,38 +86,18 @@ struct ShardedRunResult {
   double wall_seconds = 0;
 
   // Books. Once the engine drains:
-  //   driver_submitted == group_submitted + group_rejections, and
-  //   group_submitted == group_completed + group_dropped + group_abandoned.
+  //   driver_submitted == counters.platform.submitted + group_rejections,
+  // and counters.platform.BooksClose() holds; books_close is both.
   std::uint64_t driver_submitted = 0;
   std::uint64_t driver_completed = 0;
-  std::uint64_t group_submitted = 0;
-  std::uint64_t group_completed = 0;
-  std::uint64_t group_dropped = 0;
-  std::uint64_t group_abandoned = 0;
   // Invocations no group platform/tier would accept (books as rejected).
   std::uint64_t group_rejections = 0;
-  std::uint64_t cold_starts = 0;
-  std::uint64_t retries = 0;
-  // Pull-dispatch counters summed across groups (zero under push;
-  // docs/DISPATCH.md).
-  std::uint64_t pulls = 0;
-  std::uint64_t steals = 0;
-  Bytes steal_bytes = 0;
   bool books_close = false;
 
-  // Planner counters summed across groups (zero when config.planner was
-  // disabled; docs/PLANNER.md).
-  std::uint64_t planner_rounds = 0;
-  std::uint64_t planner_moves = 0;
-  std::uint64_t planner_splits = 0;
-  std::uint64_t planner_merges = 0;
-  Bytes planner_moved_bytes = 0;
-
-  // Storage-tier books summed across groups (all zero when the platform
-  // config left the coherence mode off; docs/STORAGE.md). The per-group
-  // write-books identity survives the summation:
+  // Every group's RunCounters, summed. The per-group write-books identity
+  // survives the summation:
   //   storage.writes_total == storage.writes_durable + storage.writes_lost.
-  StorageStats storage;
+  RunCounters counters;
 
   // Cluster telemetry (null members unless config.obs enabled): registry
   // merged via MetricsRegistry::MergeFrom and series merged window-by-

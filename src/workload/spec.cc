@@ -34,8 +34,19 @@ bool WorkloadSpecFromFlags(const FlagParser& flags, WorkloadSpec* out) {
   spec.arrival.amplitude =
       flags.GetDouble("amplitude", spec.arrival.amplitude);
 
-  spec.mix.color_count = static_cast<std::uint64_t>(
-      flags.GetInt("colors", static_cast<std::int64_t>(spec.mix.color_count)));
+  if (!(spec.arrival.rate_per_sec > 0)) {
+    std::fprintf(stderr, "--rate must be positive: %g\n",
+                 spec.arrival.rate_per_sec);
+    return false;
+  }
+  const std::int64_t colors =
+      flags.GetInt("colors", static_cast<std::int64_t>(spec.mix.color_count));
+  if (colors < 1) {
+    std::fprintf(stderr, "--colors must be at least 1: %lld\n",
+                 static_cast<long long>(colors));
+    return false;
+  }
+  spec.mix.color_count = static_cast<std::uint64_t>(colors);
   spec.mix.zipf_theta = flags.GetDouble("theta", spec.mix.zipf_theta);
   spec.mix.churn_interval =
       SimTime::FromSeconds(flags.GetDouble("churn_interval_s", 0));
@@ -52,8 +63,12 @@ bool WorkloadSpecFromFlags(const FlagParser& flags, WorkloadSpec* out) {
   spec.mix.write_fraction =
       flags.GetDouble("write_fraction", spec.mix.write_fraction);
 
-  spec.driver.duration =
-      SimTime::FromSeconds(flags.GetDouble("duration", 20));
+  const double duration = flags.GetDouble("duration", 20);
+  if (!(duration >= 0)) {
+    std::fprintf(stderr, "--duration must not be negative: %g\n", duration);
+    return false;
+  }
+  spec.driver.duration = SimTime::FromSeconds(duration);
   spec.driver.max_invocations = static_cast<std::uint64_t>(
       flags.GetInt("max_invocations",
                    static_cast<std::int64_t>(spec.driver.max_invocations)));
@@ -160,21 +175,6 @@ void FinishTelemetry(const WorkloadObsConfig& obs, Simulator* sim,
   }
 }
 
-// Copies planner bookkeeping out of the platform + runtime once the
-// simulator drained.
-void FillPlannerResult(const FaasPlatform& platform,
-                       const PlannerRuntime* runtime,
-                       WorkloadRunResult* result) {
-  result->planner_rounds = platform.planner_rounds();
-  result->planner_moves = platform.load_balancer().planner_moves();
-  result->planner_splits = platform.load_balancer().planner_splits();
-  result->planner_merges = platform.load_balancer().planner_merges();
-  result->planner_moved_bytes = platform.planner_moved_bytes();
-  if (runtime != nullptr) {
-    result->plan_rounds = runtime->rounds();
-  }
-}
-
 }  // namespace
 
 PlatformConfig DefaultWorkloadPlatformConfig() {
@@ -192,17 +192,64 @@ PlatformConfig DefaultWorkloadPlatformConfig() {
   return config;
 }
 
-WorkloadRunResult RunWorkload(const WorkloadSpec& spec, PolicyKind policy,
-                              int workers, const SloConfig& slo,
-                              const PlatformConfig& platform_config,
-                              const FaultSchedule* faults,
-                              const WorkloadObsConfig* obs,
-                              const PlannerConfig* planner) {
+RunCounters& RunCounters::operator+=(const RunCounters& other) {
+  platform += other.platform;
+  recolored += other.recolored;
+  planner_moves += other.planner_moves;
+  planner_splits += other.planner_splits;
+  planner_merges += other.planner_merges;
+  router_routes += other.router_routes;
+  router_stale_routes += other.router_stale_routes;
+  router_misroutes += other.router_misroutes;
+  router_forwards += other.router_forwards;
+  router_recolored += other.router_recolored;
+  storage.Accumulate(other.storage);
+  return *this;
+}
+
+RunCounters CollectRunCounters(const FaasPlatform& platform,
+                               const RouterTier* tier) {
+  RunCounters c;
+  c.platform = platform.counters();
+  const PaletteLoadBalancer& lb = platform.load_balancer();
+  c.recolored = lb.recolored();
+  c.planner_moves = lb.planner_moves();
+  c.planner_splits = lb.planner_splits();
+  c.planner_merges = lb.planner_merges();
+  if (tier != nullptr) {
+    c.router_routes = tier->routes();
+    c.router_stale_routes = tier->stale_routes();
+    c.router_misroutes = tier->misroutes();
+    c.router_forwards = tier->forwards();
+    c.router_recolored = tier->recolored();
+  }
+  if (platform.storage_layer() != nullptr) {
+    c.storage = platform.storage_layer()->stats();
+  }
+  return c;
+}
+
+namespace {
+
+// The one monolithic harness body. `tier_config` is null for direct runs;
+// otherwise traffic flows through a RouterTier built from it.
+WorkloadRunResult RunMonolithic(const WorkloadSpec& spec, PolicyKind policy,
+                                int workers,
+                                const RouterTierConfig* tier_config,
+                                const SloConfig& slo,
+                                const PlatformConfig& platform_config,
+                                const FaultSchedule* faults,
+                                const WorkloadObsConfig* obs,
+                                const PlannerConfig* planner) {
   Simulator sim;
   FaasPlatform platform(&sim, policy, spec.seed, platform_config);
   platform.AddWorkers(workers);
+  std::unique_ptr<RouterTier> tier;
+  if (tier_config != nullptr) {
+    tier = std::make_unique<RouterTier>(&platform, *tier_config);
+  }
   if (faults != nullptr) {
-    faults->InstallOn(&sim, &platform);
+    faults->InstallOn(&sim, &platform, tier.get());
   }
 
   // Independent sub-streams per component, both derived from the one
@@ -214,19 +261,28 @@ WorkloadRunResult RunWorkload(const WorkloadSpec& spec, PolicyKind policy,
   OpenLoopDriver driver(&platform,
                         MakeArrivalProcess(spec.arrival, arrival_seed),
                         InvocationMix(spec.mix), spec.driver, driver_seed);
+  if (tier != nullptr) {
+    driver.set_invoker(
+        [t = tier.get()](InvocationSpec invocation,
+                         FaasPlatform::CompletionCallback on_complete) {
+          return t->Invoke(std::move(invocation), std::move(on_complete));
+        });
+  }
   std::unique_ptr<PlannerRuntime> planner_runtime;
   if (planner != nullptr && planner->enabled()) {
+    // The platform's LB stays authoritative; tier replicas learn each
+    // applied plan through the tier's update log (RouterTier::OnPlanApplied).
     planner_runtime = std::make_unique<PlannerRuntime>(&platform, *planner);
     planner_runtime->Start(spec.driver.duration);
   }
   WorkloadTelemetry telemetry;
   if (obs != nullptr && obs->enabled()) {
-    telemetry = BeginTelemetry(*obs, &sim, &platform, nullptr, &driver);
+    telemetry = BeginTelemetry(*obs, &sim, &platform, tier.get(), &driver);
   }
   driver.Start();
   const std::uint64_t events = sim.Run();
   if (telemetry.enabled()) {
-    FinishTelemetry(*obs, &sim, &platform, nullptr, spec.driver.duration,
+    FinishTelemetry(*obs, &sim, &platform, tier.get(), spec.driver.duration,
                     &telemetry);
   }
 
@@ -236,24 +292,25 @@ WorkloadRunResult RunWorkload(const WorkloadSpec& spec, PolicyKind policy,
                            spec.arrival.rate_per_sec);
   result.samples = driver.samples();
   result.samples_digest = SamplesDigest(result.samples);
-  result.platform_submitted = platform.submitted_invocations();
-  result.platform_completed = platform.completed_invocations();
-  result.platform_dropped = platform.dropped_invocations();
-  result.platform_abandoned = platform.abandoned_invocations();
-  result.retries = platform.total_retries();
-  result.timeouts = platform.total_timeouts();
-  result.recolored = platform.load_balancer().recolored();
-  result.cold_starts = platform.total_cold_starts();
-  result.pulls = platform.total_pulls();
-  result.steals = platform.total_steals();
-  result.steal_bytes = platform.total_steal_bytes();
   result.sim_events = events;
-  result.routing_imbalance = platform.load_balancer().RoutingImbalance();
-  if (platform.storage_layer() != nullptr) {
-    result.storage = platform.storage_layer()->stats();
+  result.counters = CollectRunCounters(platform, tier.get());
+  if (planner_runtime != nullptr) {
+    result.plan_rounds = planner_runtime->rounds();
   }
-  FillPlannerResult(platform, planner_runtime.get(), &result);
+  result.routing_imbalance = platform.load_balancer().RoutingImbalance();
   return result;
+}
+
+}  // namespace
+
+WorkloadRunResult RunWorkload(const WorkloadSpec& spec, PolicyKind policy,
+                              int workers, const SloConfig& slo,
+                              const PlatformConfig& platform_config,
+                              const FaultSchedule* faults,
+                              const WorkloadObsConfig* obs,
+                              const PlannerConfig* planner) {
+  return RunMonolithic(spec, policy, workers, nullptr, slo, platform_config,
+                       faults, obs, planner);
 }
 
 WorkloadRunResult RunRouterWorkload(const WorkloadSpec& spec,
@@ -264,75 +321,10 @@ WorkloadRunResult RunRouterWorkload(const WorkloadSpec& spec,
                                     const FaultSchedule* faults,
                                     const WorkloadObsConfig* obs,
                                     const PlannerConfig* planner) {
-  Simulator sim;
-  FaasPlatform platform(&sim, policy, spec.seed, platform_config);
-  platform.AddWorkers(workers);
   tier_config.policy = policy;
   tier_config.seed = spec.seed;
-  RouterTier tier(&platform, tier_config);
-  if (faults != nullptr) {
-    faults->InstallOn(&sim, &platform, &tier);
-  }
-
-  Rng seeder(spec.seed);
-  const std::uint64_t arrival_seed = seeder.Next();
-  const std::uint64_t driver_seed = seeder.Next();
-
-  OpenLoopDriver driver(&platform,
-                        MakeArrivalProcess(spec.arrival, arrival_seed),
-                        InvocationMix(spec.mix), spec.driver, driver_seed);
-  driver.set_invoker(
-      [&tier](InvocationSpec invocation,
-              FaasPlatform::CompletionCallback on_complete) {
-        return tier.Invoke(std::move(invocation), std::move(on_complete));
-      });
-  std::unique_ptr<PlannerRuntime> planner_runtime;
-  if (planner != nullptr && planner->enabled()) {
-    // The platform's LB stays authoritative; replicas learn each applied
-    // plan through the tier's update log (RouterTier::OnPlanApplied).
-    planner_runtime = std::make_unique<PlannerRuntime>(&platform, *planner);
-    planner_runtime->Start(spec.driver.duration);
-  }
-  WorkloadTelemetry telemetry;
-  if (obs != nullptr && obs->enabled()) {
-    telemetry = BeginTelemetry(*obs, &sim, &platform, &tier, &driver);
-  }
-  driver.Start();
-  const std::uint64_t events = sim.Run();
-  if (telemetry.enabled()) {
-    FinishTelemetry(*obs, &sim, &platform, &tier, spec.driver.duration,
-                    &telemetry);
-  }
-
-  WorkloadRunResult result;
-  result.telemetry = std::move(telemetry);
-  result.report = ScoreSlo(driver.samples(), slo, spec.driver.duration,
-                           spec.arrival.rate_per_sec);
-  result.samples = driver.samples();
-  result.samples_digest = SamplesDigest(result.samples);
-  result.platform_submitted = platform.submitted_invocations();
-  result.platform_completed = platform.completed_invocations();
-  result.platform_dropped = platform.dropped_invocations();
-  result.platform_abandoned = platform.abandoned_invocations();
-  result.retries = platform.total_retries();
-  result.timeouts = platform.total_timeouts();
-  result.recolored = platform.load_balancer().recolored();
-  result.cold_starts = platform.total_cold_starts();
-  result.pulls = platform.total_pulls();
-  result.steals = platform.total_steals();
-  result.steal_bytes = platform.total_steal_bytes();
-  result.sim_events = events;
-  result.router_routes = tier.routes();
-  result.router_stale_routes = tier.stale_routes();
-  result.router_misroutes = tier.misroutes();
-  result.router_forwards = tier.forwards();
-  result.router_recolored = tier.recolored();
-  result.routing_imbalance = platform.load_balancer().RoutingImbalance();
-  if (platform.storage_layer() != nullptr) {
-    result.storage = platform.storage_layer()->stats();
-  }
-  FillPlannerResult(platform, planner_runtime.get(), &result);
-  return result;
+  return RunMonolithic(spec, policy, workers, &tier_config, slo,
+                       platform_config, faults, obs, planner);
 }
 
 }  // namespace palette

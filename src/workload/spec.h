@@ -42,7 +42,8 @@ struct WorkloadSpec {
 //   --colors= --theta= --churn_interval_s= --churn_step=
 //   --objects_per_color= --inputs= --cpu_ops= --write_fraction=
 //   --seed= --max_invocations=
-// Returns false (and prints to stderr) on an unknown arrival kind.
+// Returns false (and prints to stderr) on an unknown arrival kind, a
+// non-positive rate, fewer than one color or a negative duration.
 bool WorkloadSpecFromFlags(const FlagParser& flags, WorkloadSpec* out);
 
 // Appends the spec as a JSON object value (caller wrote the key).
@@ -76,45 +77,46 @@ struct WorkloadTelemetry {
   bool enabled() const { return series != nullptr; }
 };
 
+// Every counter a harness run reports, read once from the platform (and
+// router tier) after the drain. Field names follow the registry names in
+// the comments, so the result structs, loadgen's text and JSON, and the
+// Prometheus export cannot disagree. Sharded runs fold one per group with
+// +=, so the same counters read the same in every harness topology.
+struct RunCounters {
+  PlatformCounters platform;
+  // Load balancer: failure-aware re-colorings and planned migration
+  // (planner counters are zero unless a planner ran; docs/PLANNER.md).
+  std::uint64_t recolored = 0;       // lb.recolored
+  std::uint64_t planner_moves = 0;   // lb.planner_moves
+  std::uint64_t planner_splits = 0;  // lb.planner_splits
+  std::uint64_t planner_merges = 0;  // planner.merges
+  // Router tier (docs/ROUTING.md); zero when traffic bypassed a tier.
+  std::uint64_t router_routes = 0;        // router.routes
+  std::uint64_t router_stale_routes = 0;  // router.stale_routes
+  std::uint64_t router_misroutes = 0;     // router.misroutes
+  std::uint64_t router_forwards = 0;      // router.forwards
+  std::uint64_t router_recolored = 0;     // router.recolored (views summed)
+  // Storage-tier books (docs/STORAGE.md), storage.*: all zero unless the
+  // platform config enabled a coherence mode. After the drain,
+  //   writes_total = writes_durable + writes_lost.
+  StorageStats storage;
+
+  RunCounters& operator+=(const RunCounters& other);
+};
+
+// Reads every RunCounters field from `platform` and, when non-null, the
+// router tier fronting it.
+RunCounters CollectRunCounters(const FaasPlatform& platform,
+                               const RouterTier* tier);
+
 struct WorkloadRunResult {
   std::vector<InvocationSample> samples;
   SloReport report;
   std::uint64_t samples_digest = 0;
-  // Platform books (docs/FAULTS.md): once the simulator drains,
-  //   platform_submitted = platform_completed + platform_dropped
-  //                        + platform_abandoned.
-  std::uint64_t platform_submitted = 0;
-  std::uint64_t platform_completed = 0;
-  std::uint64_t platform_dropped = 0;    // faas.invocations_dropped
-  std::uint64_t platform_abandoned = 0;  // faas.invocations_abandoned
-  std::uint64_t retries = 0;             // faas.retries
-  std::uint64_t timeouts = 0;            // faas.timeouts
-  std::uint64_t recolored = 0;           // lb.recolored
-  std::uint64_t cold_starts = 0;
-  // Pull-dispatch counters (all zero under push; docs/DISPATCH.md).
-  std::uint64_t pulls = 0;        // faas.pulls
-  std::uint64_t steals = 0;       // faas.steals
-  Bytes steal_bytes = 0;          // faas.steal_bytes
   std::uint64_t sim_events = 0;
-  // Routing-tier counters (all zero for RunWorkload; filled by
-  // RunRouterWorkload from the tier's router.* family).
-  std::uint64_t router_routes = 0;
-  std::uint64_t router_stale_routes = 0;
-  std::uint64_t router_misroutes = 0;
-  std::uint64_t router_forwards = 0;
-  std::uint64_t router_recolored = 0;  // per-view re-colorings, summed
-  // Planner counters (all zero unless a PlannerConfig was passed and the
-  // policy supports planning; docs/PLANNER.md).
-  std::uint64_t planner_rounds = 0;
-  std::uint64_t planner_moves = 0;   // lb.planner_moves
-  std::uint64_t planner_splits = 0;  // lb.planner_splits
-  std::uint64_t planner_merges = 0;
-  Bytes planner_moved_bytes = 0;
-  std::vector<PlanRound> plan_rounds;  // per-round objectives
-  // Storage-tier books (docs/STORAGE.md): all zero unless the platform
-  // config enabled a coherence mode. After the drain,
-  //   storage.writes_total = storage.writes_durable + storage.writes_lost.
-  StorageStats storage;
+  RunCounters counters;
+  // Per-round planner objectives (empty unless a planner ran).
+  std::vector<PlanRound> plan_rounds;
   // max/avg invocations routed per instance at end of run.
   double routing_imbalance = 0;
   // Populated only when the run's WorkloadObsConfig enabled telemetry.

@@ -113,7 +113,7 @@ TEST(FaasPlatformTest, PaletteOutputIsLocalNextReadIsLocalHit) {
   });
   sim.Run();
   EXPECT_TRUE(produced);
-  EXPECT_EQ(platform.completed_invocations(), 2u);
+  EXPECT_EQ(platform.counters().completed, 2u);
 }
 
 TEST(FaasPlatformTest, DifferentColorsCauseRemoteHit) {
@@ -270,7 +270,7 @@ TEST(FaasPlatformTest, ExactlyOneColdStartPerWarmWorker) {
   for (const std::string& name : platform.WorkerNames()) {
     EXPECT_EQ(platform.WorkerColdStarts(name), 1u) << name;
   }
-  EXPECT_EQ(platform.total_cold_starts(), 3u);
+  EXPECT_EQ(platform.counters().cold_starts, 3u);
   EXPECT_EQ(platform.WorkerColdStarts("no-such-worker"), 0u);
 }
 

@@ -42,9 +42,9 @@ TEST(FailureInjectionTest, WorkerRemovalMidRunDropsOnlyItsQueue) {
   // Every invocation is accounted for: either it completed or the platform
   // counted it dropped with the dead worker (exported as
   // "faas.invocations_dropped"). Nothing vanishes silently.
-  EXPECT_GT(platform.dropped_invocations(), 0u);
+  EXPECT_GT(platform.counters().dropped, 0u);
   EXPECT_EQ(static_cast<std::uint64_t>(completed) +
-                platform.dropped_invocations(),
+                platform.counters().dropped,
             40u);
   // New work after the removal routes fine — never to the dead worker.
   bool served = false;
@@ -168,7 +168,7 @@ TEST(FailureInjectionTest, RapidChurnUnderLoadStillDrains) {
   // The drop counter closes the books: submitted = completed + dropped
   // once the simulator drains.
   EXPECT_EQ(static_cast<std::uint64_t>(completed) +
-                platform.dropped_invocations(),
+                platform.counters().dropped,
             static_cast<std::uint64_t>(submitted));
 }
 
@@ -202,15 +202,12 @@ TEST(FailureInjectionTest, CrashWithRetryClosesBooksWithNothingDropped) {
   // With retries enabled and three surviving workers, every lost attempt
   // is re-executed: nothing dropped, nothing abandoned, and the books
   // close as submitted = completed (+ 0 + 0).
-  EXPECT_EQ(platform.submitted_invocations(), 40u);
+  EXPECT_EQ(platform.counters().submitted, 40u);
   EXPECT_EQ(completed, 40);
-  EXPECT_EQ(platform.dropped_invocations(), 0u);
-  EXPECT_EQ(platform.abandoned_invocations(), 0u);
-  EXPECT_GT(platform.total_retries(), 0u);
-  EXPECT_EQ(platform.submitted_invocations(),
-            platform.completed_invocations() +
-                platform.dropped_invocations() +
-                platform.abandoned_invocations());
+  EXPECT_EQ(platform.counters().dropped, 0u);
+  EXPECT_EQ(platform.counters().abandoned, 0u);
+  EXPECT_GT(platform.counters().retries, 0u);
+  EXPECT_TRUE(platform.counters().BooksClose());
 }
 
 TEST(FailureInjectionTest, RetriedColoredInvocationLandsOnRemappedInstance) {
@@ -248,8 +245,8 @@ TEST(FailureInjectionTest, RetriedColoredInvocationLandsOnRemappedInstance) {
     EXPECT_GT(r.attempts, 1);
   }
   EXPECT_GT(platform.load_balancer().recolored(), 0u);
-  EXPECT_EQ(platform.dropped_invocations(), 0u);
-  EXPECT_EQ(platform.abandoned_invocations(), 0u);
+  EXPECT_EQ(platform.counters().dropped, 0u);
+  EXPECT_EQ(platform.counters().abandoned, 0u);
 }
 
 TEST(FailureInjectionTest, DeadlineTimeoutRefundsWorkerCompute) {
@@ -283,12 +280,12 @@ TEST(FailureInjectionTest, DeadlineTimeoutRefundsWorkerCompute) {
   sim.Run();
 
   EXPECT_FALSE(a_completed);
-  EXPECT_EQ(platform.total_timeouts(), 1u);
+  EXPECT_EQ(platform.counters().timeouts, 1u);
   // Retries are disabled, so the timed-out invocation is dropped and the
   // books still close.
-  EXPECT_EQ(platform.dropped_invocations(), 1u);
-  EXPECT_EQ(platform.submitted_invocations(), 2u);
-  EXPECT_EQ(platform.completed_invocations(), 1u);
+  EXPECT_EQ(platform.counters().dropped, 1u);
+  EXPECT_EQ(platform.counters().submitted, 2u);
+  EXPECT_EQ(platform.counters().completed, 1u);
   // B finished just after the 300 ms timeout, not after A's 1 s booking.
   EXPECT_GT(b_done, SimTime::FromMillis(300));
   EXPECT_LT(b_done, SimTime::FromMillis(400));
@@ -313,13 +310,10 @@ TEST(FailureInjectionTest, AbandonedAfterMaxAttemptsClosesBooks) {
   sim.Run();
 
   EXPECT_FALSE(completed);
-  EXPECT_EQ(platform.total_retries(), 1u);
-  EXPECT_EQ(platform.abandoned_invocations(), 1u);
-  EXPECT_EQ(platform.dropped_invocations(), 0u);
-  EXPECT_EQ(platform.submitted_invocations(),
-            platform.completed_invocations() +
-                platform.dropped_invocations() +
-                platform.abandoned_invocations());
+  EXPECT_EQ(platform.counters().retries, 1u);
+  EXPECT_EQ(platform.counters().abandoned, 1u);
+  EXPECT_EQ(platform.counters().dropped, 0u);
+  EXPECT_TRUE(platform.counters().BooksClose());
 }
 
 }  // namespace

@@ -125,12 +125,12 @@ TEST(FrontendTest, PerAppBooksCloseUnderFailures) {
          [&frontend]() { frontend.App("a").RemoveWorker("a/w0"); });
   sim.Run();
 
-  const FaasFrontend::AppBooks books_a = frontend.BooksOf("a");
-  const FaasFrontend::AppBooks books_b = frontend.BooksOf("b");
+  const PlatformCounters books_a = frontend.BooksOf("a");
+  const PlatformCounters books_b = frontend.BooksOf("b");
   EXPECT_EQ(books_a.submitted, static_cast<std::uint64_t>(kPerApp));
   EXPECT_EQ(books_b.submitted, static_cast<std::uint64_t>(kPerApp));
-  EXPECT_TRUE(books_a.Closed());
-  EXPECT_TRUE(books_b.Closed());
+  EXPECT_TRUE(books_a.BooksClose());
+  EXPECT_TRUE(books_b.BooksClose());
   EXPECT_GT(books_a.dropped, 0u);  // the removal stranded queued attempts
   EXPECT_EQ(books_b.dropped, 0u);
   EXPECT_EQ(books_b.completed, static_cast<std::uint64_t>(kPerApp));
@@ -160,9 +160,9 @@ TEST(FrontendTest, ExportAppMetricsIsPrefixedPerApp) {
   // Per-worker families carry the prefix too.
   EXPECT_EQ(metrics.counter("app.a.worker.a/w0.cold_starts").value() +
                 metrics.counter("app.a.worker.a/w1.cold_starts").value(),
-            frontend.App("a").total_cold_starts());
+            frontend.App("a").counters().cold_starts);
   // The snapshots agree with the books.
-  const FaasFrontend::AppBooks books = frontend.BooksOf("a");
+  const PlatformCounters books = frontend.BooksOf("a");
   EXPECT_EQ(metrics.counter("app.a.faas.invocations.submitted").value(),
             books.submitted);
 }

@@ -260,12 +260,10 @@ TEST(PlannerWorkloadTest, PlanDuringChurnClosesBooks) {
       RunWorkload(spec, PolicyKind::kLeastAssigned, 4, slo,
                   DefaultWorkloadPlatformConfig(), &faults, nullptr,
                   &planner);
-  EXPECT_GT(run.planner_rounds, 0u);
-  EXPECT_EQ(run.platform_submitted, run.platform_completed +
-                                        run.platform_dropped +
-                                        run.platform_abandoned);
+  EXPECT_GT(run.counters.platform.planner_rounds, 0u);
+  EXPECT_TRUE(run.counters.platform.BooksClose());
   // Planner movement stays distinguishable from failure re-coloring.
-  EXPECT_GT(run.planner_moves + run.planner_splits, 0u);
+  EXPECT_GT(run.counters.planner_moves + run.counters.planner_splits, 0u);
   for (const PlanRound& round : run.plan_rounds) {
     EXPECT_LE(round.objective_after, round.objective_before + 1e-9);
   }
@@ -287,9 +285,10 @@ TEST(PlannerWorkloadTest, PlannerRunIsSeedReproducible) {
                   DefaultWorkloadPlatformConfig(), nullptr, nullptr,
                   &planner);
   EXPECT_EQ(a.samples_digest, b.samples_digest);
-  EXPECT_EQ(a.planner_moves, b.planner_moves);
-  EXPECT_EQ(a.planner_splits, b.planner_splits);
-  EXPECT_EQ(a.planner_moved_bytes, b.planner_moved_bytes);
+  EXPECT_EQ(a.counters.planner_moves, b.counters.planner_moves);
+  EXPECT_EQ(a.counters.planner_splits, b.counters.planner_splits);
+  EXPECT_EQ(a.counters.platform.planner_moved_bytes,
+            b.counters.platform.planner_moved_bytes);
 }
 
 TEST(PlannerShardedTest, DigestsMatchAcrossShardCountsWithPlanning) {
@@ -311,14 +310,15 @@ TEST(PlannerShardedTest, DigestsMatchAcrossShardCountsWithPlanning) {
       spec, PolicyKind::kLeastAssigned, 8, config, slo,
       DefaultWorkloadPlatformConfig());
 
-  EXPECT_GT(one.planner_rounds, 0u);
+  EXPECT_GT(one.counters.platform.planner_rounds, 0u);
   EXPECT_TRUE(one.books_close);
   EXPECT_TRUE(four.books_close);
   EXPECT_EQ(one.samples_digest, four.samples_digest);
   EXPECT_EQ(one.engine_digest, four.engine_digest);
-  EXPECT_EQ(one.planner_moves, four.planner_moves);
-  EXPECT_EQ(one.planner_splits, four.planner_splits);
-  EXPECT_EQ(one.planner_moved_bytes, four.planner_moved_bytes);
+  EXPECT_EQ(one.counters.planner_moves, four.counters.planner_moves);
+  EXPECT_EQ(one.counters.planner_splits, four.counters.planner_splits);
+  EXPECT_EQ(one.counters.platform.planner_moved_bytes,
+            four.counters.platform.planner_moved_bytes);
 }
 
 }  // namespace

@@ -98,12 +98,9 @@ TEST(PullDispatchTest, EveryInvocationIsPulledAndBooksClose) {
   EXPECT_EQ(completed, 24);
   // Pull mode never hard-binds at route time: every completion came
   // through a claim.
-  EXPECT_EQ(platform.total_pulls(), 24u);
+  EXPECT_EQ(platform.counters().pulls, 24u);
   EXPECT_EQ(platform.PendingTotal(), 0u);
-  EXPECT_EQ(platform.submitted_invocations(),
-            platform.completed_invocations() +
-                platform.dropped_invocations() +
-                platform.abandoned_invocations());
+  EXPECT_TRUE(platform.counters().BooksClose());
 }
 
 TEST(PullDispatchTest, ColorStaysOnItsHomeWorkerWhileHomeKeepsUp) {
@@ -125,7 +122,7 @@ TEST(PullDispatchTest, ColorStaysOnItsHomeWorkerWhileHomeKeepsUp) {
     sim.Run();
   }
   EXPECT_EQ(instances, (std::set<std::string>{"w0"}));
-  EXPECT_EQ(platform.total_steals(), 0u);
+  EXPECT_EQ(platform.counters().steals, 0u);
 }
 
 TEST(PullDispatchTest, HotForeignColorIsStolenAndPriced) {
@@ -158,9 +155,9 @@ TEST(PullDispatchTest, HotForeignColorIsStolenAndPriced) {
   ASSERT_EQ(ran_on.size(), 2u);
   EXPECT_EQ(ran_on[0], "w1");  // stolen: completes while the home grinds
   EXPECT_EQ(ran_on[1], "w0");  // waited for its home
-  EXPECT_EQ(platform.total_steals(), 1u);
+  EXPECT_EQ(platform.counters().steals, 1u);
   // The steal price is booked: the stolen attempt's input bytes.
-  EXPECT_EQ(platform.total_steal_bytes(), 3u * kMiB);
+  EXPECT_EQ(platform.counters().steal_bytes, 3u * kMiB);
 }
 
 TEST(PullDispatchTest, StealBudgetZeroDisablesStealing) {
@@ -184,9 +181,8 @@ TEST(PullDispatchTest, StealBudgetZeroDisablesStealing) {
   // The queue was hot and w1 idled through it all; with the budget at
   // zero the work waited for its home anyway.
   EXPECT_EQ(instances, (std::set<std::string>{"w0"}));
-  EXPECT_EQ(platform.total_steals(), 0u);
-  EXPECT_EQ(platform.submitted_invocations(),
-            platform.completed_invocations());
+  EXPECT_EQ(platform.counters().steals, 0u);
+  EXPECT_EQ(platform.counters().submitted, platform.counters().completed);
 }
 
 TEST(PullDispatchTest, ShallowForeignQueueWaitsForItsHome) {
@@ -210,7 +206,7 @@ TEST(PullDispatchTest, ShallowForeignQueueWaitsForItsHome) {
   }
   sim.Run();
   EXPECT_EQ(instances, (std::set<std::string>{"w0"}));
-  EXPECT_EQ(platform.total_steals(), 0u);
+  EXPECT_EQ(platform.counters().steals, 0u);
 }
 
 TEST(PullDispatchTest, HybridPushesToIdleHomeAndPullsWhenBusy) {
@@ -221,7 +217,7 @@ TEST(PullDispatchTest, HybridPushesToIdleHomeAndPullsWhenBusy) {
   const std::string color =
       ForeignProofColor(&sim, &platform, "w0", "w1");
   ASSERT_FALSE(color.empty());
-  const std::uint64_t pulls_before = platform.total_pulls();
+  const std::uint64_t pulls_before = platform.counters().pulls;
 
   // Idle home: hybrid binds eagerly — no pull.
   bool done = false;
@@ -231,7 +227,7 @@ TEST(PullDispatchTest, HybridPushesToIdleHomeAndPullsWhenBusy) {
   });
   sim.Run();
   EXPECT_TRUE(done);
-  EXPECT_EQ(platform.total_pulls(), pulls_before);
+  EXPECT_EQ(platform.counters().pulls, pulls_before);
 
   // Busy home: the route becomes a hint and the work is claimed — still
   // by the home once it frees up (w1 stays foreign, depth below the
@@ -242,7 +238,7 @@ TEST(PullDispatchTest, HybridPushesToIdleHomeAndPullsWhenBusy) {
                   [&](const InvocationResult& r) { ran_on = r.instance; });
   sim.Run();
   EXPECT_EQ(ran_on, "w0");
-  EXPECT_GT(platform.total_pulls(), pulls_before);
+  EXPECT_GT(platform.counters().pulls, pulls_before);
 }
 
 // ---------------------------------------------------------------------------
@@ -270,11 +266,10 @@ TEST(PullDispatchFaultTest, CrashDuringClaimWindowRequeuesWithoutRetry) {
   sim.After(SimTime::FromMillis(5), [&]() { platform.CrashWorker("w0"); });
   sim.Run();
   EXPECT_EQ(ran_on, "w1");
-  EXPECT_EQ(platform.total_retries(), 0u);
-  EXPECT_EQ(platform.dropped_invocations(), 0u);
-  EXPECT_EQ(platform.abandoned_invocations(), 0u);
-  EXPECT_EQ(platform.submitted_invocations(),
-            platform.completed_invocations());
+  EXPECT_EQ(platform.counters().retries, 0u);
+  EXPECT_EQ(platform.counters().dropped, 0u);
+  EXPECT_EQ(platform.counters().abandoned, 0u);
+  EXPECT_EQ(platform.counters().submitted, platform.counters().completed);
 }
 
 TEST(PullDispatchFaultTest, RemoveWorkerMidPullRequeuesPendingAndClaimed) {
@@ -304,9 +299,8 @@ TEST(PullDispatchFaultTest, RemoveWorkerMidPullRequeuesPendingAndClaimed) {
   sim.After(SimTime::FromMillis(5), [&]() { platform.RemoveWorker("w0"); });
   sim.Run();
   EXPECT_EQ(order, (std::vector<int>{1, 0, 2}));
-  EXPECT_EQ(platform.total_retries(), 0u);
-  EXPECT_EQ(platform.submitted_invocations(),
-            platform.completed_invocations());
+  EXPECT_EQ(platform.counters().retries, 0u);
+  EXPECT_EQ(platform.counters().submitted, platform.counters().completed);
 }
 
 TEST(PullDispatchFaultTest, LastWorkerGoneFailsPendingAndClaimed) {
@@ -322,11 +316,10 @@ TEST(PullDispatchFaultTest, LastWorkerGoneFailsPendingAndClaimed) {
   platform.Invoke(Colored("c", 1e6), nullptr);
   sim.After(SimTime::FromMillis(5), [&]() { platform.CrashWorker("w0"); });
   sim.Run();
-  EXPECT_EQ(platform.completed_invocations(), 0u);
-  EXPECT_EQ(platform.dropped_invocations(), 2u);
+  EXPECT_EQ(platform.counters().completed, 0u);
+  EXPECT_EQ(platform.counters().dropped, 2u);
   EXPECT_EQ(platform.PendingTotal(), 0u);
-  EXPECT_EQ(platform.submitted_invocations(),
-            platform.dropped_invocations());
+  EXPECT_EQ(platform.counters().submitted, platform.counters().dropped);
 }
 
 TEST(PullDispatchFaultTest, ApplyPlanRacingStealKeepsBooksClosed) {
@@ -359,10 +352,7 @@ TEST(PullDispatchFaultTest, ApplyPlanRacingStealKeepsBooksClosed) {
   sim.Run();
   EXPECT_EQ(completed, 6);
   EXPECT_EQ(platform.PendingTotal(), 0u);
-  EXPECT_EQ(platform.submitted_invocations(),
-            platform.completed_invocations() +
-                platform.dropped_invocations() +
-                platform.abandoned_invocations());
+  EXPECT_TRUE(platform.counters().BooksClose());
 }
 
 // ---------------------------------------------------------------------------
@@ -404,25 +394,26 @@ TEST(PullDispatchDeterminismTest, RepeatRunsAreBitIdentical) {
       RunWorkload(spec, PolicyKind::kLeastAssigned, 6, slo, config);
   const WorkloadRunResult b =
       RunWorkload(spec, PolicyKind::kLeastAssigned, 6, slo, config);
-  EXPECT_GT(a.pulls, 0u);
+  EXPECT_GT(a.counters.platform.pulls, 0u);
   EXPECT_EQ(a.samples_digest, b.samples_digest);
-  EXPECT_EQ(a.pulls, b.pulls);
-  EXPECT_EQ(a.steals, b.steals);
-  EXPECT_EQ(a.steal_bytes, b.steal_bytes);
+  EXPECT_EQ(a.counters.platform.pulls, b.counters.platform.pulls);
+  EXPECT_EQ(a.counters.platform.steals, b.counters.platform.steals);
+  EXPECT_EQ(a.counters.platform.steal_bytes, b.counters.platform.steal_bytes);
 }
 
 TEST(PullDispatchDeterminismTest, ShardCountsAgreeUnderPull) {
   const ShardedRunResult one = PullShardedCell(1);
   const ShardedRunResult four = PullShardedCell(4);
-  EXPECT_GT(one.pulls, 0u);
+  EXPECT_GT(one.counters.platform.pulls, 0u);
   EXPECT_TRUE(one.books_close);
   EXPECT_TRUE(four.books_close);
   EXPECT_EQ(one.samples_digest, four.samples_digest);
   EXPECT_EQ(one.engine_digest, four.engine_digest);
   EXPECT_EQ(one.sim_events, four.sim_events);
-  EXPECT_EQ(one.pulls, four.pulls);
-  EXPECT_EQ(one.steals, four.steals);
-  EXPECT_EQ(one.steal_bytes, four.steal_bytes);
+  EXPECT_EQ(one.counters.platform.pulls, four.counters.platform.pulls);
+  EXPECT_EQ(one.counters.platform.steals, four.counters.platform.steals);
+  EXPECT_EQ(one.counters.platform.steal_bytes,
+            four.counters.platform.steal_bytes);
 }
 
 // ---------------------------------------------------------------------------
@@ -590,19 +581,17 @@ TEST(PullMatcherGoldenTest, ClaimScheduleMatchesPinnedValues) {
   for (const PinCell& cell : kPinCells) {
     SCOPED_TRACE(cell.name);
     const WorkloadRunResult r = RunPinCell(cell);
-    EXPECT_EQ(r.platform_submitted, r.platform_completed +
-                                        r.platform_dropped +
-                                        r.platform_abandoned);
+    EXPECT_TRUE(r.counters.platform.BooksClose());
     EXPECT_EQ(r.samples_digest, cell.samples_digest);
-    EXPECT_EQ(r.pulls, cell.pulls);
-    EXPECT_EQ(r.steals, cell.steals);
-    EXPECT_EQ(r.steal_bytes, cell.steal_bytes);
+    EXPECT_EQ(r.counters.platform.pulls, cell.pulls);
+    EXPECT_EQ(r.counters.platform.steals, cell.steals);
+    EXPECT_EQ(r.counters.platform.steal_bytes, cell.steal_bytes);
     if (cell.fault == kPinCrash) {
       // A bounced claim is claimed again: the crashes did hit the window.
-      EXPECT_GT(r.pulls, r.platform_submitted);
+      EXPECT_GT(r.counters.platform.pulls, r.counters.platform.submitted);
     } else if (cell.fault == kPinPlan) {
-      EXPECT_GT(r.planner_moves, 0u);
-      EXPECT_GT(r.steals, 0u);
+      EXPECT_GT(r.counters.planner_moves, 0u);
+      EXPECT_GT(r.counters.platform.steals, 0u);
     }
   }
 }

@@ -339,18 +339,17 @@ TEST(RouterWorkloadTest, SameSeedSameSpecIsBitIdentical) {
 
   EXPECT_EQ(a.samples_digest, b.samples_digest);
   EXPECT_EQ(a.sim_events, b.sim_events);
-  EXPECT_EQ(a.router_routes, b.router_routes);
-  EXPECT_EQ(a.router_stale_routes, b.router_stale_routes);
-  EXPECT_EQ(a.router_misroutes, b.router_misroutes);
-  EXPECT_EQ(a.router_forwards, b.router_forwards);
+  EXPECT_EQ(a.counters.router_routes, b.counters.router_routes);
+  EXPECT_EQ(a.counters.router_stale_routes, b.counters.router_stale_routes);
+  EXPECT_EQ(a.counters.router_misroutes, b.counters.router_misroutes);
+  EXPECT_EQ(a.counters.router_forwards, b.counters.router_forwards);
 
   // Books close even through misroute forwarding and router churn.
-  EXPECT_EQ(a.platform_submitted,
-            a.platform_completed + a.platform_dropped + a.platform_abandoned);
-  EXPECT_GT(a.router_routes, 0u);
+  EXPECT_TRUE(a.counters.platform.BooksClose());
+  EXPECT_GT(a.counters.router_routes, 0u);
   // The 50 ms view lag after the worker crash is long enough at 200 rps
   // that some routes are decided on a stale view.
-  EXPECT_GT(a.router_stale_routes, 0u);
+  EXPECT_GT(a.counters.router_stale_routes, 0u);
 
   // A different seed perturbs the run.
   WorkloadSpec other = spec;
@@ -375,10 +374,9 @@ TEST(RouterWorkloadTest, SprayRunsAndKeepsBooksClosed) {
   const WorkloadRunResult r = RunRouterWorkload(
       spec, PolicyKind::kLeastAssigned, /*workers=*/4, tier_config,
       SloConfig{}, DefaultWorkloadPlatformConfig(), nullptr);
-  EXPECT_EQ(r.platform_submitted,
-            r.platform_completed + r.platform_dropped + r.platform_abandoned);
-  EXPECT_GT(r.platform_completed, 0u);
-  EXPECT_EQ(r.router_misroutes, 0u);  // no churn, views never stale
+  EXPECT_TRUE(r.counters.platform.BooksClose());
+  EXPECT_GT(r.counters.platform.completed, 0u);
+  EXPECT_EQ(r.counters.router_misroutes, 0u);  // no churn, views never stale
 }
 
 TEST(RouterTierTest, TraceSpansPartitionUnderRetryAndMisrouteForward) {
@@ -436,13 +434,13 @@ TEST(RouterTierTest, TraceSpansPartitionUnderRetryAndMisrouteForward) {
   // Completion callbacks fire only for successes; crash casualties that
   // exhausted their retry budget are booked as abandoned/dropped.
   const std::uint64_t finished =
-      platform.completed_invocations() + platform.dropped_invocations() +
-      platform.abandoned_invocations();
+      platform.counters().completed + platform.counters().dropped +
+      platform.counters().abandoned;
   EXPECT_EQ(finished, 20u);
   EXPECT_EQ(static_cast<std::uint64_t>(completed),
-            platform.completed_invocations());
+            platform.counters().completed);
   EXPECT_GT(tier.forwards(), 0u);           // misroute-forward happened
-  EXPECT_GT(platform.total_retries(), 0u);  // and a real retry happened
+  EXPECT_GT(platform.counters().retries, 0u);  // and a real retry happened
   EXPECT_EQ(recorder.invocation_count(),
             static_cast<std::size_t>(completed));  // completions only
 
@@ -521,15 +519,15 @@ TEST(RouterTierTest, HopChargedOncePerAttemptUnderRetryForwardAndPullClaim) {
             [&]() { platform.CrashWorker(crashed); });
   sim.Run();
 
-  EXPECT_GT(platform.total_pulls(), 0u);     // late binding actually ran
-  EXPECT_GT(platform.total_retries(), 0u);   // and a real retry happened
+  EXPECT_GT(platform.counters().pulls, 0u);     // late binding actually ran
+  EXPECT_GT(platform.counters().retries, 0u);   // and a real retry happened
 
   // Strict hop accounting. Every attempt is one tier route: total routes
   // equals first attempts (= submissions) plus retry attempts. Forwards
   // stay inside their attempt — they must not mint a second route or a
   // second hop trace.
   EXPECT_EQ(tier.routes(),
-            platform.submitted_invocations() + platform.total_retries());
+            platform.counters().submitted + platform.counters().retries);
   EXPECT_EQ(recorder.router_hop_count(), tier.routes());
   std::set<std::pair<std::uint64_t, int>> hop_keys;
   for (const RouterHopTrace& hop : recorder.router_hops()) {

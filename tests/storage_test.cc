@@ -366,11 +366,9 @@ TEST(StorageWorkloadTest, WriteBackCrashKeepsBooksClosed) {
   const WorkloadRunResult run = RunRouterWorkload(
       WriteHeavySpec(7), PolicyKind::kLeastAssigned, 4, tier, SloConfig{},
       StoragePlatform(CoherenceMode::kWriteBack), &faults);
-  EXPECT_GT(run.storage.writes_total, 0u);
-  EXPECT_TRUE(run.storage.WriteBooksClose());
-  EXPECT_EQ(run.platform_submitted,
-            run.platform_completed + run.platform_dropped +
-                run.platform_abandoned);
+  EXPECT_GT(run.counters.storage.writes_total, 0u);
+  EXPECT_TRUE(run.counters.storage.WriteBooksClose());
+  EXPECT_TRUE(run.counters.platform.BooksClose());
 }
 
 TEST(StorageWorkloadTest, CausalBoundHeldUnderRouterChurn) {
@@ -384,11 +382,11 @@ TEST(StorageWorkloadTest, CausalBoundHeldUnderRouterChurn) {
   const WorkloadRunResult run =
       RunRouterWorkload(WriteHeavySpec(11), PolicyKind::kLeastAssigned, 4,
                         tier, SloConfig{}, config, &faults);
-  EXPECT_GT(run.storage.writes_total, 0u);
-  EXPECT_TRUE(run.storage.WriteBooksClose());
+  EXPECT_GT(run.counters.storage.writes_total, 0u);
+  EXPECT_TRUE(run.counters.storage.WriteBooksClose());
   // Bounded staleness holds even while routers churn the view: a stale
   // copy is never served past the bound.
-  EXPECT_LE(run.storage.max_served_staleness_ns,
+  EXPECT_LE(run.counters.storage.max_served_staleness_ns,
             config.storage.staleness_bound.nanos());
 }
 
@@ -403,12 +401,14 @@ TEST(StorageWorkloadTest, WriteHeavyRunIsSeedReproducible) {
       RunRouterWorkload(WriteHeavySpec(23), PolicyKind::kLeastAssigned, 4,
                         tier, SloConfig{}, config);
   EXPECT_EQ(a.samples_digest, b.samples_digest);
-  EXPECT_EQ(a.storage.writes_total, b.storage.writes_total);
-  EXPECT_EQ(a.storage.writes_durable, b.storage.writes_durable);
-  EXPECT_EQ(a.storage.write_bytes, b.storage.write_bytes);
-  EXPECT_EQ(a.storage.coherence_bytes, b.storage.coherence_bytes);
-  EXPECT_EQ(a.storage.ae_records, b.storage.ae_records);
-  EXPECT_EQ(a.storage.flushes, b.storage.flushes);
+  EXPECT_EQ(a.counters.storage.writes_total, b.counters.storage.writes_total);
+  EXPECT_EQ(a.counters.storage.writes_durable,
+            b.counters.storage.writes_durable);
+  EXPECT_EQ(a.counters.storage.write_bytes, b.counters.storage.write_bytes);
+  EXPECT_EQ(a.counters.storage.coherence_bytes,
+            b.counters.storage.coherence_bytes);
+  EXPECT_EQ(a.counters.storage.ae_records, b.counters.storage.ae_records);
+  EXPECT_EQ(a.counters.storage.flushes, b.counters.storage.flushes);
 }
 
 TEST(StorageWorkloadTest, ShardedDigestsAndStorageBooksMatchAcrossShards) {
@@ -427,8 +427,8 @@ TEST(StorageWorkloadTest, ShardedDigestsAndStorageBooksMatchAcrossShards) {
     const ShardedRunResult run = RunShardedWorkload(
         spec, PolicyKind::kLeastAssigned, 8, config, SloConfig{}, platform);
     ASSERT_TRUE(run.books_close);
-    ASSERT_GT(run.storage.writes_total, 0u);
-    ASSERT_TRUE(run.storage.WriteBooksClose());
+    ASSERT_GT(run.counters.storage.writes_total, 0u);
+    ASSERT_TRUE(run.counters.storage.WriteBooksClose());
     if (!have_first) {
       first = run;
       have_first = true;
@@ -438,17 +438,26 @@ TEST(StorageWorkloadTest, ShardedDigestsAndStorageBooksMatchAcrossShards) {
     // storage counter.
     EXPECT_EQ(run.samples_digest, first.samples_digest);
     EXPECT_EQ(run.engine_digest, first.engine_digest);
-    EXPECT_EQ(run.storage.writes_total, first.storage.writes_total);
-    EXPECT_EQ(run.storage.writes_durable, first.storage.writes_durable);
-    EXPECT_EQ(run.storage.write_bytes, first.storage.write_bytes);
-    EXPECT_EQ(run.storage.coherence_bytes, first.storage.coherence_bytes);
-    EXPECT_EQ(run.storage.stale_reads, first.storage.stale_reads);
-    EXPECT_EQ(run.storage.max_served_staleness_ns,
-              first.storage.max_served_staleness_ns);
-    EXPECT_EQ(run.storage.ae_records, first.storage.ae_records);
-    EXPECT_EQ(run.storage.ae_applied, first.storage.ae_applied);
-    EXPECT_EQ(run.storage.tier_promotions, first.storage.tier_promotions);
-    EXPECT_EQ(run.storage.tier_demotions, first.storage.tier_demotions);
+    EXPECT_EQ(run.counters.storage.writes_total,
+              first.counters.storage.writes_total);
+    EXPECT_EQ(run.counters.storage.writes_durable,
+              first.counters.storage.writes_durable);
+    EXPECT_EQ(run.counters.storage.write_bytes,
+              first.counters.storage.write_bytes);
+    EXPECT_EQ(run.counters.storage.coherence_bytes,
+              first.counters.storage.coherence_bytes);
+    EXPECT_EQ(run.counters.storage.stale_reads,
+              first.counters.storage.stale_reads);
+    EXPECT_EQ(run.counters.storage.max_served_staleness_ns,
+              first.counters.storage.max_served_staleness_ns);
+    EXPECT_EQ(run.counters.storage.ae_records,
+              first.counters.storage.ae_records);
+    EXPECT_EQ(run.counters.storage.ae_applied,
+              first.counters.storage.ae_applied);
+    EXPECT_EQ(run.counters.storage.tier_promotions,
+              first.counters.storage.tier_promotions);
+    EXPECT_EQ(run.counters.storage.tier_demotions,
+              first.counters.storage.tier_demotions);
   }
 }
 

@@ -1,12 +1,15 @@
 // Tests for src/workload: arrival-process statistics and determinism, mix
 // popularity churn, the open-loop driver's accounting, SLO scoring edge
-// cases, and bit-identical end-to-end reproducibility.
+// cases, bit-identical end-to-end reproducibility, and the harness goldens
+// that pin every digest and counter the three harness entry points report.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
+#include <cstdio>
 #include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/common/rng.h"
@@ -345,7 +348,7 @@ TEST(WorkloadRunTest, OpenLoopAccountingClosesTheBooks) {
   EXPECT_GT(run.report.submitted, 1000u);
   EXPECT_EQ(run.report.submitted,
             run.report.completed + run.report.rejected + run.report.dropped);
-  EXPECT_EQ(run.report.dropped, run.platform_dropped);
+  EXPECT_EQ(run.report.dropped, run.counters.platform.dropped);
   EXPECT_EQ(run.samples.size(), run.report.submitted);
   EXPECT_GT(run.report.p50_ms, 0);
   // Healthy platform, no churn: nothing dropped or rejected.
@@ -476,19 +479,18 @@ TEST(FaultScheduleTest, ChurnRunWithRetriesClosesBooksReproducibly) {
       spec, PolicyKind::kLeastAssigned, 4, slo, config, &faults);
   // Books close under churn + retry, and with enough attempts nothing is
   // dropped or abandoned — crashes only cost latency.
-  EXPECT_EQ(a.platform_submitted,
-            a.platform_completed + a.platform_dropped + a.platform_abandoned);
-  EXPECT_EQ(a.platform_dropped, 0u);
-  EXPECT_EQ(a.platform_abandoned, 0u);
-  EXPECT_GT(a.retries, 0u);
-  EXPECT_GT(a.recolored, 0u);
+  EXPECT_TRUE(a.counters.platform.BooksClose());
+  EXPECT_EQ(a.counters.platform.dropped, 0u);
+  EXPECT_EQ(a.counters.platform.abandoned, 0u);
+  EXPECT_GT(a.counters.platform.retries, 0u);
+  EXPECT_GT(a.counters.recolored, 0u);
 
   // The whole faulted run is bit-reproducible.
   const WorkloadRunResult b = RunWorkload(
       spec, PolicyKind::kLeastAssigned, 4, slo, config, &faults);
   EXPECT_EQ(a.samples_digest, b.samples_digest);
   EXPECT_EQ(a.sim_events, b.sim_events);
-  EXPECT_EQ(a.retries, b.retries);
+  EXPECT_EQ(a.counters.platform.retries, b.counters.platform.retries);
 }
 
 TEST(WorkloadRunTest, StickyPoliciesBeatObliviousOnHitRatio) {
@@ -646,10 +648,440 @@ TEST(TelemetryTest, MergedClusterRegistryMatchesDriverBooks) {
             run.driver_submitted);
   EXPECT_EQ(run.telemetry.metrics->counter("faas.invocations.submitted")
                 .value(),
-            run.group_submitted);
+            run.counters.platform.submitted);
   EXPECT_EQ(run.telemetry.metrics->counter("faas.invocations.completed")
                 .value(),
-            run.group_completed);
+            run.counters.platform.completed);
+  EXPECT_TRUE(run.books_close);
+}
+
+}  // namespace
+
+// ---------------------------------------------------------------------------
+// Harness golden runs: the digests, event counts and counters the harness
+// result structs carry, pinned per cell. A refactor of the harness or of
+// its counter plumbing must reproduce every value bit for bit.
+
+namespace {
+
+WorkloadSpec GoldenSpec() {
+  WorkloadSpec spec;
+  spec.arrival.kind = ArrivalKind::kMmpp;
+  spec.arrival.rate_per_sec = 900;
+  spec.mix.color_count = 64;
+  // ~15 ms of compute per invocation keeps 8 workers about 70% busy, so
+  // bursts queue, deadlines bite and crashes catch running work.
+  spec.mix.functions[0].cpu_ops = 1.5e7;
+  spec.driver.duration = SimTime::FromSeconds(3);
+  spec.seed = 23;
+  return spec;
+}
+
+// A run's fingerprint as "key=value" tokens. Zero counters are left out, so
+// a golden lists what its cell exercised and a counter that turns non-zero
+// shows up as an extra key.
+class Fingerprint {
+ public:
+  void Add(const std::string& key, std::uint64_t value) {
+    if (value != 0) {
+      tokens_[key] = std::to_string(value);
+    }
+  }
+  void AddHex(const std::string& key, std::uint64_t value) {
+    tokens_[key] = StrFormat("%016llx", static_cast<unsigned long long>(value));
+  }
+  void AddDouble(const std::string& key, double value) {
+    if (value != 0) {
+      tokens_[key] = StrFormat("%.17g", value);
+    }
+  }
+  void AddStorage(const StorageStats& s) {
+    Add("st.writes_total", s.writes_total);
+    Add("st.writes_durable", s.writes_durable);
+    Add("st.writes_lost", s.writes_lost);
+    Add("st.write_bytes", s.write_bytes);
+    Add("st.flushes", s.flushes);
+    Add("st.dirty_bytes_flushed", s.dirty_bytes_flushed);
+    Add("st.dirty_bytes_lost", s.dirty_bytes_lost);
+    Add("st.coherence_syncs", s.coherence_syncs);
+    Add("st.coherence_bytes", s.coherence_bytes);
+    Add("st.stale_reads", s.stale_reads);
+    Add("st.max_served_staleness_ns",
+        static_cast<std::uint64_t>(s.max_served_staleness_ns));
+    Add("st.ae_records", s.ae_records);
+    Add("st.ae_applied", s.ae_applied);
+    Add("st.ae_invalidations", s.ae_invalidations);
+    Add("st.ae_refreshes", s.ae_refreshes);
+    Add("st.ae_refresh_bytes", s.ae_refresh_bytes);
+    Add("st.tier_fast_reads", s.tier_fast_reads);
+    Add("st.tier_slow_reads", s.tier_slow_reads);
+    Add("st.tier_promotions", s.tier_promotions);
+    Add("st.tier_demotions", s.tier_demotions);
+    Add("st.tier_promoted_bytes", s.tier_promoted_bytes);
+    Add("st.tier_demoted_bytes", s.tier_demoted_bytes);
+  }
+
+  std::string str() const {
+    std::string out;
+    for (const auto& [key, value] : tokens_) {
+      out += (out.empty() ? "" : " ") + key + "=" + value;
+    }
+    return out;
+  }
+  const std::map<std::string, std::string>& tokens() const { return tokens_; }
+
+ private:
+  std::map<std::string, std::string> tokens_;
+};
+
+// Compares `actual` against a recorded golden key by key.
+void ExpectGolden(const Fingerprint& actual, const std::string& golden) {
+  std::map<std::string, std::string> expected;
+  std::size_t start = 0;
+  while (start < golden.size()) {
+    std::size_t end = golden.find(' ', start);
+    if (end == std::string::npos) {
+      end = golden.size();
+    }
+    const std::string token = golden.substr(start, end - start);
+    const std::size_t eq = token.find('=');
+    if (eq != std::string::npos) {
+      expected[token.substr(0, eq)] = token.substr(eq + 1);
+    }
+    start = end + 1;
+  }
+  for (const auto& [key, value] : expected) {
+    const auto it = actual.tokens().find(key);
+    EXPECT_EQ(it == actual.tokens().end() ? "0" : it->second, value) << key;
+  }
+  for (const auto& [key, value] : actual.tokens()) {
+    EXPECT_TRUE(expected.count(key) > 0) << "unpinned " << key << "=" << value;
+  }
+  if (::testing::Test::HasFailure()) {
+    std::printf("actual: %s\n", actual.str().c_str());
+  }
+}
+
+// The RunCounters keys both result shapes carried before RunCounters
+// existed; sharded runs pass with_router_lb = false because their results
+// did not record the router, timeout or re-coloring counters.
+void AddCounters(const RunCounters& c, bool with_router_lb, Fingerprint* f) {
+  f->Add("submitted", c.platform.submitted);
+  f->Add("completed", c.platform.completed);
+  f->Add("dropped", c.platform.dropped);
+  f->Add("abandoned", c.platform.abandoned);
+  f->Add("retries", c.platform.retries);
+  f->Add("cold_starts", c.platform.cold_starts);
+  f->Add("pulls", c.platform.pulls);
+  f->Add("steals", c.platform.steals);
+  f->Add("steal_bytes", c.platform.steal_bytes);
+  f->Add("planner_rounds", c.platform.planner_rounds);
+  f->Add("planner_moved_bytes", c.platform.planner_moved_bytes);
+  f->Add("planner_moves", c.planner_moves);
+  f->Add("planner_splits", c.planner_splits);
+  f->Add("planner_merges", c.planner_merges);
+  f->AddStorage(c.storage);
+  if (with_router_lb) {
+    f->Add("timeouts", c.platform.timeouts);
+    f->Add("recolored", c.recolored);
+    f->Add("router_routes", c.router_routes);
+    f->Add("router_stale_routes", c.router_stale_routes);
+    f->Add("router_misroutes", c.router_misroutes);
+    f->Add("router_forwards", c.router_forwards);
+    f->Add("router_recolored", c.router_recolored);
+  }
+}
+
+Fingerprint Fp(const WorkloadRunResult& r) {
+  Fingerprint f;
+  f.AddHex("digest", r.samples_digest);
+  f.Add("events", r.sim_events);
+  f.Add("samples", r.samples.size());
+  AddCounters(r.counters, true, &f);
+  f.Add("plan_rounds", r.plan_rounds.size());
+  f.AddDouble("routing_imbalance", r.routing_imbalance);
+  return f;
+}
+
+Fingerprint Fp(const ShardedRunResult& r) {
+  Fingerprint f;
+  f.AddHex("digest", r.samples_digest);
+  f.AddHex("engine_digest", r.engine_digest);
+  f.Add("events", r.sim_events);
+  f.Add("epochs", r.epochs);
+  f.Add("driver_submitted", r.driver_submitted);
+  f.Add("driver_completed", r.driver_completed);
+  f.Add("rejections", r.group_rejections);
+  f.Add("books_close", r.books_close ? 1 : 0);
+  AddCounters(r.counters, false, &f);
+  return f;
+}
+
+constexpr const char* kGoldenDirectPush =
+    "cold_starts=8 completed=1122 digest=53f59482e6432c91"
+    " events=4488 routing_imbalance=1.875222816399287 samples=1122"
+    " submitted=1122";
+constexpr const char* kGoldenDirectPull =
+    "cold_starts=8 completed=1122 digest=16feb884c35a01ab"
+    " events=5610 pulls=1122 routing_imbalance=1.875222816399287"
+    " samples=1122 steal_bytes=39897099 steals=230 submitted=1122";
+constexpr const char* kGoldenRouterPush =
+    "cold_starts=8 completed=1122 digest=2c935a362d9a7b14"
+    " events=4488 router_routes=1122 samples=1122 submitted=1122";
+constexpr const char* kGoldenRouterPull =
+    "cold_starts=8 completed=1122 digest=55ebf198314b2b86"
+    " events=5610 pulls=1122 router_routes=1122 samples=1122"
+    " steal_bytes=61455017 steals=331 submitted=1122";
+constexpr const char* kGoldenSharded =
+    "books_close=1 cold_starts=16 completed=1122"
+    " digest=c2ad0a51e9f620d0 driver_completed=1122"
+    " driver_submitted=1122 engine_digest=6b9bcaf037205cf2"
+    " epochs=2206 events=7854 pulls=1122 steal_bytes=25258514"
+    " steals=168 submitted=1122";
+constexpr const char* kGoldenPlanner =
+    "cold_starts=8 completed=1122 digest=a014a847d3890fcd"
+    " events=4510 plan_rounds=5 planner_moved_bytes=4285029"
+    " planner_moves=20 planner_rounds=5"
+    " routing_imbalance=1.3903743315508021 samples=1122"
+    " submitted=1122";
+constexpr const char* kGoldenWriteBack =
+    "cold_starts=8 completed=1122 digest=938b5f56f0357d7c"
+    " events=6248 routing_imbalance=2.5525846702317292 samples=1122"
+    " st.ae_applied=1759 st.ae_invalidations=67 st.ae_records=220"
+    " st.coherence_bytes=152433 st.coherence_syncs=1"
+    " st.dirty_bytes_flushed=36204420 st.flushes=216"
+    " st.write_bytes=36204420 st.writes_durable=220"
+    " st.writes_total=220 submitted=1122";
+constexpr const char* kGoldenCrashRestart =
+    "abandoned=379 cold_starts=10 completed=743"
+    " digest=499cb2e3e11b9eb2 events=8556 recolored=15 retries=831"
+    " routing_imbalance=2.9370199692780337 samples=1122"
+    " submitted=1122 timeouts=1206";
+
+PlatformConfig GoldenPlatform(FaasDispatchMode mode) {
+  PlatformConfig config = DefaultWorkloadPlatformConfig();
+  config.dispatch_mode = mode;
+  return config;
+}
+
+TEST(HarnessGoldenTest, DirectPushAndPull) {
+  const SloConfig slo;
+  ExpectGolden(Fp(RunWorkload(GoldenSpec(), PolicyKind::kLeastAssigned, 8,
+                              slo, GoldenPlatform(FaasDispatchMode::kPush))),
+               kGoldenDirectPush);
+  ExpectGolden(Fp(RunWorkload(GoldenSpec(), PolicyKind::kLeastAssigned, 8,
+                              slo, GoldenPlatform(FaasDispatchMode::kPull))),
+               kGoldenDirectPull);
+}
+
+TEST(HarnessGoldenTest, RouterSprayPushAndPull) {
+  const SloConfig slo;
+  RouterTierConfig tier;
+  tier.routers = 4;
+  tier.dispatch = DispatchMode::kSpray;
+  ExpectGolden(
+      Fp(RunRouterWorkload(GoldenSpec(), PolicyKind::kLeastAssigned, 8, tier,
+                           slo, GoldenPlatform(FaasDispatchMode::kPush))),
+      kGoldenRouterPush);
+  ExpectGolden(
+      Fp(RunRouterWorkload(GoldenSpec(), PolicyKind::kLeastAssigned, 8, tier,
+                           slo, GoldenPlatform(FaasDispatchMode::kPull))),
+      kGoldenRouterPull);
+}
+
+TEST(HarnessGoldenTest, ShardedAtOneAndTwoShards) {
+  const SloConfig slo;
+  ShardedWorkloadConfig config;
+  config.groups = 4;
+  config.routers_per_group = 2;
+  config.hop = SimTime::FromMillis(1);
+  for (const int shards : {1, 2}) {
+    config.shards = shards;
+    SCOPED_TRACE(shards);
+    ExpectGolden(
+        Fp(RunShardedWorkload(GoldenSpec(), PolicyKind::kLeastAssigned, 16,
+                              config, slo,
+                              GoldenPlatform(FaasDispatchMode::kPull))),
+        kGoldenSharded);
+  }
+}
+
+TEST(HarnessGoldenTest, PlannerOn) {
+  const SloConfig slo;
+  PlannerConfig planner;
+  planner.plan_every = SimTime::FromMillis(500);
+  ExpectGolden(Fp(RunWorkload(GoldenSpec(), PolicyKind::kLeastAssigned, 8,
+                              slo, GoldenPlatform(FaasDispatchMode::kPush),
+                              nullptr, nullptr, &planner)),
+               kGoldenPlanner);
+}
+
+TEST(HarnessGoldenTest, WriteBackStorage) {
+  const SloConfig slo;
+  WorkloadSpec spec = GoldenSpec();
+  spec.mix.write_fraction = 0.2;
+  PlatformConfig config = GoldenPlatform(FaasDispatchMode::kPush);
+  config.storage.mode = CoherenceMode::kWriteBack;
+  ExpectGolden(
+      Fp(RunWorkload(spec, PolicyKind::kLeastAssigned, 8, slo, config)),
+      kGoldenWriteBack);
+}
+
+TEST(HarnessGoldenTest, WorkerCrashRestart) {
+  const SloConfig slo;
+  PlatformConfig config = GoldenPlatform(FaasDispatchMode::kPush);
+  config.retry.max_attempts = 3;
+  config.default_deadline = SimTime::FromMillis(150);
+  FaultSchedule faults;
+  faults.Add({SimTime::FromMillis(500), FaultKind::kCrash, "w1"});
+  faults.Add({SimTime::FromMillis(900), FaultKind::kRestart, "w1"});
+  faults.Add({SimTime::FromMillis(1200), FaultKind::kCrash, "w5"});
+  faults.Add({SimTime::FromMillis(1600), FaultKind::kRestart, "w5"});
+  ExpectGolden(Fp(RunWorkload(GoldenSpec(), PolicyKind::kLeastAssigned, 8,
+                              slo, config, &faults)),
+               kGoldenCrashRestart);
+}
+
+// ---------------------------------------------------------------------------
+// One source of truth: every RunCounters field equals the registry counter
+// the same run exported, in all three harness topologies.
+
+// Each RunCounters field next to its registry name.
+std::vector<std::pair<std::string, std::uint64_t>> RegistryNamed(
+    const RunCounters& c) {
+  const StorageStats& s = c.storage;
+  return {
+      {"faas.invocations.submitted", c.platform.submitted},
+      {"faas.invocations.completed", c.platform.completed},
+      {"faas.invocations_dropped", c.platform.dropped},
+      {"faas.invocations_abandoned", c.platform.abandoned},
+      {"faas.retries", c.platform.retries},
+      {"faas.timeouts", c.platform.timeouts},
+      {"faas.cold_starts.total", c.platform.cold_starts},
+      {"faas.pulls", c.platform.pulls},
+      {"faas.steals", c.platform.steals},
+      {"faas.steal_bytes", c.platform.steal_bytes},
+      {"planner.rounds", c.platform.planner_rounds},
+      {"planner.moved_bytes", c.platform.planner_moved_bytes},
+      {"lb.recolored", c.recolored},
+      {"lb.planner_moves", c.planner_moves},
+      {"lb.planner_splits", c.planner_splits},
+      {"planner.merges", c.planner_merges},
+      {"router.routes", c.router_routes},
+      {"router.stale_routes", c.router_stale_routes},
+      {"router.misroutes", c.router_misroutes},
+      {"router.forwards", c.router_forwards},
+      {"router.recolored", c.router_recolored},
+      {"storage.writes_total", s.writes_total},
+      {"storage.writes_durable", s.writes_durable},
+      {"storage.writes_lost", s.writes_lost},
+      {"storage.write_bytes", s.write_bytes},
+      {"storage.flushes", s.flushes},
+      {"storage.dirty_bytes_flushed", s.dirty_bytes_flushed},
+      {"storage.dirty_bytes_lost", s.dirty_bytes_lost},
+      {"storage.coherence_syncs", s.coherence_syncs},
+      {"storage.coherence_bytes", s.coherence_bytes},
+      {"storage.stale_reads", s.stale_reads},
+      // A maximum, not a sum: the sharded registry fold adds it up across
+      // groups. Write-back never serves stale reads, so both read zero.
+      {"storage.max_served_staleness_ns",
+       static_cast<std::uint64_t>(s.max_served_staleness_ns)},
+      {"storage.ae.records", s.ae_records},
+      {"storage.ae.applied", s.ae_applied},
+      {"storage.ae.invalidations", s.ae_invalidations},
+      {"storage.ae.refreshes", s.ae_refreshes},
+      {"storage.ae.refresh_bytes", s.ae_refresh_bytes},
+      {"storage.tier.fast_reads", s.tier_fast_reads},
+      {"storage.tier.slow_reads", s.tier_slow_reads},
+      {"storage.tier.promotions", s.tier_promotions},
+      {"storage.tier.demotions", s.tier_demotions},
+      {"storage.tier.promoted_bytes", s.tier_promoted_bytes},
+      {"storage.tier.demoted_bytes", s.tier_demoted_bytes},
+  };
+}
+
+void ExpectCountersMatchRegistry(const RunCounters& counters,
+                                 const WorkloadTelemetry& telemetry) {
+  ASSERT_TRUE(telemetry.enabled());
+  MetricsRegistry& registry = *telemetry.metrics;
+  for (const auto& [name, value] : RegistryNamed(counters)) {
+    if (name.rfind("router.", 0) == 0 && !registry.HasMetric(name)) {
+      // Direct runs have no tier to export router.*; theirs stay zero.
+      EXPECT_EQ(value, 0u) << name;
+      continue;
+    }
+    ASSERT_TRUE(registry.HasMetric(name)) << name;
+    EXPECT_EQ(registry.counter(name).value(), value) << name;
+  }
+  // Not vacuous: the runs below exercise every layer.
+  EXPECT_GT(counters.platform.pulls, 0u);
+  EXPECT_GT(counters.platform.retries, 0u);
+  EXPECT_GT(counters.platform.planner_rounds, 0u);
+  EXPECT_GT(counters.recolored, 0u);
+  EXPECT_GT(counters.storage.writes_total, 0u);
+}
+
+PlatformConfig SourceOfTruthPlatform() {
+  PlatformConfig config = GoldenPlatform(FaasDispatchMode::kPull);
+  config.retry.max_attempts = 3;
+  config.storage.mode = CoherenceMode::kWriteBack;
+  return config;
+}
+
+WorkloadSpec SourceOfTruthSpec() {
+  WorkloadSpec spec = GoldenSpec();
+  spec.mix.write_fraction = 0.2;
+  return spec;
+}
+
+TEST(RunCountersTest, DirectAndRouterRunsMatchTheirRegistry) {
+  const SloConfig slo;
+  WorkloadObsConfig obs;
+  obs.sample_every = SimTime::FromMillis(100);
+  PlannerConfig planner;
+  planner.plan_every = SimTime::FromMillis(500);
+  FaultSchedule faults;
+  faults.Add({SimTime::FromMillis(500), FaultKind::kCrash, "w1"});
+  faults.Add({SimTime::FromMillis(900), FaultKind::kRestart, "w1"});
+
+  const WorkloadRunResult direct = RunWorkload(
+      SourceOfTruthSpec(), PolicyKind::kLeastAssigned, 8, slo,
+      SourceOfTruthPlatform(), &faults, &obs, &planner);
+  ExpectCountersMatchRegistry(direct.counters, direct.telemetry);
+
+  RouterTierConfig tier;
+  tier.routers = 4;
+  tier.dispatch = DispatchMode::kSpray;
+  const WorkloadRunResult routed = RunRouterWorkload(
+      SourceOfTruthSpec(), PolicyKind::kLeastAssigned, 8, tier, slo,
+      SourceOfTruthPlatform(), &faults, &obs, &planner);
+  ExpectCountersMatchRegistry(routed.counters, routed.telemetry);
+  EXPECT_GT(routed.counters.router_routes, 0u);
+}
+
+TEST(RunCountersTest, ShardedRunMatchesItsMergedRegistry) {
+  const SloConfig slo;
+  ShardedWorkloadConfig config;
+  config.groups = 4;
+  config.shards = 2;
+  config.routers_per_group = 2;
+  config.hop = SimTime::FromMillis(1);
+  config.obs.sample_every = SimTime::FromMillis(100);
+  config.planner.plan_every = SimTime::FromMillis(500);
+  std::vector<ShardedFault> faults;
+  for (int g = 0; g < config.groups; ++g) {
+    const std::string worker = StrFormat("g%dw1", g);
+    faults.push_back({g, {SimTime::FromMillis(500), FaultKind::kCrash,
+                          worker}});
+    faults.push_back({g, {SimTime::FromMillis(900), FaultKind::kRestart,
+                          worker}});
+  }
+  const ShardedRunResult run = RunShardedWorkload(
+      SourceOfTruthSpec(), PolicyKind::kLeastAssigned, 16, config, slo,
+      SourceOfTruthPlatform(), &faults);
+  // The fold keeps the router tier's counters too.
+  ExpectCountersMatchRegistry(run.counters, run.telemetry);
+  EXPECT_GT(run.counters.router_routes, 0u);
   EXPECT_TRUE(run.books_close);
 }
 

@@ -208,69 +208,199 @@ void AppendEngineProfileJson(const EngineProfile& profile, JsonWriter* json) {
   json->EndObject();
 }
 
+// One `"key": value` counter member.
+void Field(const char* key, std::uint64_t value, JsonWriter* json) {
+  json->Key(key);
+  json->UInt(value);
+}
+
 // The "storage" result section shared by the monolithic and sharded paths
 // (docs/STORAGE.md). Callers gate on StorageConfig::enabled() so runs with
 // the tier off stay byte-identical to pre-storage output.
 void AppendStorageStatsJson(const StorageStats& s, JsonWriter* json) {
   json->BeginObject();
-  json->Key("writes_total");
-  json->UInt(s.writes_total);
-  json->Key("writes_durable");
-  json->UInt(s.writes_durable);
-  json->Key("writes_lost");
-  json->UInt(s.writes_lost);
-  json->Key("write_bytes");
-  json->UInt(s.write_bytes);
-  json->Key("flushes");
-  json->UInt(s.flushes);
-  json->Key("dirty_bytes_flushed");
-  json->UInt(s.dirty_bytes_flushed);
-  json->Key("dirty_bytes_lost");
-  json->UInt(s.dirty_bytes_lost);
-  json->Key("coherence_syncs");
-  json->UInt(s.coherence_syncs);
-  json->Key("coherence_bytes");
-  json->UInt(s.coherence_bytes);
-  json->Key("stale_reads");
-  json->UInt(s.stale_reads);
+  Field("writes_total", s.writes_total, json);
+  Field("writes_durable", s.writes_durable, json);
+  Field("writes_lost", s.writes_lost, json);
+  Field("write_bytes", s.write_bytes, json);
+  Field("flushes", s.flushes, json);
+  Field("dirty_bytes_flushed", s.dirty_bytes_flushed, json);
+  Field("dirty_bytes_lost", s.dirty_bytes_lost, json);
+  Field("coherence_syncs", s.coherence_syncs, json);
+  Field("coherence_bytes", s.coherence_bytes, json);
+  Field("stale_reads", s.stale_reads, json);
   json->Key("max_served_staleness_ns");
   json->Int(s.max_served_staleness_ns);
-  json->Key("ae_records");
-  json->UInt(s.ae_records);
-  json->Key("ae_applied");
-  json->UInt(s.ae_applied);
-  json->Key("ae_invalidations");
-  json->UInt(s.ae_invalidations);
-  json->Key("ae_refreshes");
-  json->UInt(s.ae_refreshes);
-  json->Key("ae_refresh_bytes");
-  json->UInt(s.ae_refresh_bytes);
-  json->Key("tier_fast_reads");
-  json->UInt(s.tier_fast_reads);
-  json->Key("tier_slow_reads");
-  json->UInt(s.tier_slow_reads);
-  json->Key("tier_promotions");
-  json->UInt(s.tier_promotions);
-  json->Key("tier_demotions");
-  json->UInt(s.tier_demotions);
-  json->Key("tier_promoted_bytes");
-  json->UInt(s.tier_promoted_bytes);
-  json->Key("tier_demoted_bytes");
-  json->UInt(s.tier_demoted_bytes);
+  Field("ae_records", s.ae_records, json);
+  Field("ae_applied", s.ae_applied, json);
+  Field("ae_invalidations", s.ae_invalidations, json);
+  Field("ae_refreshes", s.ae_refreshes, json);
+  Field("ae_refresh_bytes", s.ae_refresh_bytes, json);
+  Field("tier_fast_reads", s.tier_fast_reads, json);
+  Field("tier_slow_reads", s.tier_slow_reads, json);
+  Field("tier_promotions", s.tier_promotions, json);
+  Field("tier_demotions", s.tier_demotions, json);
+  Field("tier_promoted_bytes", s.tier_promoted_bytes, json);
+  Field("tier_demoted_bytes", s.tier_demoted_bytes, json);
   json->Key("write_books_close");
   json->Bool(s.WriteBooksClose());
   json->EndObject();
 }
 
-void PrintStorageSummary(const StorageStats& s) {
-  std::printf("storage: writes: %llu (%llu durable, %llu lost), coherence "
-              "bytes: %llu, stale reads: %llu, books %s\n",
-              static_cast<unsigned long long>(s.writes_total),
-              static_cast<unsigned long long>(s.writes_durable),
-              static_cast<unsigned long long>(s.writes_lost),
-              static_cast<unsigned long long>(s.coherence_bytes),
-              static_cast<unsigned long long>(s.stale_reads),
-              s.WriteBooksClose() ? "close" : "DO NOT CLOSE");
+// The optional counter sections a run's config turns on. A section stays
+// out of the output while its layer is off, so those runs keep their
+// pre-section JSON.
+struct CounterSections {
+  bool pull = false;     // --dispatch_mode=pull|hybrid
+  bool storage = false;  // --coherence other than off
+  bool planner = false;  // --plan_every_ms > 0
+  bool router = false;   // --routers > 0, or --group_routers > 0 sharded
+};
+
+// The counter keys of one run, written alike for every harness path
+// (docs/WORKLOADS.md, "Harness results"). Exactly one of `monolithic` and
+// `sharded` is non-null. Each adds only what its result alone carries: the
+// planner's per-round objectives and routing imbalance (monolithic), the
+// front-door books (sharded).
+void AppendRunCountersJson(const CounterSections& on,
+                           const WorkloadRunResult* monolithic,
+                           const ShardedRunResult* sharded, JsonWriter* json) {
+  const RunCounters& c =
+      sharded != nullptr ? sharded->counters : monolithic->counters;
+  Field("cold_starts", c.platform.cold_starts, json);
+  Field("retries", c.platform.retries, json);
+  Field("timeouts", c.platform.timeouts, json);
+  Field("platform_dropped", c.platform.dropped, json);
+  if (on.pull) {
+    Field("pulls", c.platform.pulls, json);
+    Field("steals", c.platform.steals, json);
+    Field("steal_bytes", c.platform.steal_bytes, json);
+  }
+  if (on.storage) {
+    json->Key("storage");
+    AppendStorageStatsJson(c.storage, json);
+  }
+  if (on.planner) {
+    json->Key("planner_result");
+    json->BeginObject();
+    Field("rounds", c.platform.planner_rounds, json);
+    Field("moves", c.planner_moves, json);
+    Field("splits", c.planner_splits, json);
+    Field("merges", c.planner_merges, json);
+    Field("moved_bytes", c.platform.planner_moved_bytes, json);
+    if (monolithic != nullptr) {
+      json->Key("routing_imbalance");
+      json->Double(monolithic->routing_imbalance);
+      json->Key("round_objectives");
+      json->BeginArray();
+      for (const PlanRound& round : monolithic->plan_rounds) {
+        json->BeginObject();
+        Field("round", round.round, json);
+        json->Key("t_ms");
+        json->Double(round.at.millis());
+        json->Key("objective_before");
+        json->Double(round.objective_before);
+        json->Key("objective_after");
+        json->Double(round.objective_after);
+        Field("moves", round.moves, json);
+        Field("splits", round.splits, json);
+        Field("merges", round.merges, json);
+        json->EndObject();
+      }
+      json->EndArray();
+    }
+    json->EndObject();
+  }
+  if (on.router) {
+    json->Key("router");
+    json->BeginObject();
+    Field("routes", c.router_routes, json);
+    Field("stale_routes", c.router_stale_routes, json);
+    Field("misroutes", c.router_misroutes, json);
+    Field("forwards", c.router_forwards, json);
+    Field("recolored", c.router_recolored, json);
+    json->EndObject();
+  }
+  // A sharded run's books start at the front door: what the driver
+  // submitted either reached a group platform or was rejected there.
+  json->Key("books");
+  json->BeginObject();
+  Field("submitted",
+        sharded != nullptr ? sharded->driver_submitted : c.platform.submitted,
+        json);
+  if (sharded != nullptr) {
+    Field("group_submitted", c.platform.submitted, json);
+  }
+  Field("completed", c.platform.completed, json);
+  Field("dropped", c.platform.dropped, json);
+  Field("abandoned", c.platform.abandoned, json);
+  if (sharded != nullptr) {
+    Field("rejections", sharded->group_rejections, json);
+  }
+  json->Key("close");
+  json->Bool(sharded != nullptr ? sharded->books_close
+                                : c.platform.BooksClose());
+  json->EndObject();
+}
+
+// The text twin of AppendRunCountersJson: the same counters, one summary
+// line per section.
+void PrintRunCounters(const CounterSections& on,
+                      const WorkloadRunResult* monolithic,
+                      const ShardedRunResult* sharded) {
+  const RunCounters& c =
+      sharded != nullptr ? sharded->counters : monolithic->counters;
+  const auto u = [](std::uint64_t v) {
+    return static_cast<unsigned long long>(v);
+  };
+  std::printf("cold starts: %llu, retries: %llu, timeouts: %llu, platform "
+              "drops: %llu\n",
+              u(c.platform.cold_starts), u(c.platform.retries),
+              u(c.platform.timeouts), u(c.platform.dropped));
+  if (on.pull) {
+    std::printf("pulls: %llu, steals: %llu, steal bytes: %llu\n",
+                u(c.platform.pulls), u(c.platform.steals),
+                u(c.platform.steal_bytes));
+  }
+  if (on.storage) {
+    const StorageStats& s = c.storage;
+    std::printf("storage: writes: %llu (%llu durable, %llu lost), coherence "
+                "bytes: %llu, stale reads: %llu, books %s\n",
+                u(s.writes_total), u(s.writes_durable), u(s.writes_lost),
+                u(s.coherence_bytes), u(s.stale_reads),
+                s.WriteBooksClose() ? "close" : "DO NOT CLOSE");
+  }
+  if (on.planner) {
+    std::printf("planner: rounds: %llu, moves: %llu, splits: %llu, merges: "
+                "%llu, moved: %llu bytes",
+                u(c.platform.planner_rounds), u(c.planner_moves),
+                u(c.planner_splits), u(c.planner_merges),
+                u(c.platform.planner_moved_bytes));
+    if (monolithic != nullptr) {
+      std::printf(", imbalance: %.3f", monolithic->routing_imbalance);
+    }
+    std::printf("\n");
+  }
+  if (on.router) {
+    std::printf("router tier: routes: %llu, stale: %llu, misroutes: %llu, "
+                "forwards: %llu, recolored: %llu\n",
+                u(c.router_routes), u(c.router_stale_routes),
+                u(c.router_misroutes), u(c.router_forwards),
+                u(c.router_recolored));
+  }
+  const bool close = sharded != nullptr ? sharded->books_close
+                                        : c.platform.BooksClose();
+  std::printf("books: submitted %llu, completed %llu, dropped %llu, "
+              "abandoned %llu%s, %s\n",
+              u(sharded != nullptr ? sharded->driver_submitted
+                                   : c.platform.submitted),
+              u(c.platform.completed), u(c.platform.dropped),
+              u(c.platform.abandoned),
+              sharded != nullptr
+                  ? StrFormat(", rejected %llu",
+                              u(sharded->group_rejections)).c_str()
+                  : "",
+              close ? "close" : "DO NOT CLOSE");
 }
 
 // The gated telemetry outputs shared by the monolithic and sharded paths.
@@ -471,6 +601,22 @@ int Run(int argc, char** argv) {
     }
   }
 
+  // Counts that size the simulated system; a bad one would otherwise run
+  // an empty cluster whose books trivially close. The group counts only
+  // shape sharded runs.
+  const char* bad_count =
+      workers < 1 ? "--workers must be at least 1"
+      : shards < 0 ? "--shards must not be negative"
+      : routers < 0 ? "--routers must not be negative"
+      : shards < 1 ? nullptr
+      : sharded_config.groups < 1 ? "--groups must be at least 1"
+      : sharded_config.routers_per_group < 0
+          ? "--group_routers must not be negative"
+          : nullptr;
+  if (bad_count != nullptr) {
+    std::fprintf(stderr, "%s\n", bad_count);
+    return 1;
+  }
   for (const std::string& unknown : flags.UnqueriedFlags()) {
     std::fprintf(stderr, "warning: unrecognized flag --%s\n",
                  unknown.c_str());
@@ -557,6 +703,12 @@ int Run(int argc, char** argv) {
     json.EndObject();
   }
 
+  CounterSections sections;
+  sections.pull = platform_config.dispatch_mode != FaasDispatchMode::kPush;
+  sections.storage = platform_config.storage.enabled();
+  sections.planner = planner_config.enabled();
+  sections.router =
+      shards >= 1 ? sharded_config.routers_per_group > 0 : routers > 0;
   if (shards >= 1) {
     // Sharded parallel-engine run: one topology, `shards` event cores.
     json.Key("sharded");
@@ -589,12 +741,13 @@ int Run(int argc, char** argv) {
         spec, policy, workers, sharded_config, slo, platform_config);
     std::printf("%s\n", SloReportTable(run.report).c_str());
     std::printf("samples digest: %016llx, engine digest: %016llx, sim "
-                "events: %llu, epochs: %llu, wall: %.3f s, books %s\n",
+                "events: %llu, epochs: %llu, wall: %.3f s\n",
                 static_cast<unsigned long long>(run.samples_digest),
                 static_cast<unsigned long long>(run.engine_digest),
                 static_cast<unsigned long long>(run.sim_events),
                 static_cast<unsigned long long>(run.epochs),
-                run.wall_seconds, run.books_close ? "close" : "DO NOT CLOSE");
+                run.wall_seconds);
+    PrintRunCounters(sections, nullptr, &run);
 
     json.Key("sample_count");
     json.UInt(run.driver_submitted);
@@ -610,66 +763,7 @@ int Run(int argc, char** argv) {
     json.UInt(run.epochs);
     json.Key("wall_seconds");
     json.Double(run.wall_seconds);
-    json.Key("cold_starts");
-    json.UInt(run.cold_starts);
-    json.Key("retries");
-    json.UInt(run.retries);
-    if (platform_config.dispatch_mode != FaasDispatchMode::kPush) {
-      std::printf("pulls: %llu, steals: %llu, steal bytes: %llu\n",
-                  static_cast<unsigned long long>(run.pulls),
-                  static_cast<unsigned long long>(run.steals),
-                  static_cast<unsigned long long>(run.steal_bytes));
-      json.Key("pulls");
-      json.UInt(run.pulls);
-      json.Key("steals");
-      json.UInt(run.steals);
-      json.Key("steal_bytes");
-      json.UInt(run.steal_bytes);
-    }
-    if (platform_config.storage.enabled()) {
-      PrintStorageSummary(run.storage);
-      json.Key("storage");
-      AppendStorageStatsJson(run.storage, &json);
-    }
-    if (planner_config.enabled()) {
-      std::printf("planner: rounds: %llu, moves: %llu, splits: %llu, "
-                  "merges: %llu, moved: %llu bytes\n",
-                  static_cast<unsigned long long>(run.planner_rounds),
-                  static_cast<unsigned long long>(run.planner_moves),
-                  static_cast<unsigned long long>(run.planner_splits),
-                  static_cast<unsigned long long>(run.planner_merges),
-                  static_cast<unsigned long long>(run.planner_moved_bytes));
-      json.Key("planner_result");
-      json.BeginObject();
-      json.Key("rounds");
-      json.UInt(run.planner_rounds);
-      json.Key("moves");
-      json.UInt(run.planner_moves);
-      json.Key("splits");
-      json.UInt(run.planner_splits);
-      json.Key("merges");
-      json.UInt(run.planner_merges);
-      json.Key("moved_bytes");
-      json.UInt(run.planner_moved_bytes);
-      json.EndObject();
-    }
-    json.Key("books");
-    json.BeginObject();
-    json.Key("submitted");
-    json.UInt(run.driver_submitted);
-    json.Key("group_submitted");
-    json.UInt(run.group_submitted);
-    json.Key("completed");
-    json.UInt(run.group_completed);
-    json.Key("dropped");
-    json.UInt(run.group_dropped);
-    json.Key("abandoned");
-    json.UInt(run.group_abandoned);
-    json.Key("rejections");
-    json.UInt(run.group_rejections);
-    json.Key("close");
-    json.Bool(run.books_close);
-    json.EndObject();
+    AppendRunCountersJson(sections, nullptr, &run, &json);
     json.Key("report");
     AppendSloReportJson(run.report, &json);
     if (profile) {
@@ -712,19 +806,11 @@ int Run(int argc, char** argv) {
                     : "");
     const WorkloadRunResult run = run_spec(spec);
     std::printf("%s\n", SloReportTable(run.report).c_str());
-    std::printf("samples: %zu, digest: %016llx, sim events: %llu, cold "
-                "starts: %llu, platform drops: %llu\n",
+    std::printf("samples: %zu, digest: %016llx, sim events: %llu\n",
                 run.samples.size(),
                 static_cast<unsigned long long>(run.samples_digest),
-                static_cast<unsigned long long>(run.sim_events),
-                static_cast<unsigned long long>(run.cold_starts),
-                static_cast<unsigned long long>(run.platform_dropped));
-    if (platform_config.dispatch_mode != FaasDispatchMode::kPush) {
-      std::printf("pulls: %llu, steals: %llu, steal bytes: %llu\n",
-                  static_cast<unsigned long long>(run.pulls),
-                  static_cast<unsigned long long>(run.steals),
-                  static_cast<unsigned long long>(run.steal_bytes));
-    }
+                static_cast<unsigned long long>(run.sim_events));
+    PrintRunCounters(sections, &run, nullptr);
 
     json.Key("sample_count");
     json.UInt(run.samples.size());
@@ -733,106 +819,7 @@ int Run(int argc, char** argv) {
                                          run.samples_digest)));
     json.Key("sim_events");
     json.UInt(run.sim_events);
-    json.Key("cold_starts");
-    json.UInt(run.cold_starts);
-    if (platform_config.dispatch_mode != FaasDispatchMode::kPush) {
-      json.Key("pulls");
-      json.UInt(run.pulls);
-      json.Key("steals");
-      json.UInt(run.steals);
-      json.Key("steal_bytes");
-      json.UInt(run.steal_bytes);
-    }
-    json.Key("platform_dropped");
-    json.UInt(run.platform_dropped);
-    if (platform_config.storage.enabled()) {
-      PrintStorageSummary(run.storage);
-      json.Key("storage");
-      AppendStorageStatsJson(run.storage, &json);
-    }
-    json.Key("books");
-    json.BeginObject();
-    json.Key("submitted");
-    json.UInt(run.platform_submitted);
-    json.Key("completed");
-    json.UInt(run.platform_completed);
-    json.Key("dropped");
-    json.UInt(run.platform_dropped);
-    json.Key("abandoned");
-    json.UInt(run.platform_abandoned);
-    json.Key("close");
-    json.Bool(run.platform_submitted == run.platform_completed +
-                                            run.platform_dropped +
-                                            run.platform_abandoned);
-    json.EndObject();
-    if (planner_config.enabled()) {
-      std::printf("planner: rounds: %llu, moves: %llu, splits: %llu, "
-                  "merges: %llu, moved: %llu bytes, imbalance: %.3f\n",
-                  static_cast<unsigned long long>(run.planner_rounds),
-                  static_cast<unsigned long long>(run.planner_moves),
-                  static_cast<unsigned long long>(run.planner_splits),
-                  static_cast<unsigned long long>(run.planner_merges),
-                  static_cast<unsigned long long>(run.planner_moved_bytes),
-                  run.routing_imbalance);
-      json.Key("planner_result");
-      json.BeginObject();
-      json.Key("rounds");
-      json.UInt(run.planner_rounds);
-      json.Key("moves");
-      json.UInt(run.planner_moves);
-      json.Key("splits");
-      json.UInt(run.planner_splits);
-      json.Key("merges");
-      json.UInt(run.planner_merges);
-      json.Key("moved_bytes");
-      json.UInt(run.planner_moved_bytes);
-      json.Key("routing_imbalance");
-      json.Double(run.routing_imbalance);
-      json.Key("round_objectives");
-      json.BeginArray();
-      for (const PlanRound& round : run.plan_rounds) {
-        json.BeginObject();
-        json.Key("round");
-        json.UInt(round.round);
-        json.Key("t_ms");
-        json.Double(round.at.millis());
-        json.Key("objective_before");
-        json.Double(round.objective_before);
-        json.Key("objective_after");
-        json.Double(round.objective_after);
-        json.Key("moves");
-        json.UInt(round.moves);
-        json.Key("splits");
-        json.UInt(round.splits);
-        json.Key("merges");
-        json.UInt(round.merges);
-        json.EndObject();
-      }
-      json.EndArray();
-      json.EndObject();
-    }
-    if (routers > 0) {
-      std::printf("router tier: routes: %llu, stale: %llu, misroutes: %llu, "
-                  "forwards: %llu, recolored: %llu\n",
-                  static_cast<unsigned long long>(run.router_routes),
-                  static_cast<unsigned long long>(run.router_stale_routes),
-                  static_cast<unsigned long long>(run.router_misroutes),
-                  static_cast<unsigned long long>(run.router_forwards),
-                  static_cast<unsigned long long>(run.router_recolored));
-      json.Key("router");
-      json.BeginObject();
-      json.Key("routes");
-      json.UInt(run.router_routes);
-      json.Key("stale_routes");
-      json.UInt(run.router_stale_routes);
-      json.Key("misroutes");
-      json.UInt(run.router_misroutes);
-      json.Key("forwards");
-      json.UInt(run.router_forwards);
-      json.Key("recolored");
-      json.UInt(run.router_recolored);
-      json.EndObject();
-    }
+    AppendRunCountersJson(sections, &run, nullptr, &json);
     json.Key("report");
     AppendSloReportJson(run.report, &json);
     if (dump_samples) {
