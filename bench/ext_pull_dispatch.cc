@@ -13,15 +13,13 @@
 // diurnal arrivals, 8 workers:
 //   * sticky1    — 1 router, color partition, push (locality ceiling),
 //   * spray8     — 8 routers, spray, push       (locality floor),
-//   * pull8      — 8 routers, spray, pull dispatch,
-//   * hybrid8    — 8 routers, spray, hybrid dispatch.
+//   * pull8      — 8 routers, spray, pull dispatch.
 // A fault cell replays the pull8 MMPP cell under a crash/restart
 // schedule.
 //
 // Asserted invariants (exit 1 on violation):
 //   * pull recovers at least half the local-hit ratio spray loses at 8
 //     routers: (pull - spray) >= 0.5 * (sticky - spray), per arrival;
-//     hybrid must, too;
 //   * pull p99 under the MMPP burst is no worse than push p99 in the
 //     same 8-router spray configuration;
 //   * the accounting identity submitted = completed + dropped + abandoned
@@ -189,7 +187,7 @@ void Run() {
   std::printf("== Extension: pull dispatch — late binding + bounded "
               "stealing vs push ==\n");
   std::printf("(open-loop %.0f rps, %d workers, 64 colors; sticky ceiling "
-              "vs 8-router spray\n floor vs pull/hybrid late binding)\n\n",
+              "vs 8-router spray\n floor vs pull late binding)\n\n",
               kOfferedRps, kWorkers);
 
   JsonWriter json;
@@ -222,11 +220,8 @@ void Run() {
     const Cell pull =
         RunCell("pull8", arrival, 8, DispatchMode::kSpray,
                 FaasDispatchMode::kPull, nullptr);
-    const Cell hybrid =
-        RunCell("hybrid8", arrival, 8, DispatchMode::kSpray,
-                FaasDispatchMode::kHybrid, nullptr);
 
-    for (const Cell* cell : {&sticky, &spray, &pull, &hybrid}) {
+    for (const Cell* cell : {&sticky, &spray, &pull}) {
       table.AddRow(
           {std::string(arrival_id), cell->label,
            StrFormat("%.4f", cell->run.report.local_hit_ratio),
@@ -245,8 +240,8 @@ void Run() {
       }
     }
 
-    // The headline claim: pull (and hybrid) recover at least half of the
-    // locality spray loses at 8 routers.
+    // The headline claim: pull recovers at least half of the locality
+    // spray loses at 8 routers.
     const double gap = sticky.run.report.local_hit_ratio -
                        spray.run.report.local_hit_ratio;
     if (gap <= 0) {
@@ -256,22 +251,20 @@ void Run() {
                    std::string(arrival_id).c_str(), gap);
       ok = false;
     }
-    for (const Cell* late : {&pull, &hybrid}) {
-      const double recovered = late->run.report.local_hit_ratio -
-                               spray.run.report.local_hit_ratio;
-      if (recovered < 0.5 * gap) {
-        std::fprintf(stderr,
-                     "FAIL: %s %s recovered %.4f of a %.4f locality gap "
-                     "(< half)\n",
-                     std::string(arrival_id).c_str(), late->label.c_str(),
-                     recovered, gap);
-        ok = false;
-      }
-      if (late->run.counters.platform.pulls == 0) {
-        std::fprintf(stderr, "FAIL: %s %s never pulled\n",
-                     std::string(arrival_id).c_str(), late->label.c_str());
-        ok = false;
-      }
+    const double recovered = pull.run.report.local_hit_ratio -
+                             spray.run.report.local_hit_ratio;
+    if (recovered < 0.5 * gap) {
+      std::fprintf(stderr,
+                   "FAIL: %s %s recovered %.4f of a %.4f locality gap "
+                   "(< half)\n",
+                   std::string(arrival_id).c_str(), pull.label.c_str(),
+                   recovered, gap);
+      ok = false;
+    }
+    if (pull.run.counters.platform.pulls == 0) {
+      std::fprintf(stderr, "FAIL: %s %s never pulled\n",
+                   std::string(arrival_id).c_str(), pull.label.c_str());
+      ok = false;
     }
     // Under the MMPP burst, late binding must not cost the tail: pull p99
     // no worse than push p99 at the same router scale.
@@ -351,7 +344,7 @@ void Run() {
     std::fprintf(stderr, "FAIL: ext_pull_dispatch invariants violated\n");
     std::exit(1);
   }
-  std::printf("\nall invariants hold: pull/hybrid recover >= half the "
+  std::printf("\nall invariants hold: pull recovers >= half the "
               "sprayed-away\nlocality, the burst tail is no worse than "
               "push, books close in every\ncell, digests stable per seed "
               "and across engine shard counts\n");

@@ -41,9 +41,7 @@ void MaybeTraceReplay(const std::vector<CacheAccess>& trace) {
                         platform_config);
   platform.AddWorkers(kWorkers);
   TraceRecorder recorder;
-  MetricsRegistry metrics;
   platform.set_trace_recorder(&recorder);
-  platform.set_metrics(&metrics);
 
   // Each access is one colored invocation reading its object (the §6.1
   // coloring: color = object id). Arrivals are paced so worker queues form

@@ -13,8 +13,6 @@ std::string_view FaasDispatchModeId(FaasDispatchMode mode) {
       return "push";
     case FaasDispatchMode::kPull:
       return "pull";
-    case FaasDispatchMode::kHybrid:
-      return "hybrid";
   }
   return "unknown";
 }
@@ -26,10 +24,6 @@ bool ParseFaasDispatchMode(std::string_view id, FaasDispatchMode* out) {
   }
   if (id == "pull") {
     *out = FaasDispatchMode::kPull;
-    return true;
-  }
-  if (id == "hybrid") {
-    *out = FaasDispatchMode::kHybrid;
     return true;
   }
   return false;
@@ -108,7 +102,7 @@ void FaasPlatform::RemoveWorker(const std::string& name) {
   }
   // Graceful drain: the running attempt (if any) already left the queue
   // and still completes; attempts waiting in the FIFO fail — except under
-  // pull/hybrid dispatch, where claimed-but-unstarted work was never bound
+  // pull dispatch, where claimed-but-unstarted work was never bound
   // for good and returns to the head of its color queue instead (no retry
   // budget burned). Membership is updated first so the policy re-colors
   // before any retry re-routes.
@@ -153,7 +147,7 @@ void FaasPlatform::CrashWorker(const std::string& name) {
   }
   // Hard failure: the running attempt dies too — its partial work is lost
   // and a retry re-executes from scratch (at-least-once). The instance's
-  // cached objects vanish with its shard. Under pull/hybrid dispatch the
+  // cached objects vanish with its shard. Under pull dispatch the
   // crashed worker's claimed-but-unstarted FIFO entries were never started,
   // so they return to the head of their color queues (books still close;
   // no retry budget burned), while the running attempt fails as usual.
@@ -310,7 +304,6 @@ void FaasPlatform::DispatchTo(const AttemptPtr& attempt, InstanceId target) {
       output.name = lb_.TranslateObjectName(output.name);
     }
   }
-  Worker& worker = *worker_it->second;
 
   const SimTime budget = attempt->spec->deadline > SimTime()
                              ? attempt->spec->deadline
@@ -320,34 +313,11 @@ void FaasPlatform::DispatchTo(const AttemptPtr& attempt, InstanceId target) {
     ArmDeadline(attempt);
   }
 
-  // Late binding (docs/DISPATCH.md): under pull — or under hybrid when the
-  // routed binding is not a free win — the route is only a hint. The
-  // attempt travels the dispatch path and joins its color's pending queue;
-  // whichever worker claims it becomes the placement, and the cold start
-  // (final worker unknown here) is charged at claim time instead.
-  //
-  // Hybrid honors the push binding only when it costs nothing: the routed
-  // worker is idle right now AND the bind does not sacrifice locality —
-  // the work is uncolored, or the routed worker is the color's home
-  // (HomeOf: LB placement, else cache-ring shard). A locality-blind "push
-  // when idle" would let a spraying router tier bind cold workers to
-  // foreign colors at every load dip, spreading replicas fleet-wide.
-  const bool hybrid_push_ok = [&]() {
-    if (config_.dispatch_mode != FaasDispatchMode::kHybrid) {
-      return false;
-    }
-    if (worker.busy || worker.claiming || !worker.queue.empty()) {
-      return false;
-    }
-    const std::string& key = PendingKeyOf(*attempt->spec);
-    if (key.empty()) {
-      return true;  // uncolored: any idle worker is as good as any other
-    }
-    return HomeOf(key) == target;
-  }();
-  const bool bind_now =
-      config_.dispatch_mode == FaasDispatchMode::kPush || hybrid_push_ok;
-  if (!bind_now) {
+  // Late binding (docs/DISPATCH.md): under pull the route is only a hint.
+  // The attempt travels the dispatch path and joins its color's pending
+  // queue; whichever worker claims it becomes the placement, and the cold
+  // start (final worker unknown here) is charged at claim time instead.
+  if (pull_enabled()) {
     const SimTime enqueue_at =
         sim_->Now() + config_.dispatch_latency + attempt->route_hop;
     // `dispatched` marks arrival at the pending queue, so time spent
@@ -368,6 +338,7 @@ void FaasPlatform::DispatchTo(const AttemptPtr& attempt, InstanceId target) {
     return;
   }
 
+  Worker& worker = *worker_it->second;
   SimTime dispatch_done =
       sim_->Now() + config_.dispatch_latency + attempt->route_hop;
   if (!worker.warm) {
@@ -381,35 +352,15 @@ void FaasPlatform::DispatchTo(const AttemptPtr& attempt, InstanceId target) {
     result.cold_start = config_.cold_start;
   }
   result.dispatched = dispatch_done;
-  if (pull_enabled()) {
-    // Hybrid push to an idle worker: keep it out of the idle set while the
-    // request is in flight toward its FIFO, so the matcher cannot claim it
-    // for other work in the window.
-    idle_workers_.erase(target);
-    worker.claiming = true;
-  }
 
   sim_->At(dispatch_done, [this, attempt, target]() {
     // The request arrives at the instance and joins its FIFO run queue.
-    auto it = workers_.find(target);
-    if (it != workers_.end()) {
-      it->second->claiming = false;
-    }
     if (attempt->cancelled) {
-      // Deadline expired while in dispatch flight; in hybrid mode the
-      // worker reserved for it goes back to the idle pool.
-      MaybeIdle(target);
-      return;
+      return;  // deadline expired while in dispatch flight
     }
+    auto it = workers_.find(target);
     if (it == workers_.end()) {
-      // Worker removed while the request was in flight. Under pull/hybrid
-      // the request was never hard-bound: re-enter the pending queues if
-      // the cluster still has workers.
-      if (pull_enabled() && !workers_.empty()) {
-        EnqueuePending(attempt, /*front=*/false);
-        MatchPending();
-        return;
-      }
+      // Worker removed while the request was in flight.
       HandleFailure(attempt, FailureReason::kWorkerLost);
       return;
     }
@@ -429,9 +380,6 @@ void FaasPlatform::OnDeadline(const AttemptPtr& attempt) {
     return;  // already failed another way, or past the point of no return
   }
   ++counters_.timeouts;
-  if (metrics_ != nullptr) {
-    m_timeouts_->Increment();
-  }
   const InstanceId target = attempt->worker;
   const bool was_running = attempt->running;
   HandleFailure(attempt, FailureReason::kTimeout);
@@ -475,9 +423,6 @@ void FaasPlatform::HandleFailure(const AttemptPtr& attempt,
   const RetryPolicy& retry = config_.retry;
   if (retry.enabled() && attempt->number < retry.max_attempts) {
     ++counters_.retries;
-    if (metrics_ != nullptr) {
-      m_retries_->Increment();
-    }
     const SimTime backoff = retry.BackoffFor(attempt->number, retry_rng_);
     // Saturate like Simulator::After: extreme multiplier/max_backoff
     // configs must clamp to the far future, not wrap negative.
@@ -496,14 +441,8 @@ void FaasPlatform::HandleFailure(const AttemptPtr& attempt,
   }
   if (retry.enabled()) {
     ++counters_.abandoned;
-    if (metrics_ != nullptr) {
-      m_abandoned_->Increment();
-    }
   } else {
     ++counters_.dropped;
-    if (metrics_ != nullptr) {
-      m_dropped_->Increment();
-    }
   }
 }
 
@@ -559,7 +498,7 @@ void FaasPlatform::StartNextOnWorker(InstanceId instance) {
   if (worker.queue.empty()) {
     worker.busy = false;
     worker.running.reset();
-    // Pull/hybrid: the worker just went idle — claim pending work, if any.
+    // Pull: the worker just went idle — claim pending work, if any.
     MaybeIdle(instance);
     return;
   }
@@ -956,9 +895,6 @@ void FaasPlatform::ClaimFrom(std::deque<AttemptPtr>* queue,
   attempt->in_pending = false;
 
   ++counters_.pulls;
-  if (metrics_ != nullptr) {
-    m_pulls_->Increment();
-  }
   if (steal) {
     ++counters_.steals;
     ++steals_in_flight_;
@@ -968,10 +904,6 @@ void FaasPlatform::ClaimFrom(std::deque<AttemptPtr>* queue,
       bytes += input.size;
     }
     counters_.steal_bytes += bytes;
-    if (metrics_ != nullptr) {
-      m_steals_->Increment();
-      m_steal_bytes_->Add(bytes);
-    }
   }
 
   // Late binding resolves here: the claimer becomes the placement.
@@ -1129,13 +1061,6 @@ void FaasPlatform::set_metrics(MetricsRegistry* metrics) {
   if (metrics == nullptr) {
     m_invocations_ = nullptr;
     m_cold_starts_ = nullptr;
-    m_dropped_ = nullptr;
-    m_abandoned_ = nullptr;
-    m_retries_ = nullptr;
-    m_timeouts_ = nullptr;
-    m_pulls_ = nullptr;
-    m_steals_ = nullptr;
-    m_steal_bytes_ = nullptr;
     m_e2e_ns_ = nullptr;
     m_route_ns_ = nullptr;
     m_queue_ns_ = nullptr;
@@ -1146,13 +1071,6 @@ void FaasPlatform::set_metrics(MetricsRegistry* metrics) {
   }
   m_invocations_ = &metrics->counter("faas.invocations");
   m_cold_starts_ = &metrics->counter("faas.cold_starts");
-  m_dropped_ = &metrics->counter("faas.invocations_dropped");
-  m_abandoned_ = &metrics->counter("faas.invocations_abandoned");
-  m_retries_ = &metrics->counter("faas.retries");
-  m_timeouts_ = &metrics->counter("faas.timeouts");
-  m_pulls_ = &metrics->counter("faas.pulls");
-  m_steals_ = &metrics->counter("faas.steals");
-  m_steal_bytes_ = &metrics->counter("faas.steal_bytes");
   m_e2e_ns_ = &metrics->histogram("faas.latency.end_to_end_ns");
   m_route_ns_ = &metrics->histogram("faas.latency.route_ns");
   m_queue_ns_ = &metrics->histogram("faas.latency.queue_ns");
@@ -1319,7 +1237,7 @@ void FaasPlatform::ExportMetrics(MetricsRegistry* metrics,
   if (!per_worker) {
     return;
   }
-  // Per-color pending-queue depth gauges (pull/hybrid). Cardinality scales
+  // Per-color pending-queue depth gauges (pull). Cardinality scales
   // with distinct pending colors, so they ride the per_worker switch with
   // the other per-entity families.
   for (const auto& [key, queue] : pending_) {

@@ -63,14 +63,12 @@ inline constexpr const char* kStorageNode = "__storage";
 //   pull   — late binding: the route is only a hint; attempts join a
 //            per-color pending queue and idle workers claim them, colors
 //            they host first, then (budget permitting) foreign colors.
-//   hybrid — push when the routed worker is idle right now, pull otherwise.
 enum class FaasDispatchMode {
   kPush,
   kPull,
-  kHybrid,
 };
 
-// Short identifier for CLI flags and reports ("push", "pull", "hybrid").
+// Short identifier for CLI flags and reports ("push", "pull").
 std::string_view FaasDispatchModeId(FaasDispatchMode mode);
 bool ParseFaasDispatchMode(std::string_view id, FaasDispatchMode* out);
 
@@ -102,10 +100,10 @@ struct PlatformConfig {
   // specs whose origin_domain differs are shipped back cross-domain.
   int domain = 0;
   // Dispatch binding (docs/DISPATCH.md). Push (the default) keeps the
-  // pre-pull behavior bit-for-bit; pull/hybrid turn routing into a hint
-  // and let idle workers late-bind work from per-color pending queues.
+  // pre-pull behavior bit-for-bit; pull turns routing into a hint and
+  // lets idle workers late-bind work from per-color pending queues.
   FaasDispatchMode dispatch_mode = FaasDispatchMode::kPush;
-  // Pull/hybrid: cap on concurrently outstanding *stolen* claims —
+  // Pull: cap on concurrently outstanding *stolen* claims —
   // claims of a color whose home (cache-ring shard or LB placement) is
   // another live worker, which pay the modeled remote-fetch penalty when
   // they run. A slot is held from the claim until the stolen attempt
@@ -113,14 +111,14 @@ struct PlatformConfig {
   // of the fleet can be busy on foreign work at once. 0 disables
   // stealing: idle workers only claim home/unowned colors.
   int steal_budget = 4;
-  // Pull/hybrid: a foreign color only qualifies for stealing once its
+  // Pull: a foreign color only qualifies for stealing once its
   // pending queue is at least this deep ("steal the hottest color").
   // Below the threshold the work waits for its home worker — stealing
   // shallow queues trades away locality for nothing: the home would have
   // drained them anyway, and the thief pays remote fetches that
   // replicate-on-remote-hit then spreads around the fleet.
   std::size_t steal_min_depth = 2;
-  // Pull/hybrid: queue -> worker claim handoff latency (the control-plane
+  // Pull: queue -> worker claim handoff latency (the control-plane
   // round trip late binding costs). This window is where
   // claimed-but-unstarted work lives when a worker dies mid-claim.
   SimTime pull_claim_latency = SimTime::FromMicros(50);
@@ -408,9 +406,8 @@ class FaasPlatform {
     AttemptPtr running;  // attempt occupying the CPU (null when idle)
     bool busy = false;
     bool warm = false;
-    // Pull/hybrid: an attempt bound while this worker was idle (a claim
-    // handoff or a hybrid push) is in flight toward its FIFO, so the
-    // worker must not re-enter the idle set yet.
+    // Pull: a claim handoff bound while this worker was idle is in flight
+    // toward its FIFO, so the worker must not re-enter the idle set yet.
     bool claiming = false;
     std::uint64_t cold_starts = 0;
   };
@@ -438,7 +435,7 @@ class FaasPlatform {
   // containers only, so claim order per epoch is fixed and runs stay
   // bit-deterministic at every shard count.
   bool pull_enabled() const {
-    return config_.dispatch_mode != FaasDispatchMode::kPush;
+    return config_.dispatch_mode == FaasDispatchMode::kPull;
   }
   // The pending-queue key for a spec: its color, or "" when uncolored.
   static const std::string& PendingKeyOf(const InvocationSpec& spec);
@@ -451,7 +448,7 @@ class FaasPlatform {
   // tier and the platform LB never placed the color). The two are never
   // OR'd: treating both as home splits a placed color's working set
   // across two caches. nullopt when neither exists. The matcher's claim
-  // classes and hybrid's free-push check both decide by this one rule.
+  // classes decide by this one rule.
   std::optional<InstanceId> HomeOf(const std::string& color) const;
   // Matches the idle workers against the pending queues in one pass, in
   // ascending InstanceId order. Each pending color's home is resolved once
@@ -506,7 +503,7 @@ class FaasPlatform {
   // a worker-name string), keeping them inside the simulator's inline
   // event-callback buffer.
   std::unordered_map<InstanceId, std::unique_ptr<Worker>> workers_;
-  // Pull/hybrid state. Ordered containers: the claim scan iterates
+  // Pull state. Ordered containers: the claim scan iterates
   // pending_ and the matcher iterates idle_workers_, and both orders are
   // part of the deterministic claim schedule.
   std::map<std::string, std::deque<AttemptPtr>> pending_;
@@ -549,13 +546,6 @@ class FaasPlatform {
   MetricsRegistry* metrics_ = nullptr;
   Counter* m_invocations_ = nullptr;
   Counter* m_cold_starts_ = nullptr;
-  Counter* m_dropped_ = nullptr;
-  Counter* m_abandoned_ = nullptr;
-  Counter* m_retries_ = nullptr;
-  Counter* m_timeouts_ = nullptr;
-  Counter* m_pulls_ = nullptr;
-  Counter* m_steals_ = nullptr;
-  Counter* m_steal_bytes_ = nullptr;
   LatencyHistogram* m_e2e_ns_ = nullptr;
   LatencyHistogram* m_route_ns_ = nullptr;
   LatencyHistogram* m_queue_ns_ = nullptr;

@@ -1,4 +1,4 @@
-// Pull/hybrid dispatch tests: late binding from per-color pending queues,
+// Pull dispatch tests: late binding from per-color pending queues,
 // locality-aware claim ordering, budget-gated stealing, and the fault
 // paths that return claimed-but-unstarted work to its color queue. Also
 // the dispatch-path bugfix sweep riding along: drain-candidate tie-breaks
@@ -73,15 +73,14 @@ std::string ForeignProofColor(Simulator* sim, FaasPlatform* platform,
 TEST(FaasDispatchModeTest, ParseAndFormat) {
   EXPECT_EQ(FaasDispatchModeId(FaasDispatchMode::kPush), "push");
   EXPECT_EQ(FaasDispatchModeId(FaasDispatchMode::kPull), "pull");
-  EXPECT_EQ(FaasDispatchModeId(FaasDispatchMode::kHybrid), "hybrid");
   FaasDispatchMode mode;
   EXPECT_TRUE(ParseFaasDispatchMode("pull", &mode));
   EXPECT_EQ(mode, FaasDispatchMode::kPull);
-  EXPECT_TRUE(ParseFaasDispatchMode("hybrid", &mode));
-  EXPECT_EQ(mode, FaasDispatchMode::kHybrid);
   EXPECT_TRUE(ParseFaasDispatchMode("push", &mode));
   EXPECT_EQ(mode, FaasDispatchMode::kPush);
   EXPECT_FALSE(ParseFaasDispatchMode("steal", &mode));
+  EXPECT_FALSE(ParseFaasDispatchMode("hybrid", &mode));
+  EXPECT_EQ(mode, FaasDispatchMode::kPush);
 }
 
 TEST(PullDispatchTest, EveryInvocationIsPulledAndBooksClose) {
@@ -207,38 +206,6 @@ TEST(PullDispatchTest, ShallowForeignQueueWaitsForItsHome) {
   sim.Run();
   EXPECT_EQ(instances, (std::set<std::string>{"w0"}));
   EXPECT_EQ(platform.counters().steals, 0u);
-}
-
-TEST(PullDispatchTest, HybridPushesToIdleHomeAndPullsWhenBusy) {
-  Simulator sim;
-  FaasPlatform platform(&sim, PolicyKind::kLeastAssigned, 1,
-                        PullConfig(FaasDispatchMode::kHybrid));
-  platform.AddWorker("w0");
-  const std::string color =
-      ForeignProofColor(&sim, &platform, "w0", "w1");
-  ASSERT_FALSE(color.empty());
-  const std::uint64_t pulls_before = platform.counters().pulls;
-
-  // Idle home: hybrid binds eagerly — no pull.
-  bool done = false;
-  platform.Invoke(Colored(color, 1e6), [&](const InvocationResult& r) {
-    done = true;
-    EXPECT_EQ(r.instance, "w0");
-  });
-  sim.Run();
-  EXPECT_TRUE(done);
-  EXPECT_EQ(platform.counters().pulls, pulls_before);
-
-  // Busy home: the route becomes a hint and the work is claimed — still
-  // by the home once it frees up (w1 stays foreign, depth below the
-  // steal threshold).
-  platform.Invoke(Colored(color, 1e8), nullptr);
-  std::string ran_on;
-  platform.Invoke(Colored(color, 1e6),
-                  [&](const InvocationResult& r) { ran_on = r.instance; });
-  sim.Run();
-  EXPECT_EQ(ran_on, "w0");
-  EXPECT_GT(platform.counters().pulls, pulls_before);
 }
 
 // ---------------------------------------------------------------------------
@@ -420,18 +387,17 @@ TEST(PullDispatchDeterminismTest, ShardCountsAgreeUnderPull) {
 // Golden pins for the claim schedule. The determinism tests above compare a
 // tree only against itself, so a change to claim order (class precedence,
 // oldest-head-first, the steal tie-breaks, the budget gate) would pass them.
-// These cells pin a bursty pull/hybrid run's outcome to fixed values over
-// the steal knobs, with and without a sprayed router tier, plus a crash
-// inside the claim window and planner rounds re-placing colors while steals
-// are in flight. The values were recorded from the matcher that resolved
-// every pending color's home once per idle worker per pass, before it was
+// These cells pin a bursty pull run's outcome to fixed values over the steal
+// knobs, with and without a sprayed router tier, plus crashes inside the
+// claim window and planner rounds re-placing colors while steals are in
+// flight. The values were recorded from the matcher that resolved every
+// pending color's home once per idle worker per pass, before it was
 // rewritten to resolve each home once per match; both must agree exactly.
 
 enum class PinFault { kNone, kCrashInClaimWindow, kPlanRacingSteal };
 
 struct PinCell {
   const char* name;
-  FaasDispatchMode mode;
   int steal_budget;
   std::size_t steal_min_depth;
   int routers;  // 0 = the platform's own load balancer
@@ -454,7 +420,7 @@ WorkloadRunResult RunPinCell(const PinCell& cell) {
   spec.seed = 29;
   SloConfig slo;
   PlatformConfig config = DefaultWorkloadPlatformConfig();
-  config.dispatch_mode = cell.mode;
+  config.dispatch_mode = FaasDispatchMode::kPull;
   config.steal_budget = cell.steal_budget;
   config.steal_min_depth = cell.steal_min_depth;
   FaultSchedule faults;
@@ -486,95 +452,57 @@ WorkloadRunResult RunPinCell(const PinCell& cell) {
                            config, &faults, nullptr, planner_ptr);
 }
 
-constexpr FaasDispatchMode kPinPull = FaasDispatchMode::kPull;
-constexpr FaasDispatchMode kPinHybrid = FaasDispatchMode::kHybrid;
 constexpr PinFault kPinNone = PinFault::kNone;
 constexpr PinFault kPinCrash = PinFault::kCrashInClaimWindow;
 constexpr PinFault kPinPlan = PinFault::kPlanRacingSteal;
 
 const PinCell kPinCells[] = {
-    // name, mode, budget, min_depth, routers, fault,
+    // name, budget, min_depth, routers, fault,
     //   samples_digest, pulls, steals, steal_bytes
-    {"pull/lb/b0/d1", kPinPull, 0, 1, 0, kPinNone,
+    {"pull/lb/b0/d1", 0, 1, 0, kPinNone,
      4979222103533363743ull, 1012, 0, 0},
-    {"pull/lb/b0/d2", kPinPull, 0, 2, 0, kPinNone,
+    {"pull/lb/b0/d2", 0, 2, 0, kPinNone,
      4979222103533363743ull, 1012, 0, 0},
-    {"pull/lb/b0/d8", kPinPull, 0, 8, 0, kPinNone,
+    {"pull/lb/b0/d8", 0, 8, 0, kPinNone,
      4979222103533363743ull, 1012, 0, 0},
-    {"pull/lb/b1/d1", kPinPull, 1, 1, 0, kPinNone,
+    {"pull/lb/b1/d1", 1, 1, 0, kPinNone,
      13352358983132749183ull, 1012, 150, 24848321},
-    {"pull/lb/b1/d2", kPinPull, 1, 2, 0, kPinNone,
+    {"pull/lb/b1/d2", 1, 2, 0, kPinNone,
      7503074940992965750ull, 1012, 77, 14030397},
-    {"pull/lb/b1/d8", kPinPull, 1, 8, 0, kPinNone,
+    {"pull/lb/b1/d8", 1, 8, 0, kPinNone,
      14111546647360574272ull, 1012, 47, 6671930},
-    {"pull/lb/b4/d1", kPinPull, 4, 1, 0, kPinNone,
+    {"pull/lb/b4/d1", 4, 1, 0, kPinNone,
      5444681217069365906ull, 1012, 358, 62257658},
-    {"pull/lb/b4/d2", kPinPull, 4, 2, 0, kPinNone,
+    {"pull/lb/b4/d2", 4, 2, 0, kPinNone,
      6236314131512314131ull, 1012, 130, 19698760},
-    {"pull/lb/b4/d8", kPinPull, 4, 8, 0, kPinNone,
+    {"pull/lb/b4/d8", 4, 8, 0, kPinNone,
      7286849322613602497ull, 1012, 59, 9775667},
-    {"pull/spray8/b0/d1", kPinPull, 0, 1, 8, kPinNone,
+    {"pull/spray8/b0/d1", 0, 1, 8, kPinNone,
      9162359929286371410ull, 1012, 0, 0},
-    {"pull/spray8/b0/d2", kPinPull, 0, 2, 8, kPinNone,
+    {"pull/spray8/b0/d2", 0, 2, 8, kPinNone,
      9162359929286371410ull, 1012, 0, 0},
-    {"pull/spray8/b0/d8", kPinPull, 0, 8, 8, kPinNone,
+    {"pull/spray8/b0/d8", 0, 8, 8, kPinNone,
      9162359929286371410ull, 1012, 0, 0},
-    {"pull/spray8/b1/d1", kPinPull, 1, 1, 8, kPinNone,
+    {"pull/spray8/b1/d1", 1, 1, 8, kPinNone,
      9364379708114595911ull, 1012, 145, 29639809},
-    {"pull/spray8/b1/d2", kPinPull, 1, 2, 8, kPinNone,
+    {"pull/spray8/b1/d2", 1, 2, 8, kPinNone,
      1940561586749071427ull, 1012, 109, 17238609},
-    {"pull/spray8/b1/d8", kPinPull, 1, 8, 8, kPinNone,
+    {"pull/spray8/b1/d8", 1, 8, 8, kPinNone,
      1408743707046998531ull, 1012, 65, 13094019},
-    {"pull/spray8/b4/d1", kPinPull, 4, 1, 8, kPinNone,
+    {"pull/spray8/b4/d1", 4, 1, 8, kPinNone,
      6924276812296503597ull, 1012, 414, 66589545},
-    {"pull/spray8/b4/d2", kPinPull, 4, 2, 8, kPinNone,
+    {"pull/spray8/b4/d2", 4, 2, 8, kPinNone,
      13435622187883100840ull, 1012, 195, 33443796},
-    {"pull/spray8/b4/d8", kPinPull, 4, 8, 8, kPinNone,
+    {"pull/spray8/b4/d8", 4, 8, 8, kPinNone,
      4573581208069495634ull, 1012, 92, 16452222},
-    {"hybrid/lb/b0/d1", kPinHybrid, 0, 1, 0, kPinNone,
-     10016615640055509762ull, 734, 0, 0},
-    {"hybrid/lb/b0/d2", kPinHybrid, 0, 2, 0, kPinNone,
-     10016615640055509762ull, 734, 0, 0},
-    {"hybrid/lb/b0/d8", kPinHybrid, 0, 8, 0, kPinNone,
-     10016615640055509762ull, 734, 0, 0},
-    {"hybrid/lb/b1/d1", kPinHybrid, 1, 1, 0, kPinNone,
-     14595555598056145773ull, 751, 121, 20272529},
-    {"hybrid/lb/b1/d2", kPinHybrid, 1, 2, 0, kPinNone,
-     6905971768020244680ull, 754, 76, 13771825},
-    {"hybrid/lb/b1/d8", kPinHybrid, 1, 8, 0, kPinNone,
-     17050935018343751855ull, 747, 47, 6403450},
-    {"hybrid/lb/b4/d1", kPinHybrid, 4, 1, 0, kPinNone,
-     9217006758641703050ull, 814, 248, 35548207},
-    {"hybrid/lb/b4/d2", kPinHybrid, 4, 2, 0, kPinNone,
-     17904154256396353323ull, 790, 124, 20989256},
-    {"hybrid/lb/b4/d8", kPinHybrid, 4, 8, 0, kPinNone,
-     13118355278893565575ull, 759, 59, 9561368},
-    {"hybrid/spray8/b0/d1", kPinHybrid, 0, 1, 8, kPinNone,
-     64573191973845852ull, 976, 0, 0},
-    {"hybrid/spray8/b0/d2", kPinHybrid, 0, 2, 8, kPinNone,
-     64573191973845852ull, 976, 0, 0},
-    {"hybrid/spray8/b0/d8", kPinHybrid, 0, 8, 8, kPinNone,
-     64573191973845852ull, 976, 0, 0},
-    {"hybrid/spray8/b1/d1", kPinHybrid, 1, 1, 8, kPinNone,
-     14664147301329794281ull, 980, 151, 26513518},
-    {"hybrid/spray8/b1/d2", kPinHybrid, 1, 2, 8, kPinNone,
-     3474743523156864337ull, 979, 111, 17988873},
-    {"hybrid/spray8/b1/d8", kPinHybrid, 1, 8, 8, kPinNone,
-     15594644069961948429ull, 979, 65, 13094019},
-    {"hybrid/spray8/b4/d1", kPinHybrid, 4, 1, 8, kPinNone,
-     9970791074529688582ull, 987, 394, 64145759},
-    {"hybrid/spray8/b4/d2", kPinHybrid, 4, 2, 8, kPinNone,
-     818011393994902398ull, 978, 188, 33436506},
-    {"hybrid/spray8/b4/d8", kPinHybrid, 4, 8, 8, kPinNone,
-     11311923845282348544ull, 979, 92, 16452222},
-    {"pull/lb/b1/d2/crash", kPinPull, 1, 2, 0, kPinCrash,
+    {"pull/lb/b1/d2/crash", 1, 2, 0, kPinCrash,
      4304978121742042414ull, 1015, 107, 13504030},
-    {"hybrid/spray8/b4/d2/crash", kPinHybrid, 4, 2, 8, kPinCrash,
-     3585752834852481729ull, 1014, 254, 42342796},
-    {"pull/lb/b4/d1/plan", kPinPull, 4, 1, 0, kPinPlan,
+    {"pull/spray8/b4/d1/crash", 4, 1, 8, kPinCrash,
+     11354543297391243961ull, 1013, 278, 43540560},
+    {"pull/lb/b4/d1/plan", 4, 1, 0, kPinPlan,
      14229613929874179597ull, 1012, 330, 52446128},
-    {"hybrid/lb/b1/d2/plan", kPinHybrid, 1, 2, 0, kPinPlan,
-     4127480576585630029ull, 784, 54, 7442643},
+    {"pull/lb/b1/d2/plan", 1, 2, 0, kPinPlan,
+     5198164955365676883ull, 1012, 54, 5916795},
 };
 
 TEST(PullMatcherGoldenTest, ClaimScheduleMatchesPinnedValues) {

@@ -14,8 +14,8 @@
 //           [--write_fraction=0]         # outputs per invocation knob
 //           [--routers=0]                # >0: route through a RouterTier
 //           [--dispatch=color|spray] [--sync_lag_ms=0] [--hop_us=200]
-//           [--dispatch_mode=push|pull|hybrid]  # worker binding (DISPATCH.md)
-//           [--steal_budget=4]           # pull/hybrid: max in-flight steals
+//           [--dispatch_mode=push|pull]  # worker binding (DISPATCH.md)
+//           [--steal_budget=4]           # pull: max in-flight steals
 //           [--coherence=off|write-through|write-back|causal]  # STORAGE.md
 //           [--dirty_age_ms=50] [--staleness_ms=100] [--ae_lag_ms=10]
 //           [--storage_tiers=1]          # 2: fast/slow backing store
@@ -62,6 +62,7 @@
 // threads. Digests are bit-identical for every --shards value; --shards=0
 // (the default) keeps today's monolithic single-simulator paths
 // byte-identical. --routers and --sweep apply to monolithic mode only.
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <string>
@@ -251,7 +252,7 @@ void AppendStorageStatsJson(const StorageStats& s, JsonWriter* json) {
 // out of the output while its layer is off, so those runs keep their
 // pre-section JSON.
 struct CounterSections {
-  bool pull = false;     // --dispatch_mode=pull|hybrid
+  bool pull = false;     // --dispatch_mode=pull
   bool storage = false;  // --coherence other than off
   bool planner = false;  // --plan_every_ms > 0
   bool router = false;   // --routers > 0, or --group_routers > 0 sharded
@@ -452,6 +453,23 @@ bool EmitTelemetry(const WorkloadTelemetry& telemetry,
   return true;
 }
 
+// Reads a capacity flag given in MiB into `*out`, defaulting to
+// `fallback`. A negative, non-finite or out-of-range size has no Bytes
+// value (the conversion would be undefined), so it is bad input.
+bool CapacityFlag(const FlagParser& flags, const char* name, Bytes fallback,
+                  Bytes* out) {
+  const double mib = flags.GetDouble(
+      name, static_cast<double>(fallback) / static_cast<double>(kMiB));
+  const double bytes = mib * static_cast<double>(kMiB);
+  if (!std::isfinite(bytes) || bytes < 0 || bytes >= std::ldexp(1.0, 64)) {
+    std::fprintf(stderr, "--%s must be a size in [0, 2^44) MiB: %s\n", name,
+                 flags.GetString(name, "").c_str());
+    return false;
+  }
+  *out = static_cast<Bytes>(bytes);
+  return true;
+}
+
 int Run(int argc, char** argv) {
   const FlagParser flags(argc, argv);
 
@@ -503,22 +521,20 @@ int Run(int argc, char** argv) {
   const bool dump_samples = flags.GetBool("dump_samples", false);
   const std::string out_path = flags.GetString("out", "BENCH_slo.json");
   PlatformConfig platform_config = DefaultWorkloadPlatformConfig();
-  platform_config.cache.per_instance_capacity = static_cast<Bytes>(
-      flags.GetDouble("cache_mb",
-                      static_cast<double>(
-                          platform_config.cache.per_instance_capacity) /
-                          static_cast<double>(kMiB)) *
-      static_cast<double>(kMiB));
+  if (!CapacityFlag(flags, "cache_mb",
+                    platform_config.cache.per_instance_capacity,
+                    &platform_config.cache.per_instance_capacity)) {
+    return 1;
+  }
   // Dispatch binding (docs/DISPATCH.md): --dispatch_mode=push keeps
-  // route-time binding; pull/hybrid late-bind via per-color pending queues
-  // with budget-gated locality-aware stealing.
+  // route-time binding; pull late-binds via per-color pending queues with
+  // budget-gated locality-aware stealing.
   const std::string dispatch_mode_id = flags.GetString(
       "dispatch_mode",
       std::string(FaasDispatchModeId(platform_config.dispatch_mode)));
   if (!ParseFaasDispatchMode(dispatch_mode_id,
                              &platform_config.dispatch_mode)) {
-    std::fprintf(stderr,
-                 "unknown dispatch_mode: %s (try: push pull hybrid)\n",
+    std::fprintf(stderr, "unknown dispatch_mode: %s (try: push pull)\n",
                  dispatch_mode_id.c_str());
     return 1;
   }
@@ -554,12 +570,11 @@ int Run(int argc, char** argv) {
   const int storage_tiers =
       static_cast<int>(flags.GetInt("storage_tiers", 1));
   platform_config.storage.tiers.two_tier = storage_tiers >= 2;
-  platform_config.storage.tiers.fast_capacity = static_cast<Bytes>(
-      flags.GetDouble("fast_mb",
-                      static_cast<double>(
-                          platform_config.storage.tiers.fast_capacity) /
-                          static_cast<double>(kMiB)) *
-      static_cast<double>(kMiB));
+  if (!CapacityFlag(flags, "fast_mb",
+                    platform_config.storage.tiers.fast_capacity,
+                    &platform_config.storage.tiers.fast_capacity)) {
+    return 1;
+  }
 
   // Telemetry flags (docs/OBSERVABILITY.md).
   WorkloadObsConfig obs;
@@ -704,7 +719,7 @@ int Run(int argc, char** argv) {
   }
 
   CounterSections sections;
-  sections.pull = platform_config.dispatch_mode != FaasDispatchMode::kPush;
+  sections.pull = platform_config.dispatch_mode == FaasDispatchMode::kPull;
   sections.storage = platform_config.storage.enabled();
   sections.planner = planner_config.enabled();
   sections.router =
