@@ -5,6 +5,7 @@
 #ifndef PALETTE_BENCH_BENCH_UTIL_H_
 #define PALETTE_BENCH_BENCH_UTIL_H_
 
+#include <array>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
@@ -12,6 +13,7 @@
 #include "src/dag/dag_executor.h"
 #include "src/dag/serverful_scheduler.h"
 #include "src/obs/trace.h"
+#include "src/workload/sharded_run.h"
 
 namespace palette {
 
@@ -115,6 +117,33 @@ inline DagRunConfig MakeDagRun(PolicyKind policy, ColoringKind coloring,
   config.seed = seed;
   config.platform = platform;
   return config;
+}
+
+// Shard invariance (docs/PERF.md, "Parallel engine"): runs one sharded cell
+// at --shards 1 and 4 (run.profile.shards) and returns both runs. Clears
+// `*ok`, naming `cell` on stderr, unless both runs' books close and the
+// runs agree on the samples and engine digests and on every RunCounters
+// field.
+inline std::array<WorkloadRunResult, 2> RunShardInvariantCell(
+    const char* cell, const WorkloadSpec& spec, PolicyKind policy,
+    int workers, ShardedWorkloadConfig config, const SloConfig& slo,
+    const PlatformConfig& platform, bool* ok) {
+  std::array<WorkloadRunResult, 2> runs;
+  for (std::size_t i = 0; i < runs.size(); ++i) {
+    config.shards = i == 0 ? 1 : 4;
+    runs[i] = RunShardedWorkload(spec, policy, workers, config, slo, platform);
+  }
+  if (!runs[0].books_close || !runs[1].books_close ||
+      runs[0].samples_digest != runs[1].samples_digest ||
+      runs[0].engine_digest != runs[1].engine_digest ||
+      !(runs[0].counters == runs[1].counters)) {
+    std::fprintf(stderr,
+                 "FAIL: %s: books do not close, or --shards 1 and 4 "
+                 "diverged\n",
+                 cell);
+    *ok = false;
+  }
+  return runs;
 }
 
 }  // namespace palette

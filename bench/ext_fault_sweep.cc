@@ -151,7 +151,7 @@ bool RunAlertCell(JsonWriter* json) {
     // the restart spreads them back — so the latency episode actually
     // ends (failure-aware-only policies leave the colors piled on the
     // survivor and the saturation never recovers).
-    const ShardedRunResult run =
+    const WorkloadRunResult run =
         RunShardedWorkload(spec, PolicyKind::kBucketHashing, kWorkers,
                            sharded, slo, config, &faults);
     if (run.telemetry.alerts == nullptr) {

@@ -29,6 +29,7 @@
 #include <string>
 #include <vector>
 
+#include "bench/bench_util.h"
 #include "src/common/json_writer.h"
 #include "src/common/table_printer.h"
 #include "src/core/policy_factory.h"
@@ -68,7 +69,6 @@ PlannerConfig BenchPlanner() {
 struct Cell {
   std::string label;
   WorkloadRunResult run;
-  bool books_close = false;
 };
 
 Cell RunCell(const std::string& label, double zipf_s, PolicyKind policy,
@@ -81,7 +81,6 @@ Cell RunCell(const std::string& label, double zipf_s, PolicyKind policy,
   cell.run = RunWorkload(SkewSpec(zipf_s), policy, kWorkers, slo,
                          DefaultWorkloadPlatformConfig(), nullptr, nullptr,
                          planner);
-  cell.books_close = cell.run.counters.platform.BooksClose();
   return cell;
 }
 
@@ -108,7 +107,7 @@ void AppendCellJson(double zipf_s, const Cell& cell, JsonWriter* json) {
   json->Key("planner_moved_bytes");
   json->UInt(cell.run.counters.platform.planner_moved_bytes);
   json->Key("books_close");
-  json->Bool(cell.books_close);
+  json->Bool(cell.run.books_close);
   json->Key("samples_digest");
   json->UInt(cell.run.samples_digest);
   json->EndObject();
@@ -129,36 +128,17 @@ bool RunShardedCell(JsonWriter* json) {
   json->Key("sharded_cells");
   json->BeginArray();
   bool ok = true;
-  std::uint64_t first_samples = 0, first_engine = 0, first_moves = 0;
-  for (const int shards : {1, 4}) {
-    config.shards = shards;
-    const ShardedRunResult run =
-        RunShardedWorkload(spec, PolicyKind::kLeastAssigned, kWorkers,
-                           config, slo, DefaultWorkloadPlatformConfig());
-    if (shards == 1) {
-      first_samples = run.samples_digest;
-      first_engine = run.engine_digest;
-      first_moves = run.counters.planner_moves;
-    } else if (run.samples_digest != first_samples ||
-               run.engine_digest != first_engine ||
-               run.counters.planner_moves != first_moves) {
-      std::fprintf(stderr,
-                   "FAIL: sharded planner run diverged at --shards=%d\n",
-                   shards);
-      ok = false;
-    }
-    if (!run.books_close) {
-      std::fprintf(stderr, "FAIL: sharded books do not close (shards=%d)\n",
-                   shards);
-      ok = false;
-    }
+  const auto runs = RunShardInvariantCell(
+      "sharded planner cell", spec, PolicyKind::kLeastAssigned, kWorkers,
+      config, slo, DefaultWorkloadPlatformConfig(), &ok);
+  for (const WorkloadRunResult& run : runs) {
     if (run.counters.platform.planner_rounds == 0) {
       std::fprintf(stderr, "FAIL: sharded planner never ran\n");
       ok = false;
     }
     json->BeginObject();
     json->Key("shards");
-    json->Int(shards);
+    json->Int(run.profile.shards);
     json->Key("samples_digest");
     json->UInt(run.samples_digest);
     json->Key("engine_digest");
@@ -234,9 +214,9 @@ void Run() {
            StrFormat("%llu", (unsigned long long)c.platform.planner_rounds),
            StrFormat("%llu", (unsigned long long)c.planner_moves),
            StrFormat("%llu", (unsigned long long)c.planner_splits),
-           cell->books_close ? "close" : "VIOLATED"});
+           cell->run.books_close ? "close" : "VIOLATED"});
       AppendCellJson(s, *cell, &json);
-      if (!cell->books_close) {
+      if (!cell->run.books_close) {
         std::fprintf(stderr, "FAIL: books do not close (s=%.1f, %s)\n", s,
                      cell->label.c_str());
         ok = false;

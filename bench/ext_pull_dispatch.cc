@@ -34,6 +34,7 @@
 #include <string>
 #include <vector>
 
+#include "bench/bench_util.h"
 #include "src/common/json_writer.h"
 #include "src/common/table_printer.h"
 #include "src/router/router_tier.h"
@@ -64,7 +65,6 @@ WorkloadSpec BurstSpec(ArrivalKind arrival) {
 struct Cell {
   std::string label;
   WorkloadRunResult run;
-  bool books_close = false;
 };
 
 Cell RunCell(const std::string& label, ArrivalKind arrival, int routers,
@@ -83,7 +83,6 @@ Cell RunCell(const std::string& label, ArrivalKind arrival, int routers,
   cell.run = RunRouterWorkload(BurstSpec(arrival), PolicyKind::kLeastAssigned,
                                kWorkers, tier_config, slo, platform_config,
                                faults);
-  cell.books_close = cell.run.counters.platform.BooksClose();
   return cell;
 }
 
@@ -107,7 +106,7 @@ void AppendCellJson(std::string_view arrival, const Cell& cell,
   json->Key("steal_bytes");
   json->UInt(cell.run.counters.platform.steal_bytes);
   json->Key("books_close");
-  json->Bool(cell.books_close);
+  json->Bool(cell.run.books_close);
   json->Key("samples_digest");
   json->UInt(cell.run.samples_digest);
   json->EndObject();
@@ -129,42 +128,18 @@ bool RunShardedCell(JsonWriter* json) {
   json->Key("sharded_cells");
   json->BeginArray();
   bool ok = true;
-  std::uint64_t first_samples = 0, first_engine = 0;
-  std::uint64_t first_pulls = 0, first_steals = 0;
-  Bytes first_steal_bytes = 0;
-  for (const int shards : {1, 4}) {
-    config.shards = shards;
-    const ShardedRunResult run =
-        RunShardedWorkload(spec, PolicyKind::kLeastAssigned, kWorkers,
-                           config, slo, platform_config);
-    const PlatformCounters& c = run.counters.platform;
-    if (shards == 1) {
-      first_samples = run.samples_digest;
-      first_engine = run.engine_digest;
-      first_pulls = c.pulls;
-      first_steals = c.steals;
-      first_steal_bytes = c.steal_bytes;
-    } else if (run.samples_digest != first_samples ||
-               run.engine_digest != first_engine ||
-               c.pulls != first_pulls || c.steals != first_steals ||
-               c.steal_bytes != first_steal_bytes) {
-      std::fprintf(stderr,
-                   "FAIL: sharded pull run diverged at --shards=%d\n",
-                   shards);
-      ok = false;
-    }
-    if (!run.books_close) {
-      std::fprintf(stderr, "FAIL: sharded books do not close (shards=%d)\n",
-                   shards);
-      ok = false;
-    }
+  const auto runs =
+      RunShardInvariantCell("sharded pull cell", spec,
+                            PolicyKind::kLeastAssigned, kWorkers, config,
+                            slo, platform_config, &ok);
+  for (const WorkloadRunResult& run : runs) {
     if (run.counters.platform.pulls == 0) {
       std::fprintf(stderr, "FAIL: sharded pull dispatch never pulled\n");
       ok = false;
     }
     json->BeginObject();
     json->Key("shards");
-    json->Int(shards);
+    json->Int(run.profile.shards);
     json->Key("samples_digest");
     json->UInt(run.samples_digest);
     json->Key("engine_digest");
@@ -231,9 +206,9 @@ void Run() {
                      (unsigned long long)cell->run.counters.platform.pulls),
            StrFormat("%llu",
                      (unsigned long long)cell->run.counters.platform.steals),
-           cell->books_close ? "close" : "VIOLATED"});
+           cell->run.books_close ? "close" : "VIOLATED"});
       AppendCellJson(arrival_id, *cell, &json);
-      if (!cell->books_close) {
+      if (!cell->run.books_close) {
         std::fprintf(stderr, "FAIL: books do not close (%s, %s)\n",
                      std::string(arrival_id).c_str(), cell->label.c_str());
         ok = false;
@@ -314,9 +289,9 @@ void Run() {
                    (unsigned long long)faulted.run.counters.platform.pulls),
          StrFormat("%llu",
                    (unsigned long long)faulted.run.counters.platform.steals),
-         faulted.books_close ? "close" : "VIOLATED"});
+         faulted.run.books_close ? "close" : "VIOLATED"});
     AppendCellJson("mmpp+faults", faulted, &json);
-    if (!faulted.books_close) {
+    if (!faulted.run.books_close) {
       std::fprintf(stderr, "FAIL: books do not close under faults\n");
       ok = false;
     }

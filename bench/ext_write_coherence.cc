@@ -35,6 +35,7 @@
 #include <string>
 #include <vector>
 
+#include "bench/bench_util.h"
 #include "src/common/json_writer.h"
 #include "src/common/table_printer.h"
 #include "src/router/router_tier.h"
@@ -84,7 +85,6 @@ struct Cell {
   std::string label;
   CoherenceMode mode = CoherenceMode::kNone;
   WorkloadRunResult run;
-  bool books_close = false;
 };
 
 Cell RunCell(const std::string& label, CoherenceMode mode, int routers,
@@ -111,7 +111,6 @@ Cell RunCell(const std::string& label, CoherenceMode mode, int routers,
   cell.run = RunRouterWorkload(WriteHeavySpec(), PolicyKind::kLeastAssigned,
                                kWorkers, tier_config, slo, platform_config,
                                faults);
-  cell.books_close = cell.run.counters.platform.BooksClose();
   return cell;
 }
 
@@ -157,7 +156,7 @@ void AppendCellJson(const Cell& cell, JsonWriter* json) {
   json->Key("goodput_rps");
   json->Double(cell.run.report.goodput_rps);
   json->Key("books_close");
-  json->Bool(cell.books_close);
+  json->Bool(cell.run.books_close);
   json->Key("samples_digest");
   json->UInt(cell.run.samples_digest);
   json->Key("storage");
@@ -167,7 +166,7 @@ void AppendCellJson(const Cell& cell, JsonWriter* json) {
 
 // Books for a cell: both the platform identity and the write identity.
 bool CellBooksClose(const Cell& cell) {
-  return cell.books_close && cell.run.counters.storage.WriteBooksClose();
+  return cell.run.books_close && cell.run.counters.storage.WriteBooksClose();
 }
 
 void AddTableRow(TablePrinter* table, const Cell& cell) {
@@ -202,38 +201,13 @@ bool RunShardedCell(JsonWriter* json) {
   json->Key("sharded_cells");
   json->BeginArray();
   bool ok = true;
-  std::uint64_t first_samples = 0, first_engine = 0;
-  StorageStats first_storage;
-  for (const int shards : {1, 4}) {
-    config.shards = shards;
-    const ShardedRunResult run =
-        RunShardedWorkload(spec, PolicyKind::kLeastAssigned, kWorkers,
-                           config, slo, platform_config);
+  const auto runs = RunShardInvariantCell(
+      "sharded write-heavy cell", spec, PolicyKind::kLeastAssigned, kWorkers,
+      config, slo, platform_config, &ok);
+  for (const WorkloadRunResult& run : runs) {
     const StorageStats& s = run.counters.storage;
-    if (shards == 1) {
-      first_samples = run.samples_digest;
-      first_engine = run.engine_digest;
-      first_storage = s;
-    } else if (run.samples_digest != first_samples ||
-               run.engine_digest != first_engine ||
-               s.writes_total != first_storage.writes_total ||
-               s.writes_durable != first_storage.writes_durable ||
-               s.writes_lost != first_storage.writes_lost ||
-               s.coherence_syncs != first_storage.coherence_syncs ||
-               s.coherence_bytes != first_storage.coherence_bytes ||
-               s.stale_reads != first_storage.stale_reads ||
-               s.max_served_staleness_ns !=
-                   first_storage.max_served_staleness_ns ||
-               s.ae_records != first_storage.ae_records ||
-               s.ae_applied != first_storage.ae_applied) {
-      std::fprintf(stderr,
-                   "FAIL: sharded write-heavy run diverged at --shards=%d\n",
-                   shards);
-      ok = false;
-    }
-    if (!run.books_close || !s.WriteBooksClose()) {
-      std::fprintf(stderr, "FAIL: sharded books do not close (shards=%d)\n",
-                   shards);
+    if (!s.WriteBooksClose()) {
+      std::fprintf(stderr, "FAIL: sharded write books do not close\n");
       ok = false;
     }
     if (s.writes_total == 0) {
@@ -242,7 +216,7 @@ bool RunShardedCell(JsonWriter* json) {
     }
     json->BeginObject();
     json->Key("shards");
-    json->Int(shards);
+    json->Int(run.profile.shards);
     json->Key("samples_digest");
     json->UInt(run.samples_digest);
     json->Key("engine_digest");

@@ -333,7 +333,7 @@ double MeasureEventsPerSec(std::uint64_t n) {
 // digests; a mismatch fails the binary so CI catches it.
 struct ShardedPoint {
   int shards = 1;
-  ShardedRunResult run;
+  WorkloadRunResult run;
 };
 
 std::vector<ShardedPoint> MeasureShardedEngine() {

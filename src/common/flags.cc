@@ -1,6 +1,8 @@
 #include "src/common/flags.h"
 
 #include <charconv>
+#include <cmath>
+#include <cstdio>
 #include <string_view>
 
 namespace palette {
@@ -89,6 +91,35 @@ std::vector<std::string> FlagParser::UnqueriedFlags() const {
     }
   }
   return out;
+}
+
+bool DurationFlag(const FlagParser& flags, const char* name, SimTime unit,
+                  SimTime* value) {
+  const double unit_ns = static_cast<double>(unit.nanos());
+  const double ns =
+      flags.GetDouble(name, static_cast<double>(value->nanos()) / unit_ns) *
+      unit_ns;
+  if (!std::isfinite(ns) || ns < 0 || ns >= std::ldexp(1.0, 63)) {
+    std::fprintf(stderr,
+                 "--%s must be a duration in [0, 2^63) ns: %s\n", name,
+                 flags.GetString(name, "").c_str());
+    return false;
+  }
+  *value = SimTime::FromNanos(static_cast<std::int64_t>(ns));
+  return true;
+}
+
+bool CapacityFlag(const FlagParser& flags, const char* name, Bytes* value) {
+  const double mib = flags.GetDouble(
+      name, static_cast<double>(*value) / static_cast<double>(kMiB));
+  const double bytes = mib * static_cast<double>(kMiB);
+  if (!std::isfinite(bytes) || bytes < 0 || bytes >= std::ldexp(1.0, 64)) {
+    std::fprintf(stderr, "--%s must be a size in [0, 2^44) MiB: %s\n", name,
+                 flags.GetString(name, "").c_str());
+    return false;
+  }
+  *value = static_cast<Bytes>(bytes);
+  return true;
 }
 
 }  // namespace palette

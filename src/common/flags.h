@@ -11,6 +11,8 @@
 #include <string>
 #include <vector>
 
+#include "src/common/types.h"
+
 namespace palette {
 
 class FlagParser {
@@ -37,6 +39,22 @@ class FlagParser {
   mutable std::map<std::string, bool> queried_;
   std::vector<std::string> positional_;
 };
+
+// Readers for flags whose values convert to a bounded type. Each prints a
+// message naming the flag and returns false when the value has no such
+// conversion (it would be undefined), so a tool can exit 1 instead.
+
+// Reads a duration given in multiples of `unit` (SimTime::FromMillis(1) for
+// a `_ms` flag) into `*value`, which holds the default. Negative,
+// non-finite and out-of-range (>= 2^63 ns) values are bad input; in range,
+// the result equals SimTime::From{Seconds,Millis,Micros} of the value.
+bool DurationFlag(const FlagParser& flags, const char* name, SimTime unit,
+                  SimTime* value);
+
+// Reads a capacity given in MiB into `*value`, which holds the default.
+// Negative, non-finite and out-of-range (>= 2^64 bytes) sizes are bad
+// input.
+bool CapacityFlag(const FlagParser& flags, const char* name, Bytes* value);
 
 }  // namespace palette
 

@@ -171,6 +171,7 @@ struct PlatformCounters {
   Bytes planner_moved_bytes = 0;     // planner.moved_bytes
 
   PlatformCounters& operator+=(const PlatformCounters& other);
+  bool operator==(const PlatformCounters&) const = default;
   // The accounting identity, which holds once the simulator drains with no
   // invocation mid-flight.
   bool BooksClose() const {

@@ -126,6 +126,7 @@ struct StorageStats {
   Bytes tier_demoted_bytes = 0;
 
   void Accumulate(const StorageStats& other);
+  bool operator==(const StorageStats&) const = default;
   // True iff the write books close (see above).
   bool WriteBooksClose() const {
     return writes_total == writes_durable + writes_lost;

@@ -2,9 +2,11 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cstdio>
 #include <memory>
 #include <utility>
 
+#include "src/common/flags.h"
 #include "src/common/rng.h"
 #include "src/common/table_printer.h"
 #include "src/hash/hash.h"
@@ -36,7 +38,30 @@ struct PendingDispatch {
 
 }  // namespace
 
-ShardedRunResult RunShardedWorkload(
+bool ShardedWorkloadConfigFromFlags(const FlagParser& flags,
+                                    ShardedWorkloadConfig* out) {
+  ShardedWorkloadConfig config = *out;
+  config.groups = static_cast<int>(flags.GetInt("groups", config.groups));
+  config.routers_per_group = static_cast<int>(
+      flags.GetInt("group_routers", config.routers_per_group));
+  if (!DurationFlag(flags, "shard_hop_us", SimTime::FromMicros(1),
+                    &config.hop)) {
+    return false;
+  }
+  const char* bad = config.groups < 1 ? "--groups must be at least 1"
+                    : config.routers_per_group < 0
+                        ? "--group_routers must not be negative"
+                    : config.hop <= SimTime() ? "--shard_hop_us must be positive"
+                                              : nullptr;
+  if (bad != nullptr) {
+    std::fprintf(stderr, "%s\n", bad);
+    return false;
+  }
+  *out = config;
+  return true;
+}
+
+WorkloadRunResult RunShardedWorkload(
     const WorkloadSpec& spec, PolicyKind policy, int total_workers,
     const ShardedWorkloadConfig& config, const SloConfig& slo,
     const PlatformConfig& platform_config,
@@ -154,43 +179,20 @@ ShardedRunResult RunShardedWorkload(
         // booked above. Ids are front-door-synthetic.
         return ++next_dispatch_id;
       });
-  // Telemetry: one registry + sampler per domain, each driven by its own
-  // event core's clock observer. Domain 0 samples the front-door driver
-  // books; each group domain samples its platform + tier. Refreshes run on
-  // whatever shard owns the domain, touching only domain-local state.
+  // Telemetry: one session per domain, each on its own event core's clock
+  // observer. Domain 0 samples the front-door driver; each group domain
+  // samples its platform and tier. Refreshes run on whatever shard owns
+  // the domain, touching only domain-local state.
   const int domains = groups + 1;
-  std::vector<std::shared_ptr<MetricsRegistry>> domain_metrics;
-  std::vector<std::shared_ptr<TimeSeriesSampler>> domain_series;
+  std::vector<WorkloadTelemetry> sessions;
   if (config.obs.enabled()) {
-    TimeSeriesConfig ts_config;
-    ts_config.interval = config.obs.sample_every;
-    ts_config.ring_capacity = config.obs.ring_capacity;
-    for (int d = 0; d < domains; ++d) {
-      domain_metrics.push_back(std::make_shared<MetricsRegistry>());
-      domain_series.push_back(std::make_shared<TimeSeriesSampler>(ts_config));
-      domain_series.back()->set_source(domain_metrics.back().get());
-      engine.domain_sim(d).SetClockObserver(
-          config.obs.sample_every,
-          [sampler = domain_series.back().get()](SimTime mark) {
-            sampler->Sample(mark);
-          });
-    }
-    domain_series[0]->set_refresh([&driver, m = domain_metrics[0].get()] {
-      m->counter("driver.submitted").Set(driver.submitted());
-      m->counter("driver.completed").Set(driver.completed());
-      m->counter("driver.rejected").Set(driver.rejected());
-    });
+    sessions.push_back(
+        BeginTelemetry(config.obs, &front, nullptr, nullptr, &driver));
     for (int g = 0; g < groups; ++g) {
-      GroupState* group = &group_states[static_cast<std::size_t>(g)];
-      group->platform->set_metrics(domain_metrics[1 + g].get());
-      domain_series[1 + g]->set_refresh(
-          [group, m = domain_metrics[1 + g].get()] {
-            group->platform->ExportMetrics(m, std::string(),
-                                           /*per_worker=*/false);
-            if (group->tier != nullptr) {
-              group->tier->ExportMetrics(m);
-            }
-          });
+      GroupState& group = group_states[static_cast<std::size_t>(g)];
+      sessions.push_back(BeginTelemetry(config.obs, &engine.domain_sim(1 + g),
+                                        group.platform.get(),
+                                        group.tier.get(), nullptr));
     }
   }
 
@@ -200,7 +202,7 @@ ShardedRunResult RunShardedWorkload(
   const std::uint64_t events = engine.Run();
   const auto wall_end = std::chrono::steady_clock::now();
 
-  ShardedRunResult result;
+  WorkloadRunResult result;
   if (config.obs.enabled()) {
     // Close the books on the run's own (shard-count-invariant) clocks: the
     // common horizon is the latest domain clock or the nominal duration,
@@ -211,37 +213,22 @@ ShardedRunResult RunShardedWorkload(
     for (int d = 0; d < domains; ++d) {
       horizon = std::max(horizon, engine.domain_sim(d).Now());
     }
-    for (int d = 0; d < domains; ++d) {
-      engine.domain_sim(d).FlushObserverUpTo(horizon);
-      engine.domain_sim(d).SetClockObserver(SimTime(), nullptr);
-      domain_series[static_cast<std::size_t>(d)]->set_refresh(nullptr);
-    }
+    FinishTelemetry(&front, nullptr, nullptr, &driver, horizon, &sessions[0]);
     for (int g = 0; g < groups; ++g) {
-      const GroupState& group = group_states[static_cast<std::size_t>(g)];
-      group.platform->ExportMetrics(domain_metrics[1 + g].get());
-      if (group.tier != nullptr) {
-        group.tier->ExportMetrics(domain_metrics[1 + g].get());
-      }
+      GroupState& group = group_states[static_cast<std::size_t>(g)];
+      FinishTelemetry(&engine.domain_sim(1 + g), group.platform.get(),
+                      group.tier.get(), nullptr, horizon,
+                      &sessions[static_cast<std::size_t>(1 + g)]);
     }
-    domain_metrics[0]->counter("driver.submitted").Set(driver.submitted());
-    domain_metrics[0]->counter("driver.completed").Set(driver.completed());
-    domain_metrics[0]->counter("driver.rejected").Set(driver.rejected());
-
     result.telemetry.metrics = std::make_shared<MetricsRegistry>();
-    result.telemetry.series = domain_series[0];
-    for (int d = 0; d < domains; ++d) {
-      result.telemetry.metrics->MergeFrom(
-          *domain_metrics[static_cast<std::size_t>(d)]);
+    result.telemetry.series = sessions[0].series;
+    for (std::size_t d = 0; d < sessions.size(); ++d) {
+      result.telemetry.metrics->MergeFrom(*sessions[d].metrics);
       if (d > 0) {
-        domain_series[0]->MergeFrom(
-            *domain_series[static_cast<std::size_t>(d)]);
+        result.telemetry.series->MergeFrom(*sessions[d].series);
       }
     }
-    if (!config.obs.alert_rules.empty()) {
-      result.telemetry.alerts =
-          std::make_shared<AlertEngine>(config.obs.alert_rules);
-      result.telemetry.alerts->Run(*result.telemetry.series);
-    }
+    EvaluateAlerts(config.obs, &result.telemetry);
   }
   result.profile = engine.profile();
   result.report = ScoreSlo(driver.samples(), slo, spec.driver.duration,
@@ -252,16 +239,12 @@ ShardedRunResult RunShardedWorkload(
   result.epochs = engine.epochs();
   result.wall_seconds =
       std::chrono::duration<double>(wall_end - wall_start).count();
-  result.driver_submitted = driver.submitted();
-  result.driver_completed = driver.completed();
+  std::uint64_t rejections = 0;
   for (const GroupState& group : group_states) {
     result.counters += CollectRunCounters(*group.platform, group.tier.get());
-    result.group_rejections += group.rejections;
+    rejections += group.rejections;
   }
-  result.books_close =
-      result.driver_submitted ==
-          result.counters.platform.submitted + result.group_rejections &&
-      result.counters.platform.BooksClose();
+  CloseBooks(driver, rejections, &result);
   return result;
 }
 

@@ -51,14 +51,13 @@ struct ShardedWorkloadConfig {
   SimTime group_sync_lag;
   DispatchMode group_dispatch = DispatchMode::kColorPartition;
   std::size_t channel_capacity = 256;
-  // Telemetry: when obs.enabled(), every domain gets its own registry +
-  // sampler on its event core's clock observer (share-nothing, like the
-  // domains themselves), and after the run the per-domain series and
-  // registries fold into cluster telemetry in fixed domain order — so the
+  // Telemetry: when obs.enabled(), every domain runs its own session
+  // (BeginTelemetry, src/workload/spec.h), and after the run the
+  // per-domain series and registries fold in fixed domain order — so the
   // merged CSV and alert log are bit-identical across `shards` values.
   WorkloadObsConfig obs;
   // Engine profiler (ShardedSimulatorConfig::profile): wall-clock phase
-  // timings and per-epoch logs, reported via ShardedRunResult::profile.
+  // timings and per-epoch logs, reported via WorkloadRunResult::profile.
   bool profile = false;
   // Global re-balancer (docs/PLANNER.md). When enabled, each group domain
   // runs its own PlannerRuntime against its platform on the group's event
@@ -67,6 +66,11 @@ struct ShardedWorkloadConfig {
   PlannerConfig planner{.plan_every = SimTime()};
 };
 
+// Reads --groups (>= 1), --group_routers (>= 0) and --shard_hop_us (> 0)
+// into `*out`; returns false (and prints to stderr) on a bad value.
+bool ShardedWorkloadConfigFromFlags(const FlagParser& flags,
+                                    ShardedWorkloadConfig* out);
+
 // A fault aimed at one group's platform/tier. Worker names follow the
 // group scheme ("g2w0"); router names are per-group ("r1").
 struct ShardedFault {
@@ -74,39 +78,8 @@ struct ShardedFault {
   FaultEvent event;
 };
 
-struct ShardedRunResult {
-  SloReport report;
-  // Order-sensitive digest over the front door's sample book — the
-  // BENCH_slo digest CI compares across --shards values.
-  std::uint64_t samples_digest = 0;
-  // The engine's combined per-domain event digest (same invariant).
-  std::uint64_t engine_digest = 0;
-  std::uint64_t sim_events = 0;
-  std::uint64_t epochs = 0;
-  double wall_seconds = 0;
-
-  // Books. Once the engine drains:
-  //   driver_submitted == counters.platform.submitted + group_rejections,
-  // and counters.platform.BooksClose() holds; books_close is both.
-  std::uint64_t driver_submitted = 0;
-  std::uint64_t driver_completed = 0;
-  // Invocations no group platform/tier would accept (books as rejected).
-  std::uint64_t group_rejections = 0;
-  bool books_close = false;
-
-  // Every group's RunCounters, summed. The per-group write-books identity
-  // survives the summation:
-  //   storage.writes_total == storage.writes_durable + storage.writes_lost.
-  RunCounters counters;
-
-  // Cluster telemetry (null members unless config.obs enabled): registry
-  // merged via MetricsRegistry::MergeFrom and series merged window-by-
-  // window, both folded in domain order.
-  WorkloadTelemetry telemetry;
-  // Engine profiler snapshot (counts always valid; wall times and epoch
-  // logs populated when config.profile was set).
-  EngineProfile profile;
-};
+// The old name of the harness result, still spelled by bench/ledger.
+using ShardedRunResult = WorkloadRunResult;
 
 // Runs `spec` against `config.groups` worker groups on the sharded engine,
 // with `total_workers` split evenly across groups (first groups take the
@@ -114,7 +87,7 @@ struct ShardedRunResult {
 // faults) give bit-identical samples, books, and digests for every
 // `config.shards` value. `faults`, when non-null, is installed on the
 // owning group's domain before the run starts.
-ShardedRunResult RunShardedWorkload(
+WorkloadRunResult RunShardedWorkload(
     const WorkloadSpec& spec, PolicyKind policy, int total_workers,
     const ShardedWorkloadConfig& config, const SloConfig& slo,
     const PlatformConfig& platform_config,

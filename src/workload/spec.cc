@@ -25,12 +25,22 @@ bool WorkloadSpecFromFlags(const FlagParser& flags, WorkloadSpec* out) {
       flags.GetDouble("rate", spec.arrival.rate_per_sec);
   spec.arrival.burst_multiplier =
       flags.GetDouble("burst_mult", spec.arrival.burst_multiplier);
-  spec.arrival.mean_on_seconds =
-      flags.GetDouble("on_s", spec.arrival.mean_on_seconds);
-  spec.arrival.mean_off_seconds =
-      flags.GetDouble("off_s", spec.arrival.mean_off_seconds);
-  spec.arrival.period_seconds =
-      flags.GetDouble("period_s", spec.arrival.period_seconds);
+  // The MMPP dwell means and the diurnal period: positive durations, kept
+  // in seconds at the simulator's nanosecond resolution.
+  for (const auto& [name, seconds] :
+       {std::pair{"on_s", &spec.arrival.mean_on_seconds},
+        std::pair{"off_s", &spec.arrival.mean_off_seconds},
+        std::pair{"period_s", &spec.arrival.period_seconds}}) {
+    SimTime duration = SimTime::FromSeconds(*seconds);
+    if (!DurationFlag(flags, name, SimTime::FromSeconds(1), &duration)) {
+      return false;
+    }
+    if (duration <= SimTime()) {
+      std::fprintf(stderr, "--%s must be positive\n", name);
+      return false;
+    }
+    *seconds = duration.seconds();
+  }
   spec.arrival.amplitude =
       flags.GetDouble("amplitude", spec.arrival.amplitude);
 
@@ -48,8 +58,10 @@ bool WorkloadSpecFromFlags(const FlagParser& flags, WorkloadSpec* out) {
   }
   spec.mix.color_count = static_cast<std::uint64_t>(colors);
   spec.mix.zipf_theta = flags.GetDouble("theta", spec.mix.zipf_theta);
-  spec.mix.churn_interval =
-      SimTime::FromSeconds(flags.GetDouble("churn_interval_s", 0));
+  if (!DurationFlag(flags, "churn_interval_s", SimTime::FromSeconds(1),
+                    &spec.mix.churn_interval)) {
+    return false;
+  }
   spec.mix.churn_step = static_cast<std::uint64_t>(
       flags.GetInt("churn_step", static_cast<std::int64_t>(
                                      spec.mix.color_count / 8)));
@@ -63,12 +75,10 @@ bool WorkloadSpecFromFlags(const FlagParser& flags, WorkloadSpec* out) {
   spec.mix.write_fraction =
       flags.GetDouble("write_fraction", spec.mix.write_fraction);
 
-  const double duration = flags.GetDouble("duration", 20);
-  if (!(duration >= 0)) {
-    std::fprintf(stderr, "--duration must not be negative: %g\n", duration);
+  if (!DurationFlag(flags, "duration", SimTime::FromSeconds(1),
+                    &spec.driver.duration)) {
     return false;
   }
-  spec.driver.duration = SimTime::FromSeconds(duration);
   spec.driver.max_invocations = static_cast<std::uint64_t>(
       flags.GetInt("max_invocations",
                    static_cast<std::int64_t>(spec.driver.max_invocations)));
@@ -122,31 +132,42 @@ void AppendWorkloadSpecJson(const WorkloadSpec& spec, JsonWriter* json) {
 
 namespace {
 
-// Attaches telemetry to a monolithic run: a live registry on the platform,
-// a per-window snapshot refresh, and the sampler driven by the simulator's
-// event-free clock observer — so the digests and samples are bit-identical
-// with obs on or off. Call after the driver exists, before Start().
+// Exports one domain's non-null sources into `m`. Per-window refreshes skip
+// the per-worker families: the sampler does not track them and their
+// export cost scales with the cluster.
+void ExportDomain(const FaasPlatform* platform, const RouterTier* tier,
+                  const OpenLoopDriver* driver, bool per_worker,
+                  MetricsRegistry* m) {
+  if (platform != nullptr) {
+    platform->ExportMetrics(m, std::string(), per_worker);
+  }
+  if (tier != nullptr) {
+    tier->ExportMetrics(m);
+  }
+  if (driver != nullptr) {
+    m->counter("driver.submitted").Set(driver->submitted());
+    m->counter("driver.completed").Set(driver->completed());
+    m->counter("driver.rejected").Set(driver->rejected());
+  }
+}
+
+}  // namespace
+
 WorkloadTelemetry BeginTelemetry(const WorkloadObsConfig& obs, Simulator* sim,
                                  FaasPlatform* platform, RouterTier* tier,
                                  const OpenLoopDriver* driver) {
   WorkloadTelemetry t;
   t.metrics = std::make_shared<MetricsRegistry>();
-  platform->set_metrics(t.metrics.get());
+  if (platform != nullptr) {
+    platform->set_metrics(t.metrics.get());
+  }
   TimeSeriesConfig ts_config;
   ts_config.interval = obs.sample_every;
   ts_config.ring_capacity = obs.ring_capacity;
   t.series = std::make_shared<TimeSeriesSampler>(ts_config);
   t.series->set_source(t.metrics.get());
-  // Per-mark refresh: skip the per-worker families — the sampler does not
-  // track them and their export cost scales with the cluster.
   t.series->set_refresh([platform, tier, driver, m = t.metrics.get()] {
-    platform->ExportMetrics(m, std::string(), /*per_worker=*/false);
-    if (tier != nullptr) {
-      tier->ExportMetrics(m);
-    }
-    m->counter("driver.submitted").Set(driver->submitted());
-    m->counter("driver.completed").Set(driver->completed());
-    m->counter("driver.rejected").Set(driver->rejected());
+    ExportDomain(platform, tier, driver, /*per_worker=*/false, m);
   });
   sim->SetClockObserver(obs.sample_every, [sampler = t.series.get()](
                                               SimTime mark) {
@@ -155,27 +176,21 @@ WorkloadTelemetry BeginTelemetry(const WorkloadObsConfig& obs, Simulator* sim,
   return t;
 }
 
-// Closes the telemetry session after the simulator drained: emits the idle
-// tail's windows up to the nominal horizon, detaches the refresh hook
-// (whose captures die with this stack frame), snapshots the final registry
-// state, and evaluates the alert rules over the completed series.
-void FinishTelemetry(const WorkloadObsConfig& obs, Simulator* sim,
-                     FaasPlatform* platform, RouterTier* tier,
-                     SimTime horizon, WorkloadTelemetry* t) {
+void FinishTelemetry(Simulator* sim, FaasPlatform* platform, RouterTier* tier,
+                     const OpenLoopDriver* driver, SimTime horizon,
+                     WorkloadTelemetry* t) {
   sim->FlushObserverUpTo(std::max(sim->Now(), horizon));
   sim->SetClockObserver(SimTime(), nullptr);
   t->series->set_refresh(nullptr);
-  platform->ExportMetrics(t->metrics.get());
-  if (tier != nullptr) {
-    tier->ExportMetrics(t->metrics.get());
-  }
+  ExportDomain(platform, tier, driver, /*per_worker=*/true, t->metrics.get());
+}
+
+void EvaluateAlerts(const WorkloadObsConfig& obs, WorkloadTelemetry* t) {
   if (!obs.alert_rules.empty()) {
     t->alerts = std::make_shared<AlertEngine>(obs.alert_rules);
     t->alerts->Run(*t->series);
   }
 }
-
-}  // namespace
 
 PlatformConfig DefaultWorkloadPlatformConfig() {
   PlatformConfig config;
@@ -227,6 +242,17 @@ RunCounters CollectRunCounters(const FaasPlatform& platform,
     c.storage = platform.storage_layer()->stats();
   }
   return c;
+}
+
+void CloseBooks(const OpenLoopDriver& driver, std::uint64_t rejections,
+                WorkloadRunResult* result) {
+  result->driver_submitted = driver.submitted();
+  result->driver_completed = driver.completed();
+  result->rejections = rejections;
+  result->books_close =
+      result->driver_submitted ==
+          result->counters.platform.submitted + rejections &&
+      result->counters.platform.BooksClose();
 }
 
 namespace {
@@ -282,8 +308,9 @@ WorkloadRunResult RunMonolithic(const WorkloadSpec& spec, PolicyKind policy,
   driver.Start();
   const std::uint64_t events = sim.Run();
   if (telemetry.enabled()) {
-    FinishTelemetry(*obs, &sim, &platform, tier.get(), spec.driver.duration,
-                    &telemetry);
+    FinishTelemetry(&sim, &platform, tier.get(), &driver,
+                    spec.driver.duration, &telemetry);
+    EvaluateAlerts(*obs, &telemetry);
   }
 
   WorkloadRunResult result;
@@ -294,6 +321,7 @@ WorkloadRunResult RunMonolithic(const WorkloadSpec& spec, PolicyKind policy,
   result.samples_digest = SamplesDigest(result.samples);
   result.sim_events = events;
   result.counters = CollectRunCounters(platform, tier.get());
+  CloseBooks(driver, driver.rejected(), &result);
   if (planner_runtime != nullptr) {
     result.plan_rounds = planner_runtime->rounds();
   }

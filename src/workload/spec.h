@@ -15,6 +15,7 @@
 #include "src/obs/timeseries.h"
 #include "src/planner/planner_runtime.h"
 #include "src/router/router_tier.h"
+#include "src/sim/sharded_simulator.h"
 #include "src/workload/arrival.h"
 #include "src/workload/driver.h"
 #include "src/workload/mix.h"
@@ -43,7 +44,8 @@ struct WorkloadSpec {
 //   --objects_per_color= --inputs= --cpu_ops= --write_fraction=
 //   --seed= --max_invocations=
 // Returns false (and prints to stderr) on an unknown arrival kind, a
-// non-positive rate, fewer than one color or a negative duration.
+// non-positive rate, fewer than one color, a bad time flag (DurationFlag)
+// or a non-positive --on_s, --off_s or --period_s.
 bool WorkloadSpecFromFlags(const FlagParser& flags, WorkloadSpec* out);
 
 // Appends the spec as a JSON object value (caller wrote the key).
@@ -77,9 +79,27 @@ struct WorkloadTelemetry {
   bool enabled() const { return series != nullptr; }
 };
 
+// One telemetry session per simulated domain (docs/OBSERVABILITY.md); the
+// platform, tier and driver are each nullable. Begin attaches a registry
+// to the platform, refreshes it from every source once per window and
+// samples on the simulator's event-free clock observer, so digests are
+// bit-identical with telemetry on or off. Call it before driver Start().
+WorkloadTelemetry BeginTelemetry(const WorkloadObsConfig& obs, Simulator* sim,
+                                 FaasPlatform* platform, RouterTier* tier,
+                                 const OpenLoopDriver* driver);
+
+// Closes a drained session: samples the idle tail up to max(now, horizon),
+// detaches the refresh and exports every source's final state.
+void FinishTelemetry(Simulator* sim, FaasPlatform* platform, RouterTier* tier,
+                     const OpenLoopDriver* driver, SimTime horizon,
+                     WorkloadTelemetry* t);
+
+// Evaluates `obs.alert_rules` (if any) over the finished series.
+void EvaluateAlerts(const WorkloadObsConfig& obs, WorkloadTelemetry* t);
+
 // Every counter a harness run reports, read once from the platform (and
 // router tier) after the drain. Field names follow the registry names in
-// the comments, so the result structs, loadgen's text and JSON, and the
+// the comments, so the result struct, loadgen's text and JSON, and the
 // Prometheus export cannot disagree. Sharded runs fold one per group with
 // +=, so the same counters read the same in every harness topology.
 struct RunCounters {
@@ -102,6 +122,7 @@ struct RunCounters {
   StorageStats storage;
 
   RunCounters& operator+=(const RunCounters& other);
+  bool operator==(const RunCounters&) const = default;
 };
 
 // Reads every RunCounters field from `platform` and, when non-null, the
@@ -109,19 +130,44 @@ struct RunCounters {
 RunCounters CollectRunCounters(const FaasPlatform& platform,
                                const RouterTier* tier);
 
+// The result of every harness run, direct, router and sharded
+// (src/workload/sharded_run.h). A topology's own fields stay default in
+// the others.
 struct WorkloadRunResult {
-  std::vector<InvocationSample> samples;
   SloReport report;
+  // Order-sensitive digest over the driver's sample book.
   std::uint64_t samples_digest = 0;
   std::uint64_t sim_events = 0;
+  // Front-door books. rejections are invocations no platform or tier
+  // accepted: driver.rejected() on monolithic runs, the summed group
+  // rejections on sharded runs. books_close is
+  //   driver_submitted == counters.platform.submitted + rejections
+  // and counters.platform.BooksClose().
+  std::uint64_t driver_submitted = 0;
+  std::uint64_t driver_completed = 0;
+  std::uint64_t rejections = 0;
+  bool books_close = false;
+  // Summed over the groups of a sharded run.
   RunCounters counters;
-  // Per-round planner objectives (empty unless a planner ran).
-  std::vector<PlanRound> plan_rounds;
-  // max/avg invocations routed per instance at end of run.
-  double routing_imbalance = 0;
-  // Populated only when the run's WorkloadObsConfig enabled telemetry.
+  // Null members unless the run's WorkloadObsConfig enabled telemetry.
   WorkloadTelemetry telemetry;
+
+  // Monolithic runs only: the sample book, the per-round planner
+  // objectives, and max/avg invocations routed per instance.
+  std::vector<InvocationSample> samples;
+  std::vector<PlanRound> plan_rounds;
+  double routing_imbalance = 0;
+  // Sharded runs only: the engine's combined per-domain event digest, its
+  // epochs, the wall time of the engine run, and the profiler snapshot.
+  std::uint64_t engine_digest = 0;
+  std::uint64_t epochs = 0;
+  double wall_seconds = 0;
+  EngineProfile profile;
 };
+
+// Fills the front-door books; call after `result->counters` is filled.
+void CloseBooks(const OpenLoopDriver& driver, std::uint64_t rejections,
+                WorkloadRunResult* result);
 
 // Runs `spec` open-loop against a fresh Simulator + FaasPlatform with
 // `workers` workers under `policy`, drains the platform, and scores the

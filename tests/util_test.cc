@@ -130,6 +130,25 @@ TEST(FlagParserTest, UnqueriedFlagsDetected) {
   EXPECT_EQ(unused[0], "typo");
 }
 
+TEST(FlagParserTest, DurationFlagConvertsLikeSimTimeAndRejectsBadValues) {
+  const char* argv[] = {"tool",         "--lag_ms=2.5", "--inf_s=inf",
+                        "--nan_ms=nan", "--neg_us=-1",  "--big_s=1e10"};
+  const FlagParser flags(6, argv);
+  SimTime value = SimTime::FromMillis(7);
+  ASSERT_TRUE(DurationFlag(flags, "lag_ms", SimTime::FromMillis(1), &value));
+  EXPECT_EQ(value.nanos(), SimTime::FromMillis(2.5).nanos());
+  // An absent flag keeps the default already in `value`.
+  ASSERT_TRUE(DurationFlag(flags, "gap_ms", SimTime::FromMillis(1), &value));
+  EXPECT_EQ(value.nanos(), SimTime::FromMillis(2.5).nanos());
+  // Infinite, NaN, negative and >= 2^63 ns values have no SimTime.
+  for (const char* bad : {"inf_s", "nan_ms", "neg_us", "big_s"}) {
+    SimTime untouched = SimTime::FromSeconds(1);
+    EXPECT_FALSE(DurationFlag(flags, bad, SimTime::FromSeconds(1), &untouched))
+        << bad;
+    EXPECT_EQ(untouched.nanos(), SimTime::FromSeconds(1).nanos()) << bad;
+  }
+}
+
 TEST(JsonWriterTest, EscapesQuotesAndBackslashes) {
   JsonWriter json;
   json.String("a\"b\\c");

@@ -803,7 +803,9 @@ Fingerprint Fp(const WorkloadRunResult& r) {
   return f;
 }
 
-Fingerprint Fp(const ShardedRunResult& r) {
+// The keys the sharded golden was recorded with: the front-door books and
+// the engine's digest and epochs, but no sample book or planner trajectory.
+Fingerprint ShardedFp(const WorkloadRunResult& r) {
   Fingerprint f;
   f.AddHex("digest", r.samples_digest);
   f.AddHex("engine_digest", r.engine_digest);
@@ -811,7 +813,7 @@ Fingerprint Fp(const ShardedRunResult& r) {
   f.Add("epochs", r.epochs);
   f.Add("driver_submitted", r.driver_submitted);
   f.Add("driver_completed", r.driver_completed);
-  f.Add("rejections", r.group_rejections);
+  f.Add("rejections", r.rejections);
   f.Add("books_close", r.books_close ? 1 : 0);
   AddCounters(r.counters, false, &f);
   return f;
@@ -899,9 +901,9 @@ TEST(HarnessGoldenTest, ShardedAtOneAndTwoShards) {
     config.shards = shards;
     SCOPED_TRACE(shards);
     ExpectGolden(
-        Fp(RunShardedWorkload(GoldenSpec(), PolicyKind::kLeastAssigned, 16,
-                              config, slo,
-                              GoldenPlatform(FaasDispatchMode::kPull))),
+        ShardedFp(RunShardedWorkload(
+            GoldenSpec(), PolicyKind::kLeastAssigned, 16, config, slo,
+            GoldenPlatform(FaasDispatchMode::kPull))),
         kGoldenSharded);
   }
 }
@@ -1021,6 +1023,23 @@ void ExpectCountersMatchRegistry(const RunCounters& counters,
   EXPECT_GT(counters.storage.writes_total, 0u);
 }
 
+// The front-door books: the registry's driver.* counters equal the
+// result's, read after the drain like every other counter.
+void ExpectBooksMatchRegistry(const WorkloadRunResult& run) {
+  ASSERT_TRUE(run.telemetry.enabled());
+  MetricsRegistry& registry = *run.telemetry.metrics;
+  for (const char* name :
+       {"driver.submitted", "driver.completed", "driver.rejected"}) {
+    ASSERT_TRUE(registry.HasMetric(name)) << name;
+  }
+  EXPECT_EQ(registry.counter("driver.submitted").value(),
+            run.driver_submitted);
+  EXPECT_EQ(registry.counter("driver.completed").value(),
+            run.driver_completed);
+  EXPECT_EQ(registry.counter("driver.rejected").value(), run.rejections);
+  EXPECT_TRUE(run.books_close);
+}
+
 PlatformConfig SourceOfTruthPlatform() {
   PlatformConfig config = GoldenPlatform(FaasDispatchMode::kPull);
   config.retry.max_attempts = 3;
@@ -1048,6 +1067,7 @@ TEST(RunCountersTest, DirectAndRouterRunsMatchTheirRegistry) {
       SourceOfTruthSpec(), PolicyKind::kLeastAssigned, 8, slo,
       SourceOfTruthPlatform(), &faults, &obs, &planner);
   ExpectCountersMatchRegistry(direct.counters, direct.telemetry);
+  ExpectBooksMatchRegistry(direct);
 
   RouterTierConfig tier;
   tier.routers = 4;
@@ -1056,7 +1076,26 @@ TEST(RunCountersTest, DirectAndRouterRunsMatchTheirRegistry) {
       SourceOfTruthSpec(), PolicyKind::kLeastAssigned, 8, tier, slo,
       SourceOfTruthPlatform(), &faults, &obs, &planner);
   ExpectCountersMatchRegistry(routed.counters, routed.telemetry);
+  ExpectBooksMatchRegistry(routed);
   EXPECT_GT(routed.counters.router_routes, 0u);
+}
+
+TEST(RunCountersTest, DirectRunRejectingEveryInvocationClosesItsBooks) {
+  const SloConfig slo;
+  WorkloadObsConfig obs;
+  obs.sample_every = SimTime::FromMillis(100);
+  // No workers: the load balancer has nowhere to route, so the platform
+  // refuses every invocation and the driver books each one as rejected.
+  const WorkloadRunResult run =
+      RunWorkload(GoldenSpec(), PolicyKind::kLeastAssigned, /*workers=*/0,
+                  slo, GoldenPlatform(FaasDispatchMode::kPush), nullptr,
+                  &obs);
+  EXPECT_GT(run.driver_submitted, 0u);
+  EXPECT_EQ(run.rejections, run.driver_submitted);
+  EXPECT_EQ(run.counters.platform.submitted, 0u);
+  EXPECT_EQ(run.driver_completed, 0u);
+  EXPECT_TRUE(run.books_close);
+  ExpectBooksMatchRegistry(run);
 }
 
 TEST(RunCountersTest, ShardedRunMatchesItsMergedRegistry) {
@@ -1081,6 +1120,7 @@ TEST(RunCountersTest, ShardedRunMatchesItsMergedRegistry) {
       SourceOfTruthPlatform(), &faults);
   // The fold keeps the router tier's counters too.
   ExpectCountersMatchRegistry(run.counters, run.telemetry);
+  ExpectBooksMatchRegistry(run);
   EXPECT_GT(run.counters.router_routes, 0u);
   EXPECT_TRUE(run.books_close);
 }

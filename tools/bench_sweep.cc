@@ -110,8 +110,13 @@ int RunWorkloadSweep(const FlagParser& flags, ArrivalKind arrival_kind,
   }
   base_spec.arrival.kind = arrival_kind;
   SloConfig slo;
-  slo.deadline = SimTime::FromMillis(flags.GetDouble("deadline_ms", 100));
-  slo.warmup = SimTime::FromSeconds(flags.GetDouble("warmup_s", 1));
+  slo.warmup = SimTime::FromSeconds(1);
+  if (!DurationFlag(flags, "deadline_ms", SimTime::FromMillis(1),
+                    &slo.deadline) ||
+      !DurationFlag(flags, "warmup_s", SimTime::FromSeconds(1),
+                    &slo.warmup)) {
+    return 1;
+  }
   const PlatformConfig platform_config = DefaultWorkloadPlatformConfig();
 
   // Sharded-engine cells: each one spins a `shards`-thread event-core
@@ -120,11 +125,9 @@ int RunWorkloadSweep(const FlagParser& flags, ArrivalKind arrival_kind,
   ShardedWorkloadConfig sharded_config;
   if (shards >= 1) {
     sharded_config.shards = shards;
-    sharded_config.groups = static_cast<int>(flags.GetInt("groups", 8));
-    sharded_config.routers_per_group =
-        static_cast<int>(flags.GetInt("group_routers", 2));
-    sharded_config.hop = SimTime::FromMicros(
-        flags.GetDouble("shard_hop_us", sharded_config.hop.micros()));
+    if (!ShardedWorkloadConfigFromFlags(flags, &sharded_config)) {
+      return 1;
+    }
     const auto hw = static_cast<std::size_t>(
         std::max(1u, std::thread::hardware_concurrency()));
     const std::size_t cap =
@@ -140,7 +143,6 @@ int RunWorkloadSweep(const FlagParser& flags, ArrivalKind arrival_kind,
     std::uint64_t seed = 1;
     int workers = 8;
     WorkloadRunResult run;
-    ShardedRunResult sharded;
     double wall_seconds = 0;
   };
   std::vector<WorkloadCell> cells;
@@ -162,16 +164,11 @@ int RunWorkloadSweep(const FlagParser& flags, ArrivalKind arrival_kind,
     const auto cell_start = std::chrono::steady_clock::now();
     WorkloadSpec spec = base_spec;
     spec.seed = cell.seed;
-    if (shards >= 1) {
-      cell.sharded = RunShardedWorkload(spec, cell.policy, cell.workers,
-                                        sharded_config, slo,
-                                        platform_config);
-      cell.run.report = cell.sharded.report;
-      cell.run.samples_digest = cell.sharded.samples_digest;
-    } else {
-      cell.run = RunWorkload(spec, cell.policy, cell.workers, slo,
-                             platform_config);
-    }
+    cell.run = shards >= 1
+                   ? RunShardedWorkload(spec, cell.policy, cell.workers,
+                                        sharded_config, slo, platform_config)
+                   : RunWorkload(spec, cell.policy, cell.workers, slo,
+                                 platform_config);
     cell.wall_seconds = SecondsSince(cell_start);
   });
   const double wall_seconds = SecondsSince(sweep_start);
@@ -228,9 +225,9 @@ int RunWorkloadSweep(const FlagParser& flags, ArrivalKind arrival_kind,
     if (shards >= 1) {
       json.Key("engine_digest");
       json.String(StrFormat("%016llx", static_cast<unsigned long long>(
-                                           cell.sharded.engine_digest)));
+                                           cell.run.engine_digest)));
       json.Key("epochs");
-      json.UInt(cell.sharded.epochs);
+      json.UInt(cell.run.epochs);
     }
     json.Key("cell_wall_seconds");
     json.Double(cell.wall_seconds);

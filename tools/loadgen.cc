@@ -65,6 +65,7 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
+#include <cstdlib>
 #include <string>
 #include <vector>
 
@@ -79,8 +80,9 @@
 namespace palette {
 namespace {
 
-std::vector<double> ParseRateCsv(const std::string& csv) {
-  std::vector<double> out;
+// Parses a comma-separated list of positive rates; returns false on a
+// non-numeric or non-positive entry.
+bool ParseRateCsv(const std::string& csv, std::vector<double>* out) {
   std::size_t start = 0;
   while (start < csv.size()) {
     std::size_t comma = csv.find(',', start);
@@ -88,11 +90,20 @@ std::vector<double> ParseRateCsv(const std::string& csv) {
       comma = csv.size();
     }
     if (comma > start) {
-      out.push_back(std::stod(csv.substr(start, comma - start)));
+      const std::string entry = csv.substr(start, comma - start);
+      char* end = nullptr;
+      const double rate = std::strtod(entry.c_str(), &end);
+      if (end != entry.c_str() + entry.size() || !(rate > 0) ||
+          !std::isfinite(rate)) {
+        std::fprintf(stderr, "--sweep rates must be positive numbers: %s\n",
+                     entry.c_str());
+        return false;
+      }
+      out->push_back(rate);
     }
     start = comma + 1;
   }
-  return out;
+  return true;
 }
 
 void AppendSamplesJson(const std::vector<InvocationSample>& samples,
@@ -133,15 +144,15 @@ bool WriteTextOutput(const std::string& path, const std::string& content) {
 // One Chrome trace file of counter tracks: the telemetry series, plus (when
 // profiling) per-shard events-per-epoch imbalance tracks on pid 2.
 std::string TraceCountersJson(const TimeSeriesSampler& series,
-                              const EngineProfile* profile) {
+                              const EngineProfile& profile) {
   JsonWriter json;
   json.BeginObject();
   json.Key("traceEvents");
   json.BeginArray();
   series.AppendChromeCounterTracks(&json, /*pid=*/1);
-  if (profile != nullptr && profile->enabled) {
-    for (std::size_t s = 0; s < profile->per_shard.size(); ++s) {
-      for (const auto& [t_min_ns, events] : profile->per_shard[s].epoch_log) {
+  if (profile.enabled) {
+    for (std::size_t s = 0; s < profile.per_shard.size(); ++s) {
+      for (const auto& [t_min_ns, events] : profile.per_shard[s].epoch_log) {
         json.BeginObject();
         json.Key("ph");
         json.String("C");
@@ -256,18 +267,17 @@ struct CounterSections {
   bool storage = false;  // --coherence other than off
   bool planner = false;  // --plan_every_ms > 0
   bool router = false;   // --routers > 0, or --group_routers > 0 sharded
+  // --shards >= 1: the books start at the front door, which ships each
+  // invocation to a group platform or books it as rejected there.
+  bool sharded = false;
 };
 
-// The counter keys of one run, written alike for every harness path
-// (docs/WORKLOADS.md, "Harness results"). Exactly one of `monolithic` and
-// `sharded` is non-null. Each adds only what its result alone carries: the
-// planner's per-round objectives and routing imbalance (monolithic), the
-// front-door books (sharded).
+// The counter keys of one run, written alike for every harness topology
+// (docs/WORKLOADS.md, "Harness results"). The planner's per-round
+// objectives and routing imbalance exist only on monolithic runs.
 void AppendRunCountersJson(const CounterSections& on,
-                           const WorkloadRunResult* monolithic,
-                           const ShardedRunResult* sharded, JsonWriter* json) {
-  const RunCounters& c =
-      sharded != nullptr ? sharded->counters : monolithic->counters;
+                           const WorkloadRunResult& run, JsonWriter* json) {
+  const RunCounters& c = run.counters;
   Field("cold_starts", c.platform.cold_starts, json);
   Field("retries", c.platform.retries, json);
   Field("timeouts", c.platform.timeouts, json);
@@ -289,12 +299,12 @@ void AppendRunCountersJson(const CounterSections& on,
     Field("splits", c.planner_splits, json);
     Field("merges", c.planner_merges, json);
     Field("moved_bytes", c.platform.planner_moved_bytes, json);
-    if (monolithic != nullptr) {
+    if (!on.sharded) {
       json->Key("routing_imbalance");
-      json->Double(monolithic->routing_imbalance);
+      json->Double(run.routing_imbalance);
       json->Key("round_objectives");
       json->BeginArray();
-      for (const PlanRound& round : monolithic->plan_rounds) {
+      for (const PlanRound& round : run.plan_rounds) {
         json->BeginObject();
         Field("round", round.round, json);
         json->Key("t_ms");
@@ -322,35 +332,29 @@ void AppendRunCountersJson(const CounterSections& on,
     Field("recolored", c.router_recolored, json);
     json->EndObject();
   }
-  // A sharded run's books start at the front door: what the driver
-  // submitted either reached a group platform or was rejected there.
   json->Key("books");
   json->BeginObject();
-  Field("submitted",
-        sharded != nullptr ? sharded->driver_submitted : c.platform.submitted,
-        json);
-  if (sharded != nullptr) {
+  if (on.sharded) {
+    Field("submitted", run.driver_submitted, json);
     Field("group_submitted", c.platform.submitted, json);
+  } else {
+    Field("submitted", c.platform.submitted, json);
   }
   Field("completed", c.platform.completed, json);
   Field("dropped", c.platform.dropped, json);
   Field("abandoned", c.platform.abandoned, json);
-  if (sharded != nullptr) {
-    Field("rejections", sharded->group_rejections, json);
+  if (on.sharded) {
+    Field("rejections", run.rejections, json);
   }
   json->Key("close");
-  json->Bool(sharded != nullptr ? sharded->books_close
-                                : c.platform.BooksClose());
+  json->Bool(run.books_close);
   json->EndObject();
 }
 
 // The text twin of AppendRunCountersJson: the same counters, one summary
 // line per section.
-void PrintRunCounters(const CounterSections& on,
-                      const WorkloadRunResult* monolithic,
-                      const ShardedRunResult* sharded) {
-  const RunCounters& c =
-      sharded != nullptr ? sharded->counters : monolithic->counters;
+void PrintRunCounters(const CounterSections& on, const WorkloadRunResult& run) {
+  const RunCounters& c = run.counters;
   const auto u = [](std::uint64_t v) {
     return static_cast<unsigned long long>(v);
   };
@@ -377,8 +381,8 @@ void PrintRunCounters(const CounterSections& on,
                 u(c.platform.planner_rounds), u(c.planner_moves),
                 u(c.planner_splits), u(c.planner_merges),
                 u(c.platform.planner_moved_bytes));
-    if (monolithic != nullptr) {
-      std::printf(", imbalance: %.3f", monolithic->routing_imbalance);
+    if (!on.sharded) {
+      std::printf(", imbalance: %.3f", run.routing_imbalance);
     }
     std::printf("\n");
   }
@@ -389,26 +393,22 @@ void PrintRunCounters(const CounterSections& on,
                 u(c.router_misroutes), u(c.router_forwards),
                 u(c.router_recolored));
   }
-  const bool close = sharded != nullptr ? sharded->books_close
-                                        : c.platform.BooksClose();
   std::printf("books: submitted %llu, completed %llu, dropped %llu, "
               "abandoned %llu%s, %s\n",
-              u(sharded != nullptr ? sharded->driver_submitted
-                                   : c.platform.submitted),
+              u(on.sharded ? run.driver_submitted : c.platform.submitted),
               u(c.platform.completed), u(c.platform.dropped),
               u(c.platform.abandoned),
-              sharded != nullptr
-                  ? StrFormat(", rejected %llu",
-                              u(sharded->group_rejections)).c_str()
+              on.sharded
+                  ? StrFormat(", rejected %llu", u(run.rejections)).c_str()
                   : "",
-              close ? "close" : "DO NOT CLOSE");
+              run.books_close ? "close" : "DO NOT CLOSE");
 }
 
 // The gated telemetry outputs shared by the monolithic and sharded paths.
 // Returns false on a write failure. Appends nothing and writes nothing
 // when telemetry is off, keeping obs-free output byte-identical.
 bool EmitTelemetry(const WorkloadTelemetry& telemetry,
-                   const EngineProfile* profile, const std::string& prom_out,
+                   const EngineProfile& profile, const std::string& prom_out,
                    const std::string& ts_out, const std::string& alert_log,
                    const std::string& trace_counters, JsonWriter* json) {
   if (!telemetry.enabled()) {
@@ -453,23 +453,6 @@ bool EmitTelemetry(const WorkloadTelemetry& telemetry,
   return true;
 }
 
-// Reads a capacity flag given in MiB into `*out`, defaulting to
-// `fallback`. A negative, non-finite or out-of-range size has no Bytes
-// value (the conversion would be undefined), so it is bad input.
-bool CapacityFlag(const FlagParser& flags, const char* name, Bytes fallback,
-                  Bytes* out) {
-  const double mib = flags.GetDouble(
-      name, static_cast<double>(fallback) / static_cast<double>(kMiB));
-  const double bytes = mib * static_cast<double>(kMiB);
-  if (!std::isfinite(bytes) || bytes < 0 || bytes >= std::ldexp(1.0, 64)) {
-    std::fprintf(stderr, "--%s must be a size in [0, 2^44) MiB: %s\n", name,
-                 flags.GetString(name, "").c_str());
-    return false;
-  }
-  *out = static_cast<Bytes>(bytes);
-  return true;
-}
-
 int Run(int argc, char** argv) {
   const FlagParser flags(argc, argv);
 
@@ -496,36 +479,22 @@ int Run(int argc, char** argv) {
                  dispatch_id.c_str());
     return 1;
   }
-  tier_config.sync_lag =
-      SimTime::FromMillis(flags.GetDouble("sync_lag_ms", 0));
-  tier_config.hop_latency = SimTime::FromMicros(
-      flags.GetDouble("hop_us", tier_config.hop_latency.micros()));
   // Sharded-engine mode: --shards>=1 runs the workload on the parallel
-  // engine; the group tiers reuse the dispatch/sync_lag flags above.
+  // engine; the group tiers reuse the dispatch/sync_lag flags.
   const int shards = static_cast<int>(flags.GetInt("shards", 0));
   ShardedWorkloadConfig sharded_config;
   sharded_config.shards = shards;
-  sharded_config.groups = static_cast<int>(flags.GetInt("groups", 8));
-  sharded_config.routers_per_group =
-      static_cast<int>(flags.GetInt("group_routers", 2));
-  sharded_config.hop = SimTime::FromMicros(
-      flags.GetDouble("shard_hop_us", sharded_config.hop.micros()));
-  sharded_config.group_sync_lag = tier_config.sync_lag;
-  sharded_config.group_dispatch = tier_config.dispatch;
+  if (shards >= 1 && !ShardedWorkloadConfigFromFlags(flags, &sharded_config)) {
+    return 1;
+  }
   SloConfig slo;
-  slo.deadline = SimTime::FromMillis(flags.GetDouble("deadline_ms", 100));
-  slo.warmup = SimTime::FromSeconds(flags.GetDouble("warmup_s", 1));
+  slo.warmup = SimTime::FromSeconds(1);
   slo.top_colors =
       static_cast<std::size_t>(flags.GetInt("top_colors", 8));
   const std::string sweep_csv = flags.GetString("sweep", "");
   const bool dump_samples = flags.GetBool("dump_samples", false);
   const std::string out_path = flags.GetString("out", "BENCH_slo.json");
   PlatformConfig platform_config = DefaultWorkloadPlatformConfig();
-  if (!CapacityFlag(flags, "cache_mb",
-                    platform_config.cache.per_instance_capacity,
-                    &platform_config.cache.per_instance_capacity)) {
-    return 1;
-  }
   // Dispatch binding (docs/DISPATCH.md): --dispatch_mode=push keeps
   // route-time binding; pull late-binds via per-color pending queues with
   // budget-gated locality-aware stealing.
@@ -551,35 +520,25 @@ int Run(int argc, char** argv) {
 
   // Stateful storage tier (docs/STORAGE.md). --coherence=off (the default)
   // leaves the layer out of the platform entirely.
-  const std::string coherence_id = flags.GetString(
-      "coherence", std::string(CoherenceModeId(platform_config.storage.mode)));
-  if (!ParseCoherenceMode(coherence_id, &platform_config.storage.mode)) {
+  StorageConfig& storage = platform_config.storage;
+  const std::string coherence_id =
+      flags.GetString("coherence", std::string(CoherenceModeId(storage.mode)));
+  if (!ParseCoherenceMode(coherence_id, &storage.mode)) {
     std::fprintf(stderr,
                  "unknown coherence mode: %s (try: off write-through "
                  "write-back causal)\n",
                  coherence_id.c_str());
     return 1;
   }
-  platform_config.storage.max_dirty_age = SimTime::FromMillis(flags.GetDouble(
-      "dirty_age_ms", platform_config.storage.max_dirty_age.millis()));
-  platform_config.storage.staleness_bound =
-      SimTime::FromMillis(flags.GetDouble(
-          "staleness_ms", platform_config.storage.staleness_bound.millis()));
-  platform_config.storage.ae_lag = SimTime::FromMillis(
-      flags.GetDouble("ae_lag_ms", platform_config.storage.ae_lag.millis()));
-  const int storage_tiers =
-      static_cast<int>(flags.GetInt("storage_tiers", 1));
-  platform_config.storage.tiers.two_tier = storage_tiers >= 2;
-  if (!CapacityFlag(flags, "fast_mb",
-                    platform_config.storage.tiers.fast_capacity,
-                    &platform_config.storage.tiers.fast_capacity)) {
+  storage.tiers.two_tier = flags.GetInt("storage_tiers", 1) >= 2;
+  if (!CapacityFlag(flags, "cache_mb",
+                    &platform_config.cache.per_instance_capacity) ||
+      !CapacityFlag(flags, "fast_mb", &storage.tiers.fast_capacity)) {
     return 1;
   }
 
   // Telemetry flags (docs/OBSERVABILITY.md).
   WorkloadObsConfig obs;
-  obs.sample_every =
-      SimTime::FromMillis(flags.GetDouble("sample_every_ms", 0));
   const std::string alerts_spec = flags.GetString("alerts", "");
   const std::string prom_out = flags.GetString("prom_out", "");
   const std::string ts_out = flags.GetString("ts_out", "");
@@ -590,9 +549,7 @@ int Run(int argc, char** argv) {
   // Global re-balancer flags (docs/PLANNER.md). --plan_every_ms=0 (the
   // default) leaves the planner off and the run byte-identical to a
   // planner-free build.
-  PlannerConfig planner_config;
-  planner_config.plan_every =
-      SimTime::FromMillis(flags.GetDouble("plan_every_ms", 0));
+  PlannerConfig planner_config{.plan_every = SimTime()};
   planner_config.split_threshold = flags.GetDouble(
       "split_threshold", planner_config.split_threshold);
   planner_config.move_alpha =
@@ -600,6 +557,24 @@ int Run(int argc, char** argv) {
   planner_config.max_split = static_cast<int>(
       flags.GetInt("max_split", planner_config.max_split));
   planner_config.seed = spec.seed;
+
+  // Every time flag, each defaulting to the value already in its config.
+  const SimTime ms = SimTime::FromMillis(1);
+  if (!DurationFlag(flags, "sync_lag_ms", ms, &tier_config.sync_lag) ||
+      !DurationFlag(flags, "hop_us", SimTime::FromMicros(1),
+                    &tier_config.hop_latency) ||
+      !DurationFlag(flags, "deadline_ms", ms, &slo.deadline) ||
+      !DurationFlag(flags, "warmup_s", SimTime::FromSeconds(1),
+                    &slo.warmup) ||
+      !DurationFlag(flags, "dirty_age_ms", ms, &storage.max_dirty_age) ||
+      !DurationFlag(flags, "staleness_ms", ms, &storage.staleness_bound) ||
+      !DurationFlag(flags, "ae_lag_ms", ms, &storage.ae_lag) ||
+      !DurationFlag(flags, "sample_every_ms", ms, &obs.sample_every) ||
+      !DurationFlag(flags, "plan_every_ms", ms, &planner_config.plan_every)) {
+    return 1;
+  }
+  sharded_config.group_sync_lag = tier_config.sync_lag;
+  sharded_config.group_dispatch = tier_config.dispatch;
   if (!alerts_spec.empty()) {
     std::vector<std::string> rule_errors;
     obs.alert_rules = ParseAlertRules(alerts_spec, &rule_errors);
@@ -617,17 +592,11 @@ int Run(int argc, char** argv) {
   }
 
   // Counts that size the simulated system; a bad one would otherwise run
-  // an empty cluster whose books trivially close. The group counts only
-  // shape sharded runs.
-  const char* bad_count =
-      workers < 1 ? "--workers must be at least 1"
-      : shards < 0 ? "--shards must not be negative"
-      : routers < 0 ? "--routers must not be negative"
-      : shards < 1 ? nullptr
-      : sharded_config.groups < 1 ? "--groups must be at least 1"
-      : sharded_config.routers_per_group < 0
-          ? "--group_routers must not be negative"
-          : nullptr;
+  // an empty cluster whose books trivially close.
+  const char* bad_count = workers < 1   ? "--workers must be at least 1"
+                          : shards < 0  ? "--shards must not be negative"
+                          : routers < 0 ? "--routers must not be negative"
+                                        : nullptr;
   if (bad_count != nullptr) {
     std::fprintf(stderr, "%s\n", bad_count);
     return 1;
@@ -638,6 +607,10 @@ int Run(int argc, char** argv) {
   }
   if (shards >= 1 && !sweep_csv.empty()) {
     std::fprintf(stderr, "--sweep is not supported with --shards\n");
+    return 1;
+  }
+  std::vector<double> rates;
+  if (!ParseRateCsv(sweep_csv, &rates)) {
     return 1;
   }
   if (obs.enabled() && !sweep_csv.empty()) {
@@ -673,24 +646,23 @@ int Run(int argc, char** argv) {
     json.Key("steal_budget");
     json.Int(platform_config.steal_budget);
   }
-  if (platform_config.storage.enabled()) {
+  if (storage.enabled()) {
     json.Key("storage_config");
     json.BeginObject();
     json.Key("coherence");
-    json.String(CoherenceModeId(platform_config.storage.mode));
+    json.String(CoherenceModeId(storage.mode));
     json.Key("dirty_age_ms");
-    json.Double(platform_config.storage.max_dirty_age.millis());
+    json.Double(storage.max_dirty_age.millis());
     json.Key("staleness_ms");
-    json.Double(platform_config.storage.staleness_bound.millis());
+    json.Double(storage.staleness_bound.millis());
     json.Key("ae_lag_ms");
-    json.Double(platform_config.storage.ae_lag.millis());
+    json.Double(storage.ae_lag.millis());
     json.Key("two_tier");
-    json.Bool(platform_config.storage.tiers.two_tier);
-    if (platform_config.storage.tiers.two_tier) {
+    json.Bool(storage.tiers.two_tier);
+    if (storage.tiers.two_tier) {
       json.Key("fast_mb");
-      json.Double(
-          static_cast<double>(platform_config.storage.tiers.fast_capacity) /
-          static_cast<double>(kMiB));
+      json.Double(static_cast<double>(storage.tiers.fast_capacity) /
+                  static_cast<double>(kMiB));
     }
     json.EndObject();
   }
@@ -720,84 +692,20 @@ int Run(int argc, char** argv) {
 
   CounterSections sections;
   sections.pull = platform_config.dispatch_mode == FaasDispatchMode::kPull;
-  sections.storage = platform_config.storage.enabled();
+  sections.storage = storage.enabled();
   sections.planner = planner_config.enabled();
+  sections.sharded = shards >= 1;
   sections.router =
-      shards >= 1 ? sharded_config.routers_per_group > 0 : routers > 0;
-  if (shards >= 1) {
-    // Sharded parallel-engine run: one topology, `shards` event cores.
-    json.Key("sharded");
-    json.BeginObject();
-    json.Key("shards");
-    json.Int(shards);
-    json.Key("groups");
-    json.Int(sharded_config.groups);
-    json.Key("group_routers");
-    json.Int(sharded_config.routers_per_group);
-    json.Key("hop_us");
-    json.Double(sharded_config.hop.micros());
-    json.Key("dispatch");
-    json.String(DispatchModeId(sharded_config.group_dispatch));
-    json.Key("sync_lag_ms");
-    json.Double(sharded_config.group_sync_lag.millis());
-    json.EndObject();
-
-    std::printf("== loadgen (sharded): %s arrivals at %.0f rps, %s policy, "
-                "%d workers across %d groups x %d routers, %d shard(s) "
-                "==\n\n",
-                std::string(ArrivalKindId(spec.arrival.kind)).c_str(),
-                spec.arrival.rate_per_sec, policy_id.c_str(), workers,
-                sharded_config.groups, sharded_config.routers_per_group,
-                shards);
-    sharded_config.obs = obs;
-    sharded_config.profile = profile;
-    sharded_config.planner = planner_config;
-    const ShardedRunResult run = RunShardedWorkload(
-        spec, policy, workers, sharded_config, slo, platform_config);
-    std::printf("%s\n", SloReportTable(run.report).c_str());
-    std::printf("samples digest: %016llx, engine digest: %016llx, sim "
-                "events: %llu, epochs: %llu, wall: %.3f s\n",
-                static_cast<unsigned long long>(run.samples_digest),
-                static_cast<unsigned long long>(run.engine_digest),
-                static_cast<unsigned long long>(run.sim_events),
-                static_cast<unsigned long long>(run.epochs),
-                run.wall_seconds);
-    PrintRunCounters(sections, nullptr, &run);
-
-    json.Key("sample_count");
-    json.UInt(run.driver_submitted);
-    json.Key("samples_digest");
-    json.String(StrFormat("%016llx", static_cast<unsigned long long>(
-                                         run.samples_digest)));
-    json.Key("engine_digest");
-    json.String(StrFormat("%016llx", static_cast<unsigned long long>(
-                                         run.engine_digest)));
-    json.Key("sim_events");
-    json.UInt(run.sim_events);
-    json.Key("epochs");
-    json.UInt(run.epochs);
-    json.Key("wall_seconds");
-    json.Double(run.wall_seconds);
-    AppendRunCountersJson(sections, nullptr, &run, &json);
-    json.Key("report");
-    AppendSloReportJson(run.report, &json);
-    if (profile) {
-      json.Key("engine_profile");
-      AppendEngineProfileJson(run.profile, &json);
-    }
-    if (!EmitTelemetry(run.telemetry, &run.profile, prom_out, ts_out,
-                       alert_log, trace_counters, &json)) {
-      return 1;
-    }
-    json.EndObject();
-    if (!WriteTextFile(out_path, json.str())) {
-      return 1;
-    }
-    std::printf("wrote %s\n", out_path.c_str());
-    return 0;
-  }
+      sections.sharded ? sharded_config.routers_per_group > 0 : routers > 0;
+  sharded_config.obs = obs;
+  sharded_config.profile = profile;
+  sharded_config.planner = planner_config;
 
   const auto run_spec = [&](const WorkloadSpec& at_spec) {
+    if (sections.sharded) {
+      return RunShardedWorkload(at_spec, policy, workers, sharded_config, slo,
+                                platform_config);
+    }
     const WorkloadObsConfig* obs_ptr = obs.enabled() ? &obs : nullptr;
     const PlannerConfig* planner_ptr =
         planner_config.enabled() ? &planner_config : nullptr;
@@ -811,44 +719,92 @@ int Run(int argc, char** argv) {
 
   if (sweep_csv.empty()) {
     // Single run at the spec's rate.
-    std::printf("== loadgen: %s arrivals at %.0f rps, %s policy, %d "
-                "workers%s ==\n\n",
-                std::string(ArrivalKindId(spec.arrival.kind)).c_str(),
-                spec.arrival.rate_per_sec, policy_id.c_str(), workers,
-                routers > 0
-                    ? StrFormat(", %d %s routers", routers,
-                                dispatch_id.c_str()).c_str()
-                    : "");
+    if (sections.sharded) {
+      // Sharded parallel-engine run: one topology, `shards` event cores.
+      json.Key("sharded");
+      json.BeginObject();
+      json.Key("shards");
+      json.Int(shards);
+      json.Key("groups");
+      json.Int(sharded_config.groups);
+      json.Key("group_routers");
+      json.Int(sharded_config.routers_per_group);
+      json.Key("hop_us");
+      json.Double(sharded_config.hop.micros());
+      json.Key("dispatch");
+      json.String(DispatchModeId(sharded_config.group_dispatch));
+      json.Key("sync_lag_ms");
+      json.Double(sharded_config.group_sync_lag.millis());
+      json.EndObject();
+      std::printf("== loadgen (sharded): %s arrivals at %.0f rps, %s "
+                  "policy, %d workers across %d groups x %d routers, %d "
+                  "shard(s) ==\n\n",
+                  std::string(ArrivalKindId(spec.arrival.kind)).c_str(),
+                  spec.arrival.rate_per_sec, policy_id.c_str(), workers,
+                  sharded_config.groups, sharded_config.routers_per_group,
+                  shards);
+    } else {
+      std::printf("== loadgen: %s arrivals at %.0f rps, %s policy, %d "
+                  "workers%s ==\n\n",
+                  std::string(ArrivalKindId(spec.arrival.kind)).c_str(),
+                  spec.arrival.rate_per_sec, policy_id.c_str(), workers,
+                  routers > 0
+                      ? StrFormat(", %d %s routers", routers,
+                                  dispatch_id.c_str()).c_str()
+                      : "");
+    }
     const WorkloadRunResult run = run_spec(spec);
+    const auto u = [](std::uint64_t v) {
+      return static_cast<unsigned long long>(v);
+    };
     std::printf("%s\n", SloReportTable(run.report).c_str());
-    std::printf("samples: %zu, digest: %016llx, sim events: %llu\n",
-                run.samples.size(),
-                static_cast<unsigned long long>(run.samples_digest),
-                static_cast<unsigned long long>(run.sim_events));
-    PrintRunCounters(sections, &run, nullptr);
+    if (sections.sharded) {
+      std::printf("samples digest: %016llx, engine digest: %016llx, sim "
+                  "events: %llu, epochs: %llu, wall: %.3f s\n",
+                  u(run.samples_digest), u(run.engine_digest),
+                  u(run.sim_events), u(run.epochs), run.wall_seconds);
+    } else {
+      std::printf("samples: %llu, digest: %016llx, sim events: %llu\n",
+                  u(run.driver_submitted), u(run.samples_digest),
+                  u(run.sim_events));
+    }
+    PrintRunCounters(sections, run);
 
     json.Key("sample_count");
-    json.UInt(run.samples.size());
+    json.UInt(run.driver_submitted);
     json.Key("samples_digest");
-    json.String(StrFormat("%016llx", static_cast<unsigned long long>(
-                                         run.samples_digest)));
+    json.String(StrFormat("%016llx", u(run.samples_digest)));
+    if (sections.sharded) {
+      json.Key("engine_digest");
+      json.String(StrFormat("%016llx", u(run.engine_digest)));
+    }
     json.Key("sim_events");
     json.UInt(run.sim_events);
-    AppendRunCountersJson(sections, &run, nullptr, &json);
+    if (sections.sharded) {
+      json.Key("epochs");
+      json.UInt(run.epochs);
+      json.Key("wall_seconds");
+      json.Double(run.wall_seconds);
+    }
+    AppendRunCountersJson(sections, run, &json);
     json.Key("report");
     AppendSloReportJson(run.report, &json);
-    if (dump_samples) {
+    if (run.profile.enabled) {
+      json.Key("engine_profile");
+      AppendEngineProfileJson(run.profile, &json);
+    }
+    // Sharded runs score their sample book in place and do not return it.
+    if (dump_samples && !sections.sharded) {
       json.Key("samples");
       AppendSamplesJson(run.samples, &json);
     }
-    if (!EmitTelemetry(run.telemetry, nullptr, prom_out, ts_out, alert_log,
-                       trace_counters, &json)) {
+    if (!EmitTelemetry(run.telemetry, run.profile, prom_out, ts_out,
+                       alert_log, trace_counters, &json)) {
       return 1;
     }
   } else {
     // Rate step-sweep: fresh platform per rate, max sustainable = highest
     // rate whose p99 meets the deadline with nothing shed.
-    const std::vector<double> rates = ParseRateCsv(sweep_csv);
     if (rates.empty()) {
       std::fprintf(stderr, "empty --sweep rate list\n");
       return 1;
