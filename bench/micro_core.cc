@@ -3,7 +3,8 @@
 // HyperLogLog sketch. These bound the per-invocation overhead Palette adds
 // to a FaaS frontend.
 //
-// On top of the google-benchmark suite, main() times three summary
+// main() keeps every google-benchmark run's wall ns per iteration (the
+// pull matcher and planner layers among them), then times three summary
 // figures — simulator events/sec (schedule + dispatch through the pooled
 // 4-ary heap), load-balancer routes/sec per policy, and the sharded
 // engine's events/sec at shard counts {1, 2, 4, 8} on the diurnal router
@@ -17,10 +18,12 @@
 #include <chrono>
 #include <cstdio>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/cache/faast_cache.h"
 #include "src/common/json_writer.h"
+#include "src/common/rng.h"
 #include "src/common/table_printer.h"
 #include "src/core/bucket_hashing_policy.h"
 #include "src/core/least_assigned_policy.h"
@@ -29,8 +32,12 @@
 #include "src/faas/platform.h"
 #include "src/hash/consistent_hash_ring.h"
 #include "src/hash/hash.h"
+#include "src/planner/rebalance_planner.h"
+#include "src/planner/snapshot.h"
 #include "src/sim/simulator.h"
 #include "src/sketch/hyperloglog.h"
+#include "src/workload/arrival.h"
+#include "src/workload/driver.h"
 #include "src/workload/sharded_run.h"
 
 namespace palette {
@@ -271,6 +278,70 @@ void BM_PullMatch(benchmark::State& state) {
 }
 BENCHMARK(BM_PullMatch)->Arg(16)->Arg(256)->Arg(2048);
 
+// One planner solve (docs/PLANNER.md) over `range(0)` colors on 32
+// instances: harmonic loads with two hot head colors (one over the split
+// threshold), seeded random placements and cache bytes, and every
+// sixteenth color dirty.
+void BM_PlannerSolve(benchmark::State& state) {
+  const int colors = static_cast<int>(state.range(0));
+  Rng rng(42);
+  PlacementSnapshot snapshot;
+  for (int i = 0; i < 32; ++i) {
+    snapshot.instances.push_back(InternInstance(StrFormat("w%d", i)));
+  }
+  for (int c = 0; c < colors; ++c) {
+    ColorObservation obs;
+    obs.color = StrFormat("color-%05d", c);
+    obs.load_ewma = (c < 2 ? 0.25 * colors : 10.0) / (1.0 + c % 97);
+    obs.cache_bytes = static_cast<Bytes>(rng.NextBelow(1 << 20));
+    obs.dirty_bytes = c % 16 == 0 ? static_cast<Bytes>(rng.NextBelow(1 << 16))
+                                  : 0;
+    obs.placement = snapshot.instances[rng.NextBelow(32)];
+    snapshot.colors.push_back(std::move(obs));
+  }
+  const RebalancePlanner planner{PlannerConfig{}};
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(planner.Solve(snapshot));
+  }
+  state.SetItemsProcessed(state.iterations() * colors);
+}
+BENCHMARK(BM_PlannerSolve)
+    ->Arg(1000)
+    ->Arg(10000)
+    ->Unit(benchmark::kMicrosecond);
+
+// One snapshot collection on a warmed write-back platform shaped like the
+// ledger's hot_planner_writes: 32 workers, Zipf 1.2 over `range(0)`
+// colors, 5% writes, stopped mid-run so dirty write-back bytes remain.
+void BM_PlannerCollect(benchmark::State& state) {
+  WorkloadSpec spec;
+  spec.arrival.rate_per_sec = 1000;
+  spec.mix.color_count = static_cast<int>(state.range(0));
+  spec.mix.zipf_theta = 1.2;
+  spec.mix.write_fraction = 0.05;
+  spec.driver.duration = SimTime::FromSeconds(20);
+  spec.seed = 1;
+  PlatformConfig config = DefaultWorkloadPlatformConfig();
+  config.storage.mode = CoherenceMode::kWriteBack;
+  Simulator sim;
+  FaasPlatform platform(&sim, PolicyKind::kLeastAssigned, spec.seed, config);
+  platform.AddWorkers(32);
+  platform.load_balancer().set_color_stats_enabled(true);
+  OpenLoopDriver driver(&platform, MakeArrivalProcess(spec.arrival, 1),
+                        InvocationMix(spec.mix), spec.driver, 2);
+  driver.Start();
+  sim.RunUntil(SimTime::FromSeconds(15));
+  SnapshotCollector collector(PlannerConfig{}.ewma_beta);
+  std::size_t colors_seen = 0;
+  for (auto _ : state) {
+    colors_seen = collector.Collect(platform).colors.size();
+  }
+  state.counters["colors_seen"] = static_cast<double>(colors_seen);
+  state.counters["dirty_mib"] = static_cast<double>(
+      platform.storage_layer()->total_dirty_bytes()) / kMiB;
+}
+BENCHMARK(BM_PlannerCollect)->Arg(4096)->Unit(benchmark::kMicrosecond);
+
 // Timed summary figures for BENCH_core.json.
 
 double SecondsSince(std::chrono::steady_clock::time_point start) {
@@ -448,9 +519,28 @@ double MeasureRoutesPerSec(PolicyKind kind, std::uint64_t n) {
   return static_cast<double>(n) / SecondsSince(start);
 }
 
+// The console reporter, also keeping each google-benchmark run's wall
+// time per iteration for BENCH_core.json.
+class RecordingReporter : public benchmark::ConsoleReporter {
+ public:
+  void ReportRuns(const std::vector<Run>& runs) override {
+    for (const Run& run : runs) {
+      if (run.run_type == Run::RT_Iteration && run.iterations > 0) {
+        ns_per_iteration.emplace_back(
+            run.benchmark_name(), run.real_accumulated_time * 1e9 /
+                                      static_cast<double>(run.iterations));
+      }
+    }
+    ConsoleReporter::ReportRuns(runs);
+  }
+
+  std::vector<std::pair<std::string, double>> ns_per_iteration;
+};
+
 // Returns false when the sharded engine's digests diverge across shard
 // counts (a determinism regression).
-bool WriteBenchCoreJson() {
+bool WriteBenchCoreJson(
+    const std::vector<std::pair<std::string, double>>& micro) {
   constexpr std::uint64_t kEvents = 2'000'000;
   constexpr std::uint64_t kRoutes = 2'000'000;
   const double events_per_sec = MeasureEventsPerSec(kEvents);
@@ -463,6 +553,16 @@ bool WriteBenchCoreJson() {
   json.String("core");
   json.Key("results");
   json.BeginArray();
+  for (const auto& [name, ns] : micro) {
+    json.BeginObject();
+    json.Key("name");
+    json.String("micro_ns_per_iteration");
+    json.Key("benchmark");
+    json.String(name);
+    json.Key("value");
+    json.Double(ns);
+    json.EndObject();
+  }
   json.BeginObject();
   json.Key("name");
   json.String("events_per_sec");
@@ -575,7 +675,8 @@ int main(int argc, char** argv) {
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) {
     return 1;
   }
-  benchmark::RunSpecifiedBenchmarks();
+  palette::RecordingReporter reporter;
+  benchmark::RunSpecifiedBenchmarks(&reporter);
   benchmark::Shutdown();
-  return palette::WriteBenchCoreJson() ? 0 : 1;
+  return palette::WriteBenchCoreJson(reporter.ns_per_iteration) ? 0 : 1;
 }

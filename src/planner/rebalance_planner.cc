@@ -19,8 +19,8 @@ constexpr std::size_t kUnassigned = static_cast<std::size_t>(-1);
 // split. Slot 0 is the primary — it carries the color's cache bytes, so
 // moving it is what costs migration.
 struct Slot {
-  std::size_t color = 0;       // index into snapshot.colors
-  double load = 0;             // this slot's share of the color's load
+  std::size_t participant = 0;         // index into Solve's participants
+  double load = 0;                     // this slot's share of the load
   std::size_t instance = kUnassigned;  // index into snapshot.instances
 };
 
@@ -37,6 +37,10 @@ struct State {
     for (const double load : loads) {
       max_load = std::max(max_load, load);
     }
+    return ObjectiveAt(max_load);
+  }
+
+  double ObjectiveAt(double max_load) const {
     double f = mean_load > 0 ? max_load / mean_load : 0;
     if (total_bytes > 0 && alpha > 0) {
       f += alpha * (static_cast<double>(moved_bytes) /
@@ -145,10 +149,12 @@ Plan RebalancePlanner::Solve(const PlacementSnapshot& snapshot) const {
     const double share = snapshot.colors[p.color].load_ewma / total_load;
     const int current = static_cast<int>(std::max<std::size_t>(
         p.members.size(), 1));
-    if (config_.split_threshold > 0 && share > config_.split_threshold) {
+    // A color is never split when fewer than 2 instances can host it.
+    if (max_width >= 2 && config_.split_threshold > 0 &&
+        share > config_.split_threshold) {
       const int wanted =
           static_cast<int>(std::ceil(share / config_.split_threshold));
-      p.width = std::clamp(wanted, 2, std::max(max_width, 1));
+      p.width = std::clamp(wanted, 2, max_width);
     } else if (current > 1 && config_.split_threshold > 0 &&
                share > config_.split_threshold / 2) {
       p.width = std::min(current, std::max(max_width, 1));
@@ -175,7 +181,7 @@ Plan RebalancePlanner::Solve(const PlacementSnapshot& snapshot) const {
     first_slot[pi] = slots.size();
     for (int j = 0; j < p.width; ++j) {
       Slot slot;
-      slot.color = p.color;
+      slot.participant = pi;
       slot.load = slot_load;
       if (j == 0) {
         slot.instance = p.home;
@@ -188,6 +194,17 @@ Plan RebalancePlanner::Solve(const PlacementSnapshot& snapshot) const {
       slots.push_back(slot);
     }
   }
+  // Sibling collision: two slots of one color on one instance.
+  const auto sibling_blocked = [&](std::size_t pi, std::size_t slot_index,
+                                   std::size_t to) {
+    for (int k = 0; k < participants[pi].width; ++k) {
+      const std::size_t other = first_slot[pi] + static_cast<std::size_t>(k);
+      if (other != slot_index && slots[other].instance == to) {
+        return true;
+      }
+    }
+    return false;
+  };
   // Deferred slots: deterministic greedy fill.
   for (std::size_t pi = 0; pi < participants.size(); ++pi) {
     const Participant& p = participants[pi];
@@ -198,16 +215,8 @@ Plan RebalancePlanner::Solve(const PlacementSnapshot& snapshot) const {
       }
       std::size_t best = kUnassigned;
       for (std::size_t i = 0; i < n; ++i) {
-        bool taken = false;
-        for (int k = 0; k < p.width; ++k) {
-          const Slot& sibling =
-              slots[first_slot[pi] + static_cast<std::size_t>(k)];
-          if (k != j && sibling.instance == i) {
-            taken = true;
-            break;
-          }
-        }
-        if (taken) {
+        if (sibling_blocked(pi, first_slot[pi] + static_cast<std::size_t>(j),
+                            i)) {
           continue;
         }
         if (best == kUnassigned || state.loads[i] < state.loads[best]) {
@@ -232,87 +241,74 @@ Plan RebalancePlanner::Solve(const PlacementSnapshot& snapshot) const {
       state.moved_bytes += move_cost[participants[pi].color];
     }
   }
-
-  // Helper: objective delta of re-homing one slot; applies it when
-  // `commit`. Sibling-collision (two slots of one color on one instance)
-  // is rejected by the caller.
-  const auto reassign_cost = [&](std::size_t slot_index, std::size_t to) {
-    const Slot& slot = slots[slot_index];
-    state.loads[slot.instance] -= slot.load;
-    state.loads[to] += slot.load;
-    return slot.instance;  // caller restores or keeps
-  };
-
-  const auto sibling_blocked = [&](std::size_t pi, std::size_t slot_index,
-                                   std::size_t to) {
-    const Participant& p = participants[pi];
-    for (int k = 0; k < p.width; ++k) {
-      const std::size_t other = first_slot[pi] + static_cast<std::size_t>(k);
-      if (other != slot_index && slots[other].instance == to) {
-        return true;
-      }
+  // Re-prices participant `pi`'s primary moving from one instance to another.
+  const auto charge_primary = [&](std::size_t pi, std::size_t from,
+                                  std::size_t to) {
+    const bool was_moved = from != participants[pi].home;
+    const bool now_moved = to != participants[pi].home;
+    if (!was_moved && now_moved) {
+      state.moved_bytes += move_cost[participants[pi].color];
+    } else if (was_moved && !now_moved) {
+      state.moved_bytes -= move_cost[participants[pi].color];
     }
-    return false;
   };
-
-  // Map slot index -> participant index for the descent loop.
-  std::vector<std::size_t> participant_of(slots.size());
-  for (std::size_t pi = 0; pi < participants.size(); ++pi) {
-    const Participant& p = participants[pi];
-    for (int j = 0; j < p.width; ++j) {
-      participant_of[first_slot[pi] + static_cast<std::size_t>(j)] = pi;
-    }
-  }
 
   double objective = state.Objective();
 
   // Phase 1: steepest-descent sweeps. Each slot greedily takes the
   // instance that most improves the objective, movement cost included.
+  // Each candidate's max load is O(1): the max of a running prefix over
+  // the loads already scanned, the suffix max of the loads not yet
+  // scanned, and the two loads the move changes. The scan leaves the loads
+  // exactly as moving and undoing every candidate would: each visited
+  // candidate at (x + l) - l and `from` re-drifted to (f - l) + l once per
+  // candidate, so plans stay bit-identical (docs/PLANNER.md, "Cost").
+  std::vector<double> suffix_max(n + 1, 0);
   for (int round = 0; round < config_.swap_rounds; ++round) {
     bool improved = false;
     for (std::size_t s = 0; s < slots.size(); ++s) {
-      const std::size_t pi = participant_of[s];
+      const std::size_t pi = slots[s].participant;
       const bool is_primary = s == first_slot[pi];
-      const Bytes bytes = move_cost[slots[s].color];
-      std::size_t best_to = slots[s].instance;
+      const std::size_t from = slots[s].instance;
+      const double l = slots[s].load;
+      for (std::size_t i = n; i-- > 0;) {
+        suffix_max[i] = i == from ? suffix_max[i + 1]
+                                  : std::max(suffix_max[i + 1], state.loads[i]);
+      }
+      double prefix_max = 0;
+      double from_load = state.loads[from];
+      std::size_t best_to = from;
       double best_objective = objective;
       for (std::size_t to = 0; to < n; ++to) {
-        if (to == slots[s].instance || sibling_blocked(pi, s, to)) {
+        if (to == from) {
           continue;
         }
-        const std::size_t from = reassign_cost(s, to);
-        Bytes saved_moved = state.moved_bytes;
-        if (is_primary) {
-          const bool was_moved = from != participants[pi].home;
-          const bool now_moved = to != participants[pi].home;
-          if (!was_moved && now_moved) {
-            state.moved_bytes += bytes;
-          } else if (was_moved && !now_moved) {
-            state.moved_bytes -= bytes;
+        double& load = state.loads[to];
+        if (!sibling_blocked(pi, s, to)) {
+          const double max_load =
+              std::max(std::max(std::max(prefix_max, from_load - l), load + l),
+                       suffix_max[to + 1]);
+          const Bytes saved_moved = state.moved_bytes;
+          if (is_primary) {
+            charge_primary(pi, from, to);
+          }
+          const double candidate = state.ObjectiveAt(max_load);
+          state.moved_bytes = saved_moved;
+          load = (load + l) - l;
+          from_load = (from_load - l) + l;
+          if (candidate + 1e-12 < best_objective) {
+            best_objective = candidate;
+            best_to = to;
           }
         }
-        const double candidate = state.Objective();
-        // Undo; re-apply only if this candidate wins the scan.
-        state.loads[to] -= slots[s].load;
-        state.loads[from] += slots[s].load;
-        state.moved_bytes = saved_moved;
-        if (candidate + 1e-12 < best_objective) {
-          best_objective = candidate;
-          best_to = to;
-        }
+        prefix_max = std::max(prefix_max, load);
       }
-      if (best_to != slots[s].instance) {
-        const std::size_t from = slots[s].instance;
-        state.loads[from] -= slots[s].load;
-        state.loads[best_to] += slots[s].load;
+      state.loads[from] = from_load;
+      if (best_to != from) {
+        state.loads[from] -= l;
+        state.loads[best_to] += l;
         if (is_primary) {
-          const bool was_moved = from != participants[pi].home;
-          const bool now_moved = best_to != participants[pi].home;
-          if (!was_moved && now_moved) {
-            state.moved_bytes += bytes;
-          } else if (was_moved && !now_moved) {
-            state.moved_bytes -= bytes;
-          }
+          charge_primary(pi, from, best_to);
         }
         slots[s].instance = best_to;
         objective = best_objective;
@@ -333,36 +329,23 @@ Plan RebalancePlanner::Solve(const PlacementSnapshot& snapshot) const {
     for (int attempt = 0; attempt < attempts; ++attempt) {
       const std::size_t a = rng.NextBelow(slots.size());
       const std::size_t b = rng.NextBelow(slots.size());
-      if (a == b || slots[a].color == slots[b].color ||
-          slots[a].instance == slots[b].instance) {
-        continue;
-      }
-      const std::size_t pa = participant_of[a];
-      const std::size_t pb = participant_of[b];
+      const std::size_t pa = slots[a].participant;
+      const std::size_t pb = slots[b].participant;
       const std::size_t ia = slots[a].instance;
       const std::size_t ib = slots[b].instance;
-      if (sibling_blocked(pa, a, ib) || sibling_blocked(pb, b, ia)) {
+      if (pa == pb || ia == ib || sibling_blocked(pa, a, ib) ||
+          sibling_blocked(pb, b, ia)) {
         continue;
       }
       const Bytes saved_moved = state.moved_bytes;
       state.loads[ia] += slots[b].load - slots[a].load;
       state.loads[ib] += slots[a].load - slots[b].load;
-      const auto charge = [&](std::size_t s, std::size_t pi, std::size_t from,
-                              std::size_t to) {
-        if (s != first_slot[pi]) {
-          return;
-        }
-        const Bytes bytes = move_cost[slots[s].color];
-        const bool was_moved = from != participants[pi].home;
-        const bool now_moved = to != participants[pi].home;
-        if (!was_moved && now_moved) {
-          state.moved_bytes += bytes;
-        } else if (was_moved && !now_moved) {
-          state.moved_bytes -= bytes;
-        }
-      };
-      charge(a, pa, ia, ib);
-      charge(b, pb, ib, ia);
+      if (a == first_slot[pa]) {
+        charge_primary(pa, ia, ib);
+      }
+      if (b == first_slot[pb]) {
+        charge_primary(pb, ib, ia);
+      }
       const double candidate = state.Objective();
       if (candidate + 1e-12 < objective) {
         slots[a].instance = ib;
@@ -449,19 +432,9 @@ Plan RebalancePlanner::Solve(const PlacementSnapshot& snapshot) const {
     }
     // Skip re-emitting an unchanged split (stability: identical rounds
     // produce identical tables without counter churn).
-    if (currently_split && obs.split_members.size() == split.instances.size()) {
-      bool same = true;
-      for (std::size_t j = 0; j < split.instances.size(); ++j) {
-        if (obs.split_members[j] != split.instances[j]) {
-          same = false;
-          break;
-        }
-      }
-      if (same) {
-        continue;
-      }
+    if (!currently_split || obs.split_members != split.instances) {
+      plan.splits.push_back(std::move(split));
     }
-    plan.splits.push_back(std::move(split));
   }
   return plan;
 }

@@ -1,6 +1,8 @@
 #include "src/planner/snapshot.h"
 
 #include <algorithm>
+#include <set>
+#include <utility>
 
 #include "src/faas/platform.h"
 
@@ -21,24 +23,25 @@ PlacementSnapshot SnapshotCollector::Collect(FaasPlatform& platform) {
   // Colors come from the LB's opt-in per-color counters; sort names so the
   // snapshot (and everything the solver derives from it) has one canonical
   // order regardless of hash-map iteration.
-  std::vector<const std::string*> names;
-  names.reserve(lb.color_counts().size());
+  std::vector<std::pair<const std::string*, std::uint64_t>> counts;
+  counts.reserve(lb.color_counts().size());
   for (const auto& [color, count] : lb.color_counts()) {
-    (void)count;
-    names.push_back(&color);
+    counts.emplace_back(&color, count);
   }
-  std::sort(names.begin(), names.end(),
-            [](const std::string* a, const std::string* b) { return *a < *b; });
+  std::sort(counts.begin(), counts.end(), [](const auto& a, const auto& b) {
+    return *a.first < *b.first;
+  });
 
-  snapshot.colors.reserve(names.size());
-  for (const std::string* name : names) {
-    const std::uint64_t count = lb.color_counts().at(*name);
+  snapshot.colors.reserve(counts.size());
+  std::set<InstanceId> placements;
+  for (const auto& [name, count] : counts) {
     ColorState& state = state_[*name];
     const std::uint64_t window =
         count >= state.last_count ? count - state.last_count : 0;
     state.last_count = count;
     state.ewma = beta_ * static_cast<double>(window) +
                  (1.0 - beta_) * state.ewma;
+    state.index = snapshot.colors.size();
 
     ColorObservation obs;
     obs.color = *name;
@@ -46,22 +49,41 @@ PlacementSnapshot SnapshotCollector::Collect(FaasPlatform& platform) {
     const auto placement = lb.PeekColorId(*name);
     if (placement.has_value()) {
       obs.placement = *placement;
-      Bytes footprint = 0;
-      for (const auto& object :
-           platform.cache().PeekKeyObjects(InstanceName(*placement), *name)) {
-        footprint += object.size;
-      }
-      obs.cache_bytes = footprint;
-      if (platform.storage_layer() != nullptr) {
-        obs.dirty_bytes = platform.storage_layer()->DirtyBytesOwnedBy(
-            InstanceName(*placement), *name);
-      }
+      placements.insert(*placement);
     }
     obs.split = lb.IsSplit(*name);
     if (obs.split) {
       obs.split_members = lb.SplitMembers(*name);
     }
     snapshot.colors.push_back(std::move(obs));
+  }
+
+  // Bytes: one walk of each placement's cache shard and of the dirty
+  // storage directory. An object counts for the color its hashing key
+  // names if it sits at (is owned by) that color's placement. state_ holds
+  // every color the LB counts (counts are never erased): indexes are fresh.
+  const auto placed_at = [&](const std::string& object, InstanceId at) {
+    const auto it = state_.find(FaastCache::HashKeyOf(object));
+    ColorObservation* obs =
+        it == state_.end() ? nullptr : &snapshot.colors[it->second.index];
+    return obs != nullptr && obs->placement == at ? obs : nullptr;
+  };
+  for (const InstanceId at : placements) {
+    platform.cache().ForEachObject(
+        InstanceName(at), [&](const std::string& object, Bytes size) {
+          if (ColorObservation* obs = placed_at(object, at)) {
+            obs->cache_bytes += size;
+          }
+        });
+  }
+  if (platform.storage_layer() != nullptr) {
+    platform.storage_layer()->ForEachDirtyObject(
+        [&](const std::string& object, const std::string& owner, Bytes bytes) {
+          const auto at = InstanceRegistry::Global().Find(owner);
+          if (ColorObservation* obs = at ? placed_at(object, *at) : nullptr) {
+            obs->dirty_bytes += bytes;
+          }
+        });
   }
   return snapshot;
 }

@@ -11,11 +11,13 @@
 #define PALETTE_SRC_PLANNER_SNAPSHOT_H_
 
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <unordered_map>
 #include <vector>
 
 #include "src/common/instance_id.h"
+#include "src/common/string_hash.h"
 #include "src/common/types.h"
 #include "src/core/color.h"
 
@@ -50,14 +52,6 @@ struct PlacementSnapshot {
   SimTime taken;
   std::vector<InstanceId> instances;      // name-sorted, live members
   std::vector<ColorObservation> colors;   // sorted by color name
-
-  double total_load() const {
-    double total = 0;
-    for (const ColorObservation& c : colors) {
-      total += c.load_ewma;
-    }
-    return total;
-  }
 };
 
 // Stateful collector: remembers each color's cumulative count from the
@@ -76,10 +70,13 @@ class SnapshotCollector {
   struct ColorState {
     std::uint64_t last_count = 0;
     double ewma = 0;
+    std::size_t index = 0;  // position in the latest snapshot's colors
   };
 
   double beta_;
-  std::unordered_map<std::string, ColorState> state_;
+  std::unordered_map<std::string, ColorState, TransparentStringHash,
+                     std::equal_to<>>
+      state_;
 };
 
 }  // namespace palette

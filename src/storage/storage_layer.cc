@@ -283,15 +283,14 @@ void StorageLayer::FlushKeyOwned(const std::string& instance,
   }
 }
 
-Bytes StorageLayer::DirtyBytesOwnedBy(const std::string& instance,
-                                      std::string_view key) const {
-  Bytes total = 0;
+void StorageLayer::ForEachDirtyObject(
+    const std::function<void(const std::string&, const std::string&, Bytes)>&
+        fn) const {
   for (const auto& [name, obj] : objects_) {
-    if (obj.owner == instance && FaastCache::HashKeyOf(name) == key) {
-      total += obj.pending_bytes;
+    if (obj.pending_bytes > 0) {
+      fn(name, obj.owner, obj.pending_bytes);
     }
   }
-  return total;
 }
 
 Bytes StorageLayer::total_dirty_bytes() const {

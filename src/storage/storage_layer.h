@@ -23,6 +23,7 @@
 #define PALETTE_SRC_STORAGE_STORAGE_LAYER_H_
 
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <optional>
 #include <set>
@@ -96,10 +97,12 @@ class StorageLayer {
   // copy moves).
   void FlushKeyOwned(const std::string& instance, std::string_view key);
 
-  // Dirty write-back bytes owned by `instance` under hashing key `key`
-  // (planner snapshot: moving a dirty color costs a flush first).
-  Bytes DirtyBytesOwnedBy(const std::string& instance,
-                          std::string_view key) const;
+  // Visits (name, owner, dirty bytes) of every object with buffered
+  // write-back bytes (planner snapshot: moving a dirty color costs a
+  // flush first).
+  void ForEachDirtyObject(
+      const std::function<void(const std::string&, const std::string&, Bytes)>&
+          fn) const;
   Bytes total_dirty_bytes() const;
 
   // Anti-entropy log cursors (tests; loadgen JSON).

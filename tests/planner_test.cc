@@ -3,14 +3,24 @@
 // runs under worker churn, and digest equality across shard counts.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "src/common/rng.h"
 #include "src/common/table_printer.h"
 #include "src/core/least_assigned_policy.h"
 #include "src/core/palette_load_balancer.h"
+#include "src/hash/hash.h"
+#include "src/faas/platform.h"
+#include "src/planner/planner_runtime.h"
 #include "src/planner/rebalance_planner.h"
+#include "src/planner/snapshot.h"
+#include "src/sim/simulator.h"
+#include "src/workload/arrival.h"
+#include "src/workload/driver.h"
 #include "src/workload/fault_schedule.h"
 #include "src/workload/sharded_run.h"
 #include "src/workload/spec.h"
@@ -61,6 +71,179 @@ std::string PlanSignature(const Plan& plan) {
     sig += StrFormat("G %s ->%u;", merge.color.c_str(), merge.to);
   }
   return sig;
+}
+
+// A plan with instances by name, so the signature does not depend on the
+// order in which the process interned them.
+std::string NamedPlanSignature(const Plan& plan) {
+  std::string sig;
+  for (const PlanMove& move : plan.moves) {
+    sig += StrFormat("M %s %s->%s;", move.color.c_str(),
+                     InstanceName(move.from).c_str(),
+                     InstanceName(move.to).c_str());
+  }
+  for (const PlanSplit& split : plan.splits) {
+    sig += StrFormat("S %s", split.color.c_str());
+    for (std::size_t i = 0; i < split.instances.size(); ++i) {
+      sig += StrFormat(" %s*%u", InstanceName(split.instances[i]).c_str(),
+                       split.weights[i]);
+    }
+    sig += ";";
+  }
+  for (const PlanMerge& merge : plan.merges) {
+    sig += StrFormat("G %s ->%s;", merge.color.c_str(),
+                     InstanceName(merge.to).c_str());
+  }
+  return sig;
+}
+
+// A seeded random snapshot with every kind of color the solver sees: idle
+// colors, unplaced colors, colors on a dead instance, dirty bytes, and
+// four hot colors at fixed shares of the participating load — one entering
+// a split (0.35), an existing split held by hysteresis (0.15), an existing
+// split with a dead member cooling into a merge (0.03), and an existing
+// split staying above the threshold (0.25).
+PlacementSnapshot GoldenSnapshot(int instances, int colors) {
+  Rng rng(static_cast<std::uint64_t>(instances * 10007 + colors));
+  PlacementSnapshot snapshot;
+  snapshot.taken = SimTime::FromSeconds(3);
+  snapshot.instances = MakeInstances(instances);
+  const InstanceId dead = InternInstance("golden-dead");
+  double cold_load = 0;
+  for (int c = 0; c < colors; ++c) {
+    ColorObservation obs;
+    obs.color = StrFormat("g%04d", c);
+    obs.cache_bytes = static_cast<Bytes>(rng.NextBelow(1 << 20));
+    obs.dirty_bytes =
+        c % 5 == 0 ? static_cast<Bytes>(rng.NextBelow(1 << 18)) : 0;
+    obs.load_ewma = c % 16 == 15 ? 0 : rng.NextDouble() * 10;
+    if (c % 29 == 11) {
+      obs.placement = dead;
+    } else if (c % 23 != 7) {
+      obs.placement = snapshot.instances[rng.NextBelow(
+          static_cast<std::uint64_t>(instances))];
+      if (c >= 4) {
+        cold_load += obs.load_ewma;
+      }
+    }
+    snapshot.colors.push_back(std::move(obs));
+  }
+  const double total = cold_load / 0.22;
+  const auto members = [&](int offset, int width) {
+    std::vector<InstanceId> ids;
+    for (int j = 0; j < std::min(width, instances); ++j) {
+      ids.push_back(snapshot.instances[static_cast<std::size_t>(
+          (offset + j) % instances)]);
+    }
+    return ids;
+  };
+  const auto make_hot = [&](int c, double share,
+                            std::vector<InstanceId> split) {
+    ColorObservation& obs = snapshot.colors[static_cast<std::size_t>(c)];
+    obs.load_ewma = share * total;
+    obs.placement = split.front();
+    obs.split = split.size() > 1;
+    obs.split_members =
+        obs.split ? std::move(split) : std::vector<InstanceId>{};
+  };
+  make_hot(0, 0.35, members(0, 1));
+  make_hot(1, 0.15, members(0, 3));
+  std::vector<InstanceId> cooling = members(1, 2);
+  cooling.push_back(dead);
+  make_hot(2, 0.03, std::move(cooling));
+  make_hot(3, 0.25, members(2, 2));
+  return snapshot;
+}
+
+// Plans and objectives pinned bit for bit: the cheap solver scans must
+// reproduce the full-evaluation solver exactly. The last four cells are
+// ones where the floating-point drift of the move-and-undo scan reaches
+// objective_after.
+TEST(PlannerGoldenTest, SolveMatchesPinnedPlansAndObjectives) {
+  struct Cell {
+    int instances;
+    int colors;
+    bool free_moves;  // move_alpha 0, dirty bytes priced clean
+    std::size_t max_moves;
+    std::uint64_t signature_hash;
+    std::size_t moves, splits, merges;
+    const char* before;
+    const char* after;
+  };
+  const Cell cells[] = {
+      {1, 64, false, 64, 14695981039346656037ULL, 0, 0, 0, "0x1p+0", "0x1p+0"},
+      {1, 64, true, 8, 14695981039346656037ULL, 0, 0, 0, "0x1p+0", "0x1p+0"},
+      {1, 1024, false, 64, 14695981039346656037ULL, 0, 0, 0, "0x1p+0",
+       "0x1p+0"},
+      {1, 1024, true, 8, 14695981039346656037ULL, 0, 0, 0, "0x1p+0",
+       "0x1p+0"},
+      {3, 64, false, 64, 1486441379786699067ULL, 12, 1, 1,
+       "0x1.cac5bd8527958p+0", "0x1.27c8cfeded79p+0"},
+      {3, 64, true, 8, 2315972408345398440ULL, 8, 1, 1,
+       "0x1.cac5bd8527958p+0", "0x1.29672b75fc5cfp+0"},
+      {3, 1024, false, 64, 15607733494108508518ULL, 64, 1, 1,
+       "0x1.cacbadb4abddap+0", "0x1.390537b7a01f4p+0"},
+      {3, 1024, true, 8, 9075940542923994747ULL, 8, 1, 1,
+       "0x1.cacbadb4abddap+0", "0x1.42877b615bd93p+0"},
+      {32, 64, false, 64, 4256785435775565259ULL, 0, 1, 1,
+       "0x1.9999999999994p+3", "0x1.6724ae1d51cb3p+2"},
+      {32, 64, true, 8, 4256785435775565259ULL, 0, 1, 1,
+       "0x1.9999999999994p+3", "0x1.6666666666661p+2"},
+      {32, 1024, false, 64, 8084228614465862038ULL, 23, 2, 1,
+       "0x1.a0b81e42ef2fep+3", "0x1.6a2a8fa93f0e5p+2"},
+      {32, 1024, true, 8, 13891459589845209676ULL, 8, 2, 1,
+       "0x1.a0b81e42ef2fep+3", "0x1.6d8ef26a13d27p+2"},
+      {2, 64, true, 1000, 10863693409185344331ULL, 12, 1, 1,
+       "0x1.5c207dd4059ecp+0", "0x1.00004c59237ap+0"},
+      {2, 128, false, 64, 11624584774881278734ULL, 8, 1, 1,
+       "0x1.58430d1ea076ap+0", "0x1.04d976eed2488p+0"},
+      {3, 256, true, 1000, 1148445265526313381ULL, 75, 1, 1,
+       "0x1.c6a3ff76f1462p+0", "0x1.0cccccccccccfp+0"},
+      {3, 512, false, 64, 9990223815455324973ULL, 64, 1, 1,
+       "0x1.d7cfee3d9fc35p+0", "0x1.2b79f95df302dp+0"},
+  };
+  for (const Cell& cell : cells) {
+    PlannerConfig config;
+    config.seed = 7;
+    config.max_moves = cell.max_moves;
+    if (cell.free_moves) {
+      config.move_alpha = 0;
+      config.dirty_move_weight = 0;
+    }
+    const Plan plan = RebalancePlanner(config).Solve(
+        GoldenSnapshot(cell.instances, cell.colors));
+    const std::string sig = NamedPlanSignature(plan);
+    const std::string got = StrFormat(
+        "{%d, %d, %s, %zu, %lluULL, %zu, %zu, %zu, \"%a\", \"%a\"},",
+        cell.instances, cell.colors, cell.free_moves ? "true" : "false",
+        cell.max_moves,
+        static_cast<unsigned long long>(Fnv1a64(sig)), plan.moves.size(),
+        plan.splits.size(), plan.merges.size(), plan.objective_before,
+        plan.objective_after);
+    EXPECT_EQ(Fnv1a64(sig), cell.signature_hash) << got << "\n" << sig;
+    EXPECT_EQ(plan.moves.size(), cell.moves) << got;
+    EXPECT_EQ(plan.splits.size(), cell.splits) << got;
+    EXPECT_EQ(plan.merges.size(), cell.merges) << got;
+    EXPECT_EQ(StrFormat("%a", plan.objective_before), cell.before) << got;
+    EXPECT_EQ(StrFormat("%a", plan.objective_after), cell.after) << got;
+  }
+}
+
+// One instance cannot host a split: a color over the threshold stays
+// whole (split sizing used to clamp with lo > hi here), and so it does
+// when max_split forbids replicas.
+TEST(RebalancePlannerTest, NoSplitWhenFewerThanTwoInstancesCanHost) {
+  for (const auto& [instances, max_split] :
+       {std::pair{1, 4}, std::pair{4, 1}, std::pair{4, 0}}) {
+    PlannerConfig config;
+    config.max_split = max_split;
+    const Plan plan =
+        RebalancePlanner(config).Solve(GoldenSnapshot(instances, 64));
+    EXPECT_TRUE(plan.splits.empty()) << instances << " " << max_split;
+    EXPECT_TRUE(std::isfinite(plan.objective_before));
+    EXPECT_TRUE(std::isfinite(plan.objective_after));
+    EXPECT_LE(plan.objective_after, plan.objective_before);
+  }
 }
 
 TEST(RebalancePlannerTest, SolveIsDeterministicForSnapshotAndSeed) {
@@ -289,6 +472,72 @@ TEST(PlannerWorkloadTest, PlannerRunIsSeedReproducible) {
   EXPECT_EQ(a.counters.planner_splits, b.counters.planner_splits);
   EXPECT_EQ(a.counters.platform.planner_moved_bytes,
             b.counters.platform.planner_moved_bytes);
+}
+
+// The collector's one-pass sums must equal, color by color, brute-force
+// sums over the placement's cache shard and the dirty storage directory,
+// under write-back writes, planner migrations and a crash and restart.
+TEST(SnapshotCollectorTest, BytesMatchBruteForceSumsUnderWriteBack) {
+  WorkloadSpec spec = SmallSpec();
+  spec.mix.write_fraction = 0.3;
+  spec.driver.duration = SimTime::FromSeconds(4);
+  PlatformConfig config = DefaultWorkloadPlatformConfig();
+  config.storage.mode = CoherenceMode::kWriteBack;
+  config.storage.max_dirty_age = SimTime::FromSeconds(1);
+  config.cache.replicate_on_remote_hit = true;
+
+  Simulator sim;
+  FaasPlatform platform(&sim, PolicyKind::kLeastAssigned, spec.seed, config);
+  platform.AddWorkers(4);
+  FaultSchedule faults;
+  faults.Add(FaultEvent{SimTime::FromMillis(1300), FaultKind::kCrash, "w1"});
+  faults.Add(
+      FaultEvent{SimTime::FromMillis(2600), FaultKind::kRestart, "w1"});
+  faults.InstallOn(&sim, &platform);
+  OpenLoopDriver driver(&platform, MakeArrivalProcess(spec.arrival, 1),
+                        InvocationMix(spec.mix), spec.driver, 2);
+  const PlannerConfig planner;
+  PlannerRuntime runtime(&platform, planner);
+  runtime.Start(spec.driver.duration);
+
+  SnapshotCollector probe(planner.ewma_beta);
+  std::size_t cached_colors = 0;
+  std::size_t dirty_colors = 0;
+  for (SimTime t = SimTime::FromMillis(250); t < spec.driver.duration;
+       t += SimTime::FromMillis(500)) {
+    sim.At(t, [&]() {
+      for (const ColorObservation& obs : probe.Collect(platform).colors) {
+        Bytes cache = 0;
+        Bytes dirty = 0;
+        if (obs.placement != kInvalidInstanceId) {
+          const std::string& at = InstanceName(obs.placement);
+          platform.cache().ForEachObject(
+              at, [&](const std::string& name, Bytes size) {
+                if (FaastCache::HashKeyOf(name) == obs.color) {
+                  cache += size;
+                }
+              });
+          platform.storage_layer()->ForEachDirtyObject(
+              [&](const std::string& name, const std::string& owner,
+                  Bytes bytes) {
+                if (owner == at && FaastCache::HashKeyOf(name) == obs.color) {
+                  dirty += bytes;
+                }
+              });
+        }
+        const double ms = sim.Now().millis();
+        EXPECT_EQ(obs.cache_bytes, cache) << obs.color << " @ " << ms;
+        EXPECT_EQ(obs.dirty_bytes, dirty) << obs.color << " @ " << ms;
+        cached_colors += cache > 0 ? 1 : 0;
+        dirty_colors += dirty > 0 ? 1 : 0;
+      }
+    });
+  }
+  driver.Start();
+  sim.Run();
+  EXPECT_GT(runtime.rounds_completed(), 0u);
+  EXPECT_GT(cached_colors, 0u);
+  EXPECT_GT(dirty_colors, 0u);
 }
 
 TEST(PlannerShardedTest, DigestsMatchAcrossShardCountsWithPlanning) {

@@ -554,8 +554,26 @@ int Run(int argc, char** argv) {
       "split_threshold", planner_config.split_threshold);
   planner_config.move_alpha =
       flags.GetDouble("move_alpha", planner_config.move_alpha);
-  planner_config.max_split = static_cast<int>(
-      flags.GetInt("max_split", planner_config.max_split));
+  const std::int64_t max_split =
+      flags.GetInt("max_split", planner_config.max_split);
+  if (max_split < 1 || max_split > INT32_MAX) {
+    std::fprintf(stderr, "--max_split must be in [1, %d]: %lld\n", INT32_MAX,
+                 static_cast<long long>(max_split));
+    return 1;
+  }
+  planner_config.max_split = static_cast<int>(max_split);
+  if (!(planner_config.split_threshold >= 0 &&
+        planner_config.split_threshold <= 1)) {
+    std::fprintf(stderr, "--split_threshold must be in [0, 1]: %g\n",
+                 planner_config.split_threshold);
+    return 1;
+  }
+  if (!std::isfinite(planner_config.move_alpha) ||
+      planner_config.move_alpha < 0) {
+    std::fprintf(stderr, "--move_alpha must be finite and >= 0: %g\n",
+                 planner_config.move_alpha);
+    return 1;
+  }
   planner_config.seed = spec.seed;
 
   // Every time flag, each defaulting to the value already in its config.
