@@ -5,9 +5,12 @@
 #include <map>
 #include <set>
 
+#include "src/common/rng.h"
 #include "src/common/table_printer.h"
 #include "src/core/bounded_load_policy.h"
+#include "src/core/least_assigned_policy.h"
 #include "src/core/replicated_policy.h"
+#include "src/hash/hash.h"
 
 namespace palette {
 namespace {
@@ -230,6 +233,123 @@ TEST(ReplicatedColorPolicyTest, MembershipChangeShiftsReplicaSetMinimally) {
     }
   }
   EXPECT_GE(common, 1);
+}
+
+// Both sticky color-table policies (Least Assigned and CH-Bounded-Loads)
+// replay one seeded trace: routes over ~200 colors (some past the 32-byte
+// key cap), an instance removed and one added mid-trace, two plans (move,
+// merge, split primary, move onto a dead instance, move of an unseen
+// color), passive ObserveRoute learning, and a full membership wipe that
+// leaves dormant entries to revive. Every routed instance and the final
+// table state are pinned as FNV digests recorded from the original
+// implementation, so any refactor of the table must keep every decision.
+template <typename Policy, typename Config>
+std::string ReplayColorTableTrace(std::size_t table_capacity,
+                                  std::uint64_t* route_digest,
+                                  std::uint64_t* state_digest) {
+  Config config;
+  config.table_capacity = table_capacity;
+  Policy policy(11, config);
+  const auto name = [](int i) { return StrFormat("gt-w%d", i); };
+  const auto id = [&](int i) { return InternInstance(name(i)); };
+  for (int i = 0; i < 6; ++i) {
+    policy.OnInstanceAdded(name(i));
+  }
+  const auto color_of = [](std::uint64_t k) {
+    return k % 9 == 4 ? StrFormat("%03d-padded-past-the-32-byte-key-cap-%d",
+                                  static_cast<int>(k), static_cast<int>(k % 5))
+                      : StrFormat("gc%03d", static_cast<int>(k));
+  };
+  const auto plan_with = [&](int a, int b, int c, int d, int e) {
+    Plan plan;
+    plan.merges.push_back({color_of(a), id(1)});
+    plan.moves.push_back({color_of(b), kInvalidInstanceId, id(4)});
+    plan.moves.push_back({color_of(c), kInvalidInstanceId, id(2)});  // dead
+    plan.moves.push_back({StrFormat("unseen-%d", e), kInvalidInstanceId,
+                          id(3)});
+    plan.splits.push_back({color_of(d), {id(5), id(0)}, {2, 1}});
+    return plan;
+  };
+  Rng rng(2024);
+  std::string routes;
+  for (int step = 0; step < 2000; ++step) {
+    if (step == 600) {
+      policy.OnInstanceRemoved(name(2));
+    } else if (step == 900) {
+      policy.OnInstanceAdded(name(6));
+    } else if (step == 1000) {
+      policy.ApplyPlan(plan_with(17, 42, 99, 150, 1));
+    } else if (step == 1500) {
+      policy.ApplyPlan(plan_with(150, 17, 3, 88, 2));
+    } else if (step == 1700) {
+      for (const int i : {0, 1, 3, 4, 5, 6}) {
+        policy.OnInstanceRemoved(name(i));
+      }
+      policy.OnInstanceAdded(name(7));
+      policy.OnInstanceAdded(name(8));
+    }
+    const std::string color = color_of(rng.NextBelow(200));
+    if (step % 97 == 13) {
+      policy.ObserveRoute(color, id(step % 2 == 0 ? 5 : 2));
+      continue;
+    }
+    const auto routed = policy.RouteColoredId(color);
+    routes += routed.has_value() ? InstanceName(*routed) : "-";
+    routes += ',';
+  }
+  *route_digest = Fnv1a64(routes);
+  std::string state;
+  for (int i = 0; i < 9; ++i) {
+    state += StrFormat("%zu,", policy.AssignedCount(name(i)));
+  }
+  for (std::uint64_t k = 0; k < 200; ++k) {
+    const auto peeked = policy.PeekColorId(color_of(k));
+    state += peeked.has_value() ? InstanceName(*peeked) : "-";
+    state += ',';
+  }
+  *state_digest = Fnv1a64(state);
+  return StrFormat("%llu/%llu/%zu/%zu",
+                   static_cast<unsigned long long>(policy.recolored()),
+                   static_cast<unsigned long long>(policy.planner_moves()),
+                   policy.table_size(), policy.StateBytes());
+}
+
+TEST(ColorTableGoldenTest, LeastAssignedAndBoundedLoadsMatchPinnedTrace) {
+  struct Cell {
+    bool bounded;
+    std::size_t capacity;
+    std::uint64_t route_digest;
+    std::uint64_t state_digest;
+    const char* counters;  // recolored/planner_moves/table_size/StateBytes
+  };
+  const Cell cells[] = {
+      {false, 64, 17530669029959019460ULL, 8588272788918113987ULL,
+       "167/6/64/3072"},
+      {false, kDefaultColorTableCapacity, 11295651583161627312ULL,
+       4359912381612836031ULL, "531/5/202/9696"},
+      {true, 64, 15256439728998911248ULL, 920080473121992509ULL,
+       "178/6/64/9216"},
+      {true, kDefaultColorTableCapacity, 4892092393540937086ULL,
+       7451486690749087398ULL, "548/5/202/15840"},
+  };
+  for (const Cell& cell : cells) {
+    std::uint64_t route_digest = 0;
+    std::uint64_t state_digest = 0;
+    const std::string counters =
+        cell.bounded
+            ? ReplayColorTableTrace<BoundedLoadPolicy, BoundedLoadConfig>(
+                  cell.capacity, &route_digest, &state_digest)
+            : ReplayColorTableTrace<LeastAssignedPolicy, LeastAssignedConfig>(
+                  cell.capacity, &route_digest, &state_digest);
+    const std::string got = StrFormat(
+        "{%s, %zu, %lluULL, %lluULL, \"%s\"},",
+        cell.bounded ? "true" : "false", cell.capacity,
+        static_cast<unsigned long long>(route_digest),
+        static_cast<unsigned long long>(state_digest), counters.c_str());
+    EXPECT_EQ(route_digest, cell.route_digest) << got;
+    EXPECT_EQ(state_digest, cell.state_digest) << got;
+    EXPECT_EQ(counters, cell.counters) << got;
+  }
 }
 
 }  // namespace
