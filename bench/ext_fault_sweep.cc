@@ -227,7 +227,7 @@ bool RunPlannerChurnCell(const WorkloadSpec& spec, const FaultSchedule& faults,
       spec, PolicyKind::kLeastAssigned, kWorkers, slo, config, &faults,
       nullptr, &planner);
   const RunCounters& c = run.counters;
-  const bool closes = c.platform.BooksClose();
+  const bool closes = run.books_close;
   bool ok = closes;
   if (!closes) {
     std::fprintf(stderr, "FAIL: planner churn cell books do not close\n");
@@ -365,7 +365,7 @@ void Run() {
       const WorkloadRunResult run =
           RunWorkload(spec, policy, kWorkers, slo, config, &faults);
       const RunCounters& c = run.counters;
-      const bool closes = c.platform.BooksClose();
+      const bool closes = run.books_close;
       books_ok = books_ok && closes;
 
       table.AddRow({std::string(PolicyKindId(policy)),

@@ -9,8 +9,10 @@
 //   * A color walks its consistent-hash ring order and settles on the
 //     first instance whose assigned-color count is below the capacity
 //     ceil(c_factor * average), guaranteeing max/avg <= c_factor.
-//   * Settled mappings are remembered in an LRU-capped table (the same
-//     16,384-entry budget as Least Assigned) so routing stays sticky.
+//   * Settled mappings are remembered in Least Assigned's LRU-capped color
+//     table (this class derives from it and overrides only Place()), so
+//     routing stays sticky and plans, passive learning and eviction behave
+//     exactly as under LA.
 //   * On membership change only colors that must move do: mappings to
 //     removed instances re-walk their ring order; everything else stays —
 //     the property plain LA lacks, since LA's least-loaded choice ignores
@@ -19,13 +21,10 @@
 #define PALETTE_SRC_CORE_BOUNDED_LOAD_POLICY_H_
 
 #include <cstdint>
-#include <list>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
-#include "src/common/string_hash.h"
-#include "src/core/color_scheduling_policy.h"
+#include "src/core/least_assigned_policy.h"
 #include "src/hash/consistent_hash_ring.h"
 
 namespace palette {
@@ -36,15 +35,12 @@ struct BoundedLoadConfig {
   // constants; 1.25 keeps relative max load below 1.25 with short walks.
   double c_factor = 1.25;
   std::size_t table_capacity = kDefaultColorTableCapacity;
-  std::size_t max_color_bytes = kMaxColorBytes;
-  int virtual_nodes = 128;
 };
 
-class BoundedLoadPolicy : public PolicyBase {
+class BoundedLoadPolicy : public LeastAssignedPolicy {
  public:
   explicit BoundedLoadPolicy(std::uint64_t seed, BoundedLoadConfig config = {});
 
-  std::optional<InstanceId> RouteColoredId(std::string_view color) override;
   void OnInstanceAdded(const std::string& instance) override;
   void OnInstanceRemoved(const std::string& instance) override;
   std::size_t StateBytes() const override;
@@ -52,42 +48,22 @@ class BoundedLoadPolicy : public PolicyBase {
     return "Palette: CH Bounded Loads";
   }
 
-  // Plan+apply: the sticky table makes CH-BL plannable; planned remaps may
-  // exceed the walk's capacity bound until organic churn restores it.
-  bool supports_planning() const override { return true; }
-  void ApplyPlan(const Plan& plan) override;
-  std::optional<InstanceId> PeekColorId(std::string_view color) const override;
-  void ObserveRoute(std::string_view color, InstanceId instance) override;
-
-  std::size_t table_size() const { return table_.size(); }
-  std::size_t AssignedCount(const std::string& instance) const;
   // Relative maximum assigned-color load (max/avg); bounded by c_factor
   // whenever every instance's count is at the walk's mercy (i.e. table not
-  // dominated by stale mappings).
+  // dominated by stale mappings). Planned remaps may exceed the walk's
+  // bound until organic churn restores it.
   double RelativeMaxAssigned() const;
 
+ protected:
+  // First instance in `key`'s ring order with spare capacity (falls back
+  // to Least Assigned's rule when every instance is at the cap).
+  std::optional<InstanceId> Place(std::string_view key) override;
+
  private:
-  struct Entry {
-    std::string color;
-    InstanceId instance = kInvalidInstanceId;
-  };
-  using List = std::list<Entry>;
-
-  // First instance in `color`'s ring order with spare capacity (falls back
-  // to the globally least-assigned when every instance is at the cap).
-  std::optional<InstanceId> PlaceColor(std::string_view truncated);
-  std::size_t CountOf(InstanceId id) const;
-  void EvictLru();
   std::size_t CapacityPerInstance() const;
-  void RemapColor(std::string_view color, InstanceId to, bool count_move);
 
-  BoundedLoadConfig config_;
+  double c_factor_;
   ConsistentHashRing ring_;
-  List lru_;  // front = most recently used
-  std::unordered_map<std::string, List::iterator, TransparentStringHash,
-                     std::equal_to<>>
-      table_;
-  std::unordered_map<InstanceId, std::size_t> assigned_counts_;
   std::vector<InstanceId> walk_buffer_;  // scratch for ring walks
 };
 

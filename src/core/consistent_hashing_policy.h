@@ -14,7 +14,8 @@ namespace palette {
 
 class ConsistentHashingPolicy : public PolicyBase {
  public:
-  explicit ConsistentHashingPolicy(std::uint64_t seed, int virtual_nodes = 128);
+  explicit ConsistentHashingPolicy(std::uint64_t seed,
+                                   int virtual_nodes = kRingVirtualNodes);
 
   std::optional<InstanceId> RouteColoredId(std::string_view color) override;
   void OnInstanceAdded(const std::string& instance) override;

@@ -7,8 +7,8 @@ namespace palette {
 
 LeastAssignedPolicy::LeastAssignedPolicy(std::uint64_t seed,
                                          LeastAssignedConfig config)
-    : PolicyBase(seed), config_(config) {
-  assert(config_.table_capacity > 0);
+    : PolicyBase(seed), table_capacity_(config.table_capacity) {
+  assert(table_capacity_ > 0);
 }
 
 std::optional<InstanceId> LeastAssignedPolicy::RouteColoredId(
@@ -16,22 +16,22 @@ std::optional<InstanceId> LeastAssignedPolicy::RouteColoredId(
   if (instance_ids().empty()) {
     return std::nullopt;
   }
-  const std::string_view key = color.substr(0, config_.max_color_bytes);
+  const std::string_view key = TruncateColor(color);
   auto it = table_.find(key);
   if (it != table_.end()) {
     lru_.splice(lru_.begin(), lru_, it->second);
     if (it->second->instance == kInvalidInstanceId) {
       // Mapping went dormant while no instances existed; reassign now.
-      const auto revived = LeastLoadedInstance();
+      const auto revived = Place(key);
       assert(revived.has_value());
       it->second->instance = *revived;
       ++assigned_counts_[*revived];
     }
     return it->second->instance;
   }
-  const auto target = LeastLoadedInstance();
+  const auto target = Place(key);
   assert(target.has_value());
-  if (table_.size() >= config_.table_capacity) {
+  if (table_.size() >= table_capacity_) {
     EvictLru();
   }
   lru_.push_front(Entry{std::string(key), *target});
@@ -61,7 +61,7 @@ void LeastAssignedPolicy::OnInstanceRemoved(const std::string& instance) {
       continue;
     }
     ++recolored_;
-    const auto target = LeastLoadedInstance();
+    const auto target = Place(entry.color);
     if (!target.has_value()) {
       entry.instance = kInvalidInstanceId;  // No instances left; dormant.
       continue;
@@ -78,7 +78,7 @@ void LeastAssignedPolicy::RemapColor(std::string_view color, InstanceId to,
   if (assigned_counts_.find(to) == assigned_counts_.end()) {
     return;
   }
-  const std::string_view key = color.substr(0, config_.max_color_bytes);
+  const std::string_view key = TruncateColor(color);
   auto it = table_.find(key);
   if (it != table_.end()) {
     if (it->second->instance == to) {
@@ -90,7 +90,7 @@ void LeastAssignedPolicy::RemapColor(std::string_view color, InstanceId to,
     }
     it->second->instance = to;
   } else {
-    if (table_.size() >= config_.table_capacity) {
+    if (table_.size() >= table_capacity_) {
       EvictLru();
     }
     lru_.push_front(Entry{std::string(key), to});
@@ -126,7 +126,7 @@ void LeastAssignedPolicy::ObserveRoute(std::string_view color,
 
 std::optional<InstanceId> LeastAssignedPolicy::PeekColorId(
     std::string_view color) const {
-  const std::string_view key = color.substr(0, config_.max_color_bytes);
+  const std::string_view key = TruncateColor(color);
   const auto it = table_.find(key);
   if (it == table_.end() || it->second->instance == kInvalidInstanceId) {
     return std::nullopt;
@@ -139,7 +139,8 @@ std::size_t LeastAssignedPolicy::CountOf(InstanceId id) const {
   return it == assigned_counts_.end() ? 0 : it->second;
 }
 
-std::optional<InstanceId> LeastAssignedPolicy::LeastLoadedInstance() const {
+std::optional<InstanceId> LeastAssignedPolicy::Place(
+    std::string_view /*key*/) {
   std::optional<InstanceId> best;
   std::size_t best_count = 0;
   for (const InstanceId id : instance_ids()) {
@@ -172,7 +173,7 @@ std::size_t LeastAssignedPolicy::AssignedCount(
 
 std::optional<std::string> LeastAssignedPolicy::LookupColor(
     std::string_view color) const {
-  const std::string_view key = color.substr(0, config_.max_color_bytes);
+  const std::string_view key = TruncateColor(color);
   const auto it = table_.find(key);
   if (it == table_.end() || it->second->instance == kInvalidInstanceId) {
     return std::nullopt;
@@ -183,7 +184,7 @@ std::optional<std::string> LeastAssignedPolicy::LookupColor(
 std::size_t LeastAssignedPolicy::StateBytes() const {
   // Paper-accounting model (§5): truncated color key plus instance id per
   // entry — 16,384 entries at 32-byte colors stays near the 512 KB budget.
-  return table_.size() * (config_.max_color_bytes + 16);
+  return table_.size() * (kMaxColorBytes + 16);
 }
 
 }  // namespace palette

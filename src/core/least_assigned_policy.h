@@ -15,6 +15,10 @@
 // Hot path: table entries store interned InstanceIds (4 bytes, integer
 // hashing) instead of instance name strings, and lookups probe the table
 // with the truncated string_view directly — the hit path allocates nothing.
+//
+// The table is the one sticky color table in src/core: CH-Bounded-Loads
+// (bounded_load_policy.h) derives from this class and overrides only
+// Place(), the rule that picks an instance for an unplaced color.
 #ifndef PALETTE_SRC_CORE_LEAST_ASSIGNED_POLICY_H_
 #define PALETTE_SRC_CORE_LEAST_ASSIGNED_POLICY_H_
 
@@ -30,7 +34,6 @@ namespace palette {
 
 struct LeastAssignedConfig {
   std::size_t table_capacity = kDefaultColorTableCapacity;
-  std::size_t max_color_bytes = kMaxColorBytes;
 };
 
 class LeastAssignedPolicy : public PolicyBase {
@@ -57,6 +60,15 @@ class LeastAssignedPolicy : public PolicyBase {
   // Current mapping for a (truncated) color, if still in the table.
   std::optional<std::string> LookupColor(std::string_view color) const;
 
+ protected:
+  // Chooses the instance for a color the table does not place: a new
+  // color, a dormant entry's revival, or an entry whose instance left.
+  // `key` is the truncated color. Least Assigned picks the instance with
+  // the fewest assigned colors (deterministic tie-break: first in
+  // name-sorted order); nullopt only when there are no instances.
+  virtual std::optional<InstanceId> Place(std::string_view key);
+  std::size_t CountOf(InstanceId id) const;
+
  private:
   struct Entry {
     std::string color;                       // truncated key
@@ -64,16 +76,12 @@ class LeastAssignedPolicy : public PolicyBase {
   };
   using List = std::list<Entry>;
 
-  // The instance with the fewest assigned colors (deterministic tie-break:
-  // first in name-sorted order).
-  std::optional<InstanceId> LeastLoadedInstance() const;
-  std::size_t CountOf(InstanceId id) const;
   void EvictLru();
   // Rewrites (or inserts) `color`'s table entry to point at `to`; counts
   // toward planner_moves_ only when `count_move` (split primaries do not).
   void RemapColor(std::string_view color, InstanceId to, bool count_move);
 
-  LeastAssignedConfig config_;
+  std::size_t table_capacity_;
   List lru_;  // front = most recently used
   std::unordered_map<std::string, List::iterator, TransparentStringHash,
                      std::equal_to<>>

@@ -9,14 +9,14 @@ ReplicatedColorPolicy::ReplicatedColorPolicy(std::uint64_t seed,
                                              ReplicatedColorConfig config)
     : PolicyBase(seed),
       config_(config),
-      ring_(config.virtual_nodes, /*seed=*/seed ^ 0x5E7A11CAULL) {
+      ring_(kRingVirtualNodes, /*seed=*/seed ^ 0x5E7A11CAULL) {
   assert(config_.replicas >= 1);
   assert(config_.table_capacity > 0);
 }
 
 std::vector<std::string> ReplicatedColorPolicy::ReplicaSetOf(
     std::string_view color) const {
-  return ring_.LookupN(color.substr(0, config_.max_color_bytes),
+  return ring_.LookupN(TruncateColor(color),
                        static_cast<std::size_t>(config_.replicas));
 }
 
@@ -24,7 +24,7 @@ bool ReplicatedColorPolicy::IsHot(std::string_view color) const {
   if (!config_.adaptive) {
     return true;
   }
-  const std::string_view key = color.substr(0, config_.max_color_bytes);
+  const std::string_view key = TruncateColor(color);
   const auto it = table_.find(key);
   return it != table_.end() && it->second->hot;
 }
@@ -47,7 +47,7 @@ std::optional<InstanceId> ReplicatedColorPolicy::RouteColoredId(
   if (instance_ids().empty()) {
     return std::nullopt;
   }
-  const std::string_view key = color.substr(0, config_.max_color_bytes);
+  const std::string_view key = TruncateColor(color);
 
   auto it = table_.find(key);
   if (it == table_.end()) {
@@ -101,8 +101,8 @@ void ReplicatedColorPolicy::OnInstanceRemoved(const std::string& instance) {
 }
 
 std::size_t ReplicatedColorPolicy::StateBytes() const {
-  return table_.size() * (config_.max_color_bytes + sizeof(std::uint32_t)) +
-         ring_.member_count() * static_cast<std::size_t>(config_.virtual_nodes) *
+  return table_.size() * (kMaxColorBytes + sizeof(std::uint32_t)) +
+         ring_.member_count() * static_cast<std::size_t>(kRingVirtualNodes) *
              (sizeof(std::uint64_t) + 16);
 }
 

@@ -32,10 +32,8 @@ namespace palette {
 struct ReplicatedColorConfig {
   // Replica set size per color (the maximum set size in adaptive mode).
   int replicas = 2;
-  int virtual_nodes = 128;
   // Per-color round-robin cursors live in an LRU-capped table.
   std::size_t table_capacity = kDefaultColorTableCapacity;
-  std::size_t max_color_bytes = kMaxColorBytes;
   // Adaptive mode: replicate only *hot* colors. A color enters the hot
   // state when its share of recent requests exceeds hot_share_threshold
   // and leaves it only once the share drops below half the threshold

@@ -29,11 +29,15 @@
 
 namespace palette {
 
+// Virtual nodes per member of the policies' rings (and the default for
+// every other ring).
+inline constexpr int kRingVirtualNodes = 128;
+
 class ConsistentHashRing {
  public:
   // `virtual_nodes` ring positions are created per member; more virtual
   // nodes smooth the key distribution at the cost of memory.
-  explicit ConsistentHashRing(int virtual_nodes = 128,
+  explicit ConsistentHashRing(int virtual_nodes = kRingVirtualNodes,
                               std::uint64_t seed = 0x9A1E5EEDULL);
 
   // Adds a member. Returns false (no-op) if already present.

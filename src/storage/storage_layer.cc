@@ -356,16 +356,10 @@ void StorageLayer::ApplyRecord(const std::string& instance,
   if (cit != obj.copies.end() && cit->second.version >= record.version) {
     return;  // already at (or past) this record's version
   }
-  AntiEntropyAction action = config_.ae_action;
-  if (action == AntiEntropyAction::kAuto) {
-    // Causal-mode objects are replicated hot objects worth keeping warm;
-    // everything else just drops the stale copy.
-    action = record.mode == CoherenceMode::kCausal
-                 ? AntiEntropyAction::kRefresh
-                 : AntiEntropyAction::kInvalidate;
-  }
   const SimTime start = sim_->Now();
-  if (action == AntiEntropyAction::kInvalidate) {
+  // Causal-mode objects are replicated hot objects worth keeping warm
+  // (refresh); everything else just drops the stale copy (invalidate).
+  if (record.mode != CoherenceMode::kCausal) {
     cache_->EraseLocal(instance, record.object);
     obj.copies.erase(instance);
     ++stats_.ae_invalidations;

@@ -36,34 +36,6 @@ bool ParseCoherenceMode(std::string_view id, CoherenceMode* out) {
   return false;
 }
 
-std::string_view AntiEntropyActionId(AntiEntropyAction action) {
-  switch (action) {
-    case AntiEntropyAction::kAuto:
-      return "auto";
-    case AntiEntropyAction::kInvalidate:
-      return "invalidate";
-    case AntiEntropyAction::kRefresh:
-      return "refresh";
-  }
-  return "unknown";
-}
-
-bool ParseAntiEntropyAction(std::string_view id, AntiEntropyAction* out) {
-  if (id == "auto") {
-    *out = AntiEntropyAction::kAuto;
-    return true;
-  }
-  if (id == "invalidate") {
-    *out = AntiEntropyAction::kInvalidate;
-    return true;
-  }
-  if (id == "refresh") {
-    *out = AntiEntropyAction::kRefresh;
-    return true;
-  }
-  return false;
-}
-
 void StorageStats::Accumulate(const StorageStats& other) {
   writes_total += other.writes_total;
   writes_durable += other.writes_durable;

@@ -44,16 +44,6 @@ enum class CoherenceMode {
 std::string_view CoherenceModeId(CoherenceMode mode);
 bool ParseCoherenceMode(std::string_view id, CoherenceMode* out);
 
-// What an anti-entropy record does to a peer's stale copy when applied.
-enum class AntiEntropyAction {
-  kAuto,        // refresh for causal-mode writes, invalidate otherwise
-  kInvalidate,  // drop the stale copy; the next read misses/re-fetches
-  kRefresh,     // ship the new bytes to the peer (charged on the network)
-};
-
-std::string_view AntiEntropyActionId(AntiEntropyAction action);
-bool ParseAntiEntropyAction(std::string_view id, AntiEntropyAction* out);
-
 // Two-tier backing store: a fast-but-small tier in front of the slow-but-big
 // one, with per-object placement. Disabled (single tier) by default, which
 // preserves the legacy kStorageNode behavior exactly.
@@ -80,7 +70,6 @@ struct StorageConfig {
   // Anti-entropy: a peer applies log records this long after they were
   // appended (the gossip/propagation delay, on the sim clock).
   SimTime ae_lag = SimTime::FromMillis(10);
-  AntiEntropyAction ae_action = AntiEntropyAction::kAuto;
   StorageTierConfig tiers;
 
   bool enabled() const { return mode != CoherenceMode::kNone; }
