@@ -76,20 +76,24 @@ MixedInvocation InvocationMix::Sample(SimTime now, Rng& rng) const {
   out.spec.function = fn.name;
   out.spec.color = StrFormat("c%u", out.color_id);
   out.spec.cpu_ops = fn.cpu_ops * (0.5 + rng.NextDouble());
+  // "c<id>___<id>.<k>": the suffix repeats the color id, so after §5.1
+  // translation rewrites the prefix to the routed worker ("w3___<id>.<k>"),
+  // two colors homed on one worker still name distinct objects. At 4096
+  // colors the longest name ("c4095___4095.3") fits the short-string
+  // buffer, so naming allocates nothing.
+  const auto object = [&](std::uint64_t obj) {
+    return ObjectRef{StrFormat("c%u___%u.%llu", out.color_id, out.color_id,
+                               static_cast<unsigned long long>(obj)),
+                     ObjectSize(out.color_id, obj)};
+  };
   for (int i = 0; i < config_.inputs_per_invocation; ++i) {
-    const std::uint64_t obj = rng.NextBelow(config_.objects_per_color);
     out.spec.inputs.push_back(
-        ObjectRef{StrFormat("c%u___o%llu", out.color_id,
-                            static_cast<unsigned long long>(obj)),
-                  ObjectSize(out.color_id, obj)});
+        object(rng.NextBelow(config_.objects_per_color)));
   }
   if (config_.write_fraction > 0 &&
       rng.NextBernoulli(config_.write_fraction)) {
-    const std::uint64_t obj = rng.NextBelow(config_.objects_per_color);
     out.spec.outputs.push_back(
-        ObjectRef{StrFormat("c%u___o%llu", out.color_id,
-                            static_cast<unsigned long long>(obj)),
-                  ObjectSize(out.color_id, obj)});
+        object(rng.NextBelow(config_.objects_per_color)));
   }
   return out;
 }

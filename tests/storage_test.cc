@@ -6,10 +6,13 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <map>
+#include <set>
 #include <string>
 #include <vector>
 
 #include "src/cache/faast_cache.h"
+#include "src/common/rng.h"
 #include "src/common/table_printer.h"
 #include "src/faas/platform.h"
 #include "src/router/router_tier.h"
@@ -19,6 +22,7 @@
 #include "src/storage/storage_types.h"
 #include "src/storage/tiered_store.h"
 #include "src/workload/fault_schedule.h"
+#include "src/workload/mix.h"
 #include "src/workload/sharded_run.h"
 #include "src/workload/spec.h"
 
@@ -323,6 +327,49 @@ TEST(PlatformStorageTest, TranslationOffKeepsRawNames) {
   ASSERT_TRUE(done);
   EXPECT_TRUE(platform.cache().ContainsLocal("w0", "c___obj"));
   EXPECT_FALSE(platform.cache().ContainsLocal("w0", "w0___obj"));
+}
+
+// §5.1 aliasing: the mix's object names must stay distinct per color
+// after translation rewrites their prefix to the routed worker, or every
+// color homed on one worker would share that worker's objects.
+TEST(PlatformStorageTest, TranslatedMixNamesNeverAliasAcrossColors) {
+  Simulator sim;
+  PlatformConfig config;
+  config.translate_object_names = true;
+  FaasPlatform platform(&sim, PolicyKind::kLeastAssigned, 1, config);
+  platform.AddWorker("w0");
+  platform.AddWorker("w1");
+  MixConfig mix_config;
+  mix_config.color_count = 32;
+  mix_config.write_fraction = 0.5;
+  const InvocationMix mix(mix_config);
+  Rng rng(5);
+  std::vector<std::pair<std::uint32_t, std::string>> raw_names;
+  for (int i = 0; i < 400; ++i) {
+    const MixedInvocation inv = mix.Sample(SimTime(), rng);
+    for (const auto* refs : {&inv.spec.inputs, &inv.spec.outputs}) {
+      for (const ObjectRef& ref : *refs) {
+        raw_names.emplace_back(inv.color_id, ref.name);
+      }
+    }
+    platform.Invoke(inv.spec, [](const InvocationResult&) {});
+  }
+  sim.Run();
+  // Routing is sticky, so translating after the run rewrites each name
+  // exactly as dispatch did.
+  std::map<std::string, std::uint32_t> color_of_name;
+  std::map<std::string, std::set<std::uint32_t>> colors_on_worker;
+  for (const auto& [color_id, raw] : raw_names) {
+    const std::string name = platform.TranslateObjectName(raw);
+    ASSERT_NE(name, raw);
+    colors_on_worker[name.substr(0, name.find("___"))].insert(color_id);
+    const auto [it, inserted] = color_of_name.emplace(name, color_id);
+    EXPECT_EQ(it->second, color_id) << name << " aliases two colors";
+  }
+  ASSERT_EQ(colors_on_worker.size(), 2u);
+  for (const auto& [worker, colors] : colors_on_worker) {
+    EXPECT_GT(colors.size(), 1u) << worker;
+  }
 }
 
 TEST(PlatformStorageTest, WriteThroughBooksCloseAcrossInvocations) {
