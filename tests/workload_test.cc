@@ -945,6 +945,114 @@ TEST(HarnessGoldenTest, WorkerCrashRestart) {
 }
 
 // ---------------------------------------------------------------------------
+// Lifecycle goldens: every way an attempt can leave a worker (graceful
+// remove, crash, deadline) and every way a router replica can come and go,
+// with retries, under both dispatch modes, direct and through the tier.
+// Each departed worker rejoins well after any attempt it was running has
+// finished (deadlines cap an attempt at 150 ms), so the rejoined worker
+// never shares a name with a still-running attempt.
+
+constexpr const char* kGoldenLifecycleDirectPush =
+    "abandoned=442 cold_starts=11 completed=680"
+    " digest=d248c416fe20af00 events=9783 recolored=35 retries=956"
+    " routing_imbalance=2.5736284889316652 samples=1122"
+    " st.ae_applied=1077 st.ae_invalidations=48 st.ae_records=121"
+    " st.dirty_bytes_flushed=18032800 st.flushes=120"
+    " st.write_bytes=18032800 st.writes_durable=121"
+    " st.writes_total=121 submitted=1122 timeouts=1316";
+constexpr const char* kGoldenLifecycleDirectPull =
+    "abandoned=3 cold_starts=11 completed=1119"
+    " digest=17b0f965a5bb1f2d events=8590 pulls=1178 recolored=35"
+    " retries=58 routing_imbalance=1.797457627118644 samples=1122"
+    " st.ae_applied=1877 st.ae_invalidations=91 st.ae_records=219"
+    " st.coherence_bytes=98252 st.coherence_syncs=1"
+    " st.dirty_bytes_flushed=36145451 st.flushes=208"
+    " st.write_bytes=36145451 st.writes_durable=219"
+    " st.writes_total=219 steal_bytes=51954224 steals=266"
+    " submitted=1122 timeouts=60";
+constexpr const char* kGoldenLifecycleRouterPush =
+    "abandoned=393 cold_starts=11 completed=729"
+    " digest=cfdd84251cf9dcdc events=10023 retries=945"
+    " router_forwards=7 router_misroutes=7 router_recolored=42"
+    " router_routes=2067 router_stale_routes=75 samples=1122"
+    " st.ae_applied=1288 st.ae_invalidations=53 st.ae_records=146"
+    " st.coherence_bytes=250685 st.coherence_syncs=2"
+    " st.dirty_bytes_flushed=21495038 st.flushes=143"
+    " st.write_bytes=21495038 st.writes_durable=146"
+    " st.writes_total=146 submitted=1122 timeouts=1283";
+constexpr const char* kGoldenLifecycleRouterPull =
+    "abandoned=2 cold_starts=11 completed=1120"
+    " digest=0e50d7f11942a3f9 events=8502 pulls=1156 retries=34"
+    " router_forwards=3 router_misroutes=3 router_recolored=42"
+    " router_routes=1156 router_stale_routes=47 samples=1122"
+    " st.ae_applied=1881 st.ae_invalidations=41 st.ae_records=219"
+    " st.dirty_bytes_flushed=35990992 st.flushes=209"
+    " st.write_bytes=35990992 st.writes_durable=219"
+    " st.writes_total=219 steal_bytes=63235700 steals=328"
+    " submitted=1122 timeouts=34";
+
+PlatformConfig LifecyclePlatform(FaasDispatchMode mode) {
+  PlatformConfig config = GoldenPlatform(mode);
+  config.retry.max_attempts = 3;
+  config.default_deadline = SimTime::FromMillis(150);
+  config.storage.mode = CoherenceMode::kWriteBack;
+  return config;
+}
+
+WorkloadSpec LifecycleSpec() {
+  WorkloadSpec spec = GoldenSpec();
+  spec.mix.write_fraction = 0.2;
+  return spec;
+}
+
+FaultSchedule LifecycleFaults() {
+  FaultSchedule faults;
+  faults.Add({SimTime::FromMillis(400), FaultKind::kRemove, "w2"});
+  faults.Add({SimTime::FromMillis(700), FaultKind::kRouterCrash, "r1"});
+  faults.Add({SimTime::FromMillis(900), FaultKind::kRestart, "w2"});
+  faults.Add({SimTime::FromMillis(1100), FaultKind::kCrash, "w5"});
+  faults.Add({SimTime::FromMillis(1300), FaultKind::kRouterRestart, "r1"});
+  faults.Add({SimTime::FromMillis(1500), FaultKind::kRemove, "w0"});
+  faults.Add({SimTime::FromMillis(1700), FaultKind::kRestart, "w5"});
+  faults.Add({SimTime::FromMillis(2000), FaultKind::kRestart, "w0"});
+  faults.Add({SimTime::FromMillis(2200), FaultKind::kCrash, "w3"});
+  return faults;
+}
+
+TEST(LifecycleGoldenTest, DirectPushAndPull) {
+  const SloConfig slo;
+  const FaultSchedule faults = LifecycleFaults();
+  ExpectGolden(
+      Fp(RunWorkload(LifecycleSpec(), PolicyKind::kLeastAssigned, 8, slo,
+                     LifecyclePlatform(FaasDispatchMode::kPush), &faults)),
+      kGoldenLifecycleDirectPush);
+  ExpectGolden(
+      Fp(RunWorkload(LifecycleSpec(), PolicyKind::kLeastAssigned, 8, slo,
+                     LifecyclePlatform(FaasDispatchMode::kPull), &faults)),
+      kGoldenLifecycleDirectPull);
+}
+
+TEST(LifecycleGoldenTest, RouterPushAndPull) {
+  const SloConfig slo;
+  const FaultSchedule faults = LifecycleFaults();
+  RouterTierConfig tier;
+  tier.routers = 3;
+  tier.sync_lag = SimTime::FromMillis(20);
+  ExpectGolden(
+      Fp(RunRouterWorkload(LifecycleSpec(), PolicyKind::kLeastAssigned, 8,
+                           tier, slo,
+                           LifecyclePlatform(FaasDispatchMode::kPush),
+                           &faults)),
+      kGoldenLifecycleRouterPush);
+  ExpectGolden(
+      Fp(RunRouterWorkload(LifecycleSpec(), PolicyKind::kLeastAssigned, 8,
+                           tier, slo,
+                           LifecyclePlatform(FaasDispatchMode::kPull),
+                           &faults)),
+      kGoldenLifecycleRouterPull);
+}
+
+// ---------------------------------------------------------------------------
 // One source of truth: every RunCounters field equals the registry counter
 // the same run exported, in all three harness topologies.
 
