@@ -235,18 +235,18 @@ void BM_PullMatch(benchmark::State& state) {
   Simulator sim;
   FaasPlatform platform(&sim, PolicyKind::kLeastAssigned, 1, config);
   const InstanceId anchor_id = InternInstance(anchor);
-  // Routed through an external route function, so no color is ever placed
-  // by the platform's load balancer and every home is its ring home.
-  const FaasPlatform::RouteFn route =
+  // Routed by an attached router, so no color is ever placed by the
+  // platform's load balancer and every home is its ring home.
+  platform.set_router(
       [anchor_id](const std::optional<Color>&, std::uint64_t, int) {
         return std::optional<RoutedTarget>(RoutedTarget{anchor_id, 0});
-      };
+      });
   const auto submit = [&](const std::string& color, double cpu_ops) {
     InvocationSpec spec;
     spec.function = "f";
     spec.color = Color(color);
     spec.cpu_ops = cpu_ops;
-    platform.InvokeVia(std::move(spec), route, nullptr);
+    platform.Invoke(std::move(spec), nullptr);
   };
   // The anchor claims a job that outlives the benchmark, then the backlog
   // queues behind it; the idle workers join last so the backlog is built

@@ -2,11 +2,9 @@
 
 namespace palette {
 
-ConsistentHashingPolicy::ConsistentHashingPolicy(std::uint64_t seed,
-                                                 int virtual_nodes)
+ConsistentHashingPolicy::ConsistentHashingPolicy(std::uint64_t seed)
     : PolicyBase(seed),
-      virtual_nodes_(virtual_nodes),
-      ring_(virtual_nodes, /*seed=*/seed ^ 0xC0115EEDULL) {}
+      ring_(kRingVirtualNodes, /*seed=*/seed ^ 0xC0115EEDULL) {}
 
 std::optional<InstanceId> ConsistentHashingPolicy::RouteColoredId(
     std::string_view color) {
@@ -27,7 +25,7 @@ void ConsistentHashingPolicy::OnInstanceRemoved(const std::string& instance) {
 
 std::size_t ConsistentHashingPolicy::StateBytes() const {
   // The ring stores virtual-node positions per member; no per-color state.
-  return ring_.member_count() * static_cast<std::size_t>(virtual_nodes_) *
+  return ring_.member_count() * static_cast<std::size_t>(kRingVirtualNodes) *
          (sizeof(std::uint64_t) + 16);
 }
 

@@ -14,8 +14,7 @@ namespace palette {
 
 class ConsistentHashingPolicy : public PolicyBase {
  public:
-  explicit ConsistentHashingPolicy(std::uint64_t seed,
-                                   int virtual_nodes = kRingVirtualNodes);
+  explicit ConsistentHashingPolicy(std::uint64_t seed);
 
   std::optional<InstanceId> RouteColoredId(std::string_view color) override;
   void OnInstanceAdded(const std::string& instance) override;
@@ -24,7 +23,6 @@ class ConsistentHashingPolicy : public PolicyBase {
   std::string_view name() const override { return "Palette: Consistent Hashing"; }
 
  private:
-  int virtual_nodes_;
   ConsistentHashRing ring_;
 };
 

@@ -91,7 +91,7 @@ void FaasPlatform::AddWorkers(int count) {
   }
 }
 
-void FaasPlatform::RemoveWorker(const std::string& name) {
+void FaasPlatform::Depart(const std::string& name, bool crashed) {
   const auto id = InstanceRegistry::Global().Find(name);
   if (!id.has_value()) {
     return;
@@ -100,90 +100,55 @@ void FaasPlatform::RemoveWorker(const std::string& name) {
   if (it == workers_.end()) {
     return;
   }
-  // Graceful drain: the running attempt (if any) already left the queue
-  // and still completes; attempts waiting in the FIFO fail — except under
-  // pull dispatch, where claimed-but-unstarted work was never bound
-  // for good and returns to the head of its color queue instead (no retry
-  // budget burned). Membership is updated first so the policy re-colors
-  // before any retry re-routes.
+  // A graceful leave lets the running attempt (if any) finish on the
+  // departed worker; a crash kills it, and its partial work is lost (a
+  // retry re-executes from scratch: at-least-once). Membership is updated
+  // first so the policy re-colors before any retry re-routes.
   std::deque<AttemptPtr> orphans = std::move(it->second->queue);
+  AttemptPtr running = crashed ? std::move(it->second->running) : nullptr;
   workers_.erase(it);
   idle_workers_.erase(*id);
   if (storage_ != nullptr) {
     // Graceful leave: dirty write-back data flushes before the shard is
-    // reclaimed (must run while the cache shard still exists).
-    storage_->OnInstanceLeave(name, /*crashed=*/false);
-  }
-  cache_.RemoveInstance(name);
-  lb_.RemoveInstance(name);
-  NotifyMembership(MembershipEvent::kRemoved, name);
-  if (pull_enabled() && !workers_.empty()) {
-    for (auto rit = orphans.rbegin(); rit != orphans.rend(); ++rit) {
-      ReleaseStealSlot(*rit);
-      if (!(*rit)->cancelled) {
-        EnqueuePending(*rit, /*front=*/true);
-      }
-    }
-    MatchPending();
-  } else {
-    for (const AttemptPtr& attempt : orphans) {
-      ReleaseStealSlot(attempt);
-      HandleFailure(attempt, FailureReason::kWorkerLost);
-    }
-  }
-  if (workers_.empty()) {
-    FailAllPending();
-  }
-}
-
-void FaasPlatform::CrashWorker(const std::string& name) {
-  const auto id = InstanceRegistry::Global().Find(name);
-  if (!id.has_value()) {
-    return;
-  }
-  const auto it = workers_.find(*id);
-  if (it == workers_.end()) {
-    return;
-  }
-  // Hard failure: the running attempt dies too — its partial work is lost
-  // and a retry re-executes from scratch (at-least-once). The instance's
-  // cached objects vanish with its shard. Under pull dispatch the
-  // crashed worker's claimed-but-unstarted FIFO entries were never started,
-  // so they return to the head of their color queues (books still close;
-  // no retry budget burned), while the running attempt fails as usual.
-  std::deque<AttemptPtr> orphans = std::move(it->second->queue);
-  AttemptPtr running = std::move(it->second->running);
-  workers_.erase(it);
-  idle_workers_.erase(*id);
-  if (storage_ != nullptr) {
-    // Hard failure: dirty write-back data dies with the shard — bounded
-    // loss, surfaced in the storage books.
-    storage_->OnInstanceLeave(name, /*crashed=*/true);
+    // reclaimed (must run while the cache shard still exists). Crash: it
+    // dies with the shard — bounded loss, surfaced in the storage books.
+    storage_->OnInstanceLeave(name, crashed);
   }
   cache_.RemoveInstance(name);
   lb_.RemoveInstance(name);
   NotifyMembership(MembershipEvent::kRemoved, name);
   if (running != nullptr) {
-    ReleaseStealSlot(running);
     HandleFailure(running, FailureReason::kWorkerLost);
   }
-  if (pull_enabled() && !workers_.empty()) {
-    for (auto rit = orphans.rbegin(); rit != orphans.rend(); ++rit) {
-      ReleaseStealSlot(*rit);
-      if (!(*rit)->cancelled) {
-        EnqueuePending(*rit, /*front=*/true);
-      }
-    }
-    MatchPending();
-  } else {
-    for (const AttemptPtr& attempt : orphans) {
-      ReleaseStealSlot(attempt);
-      HandleFailure(attempt, FailureReason::kWorkerLost);
+  // Requeued orphans land at the heads of their color queues, so walk the
+  // FIFO back to front to keep its order there; failed-over ones retry in
+  // FIFO order.
+  const bool to_pending = pull_enabled() && !workers_.empty();
+  while (!orphans.empty()) {
+    if (to_pending) {
+      Requeue(orphans.back());
+      orphans.pop_back();
+    } else {
+      Requeue(orphans.front());
+      orphans.pop_front();
     }
   }
+  MatchPending();
   if (workers_.empty()) {
     FailAllPending();
   }
+}
+
+bool FaasPlatform::Requeue(const AttemptPtr& attempt) {
+  if (!pull_enabled() || workers_.empty() || attempt->cancelled) {
+    HandleFailure(attempt, FailureReason::kWorkerLost);
+    return false;
+  }
+  // The claim never started: it frees its steal slot, and the work goes
+  // back to the head of its color queue.
+  ReleaseStealSlot(attempt);
+  EnqueuePending(attempt, /*front=*/true);
+  return true;
 }
 
 bool FaasPlatform::HasWorker(const std::string& name) const {
@@ -228,32 +193,11 @@ void FaasPlatform::SeedStorageObject(const std::string& name, Bytes size) {
 
 std::optional<std::uint64_t> FaasPlatform::Invoke(
     InvocationSpec spec, CompletionCallback on_complete) {
-  const auto instance = lb_.RouteId(spec.color);
-  if (!instance.has_value()) {
-    return std::nullopt;
-  }
-  const std::uint64_t id = next_id_++;
-  ++counters_.submitted;
-  auto result = std::make_shared<InvocationResult>();
-  result->id = id;
-  result->submitted = sim_->Now();
-
-  auto attempt = std::make_shared<Attempt>();
-  attempt->spec = std::make_shared<InvocationSpec>(std::move(spec));
-  attempt->result = std::move(result);
-  attempt->on_complete = std::move(on_complete);
-  DispatchTo(attempt, *instance);
-  return id;
-}
-
-std::optional<std::uint64_t> FaasPlatform::InvokeVia(
-    InvocationSpec spec, RouteFn route, CompletionCallback on_complete,
-    SimTime route_hop) {
-  // Peek the id before routing so the tier can trace the hop against it;
-  // it is only consumed once the first attempt routes successfully.
+  // Peek the id before routing so a router can trace the hop against it;
+  // it is only consumed once the first attempt routes to a live worker.
   const std::uint64_t id = next_id_;
-  const auto target = route(spec.color, id, /*attempt=*/1);
-  if (!target.has_value() || workers_.count(target->instance) == 0) {
+  const auto target = Route(spec.color, id, /*number=*/1);
+  if (!target.has_value() || !HasWorkerId(target->instance)) {
     return std::nullopt;
   }
   next_id_ = id + 1;
@@ -267,10 +211,19 @@ std::optional<std::uint64_t> FaasPlatform::InvokeVia(
   attempt->spec = std::make_shared<InvocationSpec>(std::move(spec));
   attempt->result = std::move(result);
   attempt->on_complete = std::move(on_complete);
-  attempt->route = std::move(route);
-  attempt->route_hop = route_hop;
   DispatchTo(attempt, target->instance);
   return id;
+}
+
+std::optional<RoutedTarget> FaasPlatform::Route(
+    const std::optional<Color>& color, std::uint64_t id, int number) {
+  if (router_ != nullptr) {
+    return router_(color, id, number);
+  }
+  if (const auto instance = lb_.RouteId(color)) {
+    return RoutedTarget{*instance, -1};
+  }
+  return std::nullopt;
 }
 
 void FaasPlatform::DispatchTo(const AttemptPtr& attempt, InstanceId target) {
@@ -282,13 +235,13 @@ void FaasPlatform::DispatchTo(const AttemptPtr& attempt, InstanceId target) {
 
   const auto worker_it = workers_.find(target);
   if (worker_it == workers_.end()) {
-    // An external route function pointed at a worker the cluster no longer
-    // runs (the platform's own LB never does this). Fail the attempt; the
-    // retry layer re-routes it through the route function afresh.
+    // An attached router pointed at a worker the cluster no longer runs
+    // (the platform's own LB never does this). Fail the attempt; the retry
+    // layer routes it afresh.
     HandleFailure(attempt, FailureReason::kWorkerLost);
     return;
   }
-  if (attempt->route != nullptr && attempt->spec->color.has_value()) {
+  if (router_ != nullptr && attempt->spec->color.has_value()) {
     // Externally routed (tier) traffic never touches lb_.RouteId, so the
     // platform-side planner's snapshots would see nothing. Teach the LB the
     // placement passively (no-op unless color stats are on).
@@ -319,7 +272,7 @@ void FaasPlatform::DispatchTo(const AttemptPtr& attempt, InstanceId target) {
   // start (final worker unknown here) is charged at claim time instead.
   if (pull_enabled()) {
     const SimTime enqueue_at =
-        sim_->Now() + config_.dispatch_latency + attempt->route_hop;
+        sim_->Now() + config_.dispatch_latency + router_hop_;
     // `dispatched` marks arrival at the pending queue, so time spent
     // waiting for a claim lands in the queue span and the five trace spans
     // still partition [submitted, completed] exactly.
@@ -338,19 +291,9 @@ void FaasPlatform::DispatchTo(const AttemptPtr& attempt, InstanceId target) {
     return;
   }
 
-  Worker& worker = *worker_it->second;
-  SimTime dispatch_done =
-      sim_->Now() + config_.dispatch_latency + attempt->route_hop;
-  if (!worker.warm) {
-    worker.warm = true;
-    ++worker.cold_starts;
-    ++counters_.cold_starts;
-    if (metrics_ != nullptr) {
-      m_cold_starts_->Increment();
-    }
-    dispatch_done += config_.cold_start;
-    result.cold_start = config_.cold_start;
-  }
+  const SimTime dispatch_done =
+      sim_->Now() + config_.dispatch_latency + router_hop_ +
+      ChargeColdStart(*worker_it->second, result);
   result.dispatched = dispatch_done;
 
   sim_->At(dispatch_done, [this, attempt, target]() {
@@ -371,6 +314,21 @@ void FaasPlatform::DispatchTo(const AttemptPtr& attempt, InstanceId target) {
   });
 }
 
+SimTime FaasPlatform::ChargeColdStart(Worker& worker,
+                                      InvocationResult& result) {
+  if (worker.warm) {
+    return SimTime();
+  }
+  worker.warm = true;
+  ++worker.cold_starts;
+  ++counters_.cold_starts;
+  if (metrics_ != nullptr) {
+    m_cold_starts_->Increment();
+  }
+  result.cold_start = config_.cold_start;
+  return config_.cold_start;
+}
+
 void FaasPlatform::ArmDeadline(const AttemptPtr& attempt) {
   sim_->At(attempt->deadline, [this, attempt]() { OnDeadline(attempt); });
 }
@@ -383,7 +341,6 @@ void FaasPlatform::OnDeadline(const AttemptPtr& attempt) {
   const InstanceId target = attempt->worker;
   const bool was_running = attempt->running;
   HandleFailure(attempt, FailureReason::kTimeout);
-  ReleaseStealSlot(attempt);
   if (attempt->in_pending) {
     // Expired while waiting in a pending color queue: drop it there so the
     // per-color depth gauges don't count a dead entry.
@@ -416,6 +373,8 @@ void FaasPlatform::OnDeadline(const AttemptPtr& attempt) {
 
 void FaasPlatform::HandleFailure(const AttemptPtr& attempt,
                                  FailureReason reason) {
+  // A failed claim no longer holds its steal slot, whatever failed it.
+  ReleaseStealSlot(attempt);
   if (attempt->cancelled) {
     return;  // this attempt's failure is already being handled
   }
@@ -453,8 +412,6 @@ void FaasPlatform::Resubmit(const AttemptPtr& failed) {
   next->spec = failed->spec;
   next->result = failed->result;
   next->on_complete = std::move(failed->on_complete);
-  next->route = std::move(failed->route);
-  next->route_hop = failed->route_hop;
   next->number = failed->number + 1;
 
   // Per-attempt result fields start over; `submitted` is kept so the
@@ -467,15 +424,10 @@ void FaasPlatform::Resubmit(const AttemptPtr& failed) {
   result.network_bytes = 0;
 
   // A fresh route: colors re-mapped by failure-aware re-coloring land on
-  // the replacement instance, not the dead one. Tier-routed invocations go
-  // back through the routing tier, so the router replica's own view (and
-  // its per-view re-coloring) governs where the retry lands.
-  std::optional<RoutedTarget> target;
-  if (next->route) {
-    target = next->route(next->spec->color, result.id, next->number);
-  } else if (const auto instance = lb_.RouteId(next->spec->color)) {
-    target = RoutedTarget{*instance, -1};
-  }
+  // the replacement instance, not the dead one. With a routing tier
+  // attached the retry goes back through it, so the router replica's own
+  // view (and its per-view re-coloring) governs where the retry lands.
+  const auto target = Route(next->spec->color, result.id, next->number);
   if (!target.has_value()) {
     // No instances at the moment; treat as another failed attempt (backs
     // off again, up to max_attempts).
@@ -667,9 +619,8 @@ void FaasPlatform::StartNextOnWorker(InstanceId instance) {
     }
     if (completed > sim_->Now()) {
       // Keep the worker occupied through the blocking put.
-      auto occupied_it = workers_.find(instance);
-      if (occupied_it != workers_.end()) {
-        occupied_it->second->cpu.Acquire(completed - sim_->Now());
+      if (Worker* occupied = OccupiedBy(attempt, instance)) {
+        occupied->cpu.Acquire(completed - sim_->Now());
       }
     }
     sim_->At(completed, [this, instance, attempt]() {
@@ -683,19 +634,29 @@ void FaasPlatform::StartNextOnWorker(InstanceId instance) {
       // claims in flight. Releasing it may unblock another idle worker.
       const bool was_stolen = attempt->stolen;
       ReleaseStealSlot(attempt);
-      auto it = workers_.find(instance);
-      if (it != workers_.end() && it->second->running == attempt) {
-        it->second->running.reset();
+      Worker* occupied = OccupiedBy(attempt, instance);
+      if (occupied != nullptr) {
+        occupied->running.reset();
       }
       if (attempt->on_complete) {
         DeliverCompletion(attempt);
       }
-      StartNextOnWorker(instance);
+      if (occupied != nullptr) {
+        StartNextOnWorker(instance);
+      }
       if (was_stolen) {
         MatchPending();
       }
     });
   });
+}
+
+FaasPlatform::Worker* FaasPlatform::OccupiedBy(const AttemptPtr& attempt,
+                                              InstanceId instance) {
+  const auto it = workers_.find(instance);
+  return it != workers_.end() && it->second->running == attempt
+             ? it->second.get()
+             : nullptr;
 }
 
 const std::string& FaasPlatform::PendingKeyOf(const InvocationSpec& spec) {
@@ -912,19 +873,11 @@ void FaasPlatform::ClaimFrom(std::deque<AttemptPtr>* queue,
   Worker& worker = *workers_.at(instance);
   idle_workers_.erase(instance);
   worker.claiming = true;
-  SimTime start_at = SaturatingAdd(sim_->Now(), config_.pull_claim_latency);
-  if (!worker.warm) {
-    // Cold start charged at claim time — in pull mode the final worker is
-    // unknown until a claim binds it.
-    worker.warm = true;
-    ++worker.cold_starts;
-    ++counters_.cold_starts;
-    if (metrics_ != nullptr) {
-      m_cold_starts_->Increment();
-    }
-    start_at = SaturatingAdd(start_at, config_.cold_start);
-    attempt->result->cold_start = config_.cold_start;
-  }
+  // Cold start charged at claim time — in pull mode the final worker is
+  // unknown until a claim binds it.
+  const SimTime start_at =
+      SaturatingAdd(SaturatingAdd(sim_->Now(), config_.pull_claim_latency),
+                    ChargeColdStart(worker, *attempt->result));
   sim_->At(start_at, [this, attempt, instance]() {
     OnClaimArrive(attempt, instance);
   });
@@ -934,26 +887,17 @@ void FaasPlatform::OnClaimArrive(const AttemptPtr& attempt,
                                  InstanceId instance) {
   const auto it = workers_.find(instance);
   if (it == workers_.end()) {
-    // The claimer died mid-handoff. The claim never started, so the work
-    // returns to the head of its color queue (no retry budget burned) —
-    // unless the cluster is empty, in which case it fails over.
-    ReleaseStealSlot(attempt);
-    if (attempt->cancelled) {
-      return;
+    // The claimer died mid-handoff; the claim never started.
+    if (Requeue(attempt)) {
+      MatchPending();
     }
-    if (workers_.empty()) {
-      HandleFailure(attempt, FailureReason::kWorkerLost);
-      return;
-    }
-    EnqueuePending(attempt, /*front=*/true);
-    MatchPending();
     return;
   }
   it->second->claiming = false;
   if (attempt->cancelled) {
-    // Deadline fired during the handoff; the claimer goes back to the
-    // idle pool and the freed steal slot may unblock the matcher.
-    ReleaseStealSlot(attempt);
+    // Deadline fired during the handoff (HandleFailure freed its steal
+    // slot); the claimer goes back to the idle pool, which re-runs the
+    // matcher.
     MaybeIdle(instance);
     return;
   }

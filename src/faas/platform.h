@@ -6,22 +6,27 @@
 // the shared cluster network — all driven by the discrete-event simulator.
 //
 // Invocation life cycle:
-//   route (LB, color policy) -> dispatch latency [+ cold start]
+//   route (the attached routing tier, else the LB's color policy)
+//   -> dispatch latency [+ tier hop] [+ cold start]
 //   -> fetch inputs (local / peer cache / backing storage over the network)
 //   -> compute on the worker's CPU FIFO (plus serialization overhead)
 //   -> store outputs at their home instances
 //   -> completion callback.
 //
+// Every attempt takes one path: Invoke routes the first attempt and
+// Resubmit routes each retry through the same rule, so a retry re-enters
+// the routing tier when one is attached (set_router).
+//
 // Fault tolerance (docs/FAULTS.md): each try of an invocation is an
-// Attempt. An attempt fails when its worker disappears under it
-// (RemoveWorker while queued or in dispatch flight, CrashWorker at any
-// point) or its deadline expires. Failed attempts re-enter the load
-// balancer under the platform's RetryPolicy — a fresh route, so colors
-// remapped by the policy's failure-aware re-coloring land on the new
-// instance — until they complete or max_attempts is exhausted. The books
-// always close: submitted = completed + dropped + abandoned once the
-// simulator drains (dropped = failures with retry disabled, abandoned =
-// failures that exhausted their retry budget).
+// Attempt. An attempt fails when its worker departs under it (RemoveWorker
+// while queued or in dispatch flight, CrashWorker at any point; both are
+// one departure that differs only in whether the running attempt dies) or
+// its deadline expires. Failed attempts are routed afresh under the
+// platform's RetryPolicy — so colors remapped by failure-aware re-coloring
+// land on the new instance — until they complete or max_attempts is
+// exhausted. The books always close: submitted = completed + dropped +
+// abandoned once the simulator drains (dropped = failures with retry
+// disabled, abandoned = failures that exhausted their retry budget).
 #ifndef PALETTE_SRC_FAAS_PLATFORM_H_
 #define PALETTE_SRC_FAAS_PLATFORM_H_
 
@@ -197,9 +202,9 @@ struct RoutedTarget {
 class FaasPlatform {
  public:
   using CompletionCallback = std::function<void(const InvocationResult&)>;
-  // External per-attempt route decision (InvokeVia): called with the
-  // invocation's color, its id, and the 1-based attempt number — retries
-  // go back through the same function, so an external tier's view (and its
+  // An attached routing tier's route decision (set_router): called with
+  // the invocation's color, its id, and the 1-based attempt number for
+  // every attempt, retries included, so the tier's view (and its
   // failure-aware re-coloring) governs where re-submissions land. Returning
   // nullopt fails the attempt (no live instance visible to the router).
   using RouteFn = std::function<std::optional<RoutedTarget>(
@@ -230,13 +235,15 @@ class FaasPlatform {
   void set_worker_prefix(std::string prefix) {
     worker_prefix_ = std::move(prefix);
   }
-  // Graceful scale-in: the running attempt (if any) completes; queued and
-  // in-dispatch-flight attempts fail (retried or dropped per RetryPolicy).
-  void RemoveWorker(const std::string& name);
+  // Graceful scale-in: the running attempt (if any) completes; queued
+  // attempts fail over (retried or dropped per RetryPolicy; under pull
+  // they return to their color queues), and so do attempts still in
+  // dispatch flight when they arrive.
+  void RemoveWorker(const std::string& name) { Depart(name, false); }
   // Hard failure: the running attempt dies with the worker too, and its
   // partially-executed work is lost (re-executed from scratch on retry —
   // at-least-once semantics).
-  void CrashWorker(const std::string& name);
+  void CrashWorker(const std::string& name) { Depart(name, true); }
   std::size_t worker_count() const { return workers_.size(); }
   std::vector<std::string> WorkerNames() const;
   // Scale-in victim selection: the worker with the fewest queued requests.
@@ -248,20 +255,20 @@ class FaasPlatform {
   std::string DrainCandidateWorker() const;
 
   // Submits an invocation; `on_complete` fires (via the simulator) when its
-  // outputs are stored. Returns the invocation id, or nullopt if no workers
-  // are available.
+  // outputs are stored. Returns the invocation id, or nullopt without
+  // consuming an id if no live worker takes the first attempt.
   std::optional<std::uint64_t> Invoke(InvocationSpec spec,
                                       CompletionCallback on_complete);
 
-  // Like Invoke, but placement comes from `route` instead of the platform's
-  // own load balancer — the entry point for the scale-out routing tier
-  // (src/router). `route` is kept for the invocation's lifetime and called
-  // again on every retry. `route_hop` is charged to each attempt's dispatch
-  // phase (the extra network hop through the tier). Returns nullopt without
-  // consuming an id if the route function rejects the first attempt.
-  std::optional<std::uint64_t> InvokeVia(InvocationSpec spec, RouteFn route,
-                                         CompletionCallback on_complete,
-                                         SimTime route_hop = SimTime());
+  // Attaches the scale-out routing tier (src/router): from now on every
+  // attempt is placed by `route` instead of the platform's own load
+  // balancer, and `hop` (the extra network hop through the tier) is charged
+  // to each attempt's dispatch phase. At most one router; an empty `route`
+  // detaches. Same lifetime contract as the membership listener.
+  void set_router(RouteFn route, SimTime hop = SimTime()) {
+    router_ = std::move(route);
+    router_hop_ = router_ != nullptr ? hop : SimTime();
+  }
 
   // Authoritative membership tests for external routers (a stale router
   // view may point at a worker the cluster no longer runs).
@@ -380,8 +387,6 @@ class FaasPlatform {
     int number = 1;                          // 1-based try index
     InstanceId worker = kInvalidInstanceId;  // where this try was routed
     SimTime deadline;                        // absolute; zero = none
-    RouteFn route;      // external tier placement; null = platform LB
-    SimTime route_hop;  // per-attempt routing-tier hop, added to dispatch
     bool cancelled = false;  // failed; pending events must no-op
     bool running = false;    // popped from the FIFO, occupying the CPU
     bool committed = false;  // compute finished; deadline no longer applies
@@ -413,24 +418,45 @@ class FaasPlatform {
     std::uint64_t cold_starts = 0;
   };
 
-  // Routes `attempt` through the LB and dispatches it; on empty membership
-  // falls through to HandleFailure. Used by Invoke (first attempt routed
-  // there) and by retries.
+  // The placement for attempt `number` of invocation `id`: the attached
+  // router's, else the load balancer's. nullopt when neither sees a live
+  // instance. Invoke (first attempt) and Resubmit (retries) both route here.
+  std::optional<RoutedTarget> Route(const std::optional<Color>& color,
+                                    std::uint64_t id, int number);
+  // Sends a routed attempt on its dispatch path; a target the cluster no
+  // longer runs falls through to HandleFailure.
   void DispatchTo(const AttemptPtr& attempt, InstanceId target);
+  // Warms `worker` on its first dispatch or claim and returns the cold
+  // start the attempt pays for it (zero once warm).
+  SimTime ChargeColdStart(Worker& worker, InvocationResult& result);
   // Arms the per-attempt deadline timer if the attempt has one.
   void ArmDeadline(const AttemptPtr& attempt);
   // Deadline timer callback: cancels the attempt (refunding unexecuted CPU
   // time if it was mid-run) and hands it to HandleFailure.
   void OnDeadline(const AttemptPtr& attempt);
-  // Failure funnel: retries the invocation (new Attempt after backoff) or
-  // closes its books as dropped/abandoned. Idempotent per attempt.
+  // Failure funnel: frees the attempt's steal slot, then retries the
+  // invocation (new Attempt after backoff) or closes its books as
+  // dropped/abandoned. Idempotent per attempt.
   void HandleFailure(const AttemptPtr& attempt, FailureReason reason);
-  // Builds attempt number `number` sharing `failed`'s spec/result and
-  // routes it through the LB afresh.
+  // A worker leaves the cluster (RemoveWorker, CrashWorker): membership
+  // first, then its running attempt fails if `crashed`, then its unstarted
+  // work goes through Requeue.
+  void Depart(const std::string& name, bool crashed);
+  // Unstarted work whose worker left: under pull, while workers remain, it
+  // returns to the head of its color queue (no retry budget burned);
+  // otherwise it fails over to HandleFailure. Returns true if requeued.
+  bool Requeue(const AttemptPtr& attempt);
+  // Builds the next attempt sharing `failed`'s spec/result and routes it
+  // afresh through Route.
   void Resubmit(const AttemptPtr& failed);
 
   // Pops and executes the next queued invocation on `instance`, if any.
   void StartNextOnWorker(InstanceId instance);
+  // The worker `instance` while `attempt` occupies its CPU, else null. A
+  // gracefully removed worker finishes its running attempt after it left,
+  // and its name may rejoin meanwhile as a new worker with its own queue:
+  // the old attempt must never book or start work there.
+  Worker* OccupiedBy(const AttemptPtr& attempt, InstanceId instance);
 
   // Pull-dispatch machinery (docs/DISPATCH.md). All of it iterates ordered
   // containers only, so claim order per epoch is fixed and runs stay
@@ -465,7 +491,7 @@ class FaasPlatform {
   void ClaimFrom(std::deque<AttemptPtr>* queue, InstanceId instance,
                  bool steal);
   // Claim-handoff arrival: the attempt joins the claimer's FIFO — or, if
-  // the worker died mid-handoff, returns to the head of its color queue.
+  // the worker died mid-handoff, goes through Requeue.
   void OnClaimArrive(const AttemptPtr& attempt, InstanceId instance);
   // Re-inserts `instance` into the idle set iff it is genuinely idle, then
   // matches. No-op in push mode.
@@ -536,6 +562,9 @@ class FaasPlatform {
   Rng retry_rng_;
   MembershipListener membership_listener_;
   PlanListener plan_listener_;
+  // Attached routing tier (set_router); null = the platform LB routes.
+  RouteFn router_;
+  SimTime router_hop_;
   double last_plan_objective_ = 0;
   // Sharded-engine seam; null = monolithic (completions run inline).
   EventScheduler* cross_scheduler_ = nullptr;

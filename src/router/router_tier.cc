@@ -34,7 +34,7 @@ RouterTier::RouterTier(FaasPlatform* platform, RouterTierConfig config)
       config_(config),
       local_scheduler_(&platform->simulator()),
       scheduler_(&local_scheduler_),
-      ring_(/*virtual_nodes=*/128, MixU64(config.seed ^ 0x52494E47ULL)) {
+      ring_(kRingVirtualNodes, MixU64(config.seed ^ 0x52494E47ULL)) {
   assert(config_.routers >= 1);
   // Every replica runs the same policy with the same seed: a stateless
   // policy (consistent hashing) then computes identical mappings on
@@ -62,20 +62,23 @@ RouterTier::RouterTier(FaasPlatform* platform, RouterTierConfig config)
       });
   platform_->set_plan_listener(
       [this](const Plan& plan) { OnPlanApplied(plan); });
+  platform_->set_router(
+      [this](const std::optional<Color>& color, std::uint64_t invocation_id,
+             int attempt) {
+        return RouteAttempt(color, invocation_id, attempt);
+      },
+      config_.hop_latency);
 }
 
 RouterTier::~RouterTier() {
   platform_->set_membership_listener({});
   platform_->set_plan_listener({});
+  platform_->set_router({});
 }
 
 std::optional<std::uint64_t> RouterTier::Invoke(
     InvocationSpec spec, FaasPlatform::CompletionCallback cb) {
-  return platform_->InvokeVia(
-      std::move(spec),
-      [this](const std::optional<Color>& color, std::uint64_t invocation_id,
-             int attempt) { return RouteAttempt(color, invocation_id, attempt); },
-      std::move(cb), config_.hop_latency);
+  return platform_->Invoke(std::move(spec), std::move(cb));
 }
 
 void RouterTier::OnMembershipEvent(FaasPlatform::MembershipEvent event,

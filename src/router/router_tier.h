@@ -77,9 +77,11 @@ struct RouterTierConfig {
   std::uint64_t seed = 1;
 };
 
-// N router replicas in front of one platform. The tier registers itself as
-// the platform's membership listener on construction and detaches in its
-// destructor; the platform must outlive the tier. Uncolored invocations
+// N router replicas in front of one platform. On construction the tier
+// attaches itself to the platform once — as its membership and plan
+// listener and as its router (FaasPlatform::set_router), so every attempt
+// the platform places, retries included, is routed here — and detaches in
+// its destructor; the platform must outlive the tier. Uncolored invocations
 // are always sprayed (there is no color to partition on).
 class RouterTier {
  public:
@@ -89,10 +91,9 @@ class RouterTier {
   RouterTier(const RouterTier&) = delete;
   RouterTier& operator=(const RouterTier&) = delete;
 
-  // Submits an invocation through the tier: picks a replica, routes on its
-  // (possibly stale) view, misroute-corrects, and hands the placement to
-  // FaasPlatform::InvokeVia. Retries of the invocation re-enter the tier
-  // the same way. Returns nullopt when no live router or instance exists.
+  // Same as FaasPlatform::Invoke on the fronted platform, which routes
+  // through the attached tier already. Returns nullopt when no live router
+  // or instance exists.
   std::optional<std::uint64_t> Invoke(InvocationSpec spec,
                                       FaasPlatform::CompletionCallback cb);
 
@@ -193,7 +194,8 @@ class RouterTier {
   void ApplyThrough(Router* router, std::uint64_t seq);
   // Dispatch-mode replica selection over live replicas only.
   Router* PickRouter(const std::optional<Color>& color);
-  // The per-attempt route function handed to FaasPlatform::InvokeVia.
+  // The router attached to the platform: picks a replica, routes on its
+  // (possibly stale) view and misroute-corrects, for every attempt.
   std::optional<RoutedTarget> RouteAttempt(const std::optional<Color>& color,
                                            std::uint64_t invocation_id,
                                            int attempt);

@@ -78,9 +78,9 @@ class OpenLoopDriver {
   void Start();
 
   // Submission hook: where Fire() sends each invocation. Defaults to
-  // FaasPlatform::Invoke on the constructor's platform; a routing tier
-  // replaces it (RouterTier::Invoke) so traffic flows through the tier
-  // while the driver keeps using the platform's simulator and accounting.
+  // FaasPlatform::Invoke on the constructor's platform, which routes
+  // through its routing tier when one is attached; a sharded run replaces
+  // it with the fabric that carries invocations to their group.
   using InvokeFn = std::function<std::optional<std::uint64_t>(
       InvocationSpec spec, FaasPlatform::CompletionCallback on_complete)>;
   void set_invoker(InvokeFn invoke) { invoke_ = std::move(invoke); }

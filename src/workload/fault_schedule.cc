@@ -79,10 +79,6 @@ FaultSchedule FaultSchedule::FromMtbf(const MtbfConfig& config,
   return schedule;
 }
 
-void FaultSchedule::InstallOn(Simulator* sim, FaasPlatform* platform) const {
-  InstallOn(sim, platform, nullptr);
-}
-
 void FaultSchedule::InstallOn(Simulator* sim, FaasPlatform* platform,
                               RouterTier* tier) const {
   for (const FaultEvent& event : events_) {

@@ -161,14 +161,10 @@ WorkloadRunResult RunShardedWorkload(
         engine.Send(
             0, 1 + g, SaturatingAdd(front.Now(), hop),
             [pending, group]() mutable {
-              std::optional<std::uint64_t> id;
-              if (group->tier != nullptr) {
-                id = group->tier->Invoke(std::move(pending->spec),
-                                         std::move(pending->cb));
-              } else {
-                id = group->platform->Invoke(std::move(pending->spec),
-                                             std::move(pending->cb));
-              }
+              // Routed by the group's tier when it has one (attached to
+              // the platform at construction).
+              const auto id = group->platform->Invoke(
+                  std::move(pending->spec), std::move(pending->cb));
               if (!id.has_value()) {
                 // Rejected at the group; the front-door sample stays
                 // pending and scores as a drop.

@@ -287,13 +287,6 @@ WorkloadRunResult RunMonolithic(const WorkloadSpec& spec, PolicyKind policy,
   OpenLoopDriver driver(&platform,
                         MakeArrivalProcess(spec.arrival, arrival_seed),
                         InvocationMix(spec.mix), spec.driver, driver_seed);
-  if (tier != nullptr) {
-    driver.set_invoker(
-        [t = tier.get()](InvocationSpec invocation,
-                         FaasPlatform::CompletionCallback on_complete) {
-          return t->Invoke(std::move(invocation), std::move(on_complete));
-        });
-  }
   std::unique_ptr<PlannerRuntime> planner_runtime;
   if (planner != nullptr && planner->enabled()) {
     // The platform's LB stays authoritative; tier replicas learn each

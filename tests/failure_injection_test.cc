@@ -4,6 +4,9 @@
 // those events mid-run and assert the system keeps serving.
 #include <gtest/gtest.h>
 
+#include <map>
+#include <string>
+
 #include "src/common/table_printer.h"
 #include "src/faas/platform.h"
 #include "src/sim/simulator.h"
@@ -314,6 +317,59 @@ TEST(FailureInjectionTest, AbandonedAfterMaxAttemptsClosesBooks) {
   EXPECT_EQ(platform.counters().abandoned, 1u);
   EXPECT_EQ(platform.counters().dropped, 0u);
   EXPECT_TRUE(platform.counters().BooksClose());
+}
+
+// A gracefully removed worker finishes its running attempt. When the
+// worker's name rejoins before that attempt completes, the rejoined worker
+// is a new, unrelated instance: the old attempt's completion must not start
+// its queue early, or the worker would run two attempts at once.
+TEST(FailureInjectionTest, RejoinedWorkerRunsOneAttemptAtATime) {
+  for (const bool crash : {false, true}) {
+    SCOPED_TRACE(crash ? "crash" : "no crash");
+    Simulator sim;
+    FaasPlatform platform(&sim, PolicyKind::kLeastAssigned, 1, TestConfig());
+    platform.AddWorker("w0");
+    std::map<std::string, InvocationResult> done;
+    const auto submit = [&](const std::string& name, double seconds) {
+      InvocationSpec spec;
+      spec.function = name;
+      spec.color = name;
+      spec.cpu_ops = seconds * 1e9;
+      platform.Invoke(std::move(spec),
+                      [&done, name](const InvocationResult& r) {
+                        done[name] = r;
+                      });
+    };
+    // a starts at 101 ms (1 ms dispatch + 100 ms cold start) and runs 1 s.
+    submit("a", 1);
+    sim.At(SimTime::FromMillis(150), [&]() { platform.RemoveWorker("w0"); });
+    sim.At(SimTime::FromMillis(160), [&]() {
+      platform.AddWorker("w0");
+      submit("b", 2);  // starts on the rejoined worker at 261 ms
+    });
+    sim.At(SimTime::FromMillis(300), [&]() { submit("c", 0.001); });
+    if (crash) {
+      sim.At(SimTime::FromMillis(1500), [&]() { platform.CrashWorker("w0"); });
+    }
+    sim.Run();
+
+    ASSERT_EQ(done.count("a"), 1u);
+    EXPECT_EQ(done["a"].completed, SimTime::FromMillis(1101));
+    if (crash) {
+      // The crash kills b mid-run and c, still queued behind it, with it.
+      EXPECT_EQ(done.count("b"), 0u);
+      EXPECT_EQ(done.count("c"), 0u);
+      EXPECT_EQ(platform.counters().dropped, 2u);
+    } else {
+      ASSERT_EQ(done.count("b"), 1u);
+      ASSERT_EQ(done.count("c"), 1u);
+      EXPECT_EQ(done["b"].completed, SimTime::FromMillis(2261));
+      // c waits for b: a's completion on the departed worker leaves the
+      // rejoined worker's queue alone.
+      EXPECT_EQ(done["c"].fetch_start, done["b"].completed);
+    }
+    EXPECT_TRUE(platform.counters().BooksClose());
+  }
 }
 
 }  // namespace

@@ -467,7 +467,7 @@ TEST(RouterTierTest, TraceSpansPartitionUnderRetryAndMisrouteForward) {
 TEST(RouterTierTest, HopChargedOncePerAttemptUnderRetryForwardAndPullClaim) {
   // Double-charge audit for the dispatch path: every attempt must cross
   // the tier exactly once — one routes_ bump, one RouterHopTrace, one
-  // route_hop charge — even when the attempt is misroute-forwarded on a
+  // tier-hop charge — even when the attempt is misroute-forwarded on a
   // stale view, retried after a crash, and late-bound by a pull claim
   // (the claim re-binds the worker but must NOT re-route or record a
   // second hop). And the five trace spans must still partition

@@ -264,11 +264,6 @@ int CmdTraceRouter(const FlagParser& flags, PolicyKind kind) {
   OpenLoopDriver driver(&platform,
                         MakeArrivalProcess(spec.arrival, arrival_seed),
                         InvocationMix(spec.mix), spec.driver, driver_seed);
-  driver.set_invoker(
-      [&tier](InvocationSpec invocation,
-              FaasPlatform::CompletionCallback on_complete) {
-        return tier.Invoke(std::move(invocation), std::move(on_complete));
-      });
   driver.Start();
   sim.Run();
 
