@@ -278,6 +278,63 @@ void BM_PullMatch(benchmark::State& state) {
 }
 BENCHMARK(BM_PullMatch)->Arg(16)->Arg(256)->Arg(2048);
 
+// One FaastCache::Get, the input fetch every run makes once a claim
+// lands, on a 32-shard cache holding 1024 objects at their ring homes.
+// range(0) picks the outcome: 0 = local hit (the home reads), 1 = remote
+// hit (another shard reads), 2 = miss (a name never stored). Reads rotate
+// over the objects so no single LRU entry stays hot.
+void BM_CacheFetch(benchmark::State& state) {
+  const int outcome = static_cast<int>(state.range(0));
+  constexpr int kShards = 32;
+  constexpr int kObjects = 1024;
+  FaastCache cache;
+  std::vector<std::string> shards;
+  for (int i = 0; i < kShards; ++i) {
+    shards.push_back(StrFormat("w%d", i));
+    cache.AddInstance(shards.back());
+  }
+  struct Read {
+    std::string reader;
+    std::string object;
+  };
+  std::vector<Read> reads;
+  for (int i = 0; i < kObjects; ++i) {
+    std::string object = StrFormat("color-%d___obj", i);
+    const std::string home = *cache.HomeInstance(object);
+    if (outcome == 2) {
+      object += "-absent";
+    } else {
+      cache.Put(home, object, 4 * kKiB);
+    }
+    std::string reader = home;
+    if (outcome != 0) {
+      // Any shard but the home: the next one in name-index order.
+      const auto at = std::find(shards.begin(), shards.end(), home);
+      reader = shards[static_cast<std::size_t>(at - shards.begin() + 1) %
+                      shards.size()];
+    }
+    reads.push_back(Read{std::move(reader), std::move(object)});
+  }
+  static constexpr CacheOutcome kExpected[] = {
+      CacheOutcome::kLocalHit, CacheOutcome::kRemoteHit, CacheOutcome::kMiss};
+  static constexpr const char* kLabels[] = {"local_hit", "remote_hit",
+                                            "miss"};
+  bool as_expected = true;
+  std::size_t i = 0;
+  for (auto _ : state) {
+    const Read& read = reads[i++ % reads.size()];
+    const CacheLookup lookup = cache.Get(read.reader, read.object);
+    as_expected &= lookup.outcome == kExpected[outcome];
+    benchmark::DoNotOptimize(lookup);
+  }
+  if (!as_expected) {
+    state.SkipWithError("a read did not take the benchmarked outcome");
+  }
+  state.SetLabel(kLabels[outcome]);
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_CacheFetch)->Arg(0)->Arg(1)->Arg(2);
+
 // One planner solve (docs/PLANNER.md) over `range(0)` colors on 32
 // instances: harmonic loads with two hot head colors (one over the split
 // threshold), seeded random placements and cache bytes, and every

@@ -37,6 +37,11 @@ std::optional<std::string> FaastCache::HomeInstance(
   return ring_.Lookup(HashKeyOf(object_name));
 }
 
+std::optional<InstanceId> FaastCache::HomeInstanceId(
+    std::string_view object_name) const {
+  return ring_.LookupId(HashKeyOf(object_name));
+}
+
 std::string FaastCache::Put(const std::string& producer,
                             const std::string& object_name, Bytes size) {
   // No assert on the producer: an invocation can legitimately finish on an

@@ -24,6 +24,7 @@
 #include <vector>
 
 #include "src/cache/lru_cache.h"
+#include "src/common/instance_id.h"
 #include "src/common/types.h"
 #include "src/hash/consistent_hash_ring.h"
 
@@ -73,6 +74,9 @@ class FaastCache {
   // The instance that owns (is home for) `object_name` under consistent
   // hashing of its hashing key. Empty optional when no instances exist.
   std::optional<std::string> HomeInstance(std::string_view object_name) const;
+  // Id-returning HomeInstance: no string copy, no registry lock (the ring
+  // carries its members' interned ids).
+  std::optional<InstanceId> HomeInstanceId(std::string_view object_name) const;
 
   // Writes an object produced at `producer`. The object is stored at its
   // *home* instance (under Palette's color translation home == producer, so

@@ -101,10 +101,17 @@ class ColorSchedulingPolicy {
   // "lb.planner_moves"). Kept separate from recolored_ so failure-driven
   // re-coloring and planner-driven movement stay distinguishable.
   std::uint64_t planner_moves() const { return planner_moves_; }
+  // Moves whenever PeekColorId may answer differently for some color: a
+  // table-keeping policy bumps it on every insert, eviction, real remap,
+  // dormant revival and redistribution. Policies without a table never
+  // bump it. Readers cache per-color answers against it
+  // (PaletteLoadBalancer::placement_version).
+  std::uint64_t placement_version() const { return placement_version_; }
 
  protected:
   std::uint64_t recolored_ = 0;
   std::uint64_t planner_moves_ = 0;
+  std::uint64_t placement_version_ = 0;
 };
 
 // Shared instance bookkeeping for concrete policies: a name-sorted instance

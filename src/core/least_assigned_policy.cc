@@ -26,6 +26,7 @@ std::optional<InstanceId> LeastAssignedPolicy::RouteColoredId(
       assert(revived.has_value());
       it->second->instance = *revived;
       ++assigned_counts_[*revived];
+      ++placement_version_;
     }
     return it->second->instance;
   }
@@ -37,6 +38,7 @@ std::optional<InstanceId> LeastAssignedPolicy::RouteColoredId(
   lru_.push_front(Entry{std::string(key), *target});
   table_.emplace(lru_.front().color, lru_.begin());
   ++assigned_counts_[*target];
+  ++placement_version_;
   return target;
 }
 
@@ -61,6 +63,7 @@ void LeastAssignedPolicy::OnInstanceRemoved(const std::string& instance) {
       continue;
     }
     ++recolored_;
+    ++placement_version_;
     const auto target = Place(entry.color);
     if (!target.has_value()) {
       entry.instance = kInvalidInstanceId;  // No instances left; dormant.
@@ -97,6 +100,7 @@ void LeastAssignedPolicy::RemapColor(std::string_view color, InstanceId to,
     table_.emplace(lru_.front().color, lru_.begin());
   }
   ++assigned_counts_[to];
+  ++placement_version_;
   if (count_move) {
     ++planner_moves_;
   }
@@ -163,6 +167,7 @@ void LeastAssignedPolicy::EvictLru() {
   table_.erase(victim.color);
   lru_.pop_back();
   ++evictions_;
+  ++placement_version_;
 }
 
 std::size_t LeastAssignedPolicy::AssignedCount(

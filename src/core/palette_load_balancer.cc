@@ -56,6 +56,7 @@ std::optional<std::string> PaletteLoadBalancer::Route(
 }
 
 void PaletteLoadBalancer::AddInstance(const std::string& instance) {
+  ++placement_version_;
   if (std::find(instances_.begin(), instances_.end(), instance) !=
       instances_.end()) {
     return;
@@ -70,6 +71,7 @@ void PaletteLoadBalancer::AddInstance(const std::string& instance) {
 }
 
 void PaletteLoadBalancer::RemoveInstance(const std::string& instance) {
+  ++placement_version_;
   auto it = std::find(instances_.begin(), instances_.end(), instance);
   if (it == instances_.end()) {
     return;
@@ -183,6 +185,7 @@ void PaletteLoadBalancer::ApplyPlan(const Plan& plan) {
     if (split_it != splits_.end()) {
       splits_.erase(split_it);
       ++planner_merges_;
+      ++placement_version_;
     }
   }
   for (const PlanSplit& split : plan.splits) {
@@ -208,11 +211,13 @@ void PaletteLoadBalancer::ApplyPlan(const Plan& plan) {
       const auto stale_it = splits_.find(TruncateColor(split.color));
       if (stale_it != splits_.end()) {
         splits_.erase(stale_it);
+        ++placement_version_;
       }
       continue;
     }
     splits_[std::string(TruncateColor(split.color))] = std::move(entry);
     ++planner_splits_;
+    ++placement_version_;
   }
 }
 

@@ -102,6 +102,15 @@ class PaletteLoadBalancer {
 
   // Snapshot-side views (non-mutating; planner collector).
   std::optional<InstanceId> PeekColorId(std::string_view color) const;
+  // Moves whenever PeekColorId may answer differently for some color, or
+  // membership changed: every AddInstance/RemoveInstance call, every
+  // split-table change in ApplyPlan, and every policy table mutation
+  // (ColorSchedulingPolicy::placement_version). Never moves on a route
+  // that hits an existing placement. Callers that cache a color's home
+  // (the pull matcher) re-resolve it only when this moves.
+  std::uint64_t placement_version() const {
+    return placement_version_ + policy_->placement_version();
+  }
   std::size_t split_count() const { return splits_.size(); }
   bool IsSplit(std::string_view color) const;
   // Current replica set of a split color (empty when not split).
@@ -150,6 +159,9 @@ class PaletteLoadBalancer {
       splits_;
   std::uint64_t planner_splits_ = 0;
   std::uint64_t planner_merges_ = 0;
+  // This balancer's own share of placement_version(): membership calls
+  // and split-table changes.
+  std::uint64_t placement_version_ = 0;
 };
 
 }  // namespace palette

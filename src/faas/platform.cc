@@ -413,6 +413,7 @@ void FaasPlatform::Resubmit(const AttemptPtr& failed) {
   next->result = failed->result;
   next->on_complete = std::move(failed->on_complete);
   next->number = failed->number + 1;
+  next->color_slot = failed->color_slot;
 
   // Per-attempt result fields start over; `submitted` is kept so the
   // end-to-end latency spans the failed attempts and backoffs.
@@ -659,31 +660,54 @@ FaasPlatform::Worker* FaasPlatform::OccupiedBy(const AttemptPtr& attempt,
              : nullptr;
 }
 
-const std::string& FaasPlatform::PendingKeyOf(const InvocationSpec& spec) {
-  static const std::string kUncolored;
-  return spec.color.has_value() ? *spec.color : kUncolored;
+std::uint32_t FaasPlatform::ColorSlotOf(const InvocationSpec& spec) {
+  if (color_slots_.empty()) {
+    color_slots_.emplace_back();  // slot 0: uncolored work
+  }
+  if (!spec.color.has_value() || spec.color->empty()) {
+    return 0;
+  }
+  const auto [it, inserted] = color_slot_ids_.try_emplace(
+      *spec.color, static_cast<std::uint32_t>(color_slots_.size()));
+  if (inserted) {
+    color_slots_.emplace_back().name = *spec.color;
+  }
+  return it->second;
 }
 
 void FaasPlatform::EnqueuePending(const AttemptPtr& attempt, bool front) {
-  std::deque<AttemptPtr>& queue = pending_[PendingKeyOf(*attempt->spec)];
+  if (attempt->color_slot == 0) {
+    attempt->color_slot = ColorSlotOf(*attempt->spec);
+  }
+  ColorSlot& slot = color_slots_[attempt->color_slot];
+  if (slot.queue == nullptr) {
+    if (queue_pool_.empty()) {
+      slot.queue = std::make_unique<std::deque<AttemptPtr>>();
+    } else {
+      slot.queue = std::move(queue_pool_.back());
+      queue_pool_.pop_back();
+    }
+    slot.pending_index = static_cast<std::uint32_t>(pending_.size());
+    pending_.push_back(attempt->color_slot);
+  }
   if (attempt->pending_seq == 0) {
     attempt->pending_seq = next_pending_seq_++;
   }
   if (front) {
-    queue.push_front(attempt);
+    slot.queue->push_front(attempt);
   } else {
-    queue.push_back(attempt);
+    slot.queue->push_back(attempt);
   }
   attempt->in_pending = true;
   ++pending_total_;
 }
 
 void FaasPlatform::RemoveFromPending(const AttemptPtr& attempt) {
-  const auto it = pending_.find(PendingKeyOf(*attempt->spec));
-  if (it == pending_.end()) {
+  const ColorSlot& slot = color_slots_[attempt->color_slot];
+  if (slot.queue == nullptr) {
     return;
   }
-  std::deque<AttemptPtr>& queue = it->second;
+  std::deque<AttemptPtr>& queue = *slot.queue;
   const auto pos = std::find(queue.begin(), queue.end(), attempt);
   if (pos == queue.end()) {
     return;
@@ -692,19 +716,32 @@ void FaasPlatform::RemoveFromPending(const AttemptPtr& attempt) {
   --pending_total_;
   attempt->in_pending = false;
   if (queue.empty()) {
-    pending_.erase(it);
+    RetireQueue(attempt->color_slot);
   }
 }
 
-std::optional<InstanceId> FaasPlatform::HomeOf(
-    const std::string& color) const {
-  if (const auto placed = lb_.PeekColorId(color)) {
-    return placed;
+void FaasPlatform::RetireQueue(std::uint32_t slot) {
+  ColorSlot& retired = color_slots_[slot];
+  const std::uint32_t last = pending_.back();
+  pending_[retired.pending_index] = last;
+  color_slots_[last].pending_index = retired.pending_index;
+  pending_.pop_back();
+  queue_pool_.push_back(std::move(retired.queue));
+}
+
+const std::optional<InstanceId>& FaasPlatform::HomeOf(ColorSlot& slot,
+                                                      std::uint64_t version) {
+  if (slot.home_version != version) {
+    slot.home_version = version;
+    slot.home.reset();
+    if (!slot.name.empty()) {
+      slot.home = lb_.PeekColorId(slot.name);
+      if (!slot.home.has_value()) {
+        slot.home = cache_.HomeInstanceId(slot.name);
+      }
+    }
   }
-  if (const auto ring_home = cache_.HomeInstance(color)) {
-    return InternInstance(*ring_home);
-  }
-  return std::nullopt;
+  return slot.home;
 }
 
 void FaasPlatform::MatchPending() {
@@ -733,23 +770,25 @@ void FaasPlatform::MatchPending() {
   // for that worker every one of these is foreign.
   std::size_t stealable = 0;
   const std::size_t min_depth = config_.steal_min_depth;
-  // One pass over pending_ resolves every color's home. Homes hold for the
+  // One pass over pending_ looks up every color's home; HomeOf re-resolves
+  // only homes cached before the last placement change. Homes hold for the
   // whole call: a claim pops a queue and schedules the handoff, and never
   // re-routes, re-plans or changes membership.
-  for (auto it = pending_.begin(); it != pending_.end();) {
-    if (drop_cancelled_heads(it->second)) {
-      it = pending_.erase(it);
+  const std::uint64_t version = lb_.placement_version();
+  for (std::size_t i = 0; i < pending_.size();) {
+    const std::uint32_t color_slot = pending_[i];
+    ColorSlot& pending = color_slots_[color_slot];
+    if (drop_cancelled_heads(*pending.queue)) {
+      RetireQueue(color_slot);  // moves another color into position i
       continue;
     }
+    ++i;
     const auto index = static_cast<std::uint32_t>(match_colors_.size());
-    MatchColor& color = match_colors_.emplace_back(
-        MatchColor{it, std::nullopt, kEnd});
+    MatchColor& color = match_colors_.emplace_back(MatchColor{
+        pending.queue.get(), HomeOf(pending, version), color_slot, kEnd});
     std::uint32_t* chain = &unowned_chain;
-    if (!it->first.empty()) {
-      color.home = HomeOf(it->first);
-    }
     if (color.home.has_value()) {
-      if (it->second.size() >= min_depth) {
+      if (color.queue->size() >= min_depth) {
         ++stealable;
       }
       // Colors homed on a busy (or departed) worker are foreign to every
@@ -764,7 +803,6 @@ void FaasPlatform::MatchPending() {
       color.next = *chain;
       *chain = index;
     }
-    ++it;
   }
 
   // Within the home and unowned classes the *oldest* waiting head wins
@@ -775,11 +813,11 @@ void FaasPlatform::MatchPending() {
     MatchColor* oldest = nullptr;
     for (; chain != kEnd; chain = match_colors_[chain].next) {
       MatchColor& color = match_colors_[chain];
-      if (color.queue == pending_.end()) {
+      if (color.queue == nullptr) {
         continue;
       }
-      if (oldest == nullptr || color.queue->second.front()->pending_seq <
-                                   oldest->queue->second.front()->pending_seq) {
+      if (oldest == nullptr || color.queue->front()->pending_seq <
+                                   oldest->queue->front()->pending_seq) {
         oldest = &color;
       }
     }
@@ -806,34 +844,46 @@ void FaasPlatform::MatchPending() {
       }
       // Colors with objects already cache-resident on this worker first
       // (the steal is partly pre-paid), then the deepest queue (steal the
-      // hottest color), then pending_ order. Residency deliberately does
-      // NOT bypass the budget: replicate-on-remote-hit makes one past
-      // steal leave residue, and letting that residue grant free claims
-      // compounds into a locality death spiral. A resident pick can only
-      // lose to a deeper resident color, so shallower ones skip the probe.
+      // hottest color), then the smallest color name. Residency
+      // deliberately does NOT bypass the budget: replicate-on-remote-hit
+      // makes one past steal leave residue, and letting that residue grant
+      // free claims compounds into a locality death spiral. A resident
+      // pick can only lose to a resident color that is deeper, or as deep
+      // with a smaller name, so other colors skip the probe.
       const std::string& name = InstanceName(id);
+      const std::string* pick_name = nullptr;
       bool pick_resident = false;
       std::size_t pick_depth = 0;
       for (MatchColor& color : match_colors_) {
-        if (color.queue == pending_.end() || !color.home.has_value()) {
+        if (color.queue == nullptr || !color.home.has_value()) {
           continue;
         }
-        const std::size_t depth = color.queue->second.size();
-        if (depth < min_depth ||
-            (pick != nullptr && pick_resident && depth <= pick_depth)) {
+        const std::size_t depth = color.queue->size();
+        if (depth < min_depth) {
           continue;
         }
-        const bool resident = cache_.HasKeyObject(name, color.queue->first);
-        if (pick == nullptr || (resident && !pick_resident) ||
-            (resident == pick_resident && depth > pick_depth)) {
+        const std::string& color_name = color_slots_[color.slot].name;
+        if (pick != nullptr && pick_resident &&
+            (depth < pick_depth ||
+             (depth == pick_depth && color_name >= *pick_name))) {
+          continue;
+        }
+        const bool resident = cache_.HasKeyObject(name, color_name);
+        const bool better =
+            pick == nullptr ||
+            (resident != pick_resident ? resident
+             : depth != pick_depth     ? depth > pick_depth
+                                       : color_name < *pick_name);
+        if (better) {
           pick = &color;
+          pick_name = &color_name;
           pick_resident = resident;
           pick_depth = depth;
         }
       }
       assert(pick != nullptr);
     }
-    std::deque<AttemptPtr>& queue = pick->queue->second;
+    std::deque<AttemptPtr>& queue = *pick->queue;
     const bool was_stealable =
         pick->home.has_value() && queue.size() >= min_depth;
     ClaimFrom(&queue, id, steal);
@@ -842,8 +892,8 @@ void FaasPlatform::MatchPending() {
       --stealable;
     }
     if (drained) {
-      pending_.erase(pick->queue);
-      pick->queue = pending_.end();
+      RetireQueue(pick->slot);
+      pick->queue = nullptr;
     }
   }
 }
@@ -934,23 +984,28 @@ void FaasPlatform::FailAllPending() {
   if (pending_total_ == 0) {
     return;
   }
-  std::map<std::string, std::deque<AttemptPtr>> pending =
-      std::move(pending_);
+  // Colors fail in name order, so the retry order (and the backoff jitter
+  // each retry draws) does not depend on the order of pending_.
+  std::sort(pending_.begin(), pending_.end(),
+            [this](std::uint32_t a, std::uint32_t b) {
+              return color_slots_[a].name < color_slots_[b].name;
+            });
+  std::vector<std::unique_ptr<std::deque<AttemptPtr>>> queues;
+  for (const std::uint32_t slot : pending_) {
+    queues.push_back(std::move(color_slots_[slot].queue));
+  }
   pending_.clear();
   pending_total_ = 0;
-  for (auto& [key, queue] : pending) {
-    for (const AttemptPtr& attempt : queue) {
+  for (std::unique_ptr<std::deque<AttemptPtr>>& queue : queues) {
+    for (const AttemptPtr& attempt : *queue) {
       attempt->in_pending = false;
       if (!attempt->cancelled) {
         HandleFailure(attempt, FailureReason::kWorkerLost);
       }
     }
+    queue->clear();
+    queue_pool_.push_back(std::move(queue));
   }
-}
-
-std::size_t FaasPlatform::PendingQueueDepth(const std::string& color) const {
-  const auto it = pending_.find(color);
-  return it != pending_.end() ? it->second.size() : 0;
 }
 
 std::vector<std::string> FaasPlatform::WriteReplicasFor(
@@ -1184,10 +1239,11 @@ void FaasPlatform::ExportMetrics(MetricsRegistry* metrics,
   // Per-color pending-queue depth gauges (pull). Cardinality scales
   // with distinct pending colors, so they ride the per_worker switch with
   // the other per-entity families.
-  for (const auto& [key, queue] : pending_) {
+  for (const std::uint32_t slot : pending_) {
+    const ColorSlot& pending = color_slots_[slot];
     gauge(StrFormat("faas.pending.%s.depth",
-                    key.empty() ? "_uncolored" : key.c_str()))
-        .SetAt(static_cast<double>(queue.size()), sim_->Now());
+                    pending.name.empty() ? "_uncolored" : pending.name.c_str()))
+        .SetAt(static_cast<double>(pending.queue->size()), sim_->Now());
   }
   for (const auto& [id, worker] : workers_) {
     const std::string& name = InstanceName(id);

@@ -33,7 +33,6 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <map>
 #include <memory>
 #include <optional>
 #include <set>
@@ -357,10 +356,9 @@ class FaasPlatform {
   // worker warms on first dispatch and never cools).
   std::uint64_t WorkerColdStarts(const std::string& name) const;
 
-  // Attempts currently waiting in pending color queues (all colors), and
-  // per color. Both return to zero once the platform drains.
+  // Attempts currently waiting in pending color queues (all colors).
+  // Returns to zero once the platform drains.
   std::size_t PendingTotal() const { return pending_total_; }
-  std::size_t PendingQueueDepth(const std::string& color) const;
 
   // Snapshots platform + LB + cache + network counters into `metrics`
   // (counter/gauge names in docs/OBSERVABILITY.md). Call after a run; the
@@ -396,6 +394,9 @@ class FaasPlatform {
     // kept across claim-bounce requeues, so home-class claims can serve
     // oldest-first across a worker's colors (no per-color starvation).
     std::uint64_t pending_seq = 0;
+    // Pull: the color's slot in color_slots_, interned on first pending
+    // enqueue and copied to retries. 0 until then, and for uncolored work.
+    std::uint32_t color_slot = 0;
   };
   using AttemptPtr = std::shared_ptr<Attempt>;
 
@@ -458,30 +459,37 @@ class FaasPlatform {
   // the old attempt must never book or start work there.
   Worker* OccupiedBy(const AttemptPtr& attempt, InstanceId instance);
 
-  // Pull-dispatch machinery (docs/DISPATCH.md). All of it iterates ordered
-  // containers only, so claim order per epoch is fixed and runs stay
-  // bit-deterministic at every shard count.
+  // Pull-dispatch machinery (docs/DISPATCH.md). No claim or retry depends
+  // on the order of pending_: ties break on InstanceIds, age stamps and
+  // color names, so runs stay bit-deterministic at every shard count.
   bool pull_enabled() const {
     return config_.dispatch_mode == FaasDispatchMode::kPull;
   }
-  // The pending-queue key for a spec: its color, or "" when uncolored.
-  static const std::string& PendingKeyOf(const InvocationSpec& spec);
+  // One pulled color: its pending queue and its cached home.
+  struct ColorSlot;
+  // The slot of `spec`'s color, interned on first sight; 0 when uncolored.
+  std::uint32_t ColorSlotOf(const InvocationSpec& spec);
   void EnqueuePending(const AttemptPtr& attempt, bool front);
   void RemoveFromPending(const AttemptPtr& attempt);
+  // Takes a drained slot out of pending_ and returns its queue to the pool.
+  void RetireQueue(std::uint32_t slot);
   // The worker a color's runs should land on: the load balancer's placed
   // instance when a placement exists (where the color's runs, and cached
   // bytes, have been landing), else the cache ring's home shard (always
   // defined while workers exist; the rule when routing runs in a fronting
   // tier and the platform LB never placed the color). The two are never
   // OR'd: treating both as home splits a placed color's working set
-  // across two caches. nullopt when neither exists. The matcher's claim
-  // classes decide by this one rule.
-  std::optional<InstanceId> HomeOf(const std::string& color) const;
+  // across two caches. nullopt when neither exists, and always for
+  // uncolored work. The matcher's claim classes decide by this one rule.
+  // The answer is cached in the slot and re-resolved only when `version`
+  // (the load balancer's placement_version()) has moved since.
+  const std::optional<InstanceId>& HomeOf(ColorSlot& slot,
+                                          std::uint64_t version);
   // Matches the idle workers against the pending queues in one pass, in
-  // ascending InstanceId order. Each pending color's home is resolved once
-  // per call; a worker then claims the oldest head among its home colors,
-  // else among unowned work, else (budget permitting) steals a foreign
-  // color. A worker that finds nothing could find nothing later in the
+  // ascending InstanceId order. Each pending color's home is looked up once
+  // per call (HomeOf); a worker then claims the oldest head among its home
+  // colors, else among unowned work, else (budget permitting) steals a
+  // foreign color. A worker that finds nothing could find nothing later in the
   // same call either (claims only remove work and fill steal slots), so
   // one pass reaches the fixed point. Order and tie-breaks:
   // docs/DISPATCH.md, "How a worker claims".
@@ -530,21 +538,38 @@ class FaasPlatform {
   // a worker-name string), keeping them inside the simulator's inline
   // event-callback buffer.
   std::unordered_map<InstanceId, std::unique_ptr<Worker>> workers_;
-  // Pull state. Ordered containers: the claim scan iterates
-  // pending_ and the matcher iterates idle_workers_, and both orders are
-  // part of the deterministic claim schedule.
-  std::map<std::string, std::deque<AttemptPtr>> pending_;
+  // Pull state. A color pulled for the first time interns a dense slot
+  // (slot 0 holds uncolored work); push never interns. Slots are never
+  // recycled, like InstanceIds, so memory is one small record per distinct
+  // color ever pulled. While a color has work waiting its slot sits in
+  // pending_ and borrows a queue from queue_pool_, which takes the queue
+  // back (allocation and all) once it drains.
+  struct ColorSlot {
+    std::string name;  // the color; empty for slot 0
+    std::unique_ptr<std::deque<AttemptPtr>> queue;  // null while drained
+    std::uint32_t pending_index = 0;  // position in pending_ while queued
+    // HomeOf's answer, valid while home_version is the load balancer's
+    // placement_version().
+    std::optional<InstanceId> home;
+    std::uint64_t home_version = UINT64_MAX;  // never resolved
+  };
+  std::vector<ColorSlot> color_slots_;
+  std::unordered_map<std::string, std::uint32_t> color_slot_ids_;
+  std::vector<std::uint32_t> pending_;  // slots with work waiting, unordered
+  std::vector<std::unique_ptr<std::deque<AttemptPtr>>> queue_pool_;
   std::size_t pending_total_ = 0;
   std::uint64_t next_pending_seq_ = 1;  // age stamps for oldest-first claims
+  // Ordered: the matcher walks idle workers in ascending InstanceId order,
+  // which is part of the deterministic claim schedule.
   std::set<InstanceId> idle_workers_;
   // MatchPending scratch, kept across calls so a match allocates nothing
-  // once the buffers have grown. One entry per pending color, in pending_
-  // order, with its home resolved for the length of the call; colors with
-  // the same idle home (or none) are chained through `next`.
+  // once the buffers have grown. One entry per pending color, with its home
+  // resolved for the length of the call; colors with the same idle home
+  // (or none) are chained through `next`.
   struct MatchColor {
-    // The color's pending_ entry; pending_.end() once drained this call.
-    std::map<std::string, std::deque<AttemptPtr>>::iterator queue;
+    std::deque<AttemptPtr>* queue;   // null once drained this call
     std::optional<InstanceId> home;  // nullopt: unowned
+    std::uint32_t slot;              // index into color_slots_
     std::uint32_t next;              // next color in the same chain
   };
   std::vector<MatchColor> match_colors_;

@@ -1,6 +1,7 @@
 // Pull dispatch tests: late binding from per-color pending queues,
-// locality-aware claim ordering, budget-gated stealing, and the fault
-// paths that return claimed-but-unstarted work to its color queue. Also
+// locality-aware claim ordering, budget-gated stealing, cached homes that
+// follow placement changes, and the fault paths that return
+// claimed-but-unstarted work to its color queue. Also
 // the dispatch-path bugfix sweep riding along: drain-candidate tie-breaks
 // by interned InstanceId, and RetryPolicy backoff saturation at extreme
 // configs.
@@ -320,6 +321,120 @@ TEST(PullDispatchFaultTest, ApplyPlanRacingStealKeepsBooksClosed) {
   EXPECT_EQ(completed, 6);
   EXPECT_EQ(platform.PendingTotal(), 0u);
   EXPECT_TRUE(platform.counters().BooksClose());
+}
+
+// ---------------------------------------------------------------------------
+// Cached homes: the matcher keeps each pending color's home until the load
+// balancer's placement_version() moves. In each case below a color waits
+// below the steal threshold while an idle worker looks on, so the matcher
+// has cached its old home; then the home moves to that idle worker. The
+// next match must see the new home and claim as home. A stale home would
+// instead make the deeper queue a foreign color to steal from.
+
+PlatformConfig HomeCacheConfig() {
+  PlatformConfig config = PullConfig(FaasDispatchMode::kPull);
+  config.steal_budget = 1;
+  config.steal_min_depth = 2;
+  return config;
+}
+
+TEST(PullHomeInvalidationTest, PlanMoveReHomesAWaitingColor) {
+  Simulator sim;
+  FaasPlatform platform(&sim, PolicyKind::kLeastAssigned, 1,
+                        HomeCacheConfig());
+  platform.AddWorker("w0");
+  const std::string color =
+      ForeignProofColor(&sim, &platform, "w0", "w1");
+  ASSERT_FALSE(color.empty());
+
+  std::vector<std::string> ran_on;
+  const auto record = [&](const InvocationResult& r) {
+    ran_on.push_back(r.instance);
+  };
+  platform.Invoke(Colored(color, 1e9), nullptr);  // occupies w0 for 1 s
+  platform.Invoke(Colored(color, 1e7), record);   // waits for w0
+  sim.RunUntil(sim.Now() + SimTime::FromMillis(5));
+  ASSERT_EQ(platform.PendingTotal(), 1u);
+
+  Plan plan;
+  plan.moves.push_back(
+      PlanMove{color, InternInstance("w0"), InternInstance("w1")});
+  platform.ApplyPlan(plan);
+  platform.Invoke(Colored(color, 1e7), record);
+  sim.Run();
+  EXPECT_EQ(ran_on, (std::vector<std::string>{"w1", "w1"}));
+  EXPECT_EQ(platform.counters().steals, 0u);
+}
+
+TEST(PullHomeInvalidationTest, ObservedRouteReHomesAWaitingColor) {
+  Simulator sim;
+  FaasPlatform platform(&sim, PolicyKind::kLeastAssigned, 1,
+                        HomeCacheConfig());
+  platform.AddWorker("w0");
+  platform.AddWorker("w1");
+  // A routing tier places every attempt; with color stats on, the
+  // platform's balancer learns each routed placement (ObserveRoute).
+  platform.load_balancer().set_color_stats_enabled(true);
+  InstanceId routed_to = InternInstance("w0");
+  platform.set_router(
+      [&routed_to](const std::optional<Color>&, std::uint64_t, int) {
+        return std::optional<RoutedTarget>(RoutedTarget{routed_to, 0});
+      });
+
+  std::vector<std::string> ran_on;
+  const auto record = [&](const InvocationResult& r) {
+    ran_on.push_back(r.instance);
+  };
+  platform.Invoke(Colored("observed", 1e9), nullptr);  // placed on w0
+  platform.Invoke(Colored("observed", 1e7), record);   // waits for w0
+  sim.RunUntil(sim.Now() + SimTime::FromMillis(5));
+  ASSERT_EQ(platform.PendingTotal(), 1u);
+
+  routed_to = InternInstance("w1");  // the tier re-places the color
+  platform.Invoke(Colored("observed", 1e7), record);
+  sim.Run();
+  EXPECT_EQ(ran_on, (std::vector<std::string>{"w1", "w1"}));
+  EXPECT_EQ(platform.counters().steals, 0u);
+}
+
+TEST(PullHomeInvalidationTest, FirstPlacementReHomesARingHomedColor) {
+  Simulator sim;
+  FaasPlatform platform(&sim, PolicyKind::kLeastAssigned, 1,
+                        HomeCacheConfig());
+  platform.AddWorker("w0");
+  platform.AddWorker("w1");
+  // A routing tier without color stats: the platform's balancer places
+  // nothing, so every color's home is its cache-ring home.
+  const InstanceId w0 = InternInstance("w0");
+  platform.set_router([w0](const std::optional<Color>&, std::uint64_t, int) {
+    return std::optional<RoutedTarget>(RoutedTarget{w0, 0});
+  });
+  std::string color;
+  for (int i = 0; color.empty() && i < 64; ++i) {
+    const std::string candidate = StrFormat("ring%d", i);
+    if (platform.cache().HomeInstance(candidate) == "w1") {
+      color = candidate;
+    }
+  }
+  ASSERT_FALSE(color.empty());
+
+  std::vector<std::string> ran_on;
+  const auto record = [&](const InvocationResult& r) {
+    ran_on.push_back(r.instance);
+  };
+  platform.Invoke(Colored(color, 1e9), nullptr);  // its ring home w1 claims
+  platform.Invoke(Colored(color, 1e7), record);   // waits for w1
+  sim.RunUntil(sim.Now() + SimTime::FromMillis(5));
+  ASSERT_EQ(platform.PendingTotal(), 1u);
+
+  // Object-name translation, as the DAG executor runs it, inserts the
+  // color into the Least-Assigned table: both workers hold no colors, so
+  // the first by name, w0, gets it.
+  ASSERT_EQ(platform.load_balancer().ResolveColor(color), "w0");
+  platform.Invoke(Colored(color, 1e7), record);
+  sim.Run();
+  EXPECT_EQ(ran_on, (std::vector<std::string>{"w0", "w0"}));
+  EXPECT_EQ(platform.counters().steals, 0u);
 }
 
 // ---------------------------------------------------------------------------
