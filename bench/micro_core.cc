@@ -294,7 +294,7 @@ void BM_CacheFetch(benchmark::State& state) {
     cache.AddInstance(shards.back());
   }
   struct Read {
-    std::string reader;
+    InstanceId reader;
     std::string object;
   };
   std::vector<Read> reads;
@@ -304,7 +304,7 @@ void BM_CacheFetch(benchmark::State& state) {
     if (outcome == 2) {
       object += "-absent";
     } else {
-      cache.Put(home, object, 4 * kKiB);
+      cache.Put(InternInstance(home), object, 4 * kKiB);
     }
     std::string reader = home;
     if (outcome != 0) {
@@ -313,7 +313,7 @@ void BM_CacheFetch(benchmark::State& state) {
       reader = shards[static_cast<std::size_t>(at - shards.begin() + 1) %
                       shards.size()];
     }
-    reads.push_back(Read{std::move(reader), std::move(object)});
+    reads.push_back(Read{InternInstance(reader), std::move(object)});
   }
   static constexpr CacheOutcome kExpected[] = {
       CacheOutcome::kLocalHit, CacheOutcome::kRemoteHit, CacheOutcome::kMiss};
@@ -490,75 +490,6 @@ std::vector<ShardedPoint> MeasureShardedEngine() {
   return points;
 }
 
-// Sampler overhead A/B (docs/OBSERVABILITY.md, "Cost"): the same open-loop
-// workload with telemetry off and with 100 ms sampling. The clock observer
-// adds zero events to the run — the samples digest must match bit-for-bit
-// — so the only cost is the per-mark refresh + snapshot work, which must
-// stay a low-single-digit percentage of events/sec. Each arm takes the
-// best of three runs to damp scheduler noise.
-struct SamplerAb {
-  double events_per_sec_off = 0;
-  double events_per_sec_on = 0;
-  double overhead_pct = 0;
-  std::uint64_t samples_taken = 0;
-  bool digests_match = false;
-};
-
-SamplerAb MeasureSamplerOverhead() {
-  WorkloadSpec spec;
-  spec.arrival.rate_per_sec = 20000;
-  spec.driver.duration = SimTime::FromSeconds(4);
-  SloConfig slo;
-  slo.deadline = SimTime::FromMillis(100);
-  const PlatformConfig platform_config = DefaultWorkloadPlatformConfig();
-  WorkloadObsConfig obs;
-  obs.sample_every = SimTime::FromMillis(100);
-
-  SamplerAb ab;
-  std::uint64_t digest_off = 0;
-  std::uint64_t digest_on = 0;
-  const auto run_off = [&] {
-    const auto start = std::chrono::steady_clock::now();
-    const WorkloadRunResult off = RunWorkload(
-        spec, PolicyKind::kLeastAssigned, 64, slo, platform_config);
-    const double eps =
-        static_cast<double>(off.sim_events) / SecondsSince(start);
-    ab.events_per_sec_off = std::max(ab.events_per_sec_off, eps);
-    digest_off = off.samples_digest;
-  };
-  const auto run_on = [&] {
-    const auto start = std::chrono::steady_clock::now();
-    const WorkloadRunResult on =
-        RunWorkload(spec, PolicyKind::kLeastAssigned, 64, slo,
-                    platform_config, nullptr, &obs);
-    const double eps =
-        static_cast<double>(on.sim_events) / SecondsSince(start);
-    ab.events_per_sec_on = std::max(ab.events_per_sec_on, eps);
-    digest_on = on.samples_digest;
-    if (on.telemetry.series != nullptr) {
-      ab.samples_taken = on.telemetry.series->samples_taken();
-    }
-  };
-  // Alternate arm order across reps so throughput drift (turbo decay,
-  // neighbor load) does not systematically tax one arm.
-  for (int rep = 0; rep < 5; ++rep) {
-    if (rep % 2 == 0) {
-      run_off();
-      run_on();
-    } else {
-      run_on();
-      run_off();
-    }
-  }
-  ab.digests_match = digest_off == digest_on;
-  ab.overhead_pct = ab.events_per_sec_off > 0
-                        ? 100.0 * (ab.events_per_sec_off -
-                                   ab.events_per_sec_on) /
-                              ab.events_per_sec_off
-                        : 0;
-  return ab;
-}
-
 double MeasureRoutesPerSec(PolicyKind kind, std::uint64_t n) {
   PaletteLoadBalancer lb(MakePolicy(kind, 1));
   for (int i = 0; i < 48; ++i) {
@@ -628,34 +559,6 @@ bool WriteBenchCoreJson(
   json.EndObject();
   std::printf("\nevents_per_sec: %.3e\n", events_per_sec);
 
-  const SamplerAb sampler = MeasureSamplerOverhead();
-  json.BeginObject();
-  json.Key("name");
-  json.String("workload_events_per_sec_unsampled");
-  json.Key("value");
-  json.Double(sampler.events_per_sec_off);
-  json.EndObject();
-  json.BeginObject();
-  json.Key("name");
-  json.String("workload_events_per_sec_sampled");
-  json.Key("value");
-  json.Double(sampler.events_per_sec_on);
-  json.Key("sample_every_ms");
-  json.Double(100);
-  json.Key("samples_taken");
-  json.UInt(sampler.samples_taken);
-  json.Key("overhead_pct");
-  json.Double(sampler.overhead_pct);
-  json.Key("digests_match");
-  json.Bool(sampler.digests_match);
-  json.EndObject();
-  std::printf(
-      "sampler A/B: %.3e events/sec off, %.3e on (100ms windows, %llu "
-      "samples) -> %.2f%% overhead, digests %s\n",
-      sampler.events_per_sec_off, sampler.events_per_sec_on,
-      static_cast<unsigned long long>(sampler.samples_taken),
-      sampler.overhead_pct, sampler.digests_match ? "match" : "DIVERGE");
-
   for (const PolicyKind kind : AllPolicyKinds()) {
     const double routes = MeasureRoutesPerSec(kind, kRoutes);
     json.BeginObject();
@@ -709,12 +612,6 @@ bool WriteBenchCoreJson(
     std::fprintf(stderr,
                  "FAIL: sharded engine digests diverge across shard "
                  "counts\n");
-  }
-  if (!sampler.digests_match) {
-    std::fprintf(stderr,
-                 "FAIL: samples digest changed with the telemetry sampler "
-                 "on — the clock observer must add zero events\n");
-    digests_match = false;
   }
   json.EndArray();
   json.EndObject();

@@ -20,7 +20,6 @@
 #include <optional>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
 #include "src/cache/lru_cache.h"
@@ -42,8 +41,8 @@ enum class CacheOutcome {
 
 struct CacheLookup {
   CacheOutcome outcome = CacheOutcome::kMiss;
-  // Instance holding the object (for kRemoteHit), empty otherwise.
-  std::string owner;
+  // The reader on a local hit, the home on a remote hit, else invalid.
+  InstanceId owner = kInvalidInstanceId;
   Bytes size = 0;
 };
 
@@ -60,12 +59,13 @@ class FaastCache {
  public:
   explicit FaastCache(FaastCacheConfig config = {});
 
-  // Instance membership. Removing an instance drops its shard (the paper's
-  // semantics: state on a reclaimed worker is lost).
+  // Membership, by name (the ring hashes names); every other call names a
+  // shard by InstanceId. Removing an instance drops its shard (state on a
+  // reclaimed worker is lost); a name that rejoins starts with an empty one.
   void AddInstance(const std::string& instance);
   void RemoveInstance(const std::string& instance);
-  std::size_t instance_count() const { return shards_.size(); }
-  bool HasInstance(const std::string& instance) const;
+  std::size_t instance_count() const { return ring_.member_count(); }
+  bool HasInstance(InstanceId id) const { return Shard(id) != nullptr; }
 
   // The hashing key of an object name: the prefix before kHashKeyToken if
   // present, the whole name otherwise.
@@ -82,33 +82,30 @@ class FaastCache {
   // *home* instance (under Palette's color translation home == producer, so
   // the write is local; under an oblivious far-memory setup it may be a
   // remote write). Returns the instance the object was stored at.
-  std::string Put(const std::string& producer, const std::string& object_name,
-                  Bytes size);
+  InstanceId Put(InstanceId producer, const std::string& object_name,
+                 Bytes size);
 
   // Writes an object produced at `producer` to its home shard AND to every
   // live instance in `replicas` (a replicated/split color's replica set).
   // Accounting counts bytes once per *landed* copy: put_bytes grows by one
   // size per store and replicated_bytes by one size per extra copy beyond
-  // the home — the paper's locality-diffusion cost measured honestly. (A
-  // plain Put used to count one size no matter how many replicas a policy
-  // fanned the color across.) Returns the home instance, as Put does.
-  std::string PutReplicated(const std::string& producer,
-                            const std::string& object_name, Bytes size,
-                            const std::vector<std::string>& replicas);
+  // the home — the paper's locality-diffusion cost measured honestly.
+  // Returns the home instance, as Put does.
+  InstanceId PutReplicated(InstanceId producer, const std::string& object_name,
+                           Bytes size, const std::vector<InstanceId>& replicas);
 
   // Stores an object directly in `instance`'s shard regardless of its home
   // (miss fills and app-managed local caching).
-  void PutLocal(const std::string& instance, const std::string& object_name,
+  void PutLocal(InstanceId instance, const std::string& object_name,
                 Bytes size);
 
   // True iff `object_name` is resident in `instance`'s shard. Never touches
   // recency or stats (coherence probes must not perturb LRU order).
-  bool ContainsLocal(const std::string& instance,
-                     const std::string& object_name) const;
+  bool ContainsLocal(InstanceId instance, const std::string& object_name) const;
 
   // Reads an object from `reader`. Checks the reader's shard, then the home
   // shard. Never mutates peer LRU order.
-  CacheLookup Get(const std::string& reader, const std::string& object_name);
+  CacheLookup Get(InstanceId reader, const std::string& object_name);
 
   // Drops an object everywhere (used by tests and churn experiments).
   void Invalidate(const std::string& object_name);
@@ -124,19 +121,19 @@ class FaastCache {
   // Visits every object in `instance`'s shard without touching recency or
   // stats. No-op for unknown instances.
   void ForEachObject(
-      const std::string& instance,
+      InstanceId instance,
       const std::function<void(const std::string&, Bytes)>& fn) const;
   // Objects in `instance`'s shard whose hashing key equals `key` — i.e. a
   // color's migratable cache footprint on that instance.
-  std::vector<ResidentObject> PeekKeyObjects(const std::string& instance,
+  std::vector<ResidentObject> PeekKeyObjects(InstanceId instance,
                                              std::string_view key) const;
   // True iff at least one object with hashing key `key` is resident in
   // `instance`'s shard. Early-out scan; never touches recency or stats
   // (the pull-dispatch claim path probes residency per idle worker).
-  bool HasKeyObject(const std::string& instance, std::string_view key) const;
+  bool HasKeyObject(InstanceId instance, std::string_view key) const;
   // Removes one object from `instance`'s shard only (migration source-side
   // erase; Invalidate drops from every shard). Returns true if present.
-  bool EraseLocal(const std::string& instance, const std::string& object_name);
+  bool EraseLocal(InstanceId instance, const std::string& object_name);
 
   // Aggregate statistics.
   std::uint64_t local_hits() const { return local_hits_; }
@@ -152,15 +149,20 @@ class FaastCache {
   // Evictions across live shards (a removed instance's count is lost with
   // its shard, matching the reclaimed-worker semantics).
   std::uint64_t total_evictions() const;
-  std::uint64_t shard_evictions(const std::string& instance) const;
-  Bytes shard_used_bytes(const std::string& instance) const;
+  std::uint64_t shard_evictions(InstanceId instance) const;
+  Bytes shard_used_bytes(InstanceId instance) const;
 
   const FaastCacheConfig& config() const { return config_; }
 
  private:
+  // `instance`'s shard, or null when it is not a member.
+  LruCache* Shard(InstanceId instance) const {
+    return instance < shards_.size() ? shards_[instance].get() : nullptr;
+  }
+
   FaastCacheConfig config_;
   ConsistentHashRing ring_;
-  std::unordered_map<std::string, std::unique_ptr<LruCache>> shards_;
+  std::vector<std::unique_ptr<LruCache>> shards_;  // indexed by InstanceId
   std::uint64_t local_hits_ = 0;
   std::uint64_t remote_hits_ = 0;
   std::uint64_t misses_ = 0;

@@ -4,24 +4,23 @@ namespace palette {
 
 LruCache::LruCache(Bytes capacity_bytes) : capacity_(capacity_bytes) {}
 
-bool LruCache::Get(const std::string& key) {
+std::optional<Bytes> LruCache::Get(const std::string& key) {
   auto it = map_.find(key);
   if (it == map_.end()) {
     ++misses_;
-    return false;
+    return std::nullopt;
   }
   ++hits_;
   lru_.splice(lru_.begin(), lru_, it->second);
-  return true;
+  return it->second->size;
 }
 
-bool LruCache::Contains(const std::string& key) const {
-  return map_.count(key) > 0;
-}
-
-Bytes LruCache::SizeOf(const std::string& key) const {
+std::optional<Bytes> LruCache::Peek(const std::string& key) const {
   auto it = map_.find(key);
-  return it == map_.end() ? 0 : it->second->size;
+  if (it == map_.end()) {
+    return std::nullopt;
+  }
+  return it->second->size;
 }
 
 bool LruCache::Put(const std::string& key, Bytes size) {

@@ -11,6 +11,7 @@
 #include <cstdint>
 #include <functional>
 #include <list>
+#include <optional>
 #include <string>
 #include <unordered_map>
 
@@ -23,15 +24,17 @@ class LruCache {
   // `capacity_bytes` == 0 means unbounded (used by the MRC simulator).
   explicit LruCache(Bytes capacity_bytes);
 
-  // Looks up `key`, promoting it to most-recently-used on hit.
-  bool Get(const std::string& key);
+  // Looks up `key`, promoting it to most-recently-used; its size on a hit.
+  std::optional<Bytes> Get(const std::string& key);
 
-  // Peeks without updating recency. Used for peer lookups, which should not
-  // distort the owner's LRU order.
-  bool Contains(const std::string& key) const;
-
+  // Size of `key` if present, without updating recency or stats. Used for
+  // peer lookups, which should not distort the owner's LRU order.
+  std::optional<Bytes> Peek(const std::string& key) const;
+  bool Contains(const std::string& key) const {
+    return Peek(key).has_value();
+  }
   // Size of `key` if present, else 0.
-  Bytes SizeOf(const std::string& key) const;
+  Bytes SizeOf(const std::string& key) const { return Peek(key).value_or(0); }
 
   // Inserts or refreshes `key`, evicting LRU entries as needed. An object
   // larger than the whole capacity is not admitted (returns false).

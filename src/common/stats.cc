@@ -56,16 +56,33 @@ double ClampRank(double p) {
   return p > 100.0 ? 100.0 : p;
 }
 
-double SortedPercentile(const std::vector<double>& sorted, double p) {
-  if (sorted.size() == 1) {
-    return sorted[0];
+// The interpolated percentile at `p` by selection instead of a sort: the
+// order statistic at floor(rank) by nth_element, the next one as the
+// minimum above it, combined exactly as a lookup into the sorted samples
+// would, so results are bit-identical. The first `*from` samples must be
+// the `*from` smallest (partitioned off by an earlier call at a lower
+// rank), so successive calls at ascending ranks select within a shrinking
+// tail; each leaves `*from` at its own rank.
+double SelectPercentile(std::vector<double>& samples, double p,
+                        std::size_t* from) {
+  const std::size_t n = samples.size();
+  if (n == 1) {
+    return samples[0];
   }
-  const double rank =
-      (ClampRank(p) / 100.0) * static_cast<double>(sorted.size() - 1);
+  const double rank = (ClampRank(p) / 100.0) * static_cast<double>(n - 1);
   const auto lo = static_cast<std::size_t>(rank);
-  const std::size_t hi = std::min(lo + 1, sorted.size() - 1);
+  const std::size_t hi = std::min(lo + 1, n - 1);
   const double frac = rank - static_cast<double>(lo);
-  return sorted[lo] + frac * (sorted[hi] - sorted[lo]);
+  const auto begin = samples.begin();
+  std::nth_element(begin + static_cast<std::ptrdiff_t>(*from),
+                   begin + static_cast<std::ptrdiff_t>(lo), samples.end());
+  *from = lo;
+  const double lo_value = samples[lo];
+  const double hi_value =
+      hi == lo ? lo_value
+               : *std::min_element(begin + static_cast<std::ptrdiff_t>(hi),
+                                   samples.end());
+  return lo_value + frac * (hi_value - lo_value);
 }
 
 }  // namespace
@@ -74,8 +91,8 @@ double Percentile(std::vector<double> samples, double p) {
   if (samples.empty()) {
     return 0.0;
   }
-  std::sort(samples.begin(), samples.end());
-  return SortedPercentile(samples, p);
+  std::size_t from = 0;
+  return SelectPercentile(samples, p, &from);
 }
 
 std::vector<double> Percentiles(std::vector<double> samples,
@@ -84,9 +101,17 @@ std::vector<double> Percentiles(std::vector<double> samples,
   if (samples.empty()) {
     return out;
   }
-  std::sort(samples.begin(), samples.end());
-  for (std::size_t i = 0; i < ps.size(); ++i) {
-    out[i] = SortedPercentile(samples, ps[i]);
+  // Select in ascending rank order; each selection narrows the next.
+  std::vector<std::size_t> order(ps.size());
+  for (std::size_t i = 0; i < order.size(); ++i) {
+    order[i] = i;
+  }
+  std::sort(order.begin(), order.end(), [&ps](std::size_t a, std::size_t b) {
+    return ClampRank(ps[a]) < ClampRank(ps[b]);
+  });
+  std::size_t from = 0;
+  for (const std::size_t i : order) {
+    out[i] = SelectPercentile(samples, ps[i], &from);
   }
   return out;
 }

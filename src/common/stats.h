@@ -49,14 +49,17 @@ class RunningStats {
 };
 
 // Percentile of a sample set using linear interpolation between closest
-// ranks. The input is copied and sorted. Defensive contract (the SLO
-// scorer calls this on possibly-empty per-color buckets): an empty sample
-// set returns 0; `p` is clamped to [0, 100], with NaN treated as 0 — so
-// out-of-range ranks return min/max instead of reading out of bounds.
+// ranks. The input is copied and the two ranks the interpolation reads are
+// selected (nth_element), not sorted; the result equals the sort-based one
+// bit for bit. Defensive contract (the SLO scorer calls this on
+// possibly-empty per-color buckets): an empty sample set returns 0; `p` is
+// clamped to [0, 100], with NaN treated as 0 — so out-of-range ranks return
+// min/max instead of reading out of bounds.
 double Percentile(std::vector<double> samples, double p);
 
-// Percentiles at each rank in `ps`, sorting `samples` once (same
-// interpolation and clamping as Percentile). Returns one value per entry
+// Percentiles at each rank in `ps`, selecting in ascending rank order over
+// one copy of `samples` (same interpolation and clamping as Percentile, and
+// bit-identical to a sort-based lookup). Returns one value per entry
 // of `ps`, in order; all zeros for empty input.
 std::vector<double> Percentiles(std::vector<double> samples,
                                 const std::vector<double>& ps);

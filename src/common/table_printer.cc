@@ -48,14 +48,20 @@ std::string TablePrinter::ToString() const {
 }
 
 std::string StrFormat(const char* fmt, ...) {
+  // One pass into a stack buffer covers names and table cells; only output
+  // that does not fit pays a second vsnprintf, into the sized string.
+  char buffer[256];
   va_list args;
   va_start(args, fmt);
   va_list args_copy;
   va_copy(args_copy, args);
-  const int needed = std::vsnprintf(nullptr, 0, fmt, args);
+  const int needed = std::vsnprintf(buffer, sizeof(buffer), fmt, args);
   va_end(args);
-  std::string result(needed > 0 ? static_cast<std::size_t>(needed) : 0, '\0');
-  if (needed > 0) {
+  std::string result;
+  if (needed > 0 && static_cast<std::size_t>(needed) < sizeof(buffer)) {
+    result.assign(buffer, static_cast<std::size_t>(needed));
+  } else if (needed > 0) {
+    result.resize(static_cast<std::size_t>(needed));
     std::vsnprintf(result.data(), result.size() + 1, fmt, args_copy);
   }
   va_end(args_copy);

@@ -73,7 +73,7 @@ void FaasPlatform::AddWorker(const std::string& name, double speed) {
     return;
   }
   assert(speed > 0);
-  workers_.emplace(id, std::make_unique<Worker>(sim_, speed));
+  workers_.emplace(id, std::make_unique<Worker>(sim_, speed, name));
   network_ptr_->AddNode(name);
   cache_.AddInstance(name);
   if (storage_ != nullptr) {
@@ -104,8 +104,9 @@ void FaasPlatform::Depart(const std::string& name, bool crashed) {
   // departed worker; a crash kills it, and its partial work is lost (a
   // retry re-executes from scratch: at-least-once). Membership is updated
   // first so the policy re-colors before any retry re-routes.
-  std::deque<AttemptPtr> orphans = std::move(it->second->queue);
-  AttemptPtr running = crashed ? std::move(it->second->running) : nullptr;
+  std::deque<AttemptHandle> orphans = std::move(it->second->queue);
+  const std::optional<AttemptHandle> running =
+      crashed ? it->second->running : std::nullopt;
   workers_.erase(it);
   idle_workers_.erase(*id);
   if (storage_ != nullptr) {
@@ -117,8 +118,8 @@ void FaasPlatform::Depart(const std::string& name, bool crashed) {
   cache_.RemoveInstance(name);
   lb_.RemoveInstance(name);
   NotifyMembership(MembershipEvent::kRemoved, name);
-  if (running != nullptr) {
-    HandleFailure(running, FailureReason::kWorkerLost);
+  if (running.has_value()) {
+    HandleFailure(*running, FailureReason::kWorkerLost);
   }
   // Requeued orphans land at the heads of their color queues, so walk the
   // FIFO back to front to keep its order there; failed-over ones retry in
@@ -139,14 +140,15 @@ void FaasPlatform::Depart(const std::string& name, bool crashed) {
   }
 }
 
-bool FaasPlatform::Requeue(const AttemptPtr& attempt) {
-  if (!pull_enabled() || workers_.empty() || attempt->cancelled) {
+bool FaasPlatform::Requeue(AttemptHandle attempt) {
+  Attempt* const live = Live(attempt);
+  if (!pull_enabled() || workers_.empty() || live == nullptr) {
     HandleFailure(attempt, FailureReason::kWorkerLost);
     return false;
   }
   // The claim never started: it frees its steal slot, and the work goes
   // back to the head of its color queue.
-  ReleaseStealSlot(attempt);
+  ReleaseStealSlot(*live);
   EnqueuePending(attempt, /*front=*/true);
   return true;
 }
@@ -159,8 +161,8 @@ bool FaasPlatform::HasWorker(const std::string& name) const {
 std::vector<std::string> FaasPlatform::WorkerNames() const {
   std::vector<std::string> names;
   names.reserve(workers_.size());
-  for (const auto& [id, _] : workers_) {
-    names.push_back(InstanceName(id));
+  for (const auto& [_, worker] : workers_) {
+    names.push_back(worker->name);
   }
   std::sort(names.begin(), names.end());
   return names;
@@ -202,17 +204,45 @@ std::optional<std::uint64_t> FaasPlatform::Invoke(
   }
   next_id_ = id + 1;
   ++counters_.submitted;
-  auto result = std::make_shared<InvocationResult>();
-  result->id = id;
-  result->submitted = sim_->Now();
-  result->router = target->router;
-
-  auto attempt = std::make_shared<Attempt>();
-  attempt->spec = std::make_shared<InvocationSpec>(std::move(spec));
-  attempt->result = std::move(result);
-  attempt->on_complete = std::move(on_complete);
-  DispatchTo(attempt, target->instance);
+  std::uint32_t index;
+  if (free_invocations_.empty()) {
+    index = static_cast<std::uint32_t>(invocations_.size());
+    invocations_.emplace_back();
+  } else {
+    index = free_invocations_.back();
+    free_invocations_.pop_back();
+  }
+  Invocation& invocation = invocations_[index];
+  invocation.spec = std::move(spec);
+  invocation.result = InvocationResult{};
+  invocation.result.id = id;
+  invocation.result.submitted = sim_->Now();
+  invocation.result.router = target->router;
+  invocation.on_complete = std::move(on_complete);
+  DispatchTo(NewAttempt(index, /*number=*/1, /*color_slot=*/0),
+             target->instance);
   return id;
+}
+
+FaasPlatform::AttemptHandle FaasPlatform::NewAttempt(std::uint32_t invocation,
+                                                     int number,
+                                                     std::uint32_t color_slot) {
+  std::uint32_t index;
+  if (free_attempts_.empty()) {
+    index = static_cast<std::uint32_t>(attempts_.size());
+    attempts_.emplace_back();
+  } else {
+    index = free_attempts_.back();
+    free_attempts_.pop_back();
+  }
+  Attempt& attempt = attempts_[index];
+  const std::uint32_t generation = attempt.generation;
+  attempt = Attempt{};
+  attempt.invocation = invocation;
+  attempt.generation = generation;
+  attempt.number = number;
+  attempt.color_slot = color_slot;
+  return AttemptHandle{index, generation};
 }
 
 std::optional<RoutedTarget> FaasPlatform::Route(
@@ -226,11 +256,12 @@ std::optional<RoutedTarget> FaasPlatform::Route(
   return std::nullopt;
 }
 
-void FaasPlatform::DispatchTo(const AttemptPtr& attempt, InstanceId target) {
-  attempt->worker = target;
-  InvocationResult& result = *attempt->result;
-  result.instance = InstanceName(target);
-  result.attempts = attempt->number;
+void FaasPlatform::DispatchTo(AttemptHandle handle, InstanceId target) {
+  Attempt& attempt = attempts_[handle.index];
+  attempt.worker = target;
+  InvocationSpec& spec = invocations_[attempt.invocation].spec;
+  InvocationResult& result = invocations_[attempt.invocation].result;
+  result.attempts = attempt.number;
   result.cold_start = SimTime();
 
   const auto worker_it = workers_.find(target);
@@ -238,32 +269,31 @@ void FaasPlatform::DispatchTo(const AttemptPtr& attempt, InstanceId target) {
     // An attached router pointed at a worker the cluster no longer runs
     // (the platform's own LB never does this). Fail the attempt; the retry
     // layer routes it afresh.
-    HandleFailure(attempt, FailureReason::kWorkerLost);
+    HandleFailure(handle, FailureReason::kWorkerLost);
     return;
   }
-  if (router_ != nullptr && attempt->spec->color.has_value()) {
+  result.instance = worker_it->second->name;
+  if (router_ != nullptr && spec.color.has_value()) {
     // Externally routed (tier) traffic never touches lb_.RouteId, so the
     // platform-side planner's snapshots would see nothing. Teach the LB the
     // placement passively (no-op unless color stats are on).
-    lb_.NoteExternalRoute(*attempt->spec->color, target);
+    lb_.NoteExternalRoute(*spec.color, target);
   }
-  if (config_.translate_object_names && attempt->number == 1) {
+  if (config_.translate_object_names && attempt.number == 1) {
     // §5.1 name translation (see PlatformConfig): first attempt only, so
     // retries keep the names their caches already warmed under.
-    for (ObjectRef& input : attempt->spec->inputs) {
+    for (ObjectRef& input : spec.inputs) {
       input.name = lb_.TranslateObjectName(input.name);
     }
-    for (ObjectRef& output : attempt->spec->outputs) {
+    for (ObjectRef& output : spec.outputs) {
       output.name = lb_.TranslateObjectName(output.name);
     }
   }
 
-  const SimTime budget = attempt->spec->deadline > SimTime()
-                             ? attempt->spec->deadline
-                             : config_.default_deadline;
+  const SimTime budget =
+      spec.deadline > SimTime() ? spec.deadline : config_.default_deadline;
   if (budget > SimTime()) {
-    attempt->deadline = SaturatingAdd(sim_->Now(), budget);
-    ArmDeadline(attempt);
+    ArmDeadline(handle, SaturatingAdd(sim_->Now(), budget));
   }
 
   // Late binding (docs/DISPATCH.md): under pull the route is only a hint.
@@ -277,15 +307,15 @@ void FaasPlatform::DispatchTo(const AttemptPtr& attempt, InstanceId target) {
     // waiting for a claim lands in the queue span and the five trace spans
     // still partition [submitted, completed] exactly.
     result.dispatched = enqueue_at;
-    sim_->At(enqueue_at, [this, attempt]() {
-      if (attempt->cancelled) {
+    sim_->At(enqueue_at, [this, handle]() {
+      if (Live(handle) == nullptr) {
         return;  // deadline expired while in dispatch flight
       }
       if (workers_.empty()) {
-        HandleFailure(attempt, FailureReason::kWorkerLost);
+        HandleFailure(handle, FailureReason::kWorkerLost);
         return;
       }
-      EnqueuePending(attempt, /*front=*/false);
+      EnqueuePending(handle, /*front=*/false);
       MatchPending();
     });
     return;
@@ -296,18 +326,18 @@ void FaasPlatform::DispatchTo(const AttemptPtr& attempt, InstanceId target) {
       ChargeColdStart(*worker_it->second, result);
   result.dispatched = dispatch_done;
 
-  sim_->At(dispatch_done, [this, attempt, target]() {
+  sim_->At(dispatch_done, [this, handle, target]() {
     // The request arrives at the instance and joins its FIFO run queue.
-    if (attempt->cancelled) {
+    if (Live(handle) == nullptr) {
       return;  // deadline expired while in dispatch flight
     }
     auto it = workers_.find(target);
     if (it == workers_.end()) {
       // Worker removed while the request was in flight.
-      HandleFailure(attempt, FailureReason::kWorkerLost);
+      HandleFailure(handle, FailureReason::kWorkerLost);
       return;
     }
-    it->second->queue.push_back(attempt);
+    it->second->queue.push_back(handle);
     if (!it->second->busy) {
       StartNextOnWorker(target);
     }
@@ -329,22 +359,28 @@ SimTime FaasPlatform::ChargeColdStart(Worker& worker,
   return config_.cold_start;
 }
 
-void FaasPlatform::ArmDeadline(const AttemptPtr& attempt) {
-  sim_->At(attempt->deadline, [this, attempt]() { OnDeadline(attempt); });
+void FaasPlatform::ArmDeadline(AttemptHandle attempt, SimTime deadline) {
+  sim_->At(deadline, [this, attempt]() { OnDeadline(attempt); });
 }
 
-void FaasPlatform::OnDeadline(const AttemptPtr& attempt) {
-  if (attempt->cancelled || attempt->committed) {
+void FaasPlatform::OnDeadline(AttemptHandle handle) {
+  const Attempt* const attempt = Live(handle);
+  if (attempt == nullptr || attempt->committed) {
     return;  // already failed another way, or past the point of no return
   }
   ++counters_.timeouts;
+  // HandleFailure frees the records; read what the cancel needs first.
   const InstanceId target = attempt->worker;
   const bool was_running = attempt->running;
-  HandleFailure(attempt, FailureReason::kTimeout);
-  if (attempt->in_pending) {
+  const bool in_pending = attempt->in_pending;
+  const std::uint32_t color_slot = attempt->color_slot;
+  const SimTime compute_done =
+      invocations_[attempt->invocation].result.compute_done;
+  HandleFailure(handle, FailureReason::kTimeout);
+  if (in_pending) {
     // Expired while waiting in a pending color queue: drop it there so the
     // per-color depth gauges don't count a dead entry.
-    RemoveFromPending(attempt);
+    RemoveFromPending(handle, color_slot);
     return;
   }
   const auto it = workers_.find(target);
@@ -352,11 +388,11 @@ void FaasPlatform::OnDeadline(const AttemptPtr& attempt) {
     return;
   }
   Worker& worker = *it->second;
-  if (was_running && worker.running == attempt) {
+  if (was_running && worker.running == handle) {
     // Cancel on the worker: return the unexecuted tail of the CPU booking
     // so the next queued request starts now instead of after the ghost of
     // the cancelled compute.
-    const SimTime remaining = attempt->result->compute_done - sim_->Now();
+    const SimTime remaining = compute_done - sim_->Now();
     if (remaining > SimTime()) {
       worker.cpu.Refund(remaining);
     }
@@ -366,36 +402,40 @@ void FaasPlatform::OnDeadline(const AttemptPtr& attempt) {
     // Still waiting in the FIFO: drop it from the queue so depth gauges
     // don't count a dead entry.
     auto& queue = worker.queue;
-    queue.erase(std::remove(queue.begin(), queue.end(), attempt),
-                queue.end());
+    queue.erase(std::remove(queue.begin(), queue.end(), handle), queue.end());
   }
 }
 
-void FaasPlatform::HandleFailure(const AttemptPtr& attempt,
-                                 FailureReason reason) {
-  // A failed claim no longer holds its steal slot, whatever failed it.
-  ReleaseStealSlot(attempt);
-  if (attempt->cancelled) {
+void FaasPlatform::HandleFailure(AttemptHandle handle, FailureReason reason) {
+  Attempt* const attempt = Live(handle);
+  if (attempt == nullptr) {
     return;  // this attempt's failure is already being handled
   }
-  attempt->cancelled = true;
+  // A failed claim no longer holds its steal slot, whatever failed it.
+  ReleaseStealSlot(*attempt);
+  const std::uint32_t invocation = attempt->invocation;
+  const int number = attempt->number;
+  const InstanceId worker = attempt->worker;
+  const std::uint32_t color_slot = attempt->color_slot;
+  FreeAttempt(handle);
   const RetryPolicy& retry = config_.retry;
-  if (retry.enabled() && attempt->number < retry.max_attempts) {
+  if (retry.enabled() && number < retry.max_attempts) {
     ++counters_.retries;
-    const SimTime backoff = retry.BackoffFor(attempt->number, retry_rng_);
+    const SimTime backoff = retry.BackoffFor(number, retry_rng_);
     // Saturate like Simulator::After: extreme multiplier/max_backoff
     // configs must clamp to the far future, not wrap negative.
     const SimTime resubmit_at = SaturatingAdd(sim_->Now(), backoff);
     if (trace_ != nullptr) {
       trace_->RecordRetry(RetryTrace{
-          attempt->result->id, attempt->number,
-          attempt->worker != kInvalidInstanceId ? InstanceName(attempt->worker)
-                                                : std::string(),
+          invocations_[invocation].result.id, number,
+          worker != kInvalidInstanceId ? InstanceName(worker) : std::string(),
           reason == FailureReason::kTimeout ? RetryReason::kTimeout
                                             : RetryReason::kWorkerLost,
           sim_->Now(), resubmit_at});
     }
-    sim_->At(resubmit_at, [this, attempt]() { Resubmit(attempt); });
+    sim_->At(resubmit_at, [this, invocation, number, color_slot]() {
+      Resubmit(invocation, number + 1, color_slot);
+    });
     return;
   }
   if (retry.enabled()) {
@@ -403,22 +443,19 @@ void FaasPlatform::HandleFailure(const AttemptPtr& attempt,
   } else {
     ++counters_.dropped;
   }
+  free_invocations_.push_back(invocation);
 }
 
-void FaasPlatform::Resubmit(const AttemptPtr& failed) {
-  // A brand-new Attempt: events still pending against the failed one see
-  // its tombstone and no-op, so they can never resurrect it.
-  auto next = std::make_shared<Attempt>();
-  next->spec = failed->spec;
-  next->result = failed->result;
-  next->on_complete = std::move(failed->on_complete);
-  next->number = failed->number + 1;
-  next->color_slot = failed->color_slot;
+void FaasPlatform::Resubmit(std::uint32_t invocation, int number,
+                            std::uint32_t color_slot) {
+  // A fresh Attempt record: events still pending against the failed one
+  // see its stale generation and no-op, so they can never resurrect it.
+  const AttemptHandle next = NewAttempt(invocation, number, color_slot);
 
   // Per-attempt result fields start over; `submitted` is kept so the
   // end-to-end latency spans the failed attempts and backoffs.
-  InvocationResult& result = *next->result;
-  result.attempts = next->number;
+  InvocationResult& result = invocations_[invocation].result;
+  result.attempts = number;
   result.local_hits = 0;
   result.remote_hits = 0;
   result.misses = 0;
@@ -428,7 +465,8 @@ void FaasPlatform::Resubmit(const AttemptPtr& failed) {
   // the replacement instance, not the dead one. With a routing tier
   // attached the retry goes back through it, so the router replica's own
   // view (and its per-view re-coloring) governs where the retry lands.
-  const auto target = Route(next->spec->color, result.id, next->number);
+  const auto target =
+      Route(invocations_[invocation].spec.color, result.id, number);
   if (!target.has_value()) {
     // No instances at the moment; treat as another failed attempt (backs
     // off again, up to max_attempts).
@@ -445,7 +483,7 @@ void FaasPlatform::StartNextOnWorker(InstanceId instance) {
     return;
   }
   Worker& worker = *worker_it->second;
-  while (!worker.queue.empty() && worker.queue.front()->cancelled) {
+  while (!worker.queue.empty() && Live(worker.queue.front()) == nullptr) {
     worker.queue.pop_front();
   }
   if (worker.queue.empty()) {
@@ -456,28 +494,29 @@ void FaasPlatform::StartNextOnWorker(InstanceId instance) {
     return;
   }
   worker.busy = true;
-  AttemptPtr attempt = std::move(worker.queue.front());
+  const AttemptHandle handle = worker.queue.front();
   worker.queue.pop_front();
-  worker.running = attempt;
-  attempt->running = true;
-  const std::shared_ptr<InvocationSpec>& spec = attempt->spec;
-  const std::shared_ptr<InvocationResult>& result = attempt->result;
-  const std::string& instance_name = InstanceName(instance);
-  result->fetch_start = sim_->Now();
+  worker.running = handle;
+  Attempt& attempt = attempts_[handle.index];
+  attempt.running = true;
+  const InvocationSpec& spec = invocations_[attempt.invocation].spec;
+  InvocationResult& result = invocations_[attempt.invocation].result;
+  const std::string& instance_name = worker.name;
+  result.fetch_start = sim_->Now();
 
   // Fetch inputs: the invocation blocks the worker for the duration.
   SimTime inputs_ready = sim_->Now();
   Bytes payload_bytes = 0;
-  for (const ObjectRef& input : spec->inputs) {
+  for (const ObjectRef& input : spec.inputs) {
     payload_bytes += input.size;
     const SimTime fetch_issued = sim_->Now();
-    CacheLookup lookup = cache_.Get(instance_name, input.name);
+    CacheLookup lookup = cache_.Get(instance, input.name);
     SimTime done;
     FetchSource source = FetchSource::kLocal;
     Bytes fetched_bytes = lookup.size;
     switch (lookup.outcome) {
       case CacheOutcome::kLocalHit:
-        ++result->local_hits;
+        ++result.local_hits;
         done = network_ptr_->Transfer(instance_name, instance_name,
                                       lookup.size);
         if (storage_ != nullptr) {
@@ -489,11 +528,11 @@ void FaasPlatform::StartNextOnWorker(InstanceId instance) {
         }
         break;
       case CacheOutcome::kRemoteHit:
-        ++result->remote_hits;
-        result->network_bytes += lookup.size;
+        ++result.remote_hits;
+        result.network_bytes += lookup.size;
         source = FetchSource::kRemote;
-        done = network_ptr_->Transfer(lookup.owner, instance_name,
-                                      lookup.size);
+        done = network_ptr_->Transfer(InstanceName(lookup.owner),
+                                      instance_name, lookup.size);
         if (storage_ != nullptr && config_.cache.replicate_on_remote_hit) {
           // The cache just copied the object into the reader's shard; the
           // home serves the authoritative copy, so the new copy is fresh.
@@ -501,13 +540,13 @@ void FaasPlatform::StartNextOnWorker(InstanceId instance) {
         }
         break;
       case CacheOutcome::kMiss: {
-        ++result->misses;
+        ++result.misses;
         const auto it = storage_objects_.find(input.name);
         Bytes size = it != storage_objects_.end() ? it->second : input.size;
         if (storage_ != nullptr) {
           size = storage_->StoredSizeOf(input.name, size);
         }
-        result->network_bytes += size;
+        result.network_bytes += size;
         source = FetchSource::kStorage;
         fetched_bytes = size;
         done = storage_ != nullptr
@@ -515,7 +554,7 @@ void FaasPlatform::StartNextOnWorker(InstanceId instance) {
                    : network_ptr_->Transfer(kStorageNode, instance_name,
                                             size);
         if (config_.cache_miss_fills) {
-          cache_.PutLocal(instance_name, input.name, size);
+          cache_.PutLocal(instance, input.name, size);
           if (storage_ != nullptr) {
             storage_->NoteCopy(instance_name, input.name);
           }
@@ -524,7 +563,7 @@ void FaasPlatform::StartNextOnWorker(InstanceId instance) {
       }
     }
     if (trace_ != nullptr) {
-      trace_->RecordFetch(FetchTrace{result->id, instance_name, input.name,
+      trace_->RecordFetch(FetchTrace{result.id, instance_name, input.name,
                                      source, fetched_bytes, fetch_issued,
                                      done});
     }
@@ -532,13 +571,13 @@ void FaasPlatform::StartNextOnWorker(InstanceId instance) {
       inputs_ready = done;
     }
   }
-  result->inputs_ready = inputs_ready;
+  result.inputs_ready = inputs_ready;
 
-  for (const ObjectRef& output : spec->outputs) {
+  for (const ObjectRef& output : spec.outputs) {
     payload_bytes += output.size;
   }
   SimTime compute = ComputeDuration(
-      spec->cpu_ops, config_.cpu_ops_per_second * worker.speed);
+      spec.cpu_ops, config_.cpu_ops_per_second * worker.speed);
   if (config_.serialization_bytes_per_second > 0) {
     compute += TransferDuration(
         payload_bytes, config_.serialization_bytes_per_second * worker.speed);
@@ -547,17 +586,18 @@ void FaasPlatform::StartNextOnWorker(InstanceId instance) {
   // Occupy the worker from now (fetch start) through end of compute.
   const SimTime compute_done =
       worker.cpu.Acquire((inputs_ready - sim_->Now()) + compute);
-  result->compute_done = compute_done;
+  result.compute_done = compute_done;
 
-  sim_->At(compute_done, [this, instance, attempt]() {
-    if (attempt->cancelled) {
+  sim_->At(compute_done, [this, instance, handle]() {
+    Attempt* const ran = Live(handle);
+    if (ran == nullptr) {
       return;  // timed out or crashed mid-run; the failure path took over
     }
     // Compute finished: the attempt is past its deadline's reach (only
     // output placement remains, which a timeout no longer interrupts).
-    attempt->committed = true;
-    const std::shared_ptr<InvocationSpec>& spec2 = attempt->spec;
-    const std::shared_ptr<InvocationResult>& result2 = attempt->result;
+    ran->committed = true;
+    const InvocationSpec& spec2 = invocations_[ran->invocation].spec;
+    InvocationResult& result2 = invocations_[ran->invocation].result;
     SimTime completed = sim_->Now();
     // Output placement: the invocation is not finished until its outputs
     // are stored at their home instances, and the single-threaded worker
@@ -565,83 +605,87 @@ void FaasPlatform::StartNextOnWorker(InstanceId instance) {
     // producing worker itself (a fast local store); under far-memory-style
     // naming the put crosses the network — the write-side cost oblivious
     // routing pays.
-    for (const ObjectRef& output : spec2->outputs) {
-      std::vector<std::string> replicas;
+    for (const ObjectRef& output : spec2.outputs) {
+      std::vector<InstanceId> replicas;
       if (storage_ != nullptr) {
         replicas = WriteReplicasFor(FaastCache::HashKeyOf(output.name));
       }
-      const std::string home =
+      const InstanceId home =
           replicas.empty()
-              ? cache_.Put(result2->instance, output.name, output.size)
-              : cache_.PutReplicated(result2->instance, output.name,
-                                     output.size, replicas);
+              ? cache_.Put(instance, output.name, output.size)
+              : cache_.PutReplicated(instance, output.name, output.size,
+                                     replicas);
+      const std::string& home_name =
+          home == instance ? result2.instance : InstanceName(home);
       SimTime done =
-          network_ptr_->Transfer(result2->instance, home, output.size);
+          network_ptr_->Transfer(result2.instance, home_name, output.size);
       if (storage_ != nullptr) {
         // Replicas beyond the home receive their synchronous copy from
         // the producer too; the slowest transfer gates the write.
-        for (const std::string& replica : replicas) {
+        std::vector<std::string> replica_names;
+        for (const InstanceId replica : replicas) {
+          replica_names.push_back(InstanceName(replica));
           if (replica == home || !cache_.HasInstance(replica)) {
             continue;
           }
           const SimTime copy_done = network_ptr_->Transfer(
-              result2->instance, replica, output.size);
+              result2.instance, replica_names.back(), output.size);
           if (copy_done > done) {
             done = copy_done;
           }
         }
-        done = storage_->OnWrite(result2->instance, home, output.name,
-                                 output.size, spec2->coherence, replicas,
+        done = storage_->OnWrite(result2.instance, home_name, output.name,
+                                 output.size, spec2.coherence, replica_names,
                                  done);
       }
       if (done > completed) {
         completed = done;
       }
     }
-    result2->completed = completed;
+    result2.completed = completed;
     if (trace_ != nullptr) {
       trace_->RecordInvocation(InvocationTrace{
-          result2->id, spec2->function, result2->instance, spec2->color,
-          result2->submitted, result2->dispatched, result2->fetch_start,
-          result2->inputs_ready, result2->compute_done, result2->completed,
-          result2->cold_start, result2->router});
+          result2.id, spec2.function, result2.instance, spec2.color,
+          result2.submitted, result2.dispatched, result2.fetch_start,
+          result2.inputs_ready, result2.compute_done, result2.completed,
+          result2.cold_start, result2.router});
     }
     if (metrics_ != nullptr) {
       m_invocations_->Increment();
       const auto ns = [](SimTime t) {
         return static_cast<std::uint64_t>(t.nanos() > 0 ? t.nanos() : 0);
       };
-      m_e2e_ns_->Record(ns(result2->completed - result2->submitted));
-      m_route_ns_->Record(ns(result2->dispatched - result2->submitted));
-      m_queue_ns_->Record(ns(result2->fetch_start - result2->dispatched));
-      m_fetch_ns_->Record(ns(result2->inputs_ready - result2->fetch_start));
-      m_compute_ns_->Record(ns(result2->compute_done - result2->inputs_ready));
-      m_store_ns_->Record(ns(result2->completed - result2->compute_done));
+      m_e2e_ns_->Record(ns(result2.completed - result2.submitted));
+      m_route_ns_->Record(ns(result2.dispatched - result2.submitted));
+      m_queue_ns_->Record(ns(result2.fetch_start - result2.dispatched));
+      m_fetch_ns_->Record(ns(result2.inputs_ready - result2.fetch_start));
+      m_compute_ns_->Record(ns(result2.compute_done - result2.inputs_ready));
+      m_store_ns_->Record(ns(result2.completed - result2.compute_done));
     }
     if (completed > sim_->Now()) {
       // Keep the worker occupied through the blocking put.
-      if (Worker* occupied = OccupiedBy(attempt, instance)) {
+      if (Worker* occupied = OccupiedBy(handle, instance)) {
         occupied->cpu.Acquire(completed - sim_->Now());
       }
     }
-    sim_->At(completed, [this, instance, attempt]() {
-      if (attempt->cancelled) {
+    sim_->At(completed, [this, instance, handle]() {
+      Attempt* const finished = Live(handle);
+      if (finished == nullptr) {
         return;  // worker crashed during the store phase; being retried
       }
       ++counters_.completed;
-      attempt->running = false;
       // A stolen run holds its steal-budget slot through completion, so
       // the budget caps concurrently *executing* stolen work, not just
       // claims in flight. Releasing it may unblock another idle worker.
-      const bool was_stolen = attempt->stolen;
-      ReleaseStealSlot(attempt);
-      Worker* occupied = OccupiedBy(attempt, instance);
+      const bool was_stolen = finished->stolen;
+      ReleaseStealSlot(*finished);
+      const std::uint32_t invocation = finished->invocation;
+      FreeAttempt(handle);
+      Worker* occupied = OccupiedBy(handle, instance);
       if (occupied != nullptr) {
         occupied->running.reset();
       }
-      if (attempt->on_complete) {
-        DeliverCompletion(attempt);
-      }
+      DeliverCompletion(invocation);
       if (occupied != nullptr) {
         StartNextOnWorker(instance);
       }
@@ -652,7 +696,7 @@ void FaasPlatform::StartNextOnWorker(InstanceId instance) {
   });
 }
 
-FaasPlatform::Worker* FaasPlatform::OccupiedBy(const AttemptPtr& attempt,
+FaasPlatform::Worker* FaasPlatform::OccupiedBy(AttemptHandle attempt,
                                               InstanceId instance) {
   const auto it = workers_.find(instance);
   return it != workers_.end() && it->second->running == attempt
@@ -675,48 +719,48 @@ std::uint32_t FaasPlatform::ColorSlotOf(const InvocationSpec& spec) {
   return it->second;
 }
 
-void FaasPlatform::EnqueuePending(const AttemptPtr& attempt, bool front) {
-  if (attempt->color_slot == 0) {
-    attempt->color_slot = ColorSlotOf(*attempt->spec);
+void FaasPlatform::EnqueuePending(AttemptHandle handle, bool front) {
+  Attempt& attempt = attempts_[handle.index];
+  if (attempt.color_slot == 0) {
+    attempt.color_slot = ColorSlotOf(invocations_[attempt.invocation].spec);
   }
-  ColorSlot& slot = color_slots_[attempt->color_slot];
+  ColorSlot& slot = color_slots_[attempt.color_slot];
   if (slot.queue == nullptr) {
     if (queue_pool_.empty()) {
-      slot.queue = std::make_unique<std::deque<AttemptPtr>>();
+      slot.queue = std::make_unique<std::deque<AttemptHandle>>();
     } else {
       slot.queue = std::move(queue_pool_.back());
       queue_pool_.pop_back();
     }
     slot.pending_index = static_cast<std::uint32_t>(pending_.size());
-    pending_.push_back(attempt->color_slot);
+    pending_.push_back(attempt.color_slot);
   }
-  if (attempt->pending_seq == 0) {
-    attempt->pending_seq = next_pending_seq_++;
+  if (attempt.pending_seq == 0) {
+    attempt.pending_seq = next_pending_seq_++;
   }
   if (front) {
-    slot.queue->push_front(attempt);
+    slot.queue->push_front(handle);
   } else {
-    slot.queue->push_back(attempt);
+    slot.queue->push_back(handle);
   }
-  attempt->in_pending = true;
+  attempt.in_pending = true;
   ++pending_total_;
 }
 
-void FaasPlatform::RemoveFromPending(const AttemptPtr& attempt) {
-  const ColorSlot& slot = color_slots_[attempt->color_slot];
-  if (slot.queue == nullptr) {
+void FaasPlatform::RemoveFromPending(AttemptHandle attempt,
+                                     std::uint32_t slot) {
+  if (color_slots_[slot].queue == nullptr) {
     return;
   }
-  std::deque<AttemptPtr>& queue = *slot.queue;
+  std::deque<AttemptHandle>& queue = *color_slots_[slot].queue;
   const auto pos = std::find(queue.begin(), queue.end(), attempt);
   if (pos == queue.end()) {
     return;
   }
   queue.erase(pos);
   --pending_total_;
-  attempt->in_pending = false;
   if (queue.empty()) {
-    RetireQueue(attempt->color_slot);
+    RetireQueue(slot);
   }
 }
 
@@ -751,9 +795,8 @@ void FaasPlatform::MatchPending() {
   constexpr std::uint32_t kEnd = UINT32_MAX;
   // Drops cancelled attempts from the head of a queue; true once it is
   // empty.
-  const auto drop_cancelled_heads = [this](std::deque<AttemptPtr>& queue) {
-    while (!queue.empty() && queue.front()->cancelled) {
-      queue.front()->in_pending = false;
+  const auto drop_cancelled_heads = [this](std::deque<AttemptHandle>& queue) {
+    while (!queue.empty() && Live(queue.front()) == nullptr) {
       queue.pop_front();
       --pending_total_;
     }
@@ -816,8 +859,9 @@ void FaasPlatform::MatchPending() {
       if (color.queue == nullptr) {
         continue;
       }
-      if (oldest == nullptr || color.queue->front()->pending_seq <
-                                   oldest->queue->front()->pending_seq) {
+      if (oldest == nullptr ||
+          attempts_[color.queue->front().index].pending_seq <
+              attempts_[oldest->queue->front().index].pending_seq) {
         oldest = &color;
       }
     }
@@ -850,7 +894,6 @@ void FaasPlatform::MatchPending() {
       // free claims compounds into a locality death spiral. A resident
       // pick can only lose to a resident color that is deeper, or as deep
       // with a smaller name, so other colors skip the probe.
-      const std::string& name = InstanceName(id);
       const std::string* pick_name = nullptr;
       bool pick_resident = false;
       std::size_t pick_depth = 0;
@@ -868,7 +911,7 @@ void FaasPlatform::MatchPending() {
              (depth == pick_depth && color_name >= *pick_name))) {
           continue;
         }
-        const bool resident = cache_.HasKeyObject(name, color_name);
+        const bool resident = cache_.HasKeyObject(id, color_name);
         const bool better =
             pick == nullptr ||
             (resident != pick_resident ? resident
@@ -883,7 +926,7 @@ void FaasPlatform::MatchPending() {
       }
       assert(pick != nullptr);
     }
-    std::deque<AttemptPtr>& queue = *pick->queue;
+    std::deque<AttemptHandle>& queue = *pick->queue;
     const bool was_stealable =
         pick->home.has_value() && queue.size() >= min_depth;
     ClaimFrom(&queue, id, steal);
@@ -898,43 +941,44 @@ void FaasPlatform::MatchPending() {
   }
 }
 
-void FaasPlatform::ClaimFrom(std::deque<AttemptPtr>* queue,
+void FaasPlatform::ClaimFrom(std::deque<AttemptHandle>* queue,
                              InstanceId instance, bool steal) {
-  AttemptPtr attempt = std::move(queue->front());
+  const AttemptHandle handle = queue->front();
   queue->pop_front();
   --pending_total_;
-  attempt->in_pending = false;
+  Attempt& attempt = attempts_[handle.index];
+  attempt.in_pending = false;
+  Invocation& invocation = invocations_[attempt.invocation];
 
   ++counters_.pulls;
   if (steal) {
     ++counters_.steals;
     ++steals_in_flight_;
-    attempt->stolen = true;
+    attempt.stolen = true;
     Bytes bytes = 0;
-    for (const ObjectRef& input : attempt->spec->inputs) {
+    for (const ObjectRef& input : invocation.spec.inputs) {
       bytes += input.size;
     }
     counters_.steal_bytes += bytes;
   }
 
   // Late binding resolves here: the claimer becomes the placement.
-  attempt->worker = instance;
-  attempt->result->instance = InstanceName(instance);
+  attempt.worker = instance;
   Worker& worker = *workers_.at(instance);
+  invocation.result.instance = worker.name;
   idle_workers_.erase(instance);
   worker.claiming = true;
   // Cold start charged at claim time — in pull mode the final worker is
   // unknown until a claim binds it.
   const SimTime start_at =
       SaturatingAdd(SaturatingAdd(sim_->Now(), config_.pull_claim_latency),
-                    ChargeColdStart(worker, *attempt->result));
-  sim_->At(start_at, [this, attempt, instance]() {
-    OnClaimArrive(attempt, instance);
+                    ChargeColdStart(worker, invocation.result));
+  sim_->At(start_at, [this, handle, instance]() {
+    OnClaimArrive(handle, instance);
   });
 }
 
-void FaasPlatform::OnClaimArrive(const AttemptPtr& attempt,
-                                 InstanceId instance) {
+void FaasPlatform::OnClaimArrive(AttemptHandle attempt, InstanceId instance) {
   const auto it = workers_.find(instance);
   if (it == workers_.end()) {
     // The claimer died mid-handoff; the claim never started.
@@ -944,7 +988,7 @@ void FaasPlatform::OnClaimArrive(const AttemptPtr& attempt,
     return;
   }
   it->second->claiming = false;
-  if (attempt->cancelled) {
+  if (Live(attempt) == nullptr) {
     // Deadline fired during the handoff (HandleFailure freed its steal
     // slot); the claimer goes back to the idle pool, which re-runs the
     // matcher.
@@ -973,9 +1017,9 @@ void FaasPlatform::MaybeIdle(InstanceId instance) {
   MatchPending();
 }
 
-void FaasPlatform::ReleaseStealSlot(const AttemptPtr& attempt) {
-  if (attempt->stolen) {
-    attempt->stolen = false;
+void FaasPlatform::ReleaseStealSlot(Attempt& attempt) {
+  if (attempt.stolen) {
+    attempt.stolen = false;
     --steals_in_flight_;
   }
 }
@@ -990,27 +1034,24 @@ void FaasPlatform::FailAllPending() {
             [this](std::uint32_t a, std::uint32_t b) {
               return color_slots_[a].name < color_slots_[b].name;
             });
-  std::vector<std::unique_ptr<std::deque<AttemptPtr>>> queues;
+  std::vector<std::unique_ptr<std::deque<AttemptHandle>>> queues;
   for (const std::uint32_t slot : pending_) {
     queues.push_back(std::move(color_slots_[slot].queue));
   }
   pending_.clear();
   pending_total_ = 0;
-  for (std::unique_ptr<std::deque<AttemptPtr>>& queue : queues) {
-    for (const AttemptPtr& attempt : *queue) {
-      attempt->in_pending = false;
-      if (!attempt->cancelled) {
-        HandleFailure(attempt, FailureReason::kWorkerLost);
-      }
+  for (std::unique_ptr<std::deque<AttemptHandle>>& queue : queues) {
+    for (const AttemptHandle attempt : *queue) {
+      HandleFailure(attempt, FailureReason::kWorkerLost);  // stale: no-op
     }
     queue->clear();
     queue_pool_.push_back(std::move(queue));
   }
 }
 
-std::vector<std::string> FaasPlatform::WriteReplicasFor(
+std::vector<InstanceId> FaasPlatform::WriteReplicasFor(
     std::string_view key) const {
-  std::vector<std::string> replicas;
+  std::vector<InstanceId> replicas;
   if (key.empty()) {
     return replicas;
   }
@@ -1018,39 +1059,49 @@ std::vector<std::string> FaasPlatform::WriteReplicasFor(
   // the policy's own replica set (Replicated Colors). Both are usually
   // empty — the paper's single-instance-per-color case.
   if (lb_.IsSplit(key)) {
-    for (const InstanceId id : lb_.SplitMembers(key)) {
-      replicas.push_back(InstanceName(id));
-    }
+    replicas = lb_.SplitMembers(key);
   }
-  for (std::string& name : lb_.policy().WriteReplicaSetOf(key)) {
-    if (std::find(replicas.begin(), replicas.end(), name) == replicas.end()) {
-      replicas.push_back(std::move(name));
+  for (const std::string& name : lb_.policy().WriteReplicaSetOf(key)) {
+    const InstanceId id = InternInstance(name);
+    if (std::find(replicas.begin(), replicas.end(), id) == replicas.end()) {
+      replicas.push_back(id);
     }
   }
   return replicas;
 }
 
-void FaasPlatform::DeliverCompletion(const AttemptPtr& attempt) {
-  const int origin = attempt->spec->origin_domain;
+void FaasPlatform::DeliverCompletion(std::uint32_t index) {
+  Invocation& invocation = invocations_[index];
+  CompletionCallback on_complete = std::move(invocation.on_complete);
+  InvocationResult result = std::move(invocation.result);
+  const int origin = invocation.spec.origin_domain;
+  // Freed before the callback runs: it may invoke again, which can reuse
+  // the record or grow the slab under a reference into it.
+  free_invocations_.push_back(index);
+  if (!on_complete) {
+    return;
+  }
   if (cross_scheduler_ != nullptr && origin >= 0 &&
       origin != config_.domain) {
     // Ship the result back across the sharded fabric: the callback runs on
-    // the submitter's domain, one return hop later. The capture (a
-    // std::function plus a shared_ptr) stays inside the inline event
-    // buffer; the result outlives the send via the shared_ptr.
+    // the submitter's domain, one return hop later, with its own copy of
+    // the result (the capture, a std::function plus a unique_ptr, stays
+    // inside the inline event buffer).
     cross_scheduler_->SendTo(
         origin, SaturatingAdd(sim_->Now(), cross_return_hop_),
-        [cb = std::move(attempt->on_complete),
-         result = attempt->result]() mutable { cb(*result); });
+        [cb = std::move(on_complete),
+         copy = std::make_unique<InvocationResult>(std::move(result))]() {
+          cb(*copy);
+        });
     return;
   }
-  attempt->on_complete(*attempt->result);
+  on_complete(result);
 }
 
 std::unordered_map<std::string, SimTime> FaasPlatform::WorkerBusyTime() const {
   std::unordered_map<std::string, SimTime> out;
-  for (const auto& [id, worker] : workers_) {
-    out[InstanceName(id)] = worker->cpu.busy_time();
+  for (const auto& [_, worker] : workers_) {
+    out[worker->name] = worker->cpu.busy_time();
   }
   return out;
 }
@@ -1127,7 +1178,7 @@ void FaasPlatform::ApplyPlan(const Plan& plan) {
     const std::string& src_name = InstanceName(*src);
     const std::string& dst_name = InstanceName(migration.to);
     auto batch = std::make_shared<std::vector<FaastCache::ResidentObject>>(
-        cache_.PeekKeyObjects(src_name, *migration.color));
+        cache_.PeekKeyObjects(*src, *migration.color));
     if (batch->empty()) {
       continue;
     }
@@ -1139,7 +1190,7 @@ void FaasPlatform::ApplyPlan(const Plan& plan) {
     }
     SimTime landed = sim_->Now();
     for (const FaastCache::ResidentObject& object : *batch) {
-      cache_.EraseLocal(src_name, object.name);
+      cache_.EraseLocal(*src, object.name);
       if (storage_ != nullptr) {
         storage_->NoteErase(src_name, object.name);
       }
@@ -1159,7 +1210,7 @@ void FaasPlatform::ApplyPlan(const Plan& plan) {
       }
       const std::string& name = InstanceName(dst_id);
       for (const FaastCache::ResidentObject& object : *batch) {
-        cache_.PutLocal(name, object.name, object.size);
+        cache_.PutLocal(dst_id, object.name, object.size);
         if (storage_ != nullptr) {
           storage_->NoteLanded(name, object.name);
         }
@@ -1246,7 +1297,7 @@ void FaasPlatform::ExportMetrics(MetricsRegistry* metrics,
         .SetAt(static_cast<double>(pending.queue->size()), sim_->Now());
   }
   for (const auto& [id, worker] : workers_) {
-    const std::string& name = InstanceName(id);
+    const std::string& name = worker->name;
     gauge(StrFormat("worker.%s.queue_depth", name.c_str()))
         .SetAt(static_cast<double>(worker->queue.size()), sim_->Now());
     gauge(StrFormat("worker.%s.busy_seconds", name.c_str()))
@@ -1256,10 +1307,10 @@ void FaasPlatform::ExportMetrics(MetricsRegistry* metrics,
     counter(StrFormat("worker.%s.routed", name.c_str()))
         .Set(lb_.RoutedToId(id));
     gauge(StrFormat("cache.shard.%s.used_bytes", name.c_str()))
-        .SetAt(static_cast<double>(cache_.shard_used_bytes(name)),
+        .SetAt(static_cast<double>(cache_.shard_used_bytes(id)),
                sim_->Now());
     counter(StrFormat("cache.shard.%s.evictions", name.c_str()))
-        .Set(cache_.shard_evictions(name));
+        .Set(cache_.shard_evictions(id));
     const Network::NodeStats net = network_ptr_->NodeStatsOf(name);
     counter(StrFormat("net.%s.bytes_out", name.c_str())).Set(net.bytes_out);
     counter(StrFormat("net.%s.bytes_in", name.c_str())).Set(net.bytes_in);

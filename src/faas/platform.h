@@ -374,18 +374,31 @@ class FaasPlatform {
                      bool per_worker = true) const;
 
  private:
-  // One try of an invocation. Simulator events cannot be cancelled, so a
-  // failed attempt is tombstoned (`cancelled`) and its already-scheduled
-  // events no-op when they fire; the retry is a brand-new Attempt sharing
-  // the spec/result, so stale events can never resurrect it.
-  struct Attempt {
-    std::shared_ptr<InvocationSpec> spec;
-    std::shared_ptr<InvocationResult> result;
+  // Attempt slab (docs/FAULTS.md). Each Invoke takes one Invocation record
+  // and each try of it one Attempt record; both are recycled through free
+  // lists, so a steady-state invocation allocates nothing here. Events,
+  // worker FIFOs, Worker::running and the pending queues name an attempt by
+  // an AttemptHandle. Simulator events cannot be cancelled, so a failed
+  // attempt is tombstoned instead: freeing its record bumps the record's
+  // generation, every handle still naming it reads as cancelled (Live
+  // returns null), and its already-scheduled events no-op when they fire —
+  // even after the record is reused, so stale events can never resurrect
+  // failed work.
+  struct AttemptHandle {
+    std::uint32_t index = 0;
+    std::uint32_t generation = 0;
+    bool operator==(const AttemptHandle&) const = default;
+  };
+  struct Invocation {
+    InvocationSpec spec;
+    InvocationResult result;  // shared by every attempt of the invocation
     CompletionCallback on_complete;
+  };
+  struct Attempt {
+    std::uint32_t invocation = 0;  // index into invocations_
+    std::uint32_t generation = 0;  // bumped when the record is freed
     int number = 1;                          // 1-based try index
     InstanceId worker = kInvalidInstanceId;  // where this try was routed
-    SimTime deadline;                        // absolute; zero = none
-    bool cancelled = false;  // failed; pending events must no-op
     bool running = false;    // popped from the FIFO, occupying the CPU
     bool committed = false;  // compute finished; deadline no longer applies
     bool in_pending = false;  // waiting in a pending color queue (pull)
@@ -398,19 +411,35 @@ class FaasPlatform {
     // enqueue and copied to retries. 0 until then, and for uncolored work.
     std::uint32_t color_slot = 0;
   };
-  using AttemptPtr = std::shared_ptr<Attempt>;
+  // A fresh record for try `number` of `invocation`.
+  AttemptHandle NewAttempt(std::uint32_t invocation, int number,
+                           std::uint32_t color_slot);
+  // The attempt `handle` names, or null once it has failed or finished.
+  // Records move when the slab grows: never hold the pointer across a call
+  // that may start an attempt.
+  Attempt* Live(AttemptHandle handle) {
+    Attempt& attempt = attempts_[handle.index];
+    return attempt.generation == handle.generation ? &attempt : nullptr;
+  }
+  void FreeAttempt(AttemptHandle handle) {
+    ++attempts_[handle.index].generation;
+    free_attempts_.push_back(handle.index);
+  }
 
   // A worker is a single-vCPU application instance: it serves one
   // invocation at a time from a FIFO queue and *blocks* while fetching that
   // invocation's inputs (no async communication thread, unlike serverful
   // Dask workers).
   struct Worker {
-    Worker(Simulator* sim, double speed_factor)
-        : cpu(sim), speed(speed_factor) {}
+    Worker(Simulator* sim, double speed_factor, std::string worker_name)
+        : cpu(sim), speed(speed_factor), name(std::move(worker_name)) {}
     FifoResource cpu;  // busy-time accounting
     double speed;      // CPU rate multiplier
-    std::deque<AttemptPtr> queue;
-    AttemptPtr running;  // attempt occupying the CPU (null when idle)
+    // Its registry name, held here so the dispatch path takes no registry
+    // lock.
+    std::string name;
+    std::deque<AttemptHandle> queue;
+    std::optional<AttemptHandle> running;  // attempt occupying the CPU
     bool busy = false;
     bool warm = false;
     // Pull: a claim handoff bound while this worker was idle is in flight
@@ -426,19 +455,19 @@ class FaasPlatform {
                                     std::uint64_t id, int number);
   // Sends a routed attempt on its dispatch path; a target the cluster no
   // longer runs falls through to HandleFailure.
-  void DispatchTo(const AttemptPtr& attempt, InstanceId target);
+  void DispatchTo(AttemptHandle attempt, InstanceId target);
   // Warms `worker` on its first dispatch or claim and returns the cold
   // start the attempt pays for it (zero once warm).
   SimTime ChargeColdStart(Worker& worker, InvocationResult& result);
-  // Arms the per-attempt deadline timer if the attempt has one.
-  void ArmDeadline(const AttemptPtr& attempt);
+  // Arms the attempt's deadline timer for absolute time `deadline`.
+  void ArmDeadline(AttemptHandle attempt, SimTime deadline);
   // Deadline timer callback: cancels the attempt (refunding unexecuted CPU
   // time if it was mid-run) and hands it to HandleFailure.
-  void OnDeadline(const AttemptPtr& attempt);
-  // Failure funnel: frees the attempt's steal slot, then retries the
-  // invocation (new Attempt after backoff) or closes its books as
-  // dropped/abandoned. Idempotent per attempt.
-  void HandleFailure(const AttemptPtr& attempt, FailureReason reason);
+  void OnDeadline(AttemptHandle attempt);
+  // Failure funnel: frees the attempt's steal slot and its record, then
+  // retries the invocation (new Attempt after backoff) or closes its books
+  // as dropped/abandoned, freeing the invocation. A no-op on a stale handle.
+  void HandleFailure(AttemptHandle attempt, FailureReason reason);
   // A worker leaves the cluster (RemoveWorker, CrashWorker): membership
   // first, then its running attempt fails if `crashed`, then its unstarted
   // work goes through Requeue.
@@ -446,10 +475,10 @@ class FaasPlatform {
   // Unstarted work whose worker left: under pull, while workers remain, it
   // returns to the head of its color queue (no retry budget burned);
   // otherwise it fails over to HandleFailure. Returns true if requeued.
-  bool Requeue(const AttemptPtr& attempt);
-  // Builds the next attempt sharing `failed`'s spec/result and routes it
-  // afresh through Route.
-  void Resubmit(const AttemptPtr& failed);
+  bool Requeue(AttemptHandle attempt);
+  // Starts try `number` of `invocation` (its color slot carried over from
+  // the failed try) and routes it afresh through Route.
+  void Resubmit(std::uint32_t invocation, int number, std::uint32_t color_slot);
 
   // Pops and executes the next queued invocation on `instance`, if any.
   void StartNextOnWorker(InstanceId instance);
@@ -457,7 +486,7 @@ class FaasPlatform {
   // gracefully removed worker finishes its running attempt after it left,
   // and its name may rejoin meanwhile as a new worker with its own queue:
   // the old attempt must never book or start work there.
-  Worker* OccupiedBy(const AttemptPtr& attempt, InstanceId instance);
+  Worker* OccupiedBy(AttemptHandle attempt, InstanceId instance);
 
   // Pull-dispatch machinery (docs/DISPATCH.md). No claim or retry depends
   // on the order of pending_: ties break on InstanceIds, age stamps and
@@ -469,8 +498,9 @@ class FaasPlatform {
   struct ColorSlot;
   // The slot of `spec`'s color, interned on first sight; 0 when uncolored.
   std::uint32_t ColorSlotOf(const InvocationSpec& spec);
-  void EnqueuePending(const AttemptPtr& attempt, bool front);
-  void RemoveFromPending(const AttemptPtr& attempt);
+  void EnqueuePending(AttemptHandle attempt, bool front);
+  // Drops `attempt` from the queue of color slot `slot`.
+  void RemoveFromPending(AttemptHandle attempt, std::uint32_t slot);
   // Takes a drained slot out of pending_ and returns its queue to the pool.
   void RetireQueue(std::uint32_t slot);
   // The worker a color's runs should land on: the load balancer's placed
@@ -496,28 +526,29 @@ class FaasPlatform {
   void MatchPending();
   // Pops the head of `queue` and hands it to `instance`; the claim
   // handoff (and any cold start) lands pull_claim_latency later.
-  void ClaimFrom(std::deque<AttemptPtr>* queue, InstanceId instance,
+  void ClaimFrom(std::deque<AttemptHandle>* queue, InstanceId instance,
                  bool steal);
   // Claim-handoff arrival: the attempt joins the claimer's FIFO — or, if
   // the worker died mid-handoff, goes through Requeue.
-  void OnClaimArrive(const AttemptPtr& attempt, InstanceId instance);
+  void OnClaimArrive(AttemptHandle attempt, InstanceId instance);
   // Re-inserts `instance` into the idle set iff it is genuinely idle, then
   // matches. No-op in push mode.
   void MaybeIdle(InstanceId instance);
-  void ReleaseStealSlot(const AttemptPtr& attempt);
+  void ReleaseStealSlot(Attempt& attempt);
   // The last worker left: everything pending fails over to the retry
   // layer (books must still close when membership hits zero).
   void FailAllPending();
 
-  // Fires the attempt's completion callback — inline, or shipped to the
-  // spec's origin domain when a cross-domain scheduler is attached.
-  void DeliverCompletion(const AttemptPtr& attempt);
+  // Frees a finished invocation and fires its completion callback — inline,
+  // or shipped with its own copy of the result to the spec's origin domain
+  // when a cross-domain scheduler is attached.
+  void DeliverCompletion(std::uint32_t invocation);
 
   // The live instances a write to `key`'s color must synchronously land on
   // beyond its home: the LB's split-table members plus the policy's write
   // replica set (Replicated Colors). Empty for single-instance colors —
   // the paper's coherence-free case. Only consulted when storage_ is on.
-  std::vector<std::string> WriteReplicasFor(std::string_view key) const;
+  std::vector<InstanceId> WriteReplicasFor(std::string_view key) const;
 
   void NotifyMembership(MembershipEvent event, const std::string& worker) {
     if (membership_listener_) {
@@ -538,6 +569,12 @@ class FaasPlatform {
   // a worker-name string), keeping them inside the simulator's inline
   // event-callback buffer.
   std::unordered_map<InstanceId, std::unique_ptr<Worker>> workers_;
+  // The attempt slab and its free lists (indices of freed records). Never
+  // pre-reserved: it grows to the peak of attempts in flight.
+  std::vector<Invocation> invocations_;
+  std::vector<std::uint32_t> free_invocations_;
+  std::vector<Attempt> attempts_;
+  std::vector<std::uint32_t> free_attempts_;
   // Pull state. A color pulled for the first time interns a dense slot
   // (slot 0 holds uncolored work); push never interns. Slots are never
   // recycled, like InstanceIds, so memory is one small record per distinct
@@ -546,7 +583,7 @@ class FaasPlatform {
   // back (allocation and all) once it drains.
   struct ColorSlot {
     std::string name;  // the color; empty for slot 0
-    std::unique_ptr<std::deque<AttemptPtr>> queue;  // null while drained
+    std::unique_ptr<std::deque<AttemptHandle>> queue;  // null while drained
     std::uint32_t pending_index = 0;  // position in pending_ while queued
     // HomeOf's answer, valid while home_version is the load balancer's
     // placement_version().
@@ -556,7 +593,7 @@ class FaasPlatform {
   std::vector<ColorSlot> color_slots_;
   std::unordered_map<std::string, std::uint32_t> color_slot_ids_;
   std::vector<std::uint32_t> pending_;  // slots with work waiting, unordered
-  std::vector<std::unique_ptr<std::deque<AttemptPtr>>> queue_pool_;
+  std::vector<std::unique_ptr<std::deque<AttemptHandle>>> queue_pool_;
   std::size_t pending_total_ = 0;
   std::uint64_t next_pending_seq_ = 1;  // age stamps for oldest-first claims
   // Ordered: the matcher walks idle workers in ascending InstanceId order,
@@ -567,7 +604,7 @@ class FaasPlatform {
   // resolved for the length of the call; colors with the same idle home
   // (or none) are chained through `next`.
   struct MatchColor {
-    std::deque<AttemptPtr>* queue;   // null once drained this call
+    std::deque<AttemptHandle>* queue;  // null once drained this call
     std::optional<InstanceId> home;  // nullopt: unowned
     std::uint32_t slot;              // index into color_slots_
     std::uint32_t next;              // next color in the same chain

@@ -70,7 +70,7 @@ PlacementSnapshot SnapshotCollector::Collect(FaasPlatform& platform) {
   };
   for (const InstanceId at : placements) {
     platform.cache().ForEachObject(
-        InstanceName(at), [&](const std::string& object, Bytes size) {
+        at, [&](const std::string& object, Bytes size) {
           if (ColorObservation* obs = placed_at(object, at)) {
             obs->cache_bytes += size;
           }

@@ -149,12 +149,12 @@ SimTime StorageLayer::ForcedSync(const std::string& reader,
   SimTime sync_done;
   if (!obj.owner.empty() && obj.owner != reader &&
       instances_.count(obj.owner) > 0 &&
-      cache_->ContainsLocal(obj.owner, name)) {
+      cache_->ContainsLocal(InternInstance(obj.owner), name)) {
     sync_done = network_->Transfer(obj.owner, reader, obj.size);
   } else {
     sync_done = tiers_.Read(reader, name, obj.size);
   }
-  cache_->PutLocal(reader, name, obj.size);
+  cache_->PutLocal(InternInstance(reader), name, obj.size);
   obj.copies[reader] = CopyState{obj.version, SimTime()};
   ++stats_.coherence_syncs;
   stats_.coherence_bytes += obj.size;
@@ -344,7 +344,7 @@ void StorageLayer::ApplyRecord(const std::string& instance,
   if (instance == record.source) {
     return;  // its own write; cursor advances, nothing to do
   }
-  if (!cache_->ContainsLocal(instance, record.object)) {
+  if (!cache_->ContainsLocal(InternInstance(instance), record.object)) {
     return;  // no local copy to reconcile
   }
   const auto it = objects_.find(record.object);
@@ -360,7 +360,7 @@ void StorageLayer::ApplyRecord(const std::string& instance,
   // Causal-mode objects are replicated hot objects worth keeping warm
   // (refresh); everything else just drops the stale copy (invalidate).
   if (record.mode != CoherenceMode::kCausal) {
-    cache_->EraseLocal(instance, record.object);
+    cache_->EraseLocal(InternInstance(instance), record.object);
     obj.copies.erase(instance);
     ++stats_.ae_invalidations;
     if (trace_ != nullptr) {
@@ -376,12 +376,12 @@ void StorageLayer::ApplyRecord(const std::string& instance,
   SimTime refresh_done;
   if (!obj.owner.empty() && obj.owner != instance &&
       instances_.count(obj.owner) > 0 &&
-      cache_->ContainsLocal(obj.owner, record.object)) {
+      cache_->ContainsLocal(InternInstance(obj.owner), record.object)) {
     refresh_done = network_->Transfer(obj.owner, instance, obj.size);
   } else {
     refresh_done = tiers_.Read(instance, record.object, obj.size);
   }
-  cache_->PutLocal(instance, record.object, obj.size);
+  cache_->PutLocal(InternInstance(instance), record.object, obj.size);
   obj.copies[instance] = CopyState{obj.version, SimTime()};
   ++stats_.ae_refreshes;
   stats_.ae_refresh_bytes += obj.size;

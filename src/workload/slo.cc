@@ -1,7 +1,7 @@
 #include "src/workload/slo.h"
 
 #include <algorithm>
-#include <unordered_map>
+#include <vector>
 
 #include "src/common/json_writer.h"
 #include "src/common/stats.h"
@@ -24,7 +24,8 @@ SloReport ScoreSlo(const std::vector<InvocationSample>& samples,
     std::uint64_t local = 0;
     std::uint64_t total_accesses = 0;
   };
-  std::unordered_map<std::uint32_t, ColorBucket> colors;
+  // Indexed by color_id: the mix draws ids below its color count.
+  std::vector<ColorBucket> colors;
 
   std::vector<double> latencies_ms;
   std::uint64_t within_deadline = 0;
@@ -51,6 +52,9 @@ SloReport ScoreSlo(const std::vector<InvocationSample>& samples,
     }
     local += s.local_hits;
     accesses += s.local_hits + s.remote_hits + s.misses;
+    if (s.color_id >= colors.size()) {
+      colors.resize(s.color_id + std::size_t{1});
+    }
     ColorBucket& bucket = colors[s.color_id];
     ++bucket.count;
     bucket.latencies_ms.push_back(latency_ms);
@@ -88,8 +92,11 @@ SloReport ScoreSlo(const std::vector<InvocationSample>& samples,
       accesses > 0 ? static_cast<double>(local) / static_cast<double>(accesses)
                    : 0;
 
-  report.per_color.reserve(colors.size());
-  for (auto& [color_id, bucket] : colors) {
+  for (std::uint32_t color_id = 0; color_id < colors.size(); ++color_id) {
+    ColorBucket& bucket = colors[color_id];
+    if (bucket.count == 0) {
+      continue;
+    }
     ColorSlo c;
     c.color_id = color_id;
     c.count = bucket.count;

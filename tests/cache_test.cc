@@ -7,6 +7,7 @@
 #include "src/cache/faast_cache.h"
 #include "src/cache/hit_ratio_curve.h"
 #include "src/cache/lru_cache.h"
+#include "src/common/instance_id.h"
 #include "src/common/rng.h"
 #include "src/common/table_printer.h"
 
@@ -279,25 +280,26 @@ TEST(FaastCacheTest, InstanceNamePrefixMakesProducerHome) {
   cache.AddInstance("w1");
   cache.AddInstance("w2");
   EXPECT_EQ(cache.HomeInstance("w1___task7").value(), "w1");
-  const std::string stored_at = cache.Put("w1", "w1___task7", 100);
-  EXPECT_EQ(stored_at, "w1");
+  const InstanceId stored_at =
+      cache.Put(InternInstance("w1"), "w1___task7", 100);
+  EXPECT_EQ(InstanceName(stored_at), "w1");
 }
 
 TEST(FaastCacheTest, LocalRemoteMissClassification) {
   FaastCache cache;
   cache.AddInstance("w0");
   cache.AddInstance("w1");
-  cache.Put("w0", "w0___obj", 64);
+  cache.Put(InternInstance("w0"), "w0___obj", 64);
 
-  const CacheLookup local = cache.Get("w0", "w0___obj");
+  const CacheLookup local = cache.Get(InternInstance("w0"), "w0___obj");
   EXPECT_EQ(local.outcome, CacheOutcome::kLocalHit);
   EXPECT_EQ(local.size, 64u);
 
-  const CacheLookup remote = cache.Get("w1", "w0___obj");
+  const CacheLookup remote = cache.Get(InternInstance("w1"), "w0___obj");
   EXPECT_EQ(remote.outcome, CacheOutcome::kRemoteHit);
-  EXPECT_EQ(remote.owner, "w0");
+  EXPECT_EQ(InstanceName(remote.owner), "w0");
 
-  const CacheLookup miss = cache.Get("w1", "w0___nothere");
+  const CacheLookup miss = cache.Get(InternInstance("w1"), "w0___nothere");
   EXPECT_EQ(miss.outcome, CacheOutcome::kMiss);
 
   EXPECT_EQ(cache.local_hits(), 1u);
@@ -305,15 +307,38 @@ TEST(FaastCacheTest, LocalRemoteMissClassification) {
   EXPECT_EQ(cache.misses(), 1u);
 }
 
+TEST(FaastCacheTest, LookupOwnerIsTheHomeInstanceId) {
+  FaastCache cache;
+  for (const char* w : {"w0", "w1", "w2", "w3"}) {
+    cache.AddInstance(w);
+  }
+  const InstanceId w0 = InternInstance("w0");
+  const InstanceId w1 = InternInstance("w1");
+  for (int i = 0; i < 32; ++i) {
+    const std::string object = StrFormat("color-%d___obj", i);
+    const InstanceId home = cache.HomeInstanceId(object).value();
+    EXPECT_EQ(InstanceName(home), cache.HomeInstance(object).value());
+    cache.Put(home, object, 64);
+    const CacheLookup remote = cache.Get(home == w0 ? w1 : w0, object);
+    ASSERT_EQ(remote.outcome, CacheOutcome::kRemoteHit);
+    EXPECT_EQ(remote.owner, home);
+    EXPECT_EQ(remote.size, 64u);
+    // A local hit is owned by its reader, and a miss by nobody.
+    EXPECT_EQ(cache.Get(home, object).owner, home);
+    EXPECT_EQ(cache.Get(home, object + "-absent").owner, kInvalidInstanceId);
+  }
+}
+
 TEST(FaastCacheTest, RemoteHitDoesNotReplicateByDefault) {
   FaastCache cache;
   cache.AddInstance("w0");
   cache.AddInstance("w1");
-  cache.Put("w0", "w0___obj", 64);
-  cache.Get("w1", "w0___obj");
+  cache.Put(InternInstance("w0"), "w0___obj", 64);
+  cache.Get(InternInstance("w1"), "w0___obj");
   // Second read from w1 is still remote: no local copy was made.
-  EXPECT_EQ(cache.Get("w1", "w0___obj").outcome, CacheOutcome::kRemoteHit);
-  EXPECT_EQ(cache.shard_used_bytes("w1"), 0u);
+  EXPECT_EQ(cache.Get(InternInstance("w1"), "w0___obj").outcome,
+            CacheOutcome::kRemoteHit);
+  EXPECT_EQ(cache.shard_used_bytes(InternInstance("w1")), 0u);
 }
 
 TEST(FaastCacheTest, ReplicateOnRemoteHitOption) {
@@ -322,27 +347,30 @@ TEST(FaastCacheTest, ReplicateOnRemoteHitOption) {
   FaastCache cache(config);
   cache.AddInstance("w0");
   cache.AddInstance("w1");
-  cache.Put("w0", "w0___obj", 64);
-  cache.Get("w1", "w0___obj");
-  EXPECT_EQ(cache.Get("w1", "w0___obj").outcome, CacheOutcome::kLocalHit);
+  cache.Put(InternInstance("w0"), "w0___obj", 64);
+  cache.Get(InternInstance("w1"), "w0___obj");
+  EXPECT_EQ(cache.Get(InternInstance("w1"), "w0___obj").outcome,
+            CacheOutcome::kLocalHit);
 }
 
 TEST(FaastCacheTest, PutLocalStoresAtReader) {
   FaastCache cache;
   cache.AddInstance("w0");
   cache.AddInstance("w1");
-  cache.PutLocal("w1", "whatever", 32);
-  EXPECT_EQ(cache.Get("w1", "whatever").outcome, CacheOutcome::kLocalHit);
+  cache.PutLocal(InternInstance("w1"), "whatever", 32);
+  EXPECT_EQ(cache.Get(InternInstance("w1"), "whatever").outcome,
+            CacheOutcome::kLocalHit);
 }
 
 TEST(FaastCacheTest, RemoveInstanceDropsItsShard) {
   FaastCache cache;
   cache.AddInstance("w0");
   cache.AddInstance("w1");
-  cache.Put("w0", "w0___obj", 64);
+  cache.Put(InternInstance("w0"), "w0___obj", 64);
   cache.RemoveInstance("w0");
   EXPECT_EQ(cache.instance_count(), 1u);
-  EXPECT_EQ(cache.Get("w1", "w0___obj").outcome, CacheOutcome::kMiss);
+  EXPECT_EQ(cache.Get(InternInstance("w1"), "w0___obj").outcome,
+            CacheOutcome::kMiss);
 }
 
 TEST(FaastCacheTest, InvalidateRemovesEverywhere) {
@@ -351,11 +379,13 @@ TEST(FaastCacheTest, InvalidateRemovesEverywhere) {
   FaastCache cache(config);
   cache.AddInstance("w0");
   cache.AddInstance("w1");
-  cache.Put("w0", "w0___obj", 64);
-  cache.Get("w1", "w0___obj");  // replicate
+  cache.Put(InternInstance("w0"), "w0___obj", 64);
+  cache.Get(InternInstance("w1"), "w0___obj");  // replicate
   cache.Invalidate("w0___obj");
-  EXPECT_EQ(cache.Get("w0", "w0___obj").outcome, CacheOutcome::kMiss);
-  EXPECT_EQ(cache.Get("w1", "w0___obj").outcome, CacheOutcome::kMiss);
+  EXPECT_EQ(cache.Get(InternInstance("w0"), "w0___obj").outcome,
+            CacheOutcome::kMiss);
+  EXPECT_EQ(cache.Get(InternInstance("w1"), "w0___obj").outcome,
+            CacheOutcome::kMiss);
 }
 
 TEST(FaastCacheTest, CapacityEvictionLosesObject) {
@@ -363,10 +393,12 @@ TEST(FaastCacheTest, CapacityEvictionLosesObject) {
   config.per_instance_capacity = 100;
   FaastCache cache(config);
   cache.AddInstance("w0");
-  cache.Put("w0", "w0___a", 60);
-  cache.Put("w0", "w0___b", 60);  // evicts a
-  EXPECT_EQ(cache.Get("w0", "w0___a").outcome, CacheOutcome::kMiss);
-  EXPECT_EQ(cache.Get("w0", "w0___b").outcome, CacheOutcome::kLocalHit);
+  cache.Put(InternInstance("w0"), "w0___a", 60);
+  cache.Put(InternInstance("w0"), "w0___b", 60);  // evicts a
+  EXPECT_EQ(cache.Get(InternInstance("w0"), "w0___a").outcome,
+            CacheOutcome::kMiss);
+  EXPECT_EQ(cache.Get(InternInstance("w0"), "w0___b").outcome,
+            CacheOutcome::kLocalHit);
 }
 
 TEST(FaastCacheTest, ByteCountersTrackHitsAndPuts) {
@@ -375,23 +407,26 @@ TEST(FaastCacheTest, ByteCountersTrackHitsAndPuts) {
   cache.AddInstance("w1");
 
   // "___"-prefixed names home on the instance named by the prefix.
-  cache.Put("w0", "w0___obj", 100);
+  cache.Put(InternInstance("w0"), "w0___obj", 100);
   EXPECT_EQ(cache.put_bytes(), 100u);
 
   // Local hit from the producer.
-  EXPECT_EQ(cache.Get("w0", "w0___obj").outcome, CacheOutcome::kLocalHit);
+  EXPECT_EQ(cache.Get(InternInstance("w0"), "w0___obj").outcome,
+            CacheOutcome::kLocalHit);
   EXPECT_EQ(cache.local_hit_bytes(), 100u);
   EXPECT_EQ(cache.remote_hit_bytes(), 0u);
 
   // Remote hit from the peer. Replication is off by default, so no extra
   // put bytes and no replicated bytes.
-  EXPECT_EQ(cache.Get("w1", "w0___obj").outcome, CacheOutcome::kRemoteHit);
+  EXPECT_EQ(cache.Get(InternInstance("w1"), "w0___obj").outcome,
+            CacheOutcome::kRemoteHit);
   EXPECT_EQ(cache.remote_hit_bytes(), 100u);
   EXPECT_EQ(cache.put_bytes(), 100u);
   EXPECT_EQ(cache.replicated_bytes(), 0u);
 
   // A miss moves no cache bytes.
-  EXPECT_EQ(cache.Get("w1", "w1___absent").outcome, CacheOutcome::kMiss);
+  EXPECT_EQ(cache.Get(InternInstance("w1"), "w1___absent").outcome,
+            CacheOutcome::kMiss);
   EXPECT_EQ(cache.local_hit_bytes(), 100u);
   EXPECT_EQ(cache.remote_hit_bytes(), 100u);
   EXPECT_EQ(cache.local_hits(), 1u);
@@ -406,18 +441,20 @@ TEST(FaastCacheTest, ReplicationCountsPutAndReplicatedBytes) {
   cache.AddInstance("w0");
   cache.AddInstance("w1");
 
-  cache.Put("w0", "w0___obj", 100);
-  EXPECT_EQ(cache.Get("w1", "w0___obj").outcome, CacheOutcome::kRemoteHit);
+  cache.Put(InternInstance("w0"), "w0___obj", 100);
+  EXPECT_EQ(cache.Get(InternInstance("w1"), "w0___obj").outcome,
+            CacheOutcome::kRemoteHit);
   // The remote hit copied the object into w1's shard: counted both as put
   // bytes and as replicated bytes (replicated is a subset of put).
   EXPECT_EQ(cache.put_bytes(), 200u);
   EXPECT_EQ(cache.replicated_bytes(), 100u);
   // The copy serves the next read locally.
-  EXPECT_EQ(cache.Get("w1", "w0___obj").outcome, CacheOutcome::kLocalHit);
+  EXPECT_EQ(cache.Get(InternInstance("w1"), "w0___obj").outcome,
+            CacheOutcome::kLocalHit);
   EXPECT_EQ(cache.local_hit_bytes(), 100u);
 
   // PutLocal (miss fill) counts put bytes but not replicated bytes.
-  cache.PutLocal("w1", "fill", 40);
+  cache.PutLocal(InternInstance("w1"), "fill", 40);
   EXPECT_EQ(cache.put_bytes(), 240u);
   EXPECT_EQ(cache.replicated_bytes(), 100u);
 }
@@ -429,20 +466,25 @@ TEST(FaastCacheTest, PutReplicatedCountsBytesPerLandedReplica) {
   }
 
   // Home store + two replica copies: three stores, three counted.
-  EXPECT_EQ(cache.PutReplicated("w0", "w0___obj", 100, {"w1", "w2"}), "w0");
+  EXPECT_EQ(InstanceName(cache.PutReplicated(
+                InternInstance("w0"), "w0___obj", 100,
+                {InternInstance("w1"), InternInstance("w2")})),
+            "w0");
   EXPECT_EQ(cache.put_bytes(), 300u);
   EXPECT_EQ(cache.replicated_bytes(), 200u);
-  EXPECT_TRUE(cache.ContainsLocal("w1", "w0___obj"));
-  EXPECT_TRUE(cache.ContainsLocal("w2", "w0___obj"));
-  EXPECT_FALSE(cache.ContainsLocal("w3", "w0___obj"));
+  EXPECT_TRUE(cache.ContainsLocal(InternInstance("w1"), "w0___obj"));
+  EXPECT_TRUE(cache.ContainsLocal(InternInstance("w2"), "w0___obj"));
+  EXPECT_FALSE(cache.ContainsLocal(InternInstance("w3"), "w0___obj"));
 
   // A replica naming the home is already covered by the home store: no
   // double count. A dead replica lands nothing and counts nothing.
-  cache.PutReplicated("w0", "w0___dup", 50, {"w0", "w3"});
+  cache.PutReplicated(InternInstance("w0"), "w0___dup", 50,
+                      {InternInstance("w0"), InternInstance("w3")});
   EXPECT_EQ(cache.put_bytes(), 300u + 50u + 50u);
   EXPECT_EQ(cache.replicated_bytes(), 200u + 50u);
   cache.RemoveInstance("w3");
-  cache.PutReplicated("w0", "w0___late", 70, {"w3"});
+  cache.PutReplicated(InternInstance("w0"), "w0___late", 70,
+                      {InternInstance("w3")});
   EXPECT_EQ(cache.put_bytes(), 400u + 70u);
   EXPECT_EQ(cache.replicated_bytes(), 250u);
 }
@@ -454,17 +496,17 @@ TEST(FaastCacheTest, EvictionCountersPerShardAndTotal) {
   cache.AddInstance("w0");
   cache.AddInstance("w1");
 
-  cache.Put("w0", "w0___a", 60);
-  cache.Put("w0", "w0___b", 60);  // evicts a from w0's shard
-  cache.Put("w1", "w1___c", 50);
-  EXPECT_EQ(cache.shard_evictions("w0"), 1u);
-  EXPECT_EQ(cache.shard_evictions("w1"), 0u);
+  cache.Put(InternInstance("w0"), "w0___a", 60);
+  cache.Put(InternInstance("w0"), "w0___b", 60);  // evicts a from w0's shard
+  cache.Put(InternInstance("w1"), "w1___c", 50);
+  EXPECT_EQ(cache.shard_evictions(InternInstance("w0")), 1u);
+  EXPECT_EQ(cache.shard_evictions(InternInstance("w1")), 0u);
   EXPECT_EQ(cache.total_evictions(), 1u);
 
-  cache.Put("w1", "w1___d", 60);  // evicts c from w1's shard
-  EXPECT_EQ(cache.shard_evictions("w1"), 1u);
+  cache.Put(InternInstance("w1"), "w1___d", 60);  // evicts c from w1's shard
+  EXPECT_EQ(cache.shard_evictions(InternInstance("w1")), 1u);
   EXPECT_EQ(cache.total_evictions(), 2u);
-  EXPECT_EQ(cache.shard_evictions("no-such-instance"), 0u);
+  EXPECT_EQ(cache.shard_evictions(InternInstance("no-such-instance")), 0u);
 
   // Dropping an instance loses its shard's eviction count with the shard
   // (reclaimed-worker semantics).
@@ -487,11 +529,11 @@ TEST(FaastCacheTest, HashKeyNamesShareHomeUnprefixedNamesDoNot) {
 
   // Without the token the whole name hashes; byte counters still track a
   // remote hit when the home is not the reader.
-  cache.Put("w0", "plain-object", 30);
+  cache.Put(InternInstance("w0"), "plain-object", 30);
   const auto home = cache.HomeInstance("plain-object");
   ASSERT_TRUE(home.has_value());
   const std::string reader = (*home == "w0") ? "w1" : "w0";
-  const auto lookup = cache.Get(reader, "plain-object");
+  const auto lookup = cache.Get(InternInstance(reader), "plain-object");
   EXPECT_EQ(lookup.outcome, CacheOutcome::kRemoteHit);
   EXPECT_EQ(cache.remote_hit_bytes(), 30u);
 }

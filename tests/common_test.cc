@@ -5,9 +5,12 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
+#include <cstdarg>
+#include <cstdio>
 #include <map>
 #include <memory>
 #include <numeric>
+#include <string>
 #include <vector>
 
 #include "src/common/distributions.h"
@@ -297,6 +300,52 @@ TEST(PercentilesTest, EmptyInputYieldsZerosPerRank) {
   EXPECT_TRUE(Percentiles({1.0}, {}).empty());
 }
 
+// The sort-based lookup Percentile and Percentiles used before they
+// selected: sort a copy, then interpolate between the two closest ranks.
+double SortedPercentileReference(std::vector<double> samples, double p) {
+  if (samples.empty()) {
+    return 0.0;
+  }
+  std::sort(samples.begin(), samples.end());
+  if (samples.size() == 1) {
+    return samples[0];
+  }
+  const double clamped = std::isnan(p) || p < 0 ? 0.0 : std::min(p, 100.0);
+  const double rank =
+      (clamped / 100.0) * static_cast<double>(samples.size() - 1);
+  const auto lo = static_cast<std::size_t>(rank);
+  const std::size_t hi = std::min(lo + 1, samples.size() - 1);
+  const double frac = rank - static_cast<double>(lo);
+  return samples[lo] + frac * (samples[hi] - samples[lo]);
+}
+
+TEST(PercentilesTest, SelectionEqualsSortedLookup) {
+  Rng rng(2024);
+  for (int trial = 0; trial < 500; ++trial) {
+    SCOPED_TRACE(trial);
+    // Sizes from 1; every third trial draws from 5 values, so ties abound.
+    const std::size_t n = 1 + rng.NextBelow(trial < 100 ? 8 : 300);
+    std::vector<double> samples(n);
+    for (double& v : samples) {
+      v = trial % 3 == 0 ? static_cast<double>(rng.NextBelow(5))
+                         : rng.NextDouble() * 1000;
+    }
+    // The ends, ranks that land on a sample exactly, and random ranks in
+    // random order (Percentiles selects in ascending rank order).
+    std::vector<double> ps = {0, 100, 50, 99.9, 25};
+    for (int i = 0; i < 4; ++i) {
+      ps.push_back(rng.NextDouble() * 100);
+    }
+    const std::vector<double> batch = Percentiles(samples, ps);
+    ASSERT_EQ(batch.size(), ps.size());
+    for (std::size_t i = 0; i < ps.size(); ++i) {
+      const double want = SortedPercentileReference(samples, ps[i]);
+      EXPECT_EQ(Percentile(samples, ps[i]), want) << "p" << ps[i];
+      EXPECT_EQ(batch[i], want) << "p" << ps[i];
+    }
+  }
+}
+
 TEST(RelativeMaxLoadTest, UniformIsOne) {
   EXPECT_DOUBLE_EQ(RelativeMaxLoad({3, 3, 3}), 1.0);
   EXPECT_DOUBLE_EQ(RelativeMaxLoad({0, 0, 6}), 3.0);
@@ -314,6 +363,35 @@ TEST(StrFormatTest, FormatsLikePrintf) {
   EXPECT_EQ(StrFormat("w%d", 7), "w7");
   EXPECT_EQ(StrFormat("%.2f%%", 12.345), "12.35%");
   EXPECT_EQ(StrFormat("%s/%s", "a", "b"), "a/b");
+}
+
+// StrFormat before it formatted into a stack buffer: measure, then format
+// into the sized string.
+std::string TwoPassFormat(const char* fmt, ...) {
+  va_list args;
+  va_start(args, fmt);
+  va_list args_copy;
+  va_copy(args_copy, args);
+  const int needed = std::vsnprintf(nullptr, 0, fmt, args);
+  va_end(args);
+  std::string result(needed > 0 ? static_cast<std::size_t>(needed) : 0, '\0');
+  if (needed > 0) {
+    std::vsnprintf(result.data(), result.size() + 1, fmt, args_copy);
+  }
+  va_end(args_copy);
+  return result;
+}
+
+TEST(StrFormatTest, OutputsPastTheStackBufferMatchTwoPassFormatting) {
+  // Every length up to twice the one-pass buffer, then far past it.
+  for (std::size_t length = 0; length <= 5000;
+       length += length < 600 ? 1 : 1100) {
+    const std::string body(length, 'x');
+    const std::string one_pass = StrFormat("<%s|%zu>", body.c_str(), length);
+    EXPECT_EQ(one_pass, TwoPassFormat("<%s|%zu>", body.c_str(), length));
+    EXPECT_EQ(one_pass.size(), length + 3 + std::to_string(length).size());
+  }
+  EXPECT_EQ(StrFormat("%s", ""), "");
 }
 
 TEST(InlineFunctionTest, InvokesStoredCallable) {

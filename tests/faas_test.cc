@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
 #include <vector>
 
 #include "src/faas/platform.h"
@@ -272,6 +273,37 @@ TEST(FaasPlatformTest, ExactlyOneColdStartPerWarmWorker) {
   }
   EXPECT_EQ(platform.counters().cold_starts, 3u);
   EXPECT_EQ(platform.WorkerColdStarts("no-such-worker"), 0u);
+}
+
+// A worker that leaves and rejoins under its name keeps its interned id,
+// but its cache shard is a new one: empty, with no evictions carried over.
+TEST(FaasPlatformTest, RejoinedWorkerKeepsItsIdAndStartsWithAnEmptyShard) {
+  Simulator sim;
+  PlatformConfig config = FastConfig();
+  config.cache.per_instance_capacity = 2 * kMiB;
+  FaasPlatform platform(&sim, PolicyKind::kLeastAssigned, 1, config);
+  platform.AddWorker("w0");
+  const InstanceId id = InternInstance("w0");
+  // Three 1 MiB outputs homed on w0 overflow its 2 MiB shard once.
+  for (int i = 0; i < 3; ++i) {
+    InvocationSpec spec;
+    spec.function = "produce";
+    spec.color = "c";
+    spec.cpu_ops = 1e6;
+    spec.outputs.push_back(ObjectRef{"w0___obj" + std::to_string(i), kMiB});
+    platform.Invoke(std::move(spec), nullptr);
+  }
+  sim.Run();
+  ASSERT_EQ(platform.cache().shard_evictions(id), 1u);
+  ASSERT_EQ(platform.cache().shard_used_bytes(id), 2 * kMiB);
+
+  platform.RemoveWorker("w0");
+  platform.AddWorker("w0");
+  EXPECT_EQ(InternInstance("w0"), id);
+  EXPECT_TRUE(platform.HasWorkerId(id));
+  EXPECT_EQ(platform.cache().shard_used_bytes(id), 0u);
+  EXPECT_EQ(platform.cache().shard_evictions(id), 0u);
+  EXPECT_EQ(platform.cache().total_evictions(), 0u);
 }
 
 TEST(ScaleControllerTest, ScalesOutUnderLoad) {

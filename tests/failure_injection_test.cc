@@ -372,5 +372,52 @@ TEST(FailureInjectionTest, RejoinedWorkerRunsOneAttemptAtATime) {
   }
 }
 
+// A retry can reuse its failed attempt's record, so the failed attempt's
+// still-pending events must read as cancelled, not act on the retry. The
+// first attempt's deadline fires while it waits for its worker (push: in
+// dispatch flight; pull: in the claim handoff), both paying the 100 ms cold
+// start. Its retry runs on the warmed worker before the stale arrival
+// lands, and the invocation completes, calling back exactly once.
+TEST(FailureInjectionTest, RetryOutrunsTimedOutAttemptsPendingEvents) {
+  for (const FaasDispatchMode mode :
+       {FaasDispatchMode::kPush, FaasDispatchMode::kPull}) {
+    SCOPED_TRACE(std::string(FaasDispatchModeId(mode)));
+    Simulator sim;
+    PlatformConfig config = RetryConfig();
+    config.dispatch_mode = mode;
+    FaasPlatform platform(&sim, PolicyKind::kLeastAssigned, 1, config);
+    platform.AddWorker("w0");
+
+    int callbacks = 0;
+    InvocationResult result;
+    InvocationSpec spec;
+    spec.function = "f";
+    spec.color = "c";
+    spec.cpu_ops = 1e6;  // 1 ms
+    spec.deadline = SimTime::FromMillis(50);
+    platform.Invoke(std::move(spec), [&](const InvocationResult& r) {
+      ++callbacks;
+      result = r;
+    });
+    sim.Run();
+
+    EXPECT_EQ(callbacks, 1);
+    EXPECT_EQ(result.attempts, 2);
+    EXPECT_EQ(result.instance, "w0");
+    // The retry ran once the worker was free: at once under push (the
+    // stale arrival finds nothing), after the stale claim handoff under
+    // pull (it returns the claimer to the idle pool).
+    EXPECT_LT(result.completed, mode == FaasDispatchMode::kPush
+                                    ? SimTime::FromMillis(100)
+                                    : SimTime::FromMillis(110));
+    EXPECT_EQ(platform.counters().timeouts, 1u);
+    EXPECT_EQ(platform.counters().retries, 1u);
+    EXPECT_EQ(platform.counters().completed, 1u);
+    EXPECT_EQ(platform.WorkerQueueDepth("w0"), 0u);
+    EXPECT_EQ(platform.PendingTotal(), 0u);
+    EXPECT_TRUE(platform.counters().BooksClose());
+  }
+}
+
 }  // namespace
 }  // namespace palette

@@ -66,11 +66,13 @@ TEST(FrontendTest, CachesAreIsolated) {
   FaasFrontend frontend(&sim);
   frontend.RegisterApp("a", PolicyKind::kLeastAssigned, 1, QuickConfig());
   frontend.RegisterApp("b", PolicyKind::kLeastAssigned, 1, QuickConfig());
-  frontend.App("a").cache().PutLocal("a/w0", "object", 64);
-  EXPECT_EQ(frontend.App("a").cache().Get("a/w0", "object").outcome,
-            CacheOutcome::kLocalHit);
-  EXPECT_EQ(frontend.App("b").cache().Get("b/w0", "object").outcome,
-            CacheOutcome::kMiss);
+  frontend.App("a").cache().PutLocal(InternInstance("a/w0"), "object", 64);
+  EXPECT_EQ(
+      frontend.App("a").cache().Get(InternInstance("a/w0"), "object").outcome,
+      CacheOutcome::kLocalHit);
+  EXPECT_EQ(
+      frontend.App("b").cache().Get(InternInstance("b/w0"), "object").outcome,
+      CacheOutcome::kMiss);
 }
 
 TEST(FrontendTest, InvocationsRunEndToEnd) {

@@ -512,7 +512,7 @@ TEST(SnapshotCollectorTest, BytesMatchBruteForceSumsUnderWriteBack) {
         if (obs.placement != kInvalidInstanceId) {
           const std::string& at = InstanceName(obs.placement);
           platform.cache().ForEachObject(
-              at, [&](const std::string& name, Bytes size) {
+              obs.placement, [&](const std::string& name, Bytes size) {
                 if (FaastCache::HashKeyOf(name) == obs.color) {
                   cache += size;
                 }

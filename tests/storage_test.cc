@@ -64,9 +64,9 @@ struct LayerRig {
   // A write at w0 followed by a fetched copy at w1, then a second write at
   // w0 — leaving w1's copy exactly one version stale.
   void StrandStaleCopyAtW1(const std::string& name) {
-    cache.Put("w0", name, kObj);
+    cache.Put(InternInstance("w0"), name, kObj);
     layer.OnWrite("w0", "w0", name, kObj, std::nullopt, {}, sim.Now());
-    cache.PutLocal("w1", name, kObj);
+    cache.PutLocal(InternInstance("w1"), name, kObj);
     layer.NoteCopy("w1", name);
     layer.OnWrite("w0", "w0", name, kObj, std::nullopt, {}, sim.Now());
   }
@@ -148,7 +148,7 @@ TEST(StorageLayerTest, WriteBackFlushesWithinDirtyAge) {
   StorageConfig config = ModeConfig(CoherenceMode::kWriteBack);
   config.max_dirty_age = SimTime::FromMillis(50);
   LayerRig rig(config);
-  rig.cache.Put("w0", "w0___o", kObj);
+  rig.cache.Put(InternInstance("w0"), "w0___o", kObj);
   rig.layer.OnWrite("w0", "w0", "w0___o", kObj, std::nullopt, {},
                     rig.sim.Now());
   EXPECT_EQ(rig.layer.stats().writes_durable, 0u);
@@ -172,8 +172,8 @@ TEST(StorageLayerTest, WriteBackCrashLosesDirtyDataInTheBooks) {
   StorageConfig config = ModeConfig(CoherenceMode::kWriteBack);
   config.max_dirty_age = SimTime::FromSeconds(1);
   LayerRig rig(config);
-  rig.cache.Put("w0", "w0___a", kObj);
-  rig.cache.Put("w0", "w0___b", kObj);
+  rig.cache.Put(InternInstance("w0"), "w0___a", kObj);
+  rig.cache.Put(InternInstance("w0"), "w0___b", kObj);
   rig.layer.OnWrite("w0", "w0", "w0___a", kObj, std::nullopt, {},
                     rig.sim.Now());
   rig.layer.OnWrite("w0", "w0", "w0___b", kObj, std::nullopt, {},
@@ -193,7 +193,7 @@ TEST(StorageLayerTest, GracefulLeaveFlushesDirtyDataFirst) {
   StorageConfig config = ModeConfig(CoherenceMode::kWriteBack);
   config.max_dirty_age = SimTime::FromSeconds(1);
   LayerRig rig(config);
-  rig.cache.Put("w0", "w0___o", kObj);
+  rig.cache.Put(InternInstance("w0"), "w0___o", kObj);
   rig.layer.OnWrite("w0", "w0", "w0___o", kObj, std::nullopt, {},
                     rig.sim.Now());
   rig.layer.OnInstanceLeave("w0", /*crashed=*/false);
@@ -210,7 +210,7 @@ TEST(StorageLayerTest, AntiEntropyReplayAfterRestartReachesLatestSeq) {
   LayerRig rig(config);
   for (int i = 0; i < 5; ++i) {
     const std::string name = StrFormat("w0___o%d", i);
-    rig.cache.Put("w0", name, kObj);
+    rig.cache.Put(InternInstance("w0"), name, kObj);
     rig.layer.OnWrite("w0", "w0", name, kObj, std::nullopt, {},
                       rig.sim.Now());
   }
@@ -309,8 +309,8 @@ TEST(PlatformStorageTest, TranslateObjectNamesRewritesToRoutedInstance) {
   ASSERT_TRUE(done);
   // §5.1: the color prefix was rewritten to the routed instance, so the
   // object homes exactly where it was produced; the raw name never lands.
-  EXPECT_TRUE(platform.cache().ContainsLocal("w0", "w0___obj"));
-  EXPECT_FALSE(platform.cache().ContainsLocal("w0", "c___obj"));
+  EXPECT_TRUE(platform.cache().ContainsLocal(InternInstance("w0"), "w0___obj"));
+  EXPECT_FALSE(platform.cache().ContainsLocal(InternInstance("w0"), "c___obj"));
   EXPECT_EQ(platform.storage_layer()->VersionOf("w0___obj"), 1u);
 }
 
@@ -325,8 +325,8 @@ TEST(PlatformStorageTest, TranslationOffKeepsRawNames) {
                   [&](const InvocationResult&) { done = true; });
   sim.Run();
   ASSERT_TRUE(done);
-  EXPECT_TRUE(platform.cache().ContainsLocal("w0", "c___obj"));
-  EXPECT_FALSE(platform.cache().ContainsLocal("w0", "w0___obj"));
+  EXPECT_TRUE(platform.cache().ContainsLocal(InternInstance("w0"), "c___obj"));
+  EXPECT_FALSE(platform.cache().ContainsLocal(InternInstance("w0"), "w0___obj"));
 }
 
 // §5.1 aliasing: the mix's object names must stay distinct per color
