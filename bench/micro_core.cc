@@ -214,6 +214,7 @@ void BM_PullMatch(benchmark::State& state) {
   // the home rule for work no load balancer placed.
   FaastCache ring(config.cache);
   ring.AddInstance(anchor);
+  const InstanceId anchor_id = InternInstance(anchor);
   for (const std::string& name : idle_names) {
     ring.AddInstance(name);
   }
@@ -223,7 +224,7 @@ void BM_PullMatch(benchmark::State& state) {
                   idle_homed.size() < 64;
        ++i) {
     std::string color = StrFormat("color-%d", i);
-    if (ring.HomeInstance(color) == anchor) {
+    if (ring.HomeInstanceId(color) == anchor_id) {
       if (static_cast<int>(anchored.size()) < pending_colors) {
         anchored.push_back(std::move(color));
       }
@@ -234,7 +235,6 @@ void BM_PullMatch(benchmark::State& state) {
 
   Simulator sim;
   FaasPlatform platform(&sim, PolicyKind::kLeastAssigned, 1, config);
-  const InstanceId anchor_id = InternInstance(anchor);
   // Routed by an attached router, so no color is ever placed by the
   // platform's load balancer and every home is its ring home.
   platform.set_router(
@@ -300,20 +300,22 @@ void BM_CacheFetch(benchmark::State& state) {
   std::vector<Read> reads;
   for (int i = 0; i < kObjects; ++i) {
     std::string object = StrFormat("color-%d___obj", i);
-    const std::string home = *cache.HomeInstance(object);
+    const InstanceId home = *cache.HomeInstanceId(object);
     if (outcome == 2) {
       object += "-absent";
     } else {
-      cache.Put(InternInstance(home), object, 4 * kKiB);
+      cache.Put(home, object, 4 * kKiB);
     }
-    std::string reader = home;
+    InstanceId reader = home;
     if (outcome != 0) {
       // Any shard but the home: the next one in name-index order.
-      const auto at = std::find(shards.begin(), shards.end(), home);
-      reader = shards[static_cast<std::size_t>(at - shards.begin() + 1) %
-                      shards.size()];
+      const auto at =
+          std::find(shards.begin(), shards.end(), InstanceName(home));
+      reader = InternInstance(
+          shards[static_cast<std::size_t>(at - shards.begin() + 1) %
+                 shards.size()]);
     }
-    reads.push_back(Read{InternInstance(reader), std::move(object)});
+    reads.push_back(Read{reader, std::move(object)});
   }
   static constexpr CacheOutcome kExpected[] = {
       CacheOutcome::kLocalHit, CacheOutcome::kRemoteHit, CacheOutcome::kMiss};

@@ -33,11 +33,6 @@ std::string_view FaastCache::HashKeyOf(std::string_view object_name) {
   return object_name.substr(0, pos);
 }
 
-std::optional<std::string> FaastCache::HomeInstance(
-    std::string_view object_name) const {
-  return ring_.Lookup(HashKeyOf(object_name));
-}
-
 std::optional<InstanceId> FaastCache::HomeInstanceId(
     std::string_view object_name) const {
   return ring_.LookupId(HashKeyOf(object_name));

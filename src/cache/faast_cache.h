@@ -72,10 +72,9 @@ class FaastCache {
   static std::string_view HashKeyOf(std::string_view object_name);
 
   // The instance that owns (is home for) `object_name` under consistent
-  // hashing of its hashing key. Empty optional when no instances exist.
-  std::optional<std::string> HomeInstance(std::string_view object_name) const;
-  // Id-returning HomeInstance: no string copy, no registry lock (the ring
-  // carries its members' interned ids).
+  // hashing of its hashing key. Empty optional when no instances exist. No
+  // string copy, no registry lock (the ring carries its members' interned
+  // ids).
   std::optional<InstanceId> HomeInstanceId(std::string_view object_name) const;
 
   // Writes an object produced at `producer`. The object is stored at its

@@ -20,6 +20,16 @@ std::string RawObjectName(const DagColoring& coloring, int task_id) {
   return StrFormat("t%d", task_id);
 }
 
+// The executors translate object names themselves, at submission. With
+// PlatformConfig::translate_object_names on, the platform would translate
+// them again at dispatch, read the instance prefix of "w3___t5" as a color
+// and plant it in the policy's table, so the flag is always off here.
+PlatformConfig ExecutorPlatformConfig(const DagRunConfig& config) {
+  PlatformConfig platform = config.platform;
+  platform.translate_object_names = false;
+  return platform;
+}
+
 }  // namespace
 
 DagRunResult RunDagOnFaas(const Dag& dag, const DagRunConfig& config,
@@ -32,7 +42,8 @@ DagRunResult RunDagOnFaas(const Dag& dag, const DagRunConfig& config,
   }
 
   Simulator sim;
-  FaasPlatform platform(&sim, config.policy, config.seed, config.platform);
+  FaasPlatform platform(&sim, config.policy, config.seed,
+                        ExecutorPlatformConfig(config));
   platform.set_trace_recorder(config.trace);
   platform.set_metrics(config.metrics);
   if (config.worker_speeds.empty()) {
@@ -158,7 +169,8 @@ SharedRunResult RunDagsOnSharedPlatform(const std::vector<DagJob>& jobs,
   }
 
   Simulator sim;
-  FaasPlatform platform(&sim, config.policy, config.seed, config.platform);
+  FaasPlatform platform(&sim, config.policy, config.seed,
+                        ExecutorPlatformConfig(config));
   platform.set_trace_recorder(config.trace);
   platform.set_metrics(config.metrics);
   platform.AddWorkers(config.workers);

@@ -46,23 +46,16 @@ PlatformCounters& PlatformCounters::operator+=(const PlatformCounters& other) {
 }
 
 FaasPlatform::FaasPlatform(Simulator* sim, PolicyKind policy,
-                           std::uint64_t seed, PlatformConfig config,
-                           Network* shared_network)
+                           std::uint64_t seed, PlatformConfig config)
     : sim_(sim),
       config_(config),
-      owned_network_(shared_network == nullptr
-                         ? std::make_unique<Network>(sim, config.network)
-                         : nullptr),
-      network_ptr_(shared_network != nullptr ? shared_network
-                                             : owned_network_.get()),
+      network_(sim, config.network),
       cache_(config.cache),
       lb_(MakePolicy(policy, seed)),
       retry_rng_(seed ^ 0x5EEDBACC0FFULL) {
-  if (!network_ptr_->HasNode(kStorageNode)) {
-    network_ptr_->AddNode(kStorageNode);
-  }
+  network_.AddNode(kStorageNode);
   if (config_.storage.enabled()) {
-    storage_ = std::make_unique<StorageLayer>(sim_, network_ptr_, &cache_,
+    storage_ = std::make_unique<StorageLayer>(sim_, &network_, &cache_,
                                               config_.storage, kStorageNode);
   }
 }
@@ -74,7 +67,7 @@ void FaasPlatform::AddWorker(const std::string& name, double speed) {
   }
   assert(speed > 0);
   workers_.emplace(id, std::make_unique<Worker>(sim_, speed, name));
-  network_ptr_->AddNode(name);
+  network_.AddNode(name);
   cache_.AddInstance(name);
   if (storage_ != nullptr) {
     storage_->OnInstanceJoin(name);
@@ -517,8 +510,7 @@ void FaasPlatform::StartNextOnWorker(InstanceId instance) {
     switch (lookup.outcome) {
       case CacheOutcome::kLocalHit:
         ++result.local_hits;
-        done = network_ptr_->Transfer(instance_name, instance_name,
-                                      lookup.size);
+        done = network_.Transfer(instance_name, instance_name, lookup.size);
         if (storage_ != nullptr) {
           // Coherence check: a known-stale local copy is never served
           // silently — write-through/write-back re-fetch synchronously,
@@ -531,8 +523,8 @@ void FaasPlatform::StartNextOnWorker(InstanceId instance) {
         ++result.remote_hits;
         result.network_bytes += lookup.size;
         source = FetchSource::kRemote;
-        done = network_ptr_->Transfer(InstanceName(lookup.owner),
-                                      instance_name, lookup.size);
+        done = network_.Transfer(InstanceName(lookup.owner), instance_name,
+                                 lookup.size);
         if (storage_ != nullptr && config_.cache.replicate_on_remote_hit) {
           // The cache just copied the object into the reader's shard; the
           // home serves the authoritative copy, so the new copy is fresh.
@@ -551,8 +543,7 @@ void FaasPlatform::StartNextOnWorker(InstanceId instance) {
         fetched_bytes = size;
         done = storage_ != nullptr
                    ? storage_->ReadFromStore(instance_name, input.name, size)
-                   : network_ptr_->Transfer(kStorageNode, instance_name,
-                                            size);
+                   : network_.Transfer(kStorageNode, instance_name, size);
         if (config_.cache_miss_fills) {
           cache_.PutLocal(instance, input.name, size);
           if (storage_ != nullptr) {
@@ -618,7 +609,7 @@ void FaasPlatform::StartNextOnWorker(InstanceId instance) {
       const std::string& home_name =
           home == instance ? result2.instance : InstanceName(home);
       SimTime done =
-          network_ptr_->Transfer(result2.instance, home_name, output.size);
+          network_.Transfer(result2.instance, home_name, output.size);
       if (storage_ != nullptr) {
         // Replicas beyond the home receive their synchronous copy from
         // the producer too; the slowest transfer gates the write.
@@ -628,7 +619,7 @@ void FaasPlatform::StartNextOnWorker(InstanceId instance) {
           if (replica == home || !cache_.HasInstance(replica)) {
             continue;
           }
-          const SimTime copy_done = network_ptr_->Transfer(
+          const SimTime copy_done = network_.Transfer(
               result2.instance, replica_names.back(), output.size);
           if (copy_done > done) {
             done = copy_done;
@@ -1194,8 +1185,7 @@ void FaasPlatform::ApplyPlan(const Plan& plan) {
       if (storage_ != nullptr) {
         storage_->NoteErase(src_name, object.name);
       }
-      const SimTime done =
-          network_ptr_->Transfer(src_name, dst_name, object.size);
+      const SimTime done = network_.Transfer(src_name, dst_name, object.size);
       counters_.planner_moved_bytes += object.size;
       if (done > landed) {
         landed = done;
@@ -1225,64 +1215,56 @@ void FaasPlatform::ApplyPlan(const Plan& plan) {
 }
 
 void FaasPlatform::ExportMetrics(MetricsRegistry* metrics,
-                                 const std::string& prefix,
                                  bool per_worker) const {
-  const auto counter = [&](const std::string& name) -> Counter& {
-    return metrics->counter(prefix.empty() ? name : prefix + name);
-  };
-  const auto gauge = [&](const std::string& name) -> Gauge& {
-    return metrics->gauge(prefix.empty() ? name : prefix + name);
-  };
-
-  counter("faas.invocations.submitted").Set(counters_.submitted);
-  counter("faas.invocations.completed").Set(counters_.completed);
-  counter("faas.cold_starts.total").Set(counters_.cold_starts);
-  counter("faas.invocations_dropped").Set(counters_.dropped);
-  counter("faas.invocations_abandoned").Set(counters_.abandoned);
-  counter("faas.retries").Set(counters_.retries);
-  counter("faas.timeouts").Set(counters_.timeouts);
-  counter("faas.pulls").Set(counters_.pulls);
-  counter("faas.steals").Set(counters_.steals);
-  counter("faas.steal_bytes").Set(counters_.steal_bytes);
-  gauge("faas.pending_depth")
+  metrics->counter("faas.invocations.submitted").Set(counters_.submitted);
+  metrics->counter("faas.invocations.completed").Set(counters_.completed);
+  metrics->counter("faas.cold_starts.total").Set(counters_.cold_starts);
+  metrics->counter("faas.invocations_dropped").Set(counters_.dropped);
+  metrics->counter("faas.invocations_abandoned").Set(counters_.abandoned);
+  metrics->counter("faas.retries").Set(counters_.retries);
+  metrics->counter("faas.timeouts").Set(counters_.timeouts);
+  metrics->counter("faas.pulls").Set(counters_.pulls);
+  metrics->counter("faas.steals").Set(counters_.steals);
+  metrics->counter("faas.steal_bytes").Set(counters_.steal_bytes);
+  metrics->gauge("faas.pending_depth")
       .SetAt(static_cast<double>(pending_total_), sim_->Now());
 
-  counter("lb.routed.total").Set(lb_.total_routed());
-  counter("lb.hints_honored").Set(lb_.hints_honored());
-  counter("lb.unhinted").Set(lb_.unhinted_routed());
-  counter("lb.hint_failures").Set(lb_.hint_failures());
-  counter("lb.recolored").Set(lb_.recolored());
+  metrics->counter("lb.routed.total").Set(lb_.total_routed());
+  metrics->counter("lb.hints_honored").Set(lb_.hints_honored());
+  metrics->counter("lb.unhinted").Set(lb_.unhinted_routed());
+  metrics->counter("lb.hint_failures").Set(lb_.hint_failures());
+  metrics->counter("lb.recolored").Set(lb_.recolored());
   // Planned migration, kept separate from failure-driven re-coloring
   // (lb.recolored) so alert rules can tell them apart.
-  counter("lb.planner_moves").Set(lb_.planner_moves());
-  counter("lb.planner_splits").Set(lb_.planner_splits());
-  counter("planner.rounds").Set(counters_.planner_rounds);
-  counter("planner.merges").Set(lb_.planner_merges());
-  counter("planner.moved_bytes").Set(counters_.planner_moved_bytes);
-  gauge("planner.objective").SetAt(last_plan_objective_, sim_->Now());
-  gauge("lb.routing_imbalance").SetAt(lb_.RoutingImbalance(), sim_->Now());
-  gauge("lb.color_table_bytes")
+  metrics->counter("lb.planner_moves").Set(lb_.planner_moves());
+  metrics->counter("lb.planner_splits").Set(lb_.planner_splits());
+  metrics->counter("planner.rounds").Set(counters_.planner_rounds);
+  metrics->counter("planner.merges").Set(lb_.planner_merges());
+  metrics->counter("planner.moved_bytes").Set(counters_.planner_moved_bytes);
+  metrics->gauge("planner.objective").SetAt(last_plan_objective_, sim_->Now());
+  metrics->gauge("lb.routing_imbalance")
+      .SetAt(lb_.RoutingImbalance(), sim_->Now());
+  metrics->gauge("lb.color_table_bytes")
       .SetAt(static_cast<double>(lb_.policy().StateBytes()), sim_->Now());
 
-  counter("cache.local_hits").Set(cache_.local_hits());
-  counter("cache.remote_hits").Set(cache_.remote_hits());
-  counter("cache.misses").Set(cache_.misses());
-  counter("cache.evictions").Set(cache_.total_evictions());
-  counter("cache.local_hit_bytes").Set(cache_.local_hit_bytes());
-  counter("cache.remote_hit_bytes").Set(cache_.remote_hit_bytes());
-  counter("cache.put_bytes").Set(cache_.put_bytes());
-  counter("cache.replicated_bytes").Set(cache_.replicated_bytes());
+  metrics->counter("cache.local_hits").Set(cache_.local_hits());
+  metrics->counter("cache.remote_hits").Set(cache_.remote_hits());
+  metrics->counter("cache.misses").Set(cache_.misses());
+  metrics->counter("cache.evictions").Set(cache_.total_evictions());
+  metrics->counter("cache.local_hit_bytes").Set(cache_.local_hit_bytes());
+  metrics->counter("cache.remote_hit_bytes").Set(cache_.remote_hit_bytes());
+  metrics->counter("cache.put_bytes").Set(cache_.put_bytes());
+  metrics->counter("cache.replicated_bytes").Set(cache_.replicated_bytes());
 
   if (storage_ != nullptr) {
-    storage_->ExportMetrics(metrics, prefix);
+    storage_->ExportMetrics(metrics);
   }
 
-  counter("net.remote_bytes").Set(network_ptr_->remote_bytes());
-  counter("net.local_bytes").Set(network_ptr_->local_bytes());
-  counter("net.remote_transfers").Set(network_ptr_->remote_transfers());
-  counter("net.queue_delay_ns")
-      .Set(static_cast<std::uint64_t>(
-          network_ptr_->total_queue_delay().nanos()));
+  metrics->counter("net.remote_bytes").Set(network_.remote_bytes());
+  metrics->counter("net.local_bytes").Set(network_.local_bytes());
+  metrics->counter("net.remote_transfers").Set(network_.remote_transfers());
+  metrics->counter("net.queue_delay_ns")
+      .Set(static_cast<std::uint64_t>(network_.total_queue_delay().nanos()));
 
   if (!per_worker) {
     return;
@@ -1292,29 +1274,31 @@ void FaasPlatform::ExportMetrics(MetricsRegistry* metrics,
   // the other per-entity families.
   for (const std::uint32_t slot : pending_) {
     const ColorSlot& pending = color_slots_[slot];
-    gauge(StrFormat("faas.pending.%s.depth",
+    metrics->gauge(StrFormat("faas.pending.%s.depth",
                     pending.name.empty() ? "_uncolored" : pending.name.c_str()))
         .SetAt(static_cast<double>(pending.queue->size()), sim_->Now());
   }
   for (const auto& [id, worker] : workers_) {
     const std::string& name = worker->name;
-    gauge(StrFormat("worker.%s.queue_depth", name.c_str()))
+    metrics->gauge(StrFormat("worker.%s.queue_depth", name.c_str()))
         .SetAt(static_cast<double>(worker->queue.size()), sim_->Now());
-    gauge(StrFormat("worker.%s.busy_seconds", name.c_str()))
+    metrics->gauge(StrFormat("worker.%s.busy_seconds", name.c_str()))
         .SetAt(worker->cpu.busy_time().seconds(), sim_->Now());
-    counter(StrFormat("worker.%s.cold_starts", name.c_str()))
+    metrics->counter(StrFormat("worker.%s.cold_starts", name.c_str()))
         .Set(worker->cold_starts);
-    counter(StrFormat("worker.%s.routed", name.c_str()))
+    metrics->counter(StrFormat("worker.%s.routed", name.c_str()))
         .Set(lb_.RoutedToId(id));
-    gauge(StrFormat("cache.shard.%s.used_bytes", name.c_str()))
+    metrics->gauge(StrFormat("cache.shard.%s.used_bytes", name.c_str()))
         .SetAt(static_cast<double>(cache_.shard_used_bytes(id)),
                sim_->Now());
-    counter(StrFormat("cache.shard.%s.evictions", name.c_str()))
+    metrics->counter(StrFormat("cache.shard.%s.evictions", name.c_str()))
         .Set(cache_.shard_evictions(id));
-    const Network::NodeStats net = network_ptr_->NodeStatsOf(name);
-    counter(StrFormat("net.%s.bytes_out", name.c_str())).Set(net.bytes_out);
-    counter(StrFormat("net.%s.bytes_in", name.c_str())).Set(net.bytes_in);
-    counter(StrFormat("net.%s.queue_delay_ns", name.c_str()))
+    const Network::NodeStats net = network_.NodeStatsOf(name);
+    metrics->counter(StrFormat("net.%s.bytes_out", name.c_str()))
+        .Set(net.bytes_out);
+    metrics->counter(StrFormat("net.%s.bytes_in", name.c_str()))
+        .Set(net.bytes_in);
+    metrics->counter(StrFormat("net.%s.queue_delay_ns", name.c_str()))
         .Set(static_cast<std::uint64_t>(net.queue_delay.nanos()));
   }
 }

@@ -137,9 +137,9 @@ struct PlatformConfig {
   // maps member names to themselves) coincides with where colored routing
   // sends its readers and writers. Oblivious routing (spray) churns the
   // color's recorded placement, so its aliases scatter instead — which is
-  // exactly the locality the hint was carrying. Off by default: the DAG
-  // executors already translate at graph-build time, and raw names keep
-  // every pre-existing digest bit-identical.
+  // exactly the locality the hint was carrying. Off by default: raw names
+  // keep every pre-existing digest bit-identical. The DAG executors
+  // translate at submission instead and force this off.
   bool translate_object_names = false;
 };
 
@@ -217,18 +217,17 @@ class FaasPlatform {
   using MembershipListener =
       std::function<void(MembershipEvent event, const std::string& worker)>;
 
-  // The platform owns the cache and load balancer; `sim` must outlive it.
-  // If `shared_network` is non-null the platform joins that network
-  // (multi-application deployments share the cluster fabric) instead of
-  // creating its own; the caller keeps ownership.
+  // The platform owns its network, cache and load balancer; `sim` must
+  // outlive it.
   FaasPlatform(Simulator* sim, PolicyKind policy, std::uint64_t seed,
-               PlatformConfig config = {}, Network* shared_network = nullptr);
+               PlatformConfig config = {});
 
   // Workers are named "<prefix>N" by AddWorkers (default prefix "w"), or
-  // explicitly. Multi-app deployments give each app a distinct prefix so
-  // worker names stay unique on the shared network. `speed` scales the
-  // worker's CPU rate (1.0 = the platform rating; 0.5 = a straggler VM) —
-  // real clusters are never perfectly homogeneous.
+  // explicitly. The sharded engine (src/workload/sharded_run.cc) gives each
+  // group a distinct prefix so worker names, and the instance ids interned
+  // from them, stay unique across groups. `speed` scales the worker's CPU
+  // rate (1.0 = the platform rating; 0.5 = a straggler VM) — real clusters
+  // are never perfectly homogeneous.
   void AddWorker(const std::string& name, double speed = 1.0);
   void AddWorkers(int count);
   void set_worker_prefix(std::string prefix) {
@@ -326,7 +325,7 @@ class FaasPlatform {
   // The stateful storage tier, or null when config().storage is disabled.
   StorageLayer* storage_layer() { return storage_.get(); }
   const StorageLayer* storage_layer() const { return storage_.get(); }
-  Network& network() { return *network_ptr_; }
+  Network& network() { return network_; }
   Simulator& simulator() { return *sim_; }
   const PlatformConfig& config() const { return config_; }
 
@@ -362,16 +361,12 @@ class FaasPlatform {
 
   // Snapshots platform + LB + cache + network counters into `metrics`
   // (counter/gauge names in docs/OBSERVABILITY.md). Call after a run; the
-  // live per-invocation histograms come from set_metrics instead. `prefix`
-  // is prepended to every metric name (e.g. "app.social." for per-app
-  // snapshots through FaasFrontend::ExportAppMetrics). `per_worker`
-  // controls the worker.* / cache.shard.* / net.<w>.* families, whose
-  // cardinality (and string formatting) scales with the cluster: the
+  // live per-invocation histograms come from set_metrics instead.
+  // `per_worker` controls the worker.* / cache.shard.* / net.<w>.* families,
+  // whose cardinality (and string formatting) scales with the cluster: the
   // telemetry sampler's per-mark refresh passes false — it only tracks
   // cluster-level families — keeping the sampling hot path cheap.
-  void ExportMetrics(MetricsRegistry* metrics,
-                     const std::string& prefix = std::string(),
-                     bool per_worker = true) const;
+  void ExportMetrics(MetricsRegistry* metrics, bool per_worker = true) const;
 
  private:
   // Attempt slab (docs/FAULTS.md). Each Invoke takes one Invocation record
@@ -558,8 +553,7 @@ class FaasPlatform {
 
   Simulator* sim_;
   PlatformConfig config_;
-  std::unique_ptr<Network> owned_network_;  // null when sharing
-  Network* network_ptr_;
+  Network network_;
   FaastCache cache_;
   // Stateful storage tier; null when config_.storage is disabled, and
   // every hook below is a single pointer test in that case.

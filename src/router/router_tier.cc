@@ -253,35 +253,29 @@ std::uint64_t RouterTier::planner_moves() const {
   return total;
 }
 
-void RouterTier::ExportMetrics(MetricsRegistry* metrics,
-                               const std::string& prefix) const {
-  const auto counter = [&](const std::string& name) -> Counter& {
-    return metrics->counter(prefix.empty() ? name : prefix + name);
-  };
-  const auto gauge = [&](const std::string& name) -> Gauge& {
-    return metrics->gauge(prefix.empty() ? name : prefix + name);
-  };
-  counter("router.routes").Set(routes_);
-  counter("router.stale_routes").Set(stale_routes_);
-  counter("router.misroutes").Set(misroutes_);
-  counter("router.forwards").Set(forwards_);
-  counter("router.membership_updates").Set(latest_seq_);
-  counter("router.recolored").Set(recolored());
-  counter("router.planner_moves").Set(planner_moves());
-  gauge("router.live")
+void RouterTier::ExportMetrics(MetricsRegistry* metrics) const {
+  metrics->counter("router.routes").Set(routes_);
+  metrics->counter("router.stale_routes").Set(stale_routes_);
+  metrics->counter("router.misroutes").Set(misroutes_);
+  metrics->counter("router.forwards").Set(forwards_);
+  metrics->counter("router.membership_updates").Set(latest_seq_);
+  metrics->counter("router.recolored").Set(recolored());
+  metrics->counter("router.planner_moves").Set(planner_moves());
+  metrics->gauge("router.live")
       .SetAt(static_cast<double>(live_.size()), scheduler_->Now());
   for (const auto& router : routers_) {
     const char* name = router->name.c_str();
-    counter(StrFormat("router.%s.routed", name)).Set(router->routed);
-    counter(StrFormat("router.%s.misroutes", name)).Set(router->misroutes);
-    counter(StrFormat("router.%s.stale_routes", name))
+    metrics->counter(StrFormat("router.%s.routed", name)).Set(router->routed);
+    metrics->counter(StrFormat("router.%s.misroutes", name))
+        .Set(router->misroutes);
+    metrics->counter(StrFormat("router.%s.stale_routes", name))
         .Set(router->stale_routes);
-    counter(StrFormat("router.%s.recolored", name))
+    metrics->counter(StrFormat("router.%s.recolored", name))
         .Set(router->lb.recolored());
-    gauge(StrFormat("router.%s.view_lag", name))
+    metrics->gauge(StrFormat("router.%s.view_lag", name))
         .SetAt(static_cast<double>(latest_seq_ - router->applied_seq),
                scheduler_->Now());
-    gauge(StrFormat("router.%s.up", name))
+    metrics->gauge(StrFormat("router.%s.up", name))
         .SetAt(router->up ? 1.0 : 0.0, scheduler_->Now());
   }
 }

@@ -138,9 +138,8 @@ class RouterTier {
   }
 
   // Snapshots tier + per-replica counters into `metrics` under
-  // "<prefix>router.*" (docs/OBSERVABILITY.md).
-  void ExportMetrics(MetricsRegistry* metrics,
-                     const std::string& prefix = std::string()) const;
+  // "router.*" (docs/OBSERVABILITY.md).
+  void ExportMetrics(MetricsRegistry* metrics) const;
 
   // Records one hop span per routed attempt on the replica's trace track.
   void set_trace_recorder(TraceRecorder* trace) { trace_ = trace; }

@@ -393,38 +393,33 @@ void StorageLayer::ApplyRecord(const std::string& instance,
   }
 }
 
-void StorageLayer::ExportMetrics(MetricsRegistry* metrics,
-                                 const std::string& prefix) const {
-  const auto counter = [&](const std::string& name) -> Counter& {
-    return metrics->counter(prefix.empty() ? name : prefix + name);
-  };
-  const auto gauge = [&](const std::string& name) -> Gauge& {
-    return metrics->gauge(prefix.empty() ? name : prefix + name);
-  };
-  counter("storage.writes_total").Set(stats_.writes_total);
-  counter("storage.writes_durable").Set(stats_.writes_durable);
-  counter("storage.writes_lost").Set(stats_.writes_lost);
-  counter("storage.write_bytes").Set(stats_.write_bytes);
-  counter("storage.flushes").Set(stats_.flushes);
-  counter("storage.dirty_bytes_flushed").Set(stats_.dirty_bytes_flushed);
-  counter("storage.dirty_bytes_lost").Set(stats_.dirty_bytes_lost);
-  counter("storage.coherence_syncs").Set(stats_.coherence_syncs);
-  counter("storage.coherence_bytes").Set(stats_.coherence_bytes);
-  counter("storage.stale_reads").Set(stats_.stale_reads);
-  counter("storage.max_served_staleness_ns")
+void StorageLayer::ExportMetrics(MetricsRegistry* metrics) const {
+  metrics->counter("storage.writes_total").Set(stats_.writes_total);
+  metrics->counter("storage.writes_durable").Set(stats_.writes_durable);
+  metrics->counter("storage.writes_lost").Set(stats_.writes_lost);
+  metrics->counter("storage.write_bytes").Set(stats_.write_bytes);
+  metrics->counter("storage.flushes").Set(stats_.flushes);
+  metrics->counter("storage.dirty_bytes_flushed")
+      .Set(stats_.dirty_bytes_flushed);
+  metrics->counter("storage.dirty_bytes_lost").Set(stats_.dirty_bytes_lost);
+  metrics->counter("storage.coherence_syncs").Set(stats_.coherence_syncs);
+  metrics->counter("storage.coherence_bytes").Set(stats_.coherence_bytes);
+  metrics->counter("storage.stale_reads").Set(stats_.stale_reads);
+  metrics->counter("storage.max_served_staleness_ns")
       .Set(static_cast<std::uint64_t>(stats_.max_served_staleness_ns));
-  counter("storage.ae.records").Set(stats_.ae_records);
-  counter("storage.ae.applied").Set(stats_.ae_applied);
-  counter("storage.ae.invalidations").Set(stats_.ae_invalidations);
-  counter("storage.ae.refreshes").Set(stats_.ae_refreshes);
-  counter("storage.ae.refresh_bytes").Set(stats_.ae_refresh_bytes);
-  counter("storage.tier.fast_reads").Set(stats_.tier_fast_reads);
-  counter("storage.tier.slow_reads").Set(stats_.tier_slow_reads);
-  counter("storage.tier.promotions").Set(stats_.tier_promotions);
-  counter("storage.tier.demotions").Set(stats_.tier_demotions);
-  counter("storage.tier.promoted_bytes").Set(stats_.tier_promoted_bytes);
-  counter("storage.tier.demoted_bytes").Set(stats_.tier_demoted_bytes);
-  gauge("storage.dirty_bytes")
+  metrics->counter("storage.ae.records").Set(stats_.ae_records);
+  metrics->counter("storage.ae.applied").Set(stats_.ae_applied);
+  metrics->counter("storage.ae.invalidations").Set(stats_.ae_invalidations);
+  metrics->counter("storage.ae.refreshes").Set(stats_.ae_refreshes);
+  metrics->counter("storage.ae.refresh_bytes").Set(stats_.ae_refresh_bytes);
+  metrics->counter("storage.tier.fast_reads").Set(stats_.tier_fast_reads);
+  metrics->counter("storage.tier.slow_reads").Set(stats_.tier_slow_reads);
+  metrics->counter("storage.tier.promotions").Set(stats_.tier_promotions);
+  metrics->counter("storage.tier.demotions").Set(stats_.tier_demotions);
+  metrics->counter("storage.tier.promoted_bytes")
+      .Set(stats_.tier_promoted_bytes);
+  metrics->counter("storage.tier.demoted_bytes").Set(stats_.tier_demoted_bytes);
+  metrics->gauge("storage.dirty_bytes")
       .SetAt(static_cast<double>(total_dirty_bytes()), sim_->Now());
 }
 

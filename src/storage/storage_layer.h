@@ -122,10 +122,8 @@ class StorageLayer {
     tiers_.set_trace_recorder(recorder);
   }
 
-  // Snapshots the storage.* counter family into `metrics` (prefix as in
-  // FaasPlatform::ExportMetrics).
-  void ExportMetrics(MetricsRegistry* metrics,
-                     const std::string& prefix) const;
+  // Snapshots the storage.* counter family into `metrics`.
+  void ExportMetrics(MetricsRegistry* metrics) const;
 
  private:
   struct CopyState {

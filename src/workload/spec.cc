@@ -139,7 +139,7 @@ void ExportDomain(const FaasPlatform* platform, const RouterTier* tier,
                   const OpenLoopDriver* driver, bool per_worker,
                   MetricsRegistry* m) {
   if (platform != nullptr) {
-    platform->ExportMetrics(m, std::string(), per_worker);
+    platform->ExportMetrics(m, per_worker);
   }
   if (tier != nullptr) {
     tier->ExportMetrics(m);

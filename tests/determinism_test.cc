@@ -91,11 +91,12 @@ TEST_P(DeterminismPerPolicyTest, DifferentSeedsAreIndependent) {
   EXPECT_EQ(before, replay);
 }
 
-INSTANTIATE_TEST_SUITE_P(AllPolicies, DeterminismPerPolicyTest,
-                         ::testing::ValuesIn(AllPolicyKinds()),
-                         [](const ::testing::TestParamInfo<PolicyKind>& info) {
-                           return std::string(PolicyKindId(info.param));
-                         });
+INSTANTIATE_TEST_SUITE_P(
+    AllPolicies, DeterminismPerPolicyTest,
+    ::testing::ValuesIn(AllPolicyKinds()),
+    [](const ::testing::TestParamInfo<PolicyKind>& param_info) {
+      return std::string(PolicyKindId(param_info.param));
+    });
 
 TEST(DeterminismTest, ExecutedEventCountsMatchAcrossRuns) {
   // The total number of simulator events is part of the determinism

@@ -154,6 +154,35 @@ TEST_P(ExecutorProperty, MoreWorkersNeverHurtServerfulMuch) {
   EXPECT_LE(eight.makespan.seconds(), one.makespan.seconds() * 1.25);
 }
 
+TEST_P(ExecutorProperty, PlatformNameTranslationLeavesExecutorsUnchanged) {
+  // The executors translate object names at submission; the platform's
+  // dispatch-time translation must not translate them again.
+  const Dag dag = MakeRandomDag(GetParam());
+  DagRunConfig off = Config(PolicyKind::kLeastAssigned, ColoringKind::kChain);
+  DagRunConfig on = off;
+  on.platform.translate_object_names = true;
+
+  const DagRunResult a = RunDagOnFaas(dag, off);
+  const DagRunResult b = RunDagOnFaas(dag, on);
+  EXPECT_EQ(a.makespan, b.makespan);
+  EXPECT_EQ(a.local_hits, b.local_hits);
+  EXPECT_EQ(a.remote_hits, b.remote_hits);
+  EXPECT_EQ(a.misses, b.misses);
+  EXPECT_EQ(a.network_bytes, b.network_bytes);
+  EXPECT_EQ(a.cluster_remote_bytes, b.cluster_remote_bytes);
+  EXPECT_EQ(a.distinct_colors, b.distinct_colors);
+  EXPECT_EQ(a.routing_imbalance, b.routing_imbalance);
+  EXPECT_EQ(a.task_completion, b.task_completion);
+
+  const std::vector<DagJob> jobs = {{&dag, SimTime()},
+                                    {&dag, SimTime::FromMillis(10)}};
+  const SharedRunResult shared_a = RunDagsOnSharedPlatform(jobs, off);
+  const SharedRunResult shared_b = RunDagsOnSharedPlatform(jobs, on);
+  EXPECT_EQ(shared_a.job_latency, shared_b.job_latency);
+  EXPECT_EQ(shared_a.total_makespan, shared_b.total_makespan);
+  EXPECT_EQ(shared_a.cluster_remote_bytes, shared_b.cluster_remote_bytes);
+}
+
 INSTANTIATE_TEST_SUITE_P(Seeds, ExecutorProperty,
                          ::testing::Range<std::uint64_t>(1, 11));
 

@@ -131,8 +131,7 @@ TEST(HeadlineResults, PolicyLoadBalanceOrdering) {
 // Fig. 7 headline: the same-color/chain crossover exists and sits between
 // the extremes of the sweep.
 TEST(HeadlineResults, FanoutCrossover) {
-  const PlatformConfig platform = DaskLikePlatform();
-  const auto run = [&](double cpu_ops, ColoringKind coloring) {
+  const auto run = [](double cpu_ops, ColoringKind coloring) {
     const Dag dag = MakeFanoutDag(10, 256 * kMiB, cpu_ops);
     DagRunConfig config = MakeRunConfig(PolicyKind::kLeastAssigned, coloring, 10);
     return RunDagOnFaas(dag, config).makespan.seconds();

@@ -49,9 +49,10 @@ InvocationSpec Colored(const std::string& color, double cpu_ops) {
 std::string ForeignProofColor(Simulator* sim, FaasPlatform* platform,
                               const std::string& want,
                               const std::string& other) {
+  const InstanceId want_id = InternInstance(want);
   for (int i = 0; i < 64; ++i) {
     const std::string color = StrFormat("pin%d", i);
-    if (platform->cache().HomeInstance(color) == want) {
+    if (platform->cache().HomeInstanceId(color) == want_id) {
       bool done = false;
       platform->Invoke(Colored(color, 1e3),
                        [&](const InvocationResult& r) {
@@ -61,7 +62,7 @@ std::string ForeignProofColor(Simulator* sim, FaasPlatform* platform,
       sim->Run();
       EXPECT_TRUE(done);
       platform->AddWorker(other);
-      if (platform->cache().HomeInstance(color) == want) {
+      if (platform->cache().HomeInstanceId(color) == want_id) {
         return color;
       }
       platform->RemoveWorker(other);
@@ -406,13 +407,14 @@ TEST(PullHomeInvalidationTest, FirstPlacementReHomesARingHomedColor) {
   // A routing tier without color stats: the platform's balancer places
   // nothing, so every color's home is its cache-ring home.
   const InstanceId w0 = InternInstance("w0");
+  const InstanceId w1 = InternInstance("w1");
   platform.set_router([w0](const std::optional<Color>&, std::uint64_t, int) {
     return std::optional<RoutedTarget>(RoutedTarget{w0, 0});
   });
   std::string color;
   for (int i = 0; color.empty() && i < 64; ++i) {
     const std::string candidate = StrFormat("ring%d", i);
-    if (platform.cache().HomeInstance(candidate) == "w1") {
+    if (platform.cache().HomeInstanceId(candidate) == w1) {
       color = candidate;
     }
   }
