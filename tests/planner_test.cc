@@ -229,6 +229,150 @@ TEST(PlannerGoldenTest, SolveMatchesPinnedPlansAndObjectives) {
   }
 }
 
+// A snapshot shaped like the ledger's hot_planner_writes rounds: Zipf 1.2
+// loads over `colors` colors in shuffled name order, uniform placements
+// with one instance holding an extra eighth of the colors (so the descent
+// moves primaries and later sweeps see them away from home), cached and
+// dirty bytes, and one split color held above the split threshold.
+PlacementSnapshot ZipfSnapshot(int instances, int colors) {
+  Rng rng(static_cast<std::uint64_t>(instances * 7919 + colors));
+  PlacementSnapshot snapshot;
+  snapshot.taken = SimTime::FromSeconds(5);
+  snapshot.instances = MakeInstances(instances);
+  std::vector<int> rank(static_cast<std::size_t>(colors));
+  for (int c = 0; c < colors; ++c) {
+    rank[static_cast<std::size_t>(c)] = c;
+  }
+  for (int c = colors - 1; c > 0; --c) {
+    std::swap(rank[static_cast<std::size_t>(c)],
+              rank[rng.NextBelow(static_cast<std::uint64_t>(c + 1))]);
+  }
+  for (int c = 0; c < colors; ++c) {
+    ColorObservation obs;
+    obs.color = StrFormat("z%04d", c);
+    obs.load_ewma = 400.0 /
+                    std::pow(rank[static_cast<std::size_t>(c)] + 1.0, 1.2) *
+                    (0.75 + 0.5 * rng.NextDouble());
+    obs.cache_bytes = static_cast<Bytes>(rng.NextBelow(1 << 20));
+    obs.dirty_bytes =
+        c % 20 == 3 ? static_cast<Bytes>(rng.NextBelow(1 << 16)) : 0;
+    obs.placement =
+        c % 8 == 0 ? snapshot.instances[0]
+                   : snapshot.instances[rng.NextBelow(
+                         static_cast<std::uint64_t>(instances))];
+    snapshot.colors.push_back(std::move(obs));
+  }
+  double total = 0;
+  for (const ColorObservation& obs : snapshot.colors) {
+    total += obs.load_ewma;
+  }
+  // The hottest-ranked color, re-weighted to a 0.3 share and split across
+  // two instances: width ceil(0.3 / 0.2) = 2 keeps it split.
+  for (ColorObservation& obs : snapshot.colors) {
+    if (obs.load_ewma >= 300) {
+      obs.load_ewma = 0.3 / 0.7 * (total - obs.load_ewma);
+      obs.placement = snapshot.instances[1];
+      obs.split = true;
+      obs.split_members = {snapshot.instances[1],
+                           snapshot.instances[static_cast<std::size_t>(
+                               instances > 2 ? 2 : 0)]};
+      break;
+    }
+  }
+  return snapshot;
+}
+
+// Exact ties at the max load: every load is dyadic (so every sum the
+// solver forms is exact), instances 1 and 2 hold the same loads, and
+// instance 0 holds twice theirs. Moving load off instance 0 leaves two or
+// three instances tied at the max.
+PlacementSnapshot TiedSnapshot(int instances, int colors) {
+  Rng rng(static_cast<std::uint64_t>(instances * 31 + colors));
+  PlacementSnapshot snapshot;
+  snapshot.taken = SimTime::FromSeconds(6);
+  snapshot.instances = MakeInstances(instances);
+  for (int c = 0; c < colors; ++c) {
+    ColorObservation obs;
+    obs.color = StrFormat("t%04d", c);
+    obs.cache_bytes = static_cast<Bytes>(rng.NextBelow(1 << 20));
+    const int slot = c % (instances + 2);
+    if (slot < 4) {
+      obs.load_ewma = std::ldexp(1.0, 6 - (c / (instances + 2)) % 6);
+      obs.placement = snapshot.instances[static_cast<std::size_t>(
+          slot < 2 ? 1 + slot : 0)];
+    } else {
+      obs.load_ewma = 0.25 * static_cast<double>(1 + rng.NextBelow(8));
+      obs.placement = snapshot.instances[static_cast<std::size_t>(
+          3 + rng.NextBelow(static_cast<std::uint64_t>(instances - 3)))];
+    }
+    snapshot.colors.push_back(std::move(obs));
+  }
+  return snapshot;
+}
+
+// Plans and objectives on the shapes the ledger's planner rounds see,
+// pinned bit for bit before the descent learned to skip slots that
+// cannot improve the objective: 32 instances with 1600 and 4096 Zipf
+// colors (a split color among them), two instances, and an exact tie at
+// the max load.
+TEST(PlannerGoldenTest, LedgerShapedPlansMatchPinnedPlansAndObjectives) {
+  struct Cell {
+    bool tied;  // TiedSnapshot instead of ZipfSnapshot
+    int instances;
+    int colors;
+    bool free_moves;  // move_alpha 0, dirty bytes priced clean
+    std::size_t max_moves;
+    std::uint64_t signature_hash;
+    std::size_t moves, splits, merges;
+    const char* before;
+    const char* after;
+  };
+  const Cell cells[] = {
+      {false, 32, 1600, false, 64, 279565689658479301ULL, 48, 1, 0,
+       "0x1.4db65f378da5dp+2", "0x1.3b583098c4921p+2"},
+      {false, 32, 1600, true, 1000, 13919122494191389576ULL, 117, 1, 0,
+       "0x1.4db65f378da5dp+2", "0x1.3333333333332p+2"},
+      {false, 32, 4096, false, 64, 5927885593976216201ULL, 64, 1, 0,
+       "0x1.4e8c080b9b63cp+2", "0x1.38aafd2e06a45p+2"},
+      {false, 32, 4096, true, 1000, 1194190747898927634ULL, 279, 1, 0,
+       "0x1.4e8c080b9b63cp+2", "0x1.3333333333339p+2"},
+      {false, 2, 256, false, 64, 8582237203689823252ULL, 35, 0, 0,
+       "0x1.4a7a870cfce12p+0", "0x1.0a556e5c0e98ap+0"},
+      {false, 2, 256, true, 1000, 7043853549035805780ULL, 67, 0, 0,
+       "0x1.4a7a870cfce12p+0", "0x1.0002be3fd7edcp+0"},
+      {true, 6, 96, false, 64, 16699776477787789856ULL, 4, 0, 0,
+       "0x1.6c4d954357d2bp+1", "0x1.cf21efce4384dp+0"},
+      {true, 6, 96, true, 1000, 16699776477787789856ULL, 4, 0, 0,
+       "0x1.6c4d954357d2bp+1", "0x1.c8d3108124fcp+0"},
+  };
+  for (const Cell& cell : cells) {
+    PlannerConfig config;
+    config.seed = 11;
+    config.max_moves = cell.max_moves;
+    if (cell.free_moves) {
+      config.move_alpha = 0;
+      config.dirty_move_weight = 0;
+    }
+    const Plan plan = RebalancePlanner(config).Solve(
+        cell.tied ? TiedSnapshot(cell.instances, cell.colors)
+                  : ZipfSnapshot(cell.instances, cell.colors));
+    const std::string sig = NamedPlanSignature(plan);
+    const std::string got = StrFormat(
+        "{%s, %d, %d, %s, %zu, %lluULL, %zu, %zu, %zu, \"%a\", \"%a\"},",
+        cell.tied ? "true" : "false", cell.instances, cell.colors,
+        cell.free_moves ? "true" : "false", cell.max_moves,
+        static_cast<unsigned long long>(Fnv1a64(sig)), plan.moves.size(),
+        plan.splits.size(), plan.merges.size(), plan.objective_before,
+        plan.objective_after);
+    EXPECT_EQ(Fnv1a64(sig), cell.signature_hash) << got << "\n" << sig;
+    EXPECT_EQ(plan.moves.size(), cell.moves) << got;
+    EXPECT_EQ(plan.splits.size(), cell.splits) << got;
+    EXPECT_EQ(plan.merges.size(), cell.merges) << got;
+    EXPECT_EQ(StrFormat("%a", plan.objective_before), cell.before) << got;
+    EXPECT_EQ(StrFormat("%a", plan.objective_after), cell.after) << got;
+  }
+}
+
 // One instance cannot host a split: a color over the threshold stays
 // whole (split sizing used to clamp with lo > hi here), and so it does
 // when max_split forbids replicas.
