@@ -17,6 +17,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
@@ -369,37 +370,77 @@ BENCHMARK(BM_PlannerSolve)
     ->Arg(10000)
     ->Unit(benchmark::kMicrosecond);
 
-// One snapshot collection on a warmed write-back platform shaped like the
-// ledger's hot_planner_writes: 32 workers, Zipf 1.2 over `range(0)`
-// colors, 5% writes, stopped mid-run so dirty write-back bytes remain.
-void BM_PlannerCollect(benchmark::State& state) {
+// A warmed write-back platform shaped like the ledger's hot_planner_writes:
+// 32 workers, Zipf 1.2 over `colors` colors, 5% writes, stopped mid-run so
+// dirty write-back bytes remain. No planner runs, so placements are Least
+// Assigned's own.
+struct WarmPlannerPlatform {
+  explicit WarmPlannerPlatform(int colors)
+      : spec(Spec(colors)),
+        platform(&sim, PolicyKind::kLeastAssigned, spec.seed, Config()) {
+    platform.AddWorkers(32);
+    platform.load_balancer().set_color_stats_enabled(true);
+    driver = std::make_unique<OpenLoopDriver>(
+        &platform, MakeArrivalProcess(spec.arrival, 1),
+        InvocationMix(spec.mix), spec.driver, 2);
+    driver->Start();
+    sim.RunUntil(SimTime::FromSeconds(15));
+  }
+
+  static WorkloadSpec Spec(int colors) {
+    WorkloadSpec spec;
+    spec.arrival.rate_per_sec = 1000;
+    spec.mix.color_count = colors;
+    spec.mix.zipf_theta = 1.2;
+    spec.mix.write_fraction = 0.05;
+    spec.driver.duration = SimTime::FromSeconds(20);
+    spec.seed = 1;
+    return spec;
+  }
+  static PlatformConfig Config() {
+    PlatformConfig config = DefaultWorkloadPlatformConfig();
+    config.storage.mode = CoherenceMode::kWriteBack;
+    return config;
+  }
+
   WorkloadSpec spec;
-  spec.arrival.rate_per_sec = 1000;
-  spec.mix.color_count = static_cast<int>(state.range(0));
-  spec.mix.zipf_theta = 1.2;
-  spec.mix.write_fraction = 0.05;
-  spec.driver.duration = SimTime::FromSeconds(20);
-  spec.seed = 1;
-  PlatformConfig config = DefaultWorkloadPlatformConfig();
-  config.storage.mode = CoherenceMode::kWriteBack;
   Simulator sim;
-  FaasPlatform platform(&sim, PolicyKind::kLeastAssigned, spec.seed, config);
-  platform.AddWorkers(32);
-  platform.load_balancer().set_color_stats_enabled(true);
-  OpenLoopDriver driver(&platform, MakeArrivalProcess(spec.arrival, 1),
-                        InvocationMix(spec.mix), spec.driver, 2);
-  driver.Start();
-  sim.RunUntil(SimTime::FromSeconds(15));
+  FaasPlatform platform;
+  std::unique_ptr<OpenLoopDriver> driver;
+};
+
+// One snapshot collection on the warmed platform.
+void BM_PlannerCollect(benchmark::State& state) {
+  WarmPlannerPlatform warm(static_cast<int>(state.range(0)));
   SnapshotCollector collector(PlannerConfig{}.ewma_beta);
   std::size_t colors_seen = 0;
   for (auto _ : state) {
-    colors_seen = collector.Collect(platform).colors.size();
+    colors_seen = collector.Collect(warm.platform).colors.size();
   }
   state.counters["colors_seen"] = static_cast<double>(colors_seen);
   state.counters["dirty_mib"] = static_cast<double>(
-      platform.storage_layer()->total_dirty_bytes()) / kMiB;
+      warm.platform.storage_layer()->total_dirty_bytes()) / kMiB;
 }
 BENCHMARK(BM_PlannerCollect)->Arg(4096)->Unit(benchmark::kMicrosecond);
+
+// One solve of the snapshot BM_PlannerCollect takes: the ledger's mix of
+// slots (Zipf loads on Least Assigned's placements, a color hot enough to
+// split), which BM_PlannerSolve's random placements do not have.
+void BM_PlannerRound(benchmark::State& state) {
+  WarmPlannerPlatform warm(static_cast<int>(state.range(0)));
+  const PlacementSnapshot snapshot =
+      SnapshotCollector(PlannerConfig{}.ewma_beta).Collect(warm.platform);
+  const RebalancePlanner planner{PlannerConfig{}};
+  std::size_t moves = 0;
+  for (auto _ : state) {
+    const Plan plan = planner.Solve(snapshot);
+    moves = plan.moves.size() + plan.splits.size() + plan.merges.size();
+    benchmark::DoNotOptimize(moves);
+  }
+  state.counters["colors_seen"] = static_cast<double>(snapshot.colors.size());
+  state.counters["plan_entries"] = static_cast<double>(moves);
+}
+BENCHMARK(BM_PlannerRound)->Arg(4096)->Unit(benchmark::kMicrosecond);
 
 // Timed summary figures for BENCH_core.json.
 

@@ -31,7 +31,7 @@ std::optional<InstanceId> PaletteLoadBalancer::RouteId(
     if (color.has_value()) {
       ++hints_honored_;
       if (color_stats_enabled_) {
-        ++color_counts_[*color];
+        CountColor(*color);
       }
     } else {
       ++unhinted_routed_;
@@ -226,19 +226,33 @@ void PaletteLoadBalancer::NoteExternalRoute(const Color& color,
   if (!color_stats_enabled_) {
     return;
   }
-  ++color_counts_[color];
+  CountColor(color);
   policy_->ObserveRoute(color, instance);
+}
+
+void PaletteLoadBalancer::CountColor(const Color& color) {
+  const auto [it, inserted] = color_counts_.try_emplace(color, 0);
+  if (inserted) {
+    counted_colors_.push_back(&*it);
+  }
+  ++it->second;
 }
 
 std::optional<InstanceId> PaletteLoadBalancer::PeekColorId(
     std::string_view color) const {
+  return PeekColorPlacement(color).primary;
+}
+
+PaletteLoadBalancer::ColorPlacement PaletteLoadBalancer::PeekColorPlacement(
+    std::string_view color) const {
   if (!splits_.empty()) {
     const auto split_it = splits_.find(TruncateColor(color));
     if (split_it != splits_.end()) {
-      return split_it->second.instances.front();
+      return {split_it->second.instances.front(),
+              &split_it->second.instances};
     }
   }
-  return policy_->PeekColorId(color);
+  return {policy_->PeekColorId(color), nullptr};
 }
 
 bool PaletteLoadBalancer::IsSplit(std::string_view color) const {

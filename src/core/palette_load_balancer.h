@@ -18,6 +18,7 @@
 #include <string>
 #include <string_view>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "src/common/instance_id.h"
@@ -102,6 +103,15 @@ class PaletteLoadBalancer {
 
   // Snapshot-side views (non-mutating; planner collector).
   std::optional<InstanceId> PeekColorId(std::string_view color) const;
+  // PeekColorId and the split state in one probe: `primary` is what
+  // PeekColorId answers, and `split_members` points at a split color's
+  // replica set (null when the color is not split). The pointer is valid
+  // while placement_version() does not move.
+  struct ColorPlacement {
+    std::optional<InstanceId> primary;
+    const std::vector<InstanceId>* split_members = nullptr;
+  };
+  ColorPlacement PeekColorPlacement(std::string_view color) const;
   // Moves whenever PeekColorId may answer differently for some color, or
   // membership changed: every AddInstance/RemoveInstance call, every
   // split-table change in ApplyPlan, and every policy table mutation
@@ -126,6 +136,14 @@ class PaletteLoadBalancer {
   const std::unordered_map<std::string, std::uint64_t>& color_counts() const {
     return color_counts_;
   }
+  // Every entry of color_counts() in the order its color was first
+  // counted. Counts are never erased, so the pointers stay valid for the
+  // balancer's lifetime, and a reader that remembers how many entries it
+  // has seen picks up only the colors first counted since.
+  using ColorCount = std::pair<const std::string, std::uint64_t>;
+  const std::vector<const ColorCount*>& counted_colors() const {
+    return counted_colors_;
+  }
 
  private:
   // A hot color sharded across a weighted replica set. Routing walks the
@@ -139,6 +157,7 @@ class PaletteLoadBalancer {
   };
 
   InstanceId PickSplitMember(SplitEntry& entry);
+  void CountColor(const Color& color);
 
   std::unique_ptr<ColorSchedulingPolicy> policy_;
   std::vector<std::string> instances_;       // name-sorted
@@ -152,6 +171,7 @@ class PaletteLoadBalancer {
   std::uint64_t hint_failures_ = 0;
   bool color_stats_enabled_ = false;
   std::unordered_map<std::string, std::uint64_t> color_counts_;
+  std::vector<const ColorCount*> counted_colors_;  // first-counted order
   // Split table, keyed by truncated color. Checked before the policy on
   // every colored route; empty unless a planner installed splits.
   std::unordered_map<std::string, SplitEntry, TransparentStringHash,

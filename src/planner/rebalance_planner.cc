@@ -4,7 +4,6 @@
 #include <cassert>
 #include <cmath>
 #include <cstddef>
-#include <unordered_map>
 #include <vector>
 
 #include "src/common/rng.h"
@@ -60,11 +59,18 @@ Plan RebalancePlanner::Solve(const PlacementSnapshot& snapshot) const {
   if (n == 0) {
     return plan;
   }
-  std::unordered_map<InstanceId, std::size_t> index_of;
-  index_of.reserve(n);
+  // Instance index by id: ids are dense, so a flat table replaces a hash
+  // map (and its per-node allocations).
+  std::vector<std::size_t> index_of(
+      *std::max_element(snapshot.instances.begin(), snapshot.instances.end()) +
+          std::size_t{1},
+      kUnassigned);
   for (std::size_t i = 0; i < n; ++i) {
-    index_of.emplace(snapshot.instances[i], i);
+    index_of[snapshot.instances[i]] = i;
   }
+  const auto index_at = [&](InstanceId id) {
+    return id < index_of.size() ? index_of[id] : kUnassigned;
+  };
 
   // Participating colors: placed on a live instance with positive load.
   // Unplaced colors (evicted table entries) are left to organic routing.
@@ -87,6 +93,7 @@ Plan RebalancePlanner::Solve(const PlacementSnapshot& snapshot) const {
   }
 
   std::vector<Participant> participants;
+  participants.reserve(snapshot.colors.size());
   double total_load = 0;
   Bytes total_bytes = 0;
   for (std::size_t c = 0; c < snapshot.colors.size(); ++c) {
@@ -94,18 +101,18 @@ Plan RebalancePlanner::Solve(const PlacementSnapshot& snapshot) const {
     if (obs.load_ewma <= 0) {
       continue;
     }
-    const auto home_it = index_of.find(obs.placement);
-    if (home_it == index_of.end()) {
+    const std::size_t home = index_at(obs.placement);
+    if (home == kUnassigned) {
       continue;
     }
     Participant p;
     p.color = c;
-    p.home = home_it->second;
+    p.home = home;
     if (obs.split) {
       for (const InstanceId member : obs.split_members) {
-        const auto member_it = index_of.find(member);
-        if (member_it != index_of.end()) {
-          p.members.push_back(member_it->second);
+        const std::size_t at = index_at(member);
+        if (at != kUnassigned) {
+          p.members.push_back(at);
         }
       }
     }
@@ -166,7 +173,12 @@ Plan RebalancePlanner::Solve(const PlacementSnapshot& snapshot) const {
   // Slot construction. Initial assignment keeps what exists (primary at
   // home, split slots at current members); slots beyond the current width
   // go to the least-loaded instance not already hosting this color.
+  std::size_t slot_count = 0;
+  for (const Participant& p : participants) {
+    slot_count += static_cast<std::size_t>(p.width);
+  }
   std::vector<Slot> slots;
+  slots.reserve(slot_count);
   std::vector<std::size_t> first_slot(participants.size(), 0);
   State state;
   state.loads.assign(n, 0);
@@ -263,14 +275,49 @@ Plan RebalancePlanner::Solve(const PlacementSnapshot& snapshot) const {
   // exactly as moving and undoing every candidate would: each visited
   // candidate at (x + l) - l and `from` re-drifted to (f - l) + l once per
   // candidate, so plans stay bit-identical (docs/PLANNER.md, "Cost").
+  //
+  // Pruning: a whole color at home on an instance other than `top` cannot
+  // win. Every candidate leaves `top` at or above
+  // min(loads[top], (loads[top] + l) - l), and the movement term can only
+  // grow, so when that floor's objective is within the 1e-12 acceptance
+  // margin of the current one the scan is skipped and only its drift is
+  // replayed. The check makes the skip exact for any `top`; keeping `top`
+  // at the max load (re-found after every accepted move) is what lets it
+  // pass (docs/PLANNER.md, "Pruned slots").
   std::vector<double> suffix_max(n + 1, 0);
+  const auto arg_max = [&] {
+    return static_cast<std::size_t>(
+        std::max_element(state.loads.begin(), state.loads.end()) -
+        state.loads.begin());
+  };
   for (int round = 0; round < config_.swap_rounds; ++round) {
     bool improved = false;
+    std::size_t top = arg_max();
     for (std::size_t s = 0; s < slots.size(); ++s) {
       const std::size_t pi = slots[s].participant;
       const bool is_primary = s == first_slot[pi];
       const std::size_t from = slots[s].instance;
       const double l = slots[s].load;
+      if (participants[pi].width == 1 && from == participants[pi].home &&
+          from != top) {
+        const double top_floor =
+            std::min(state.loads[top], (state.loads[top] + l) - l);
+        if (state.ObjectiveAt(top_floor) + 1e-12 >= objective) {
+          double from_load = state.loads[from];
+          for (double& load : state.loads) {
+            load = (load + l) - l;
+          }
+          for (std::size_t k = 1; k < n; ++k) {
+            const double drifted = (from_load - l) + l;
+            if (drifted == from_load) {
+              break;
+            }
+            from_load = drifted;
+          }
+          state.loads[from] = from_load;
+          continue;
+        }
+      }
       for (std::size_t i = n; i-- > 0;) {
         suffix_max[i] = i == from ? suffix_max[i + 1]
                                   : std::max(suffix_max[i + 1], state.loads[i]);
@@ -313,6 +360,7 @@ Plan RebalancePlanner::Solve(const PlacementSnapshot& snapshot) const {
         slots[s].instance = best_to;
         objective = best_objective;
         improved = true;
+        top = arg_max();
       }
     }
     if (!improved) {
@@ -362,6 +410,7 @@ Plan RebalancePlanner::Solve(const PlacementSnapshot& snapshot) const {
   // Cap emitted moves at max_moves, keeping the highest-load movers, and
   // revert the rest so the reported objective matches the emitted plan.
   std::vector<std::size_t> movers;  // participant indices, width-1 movers
+  movers.reserve(participants.size());
   for (std::size_t pi = 0; pi < participants.size(); ++pi) {
     if (participants[pi].width == 1 && participants[pi].members.size() <= 1 &&
         primary_moved(pi)) {
@@ -398,7 +447,9 @@ Plan RebalancePlanner::Solve(const PlacementSnapshot& snapshot) const {
     return plan;
   }
 
-  // Emission, in snapshot (color-sorted) order within each kind.
+  // Emission, in snapshot (color-sorted) order within each kind. Every
+  // mover left after the cap is one emitted move.
+  plan.moves.reserve(movers.size());
   for (std::size_t pi = 0; pi < participants.size(); ++pi) {
     const Participant& p = participants[pi];
     const ColorObservation& obs = snapshot.colors[p.color];

@@ -10,16 +10,16 @@
 #ifndef PALETTE_SRC_PLANNER_SNAPSHOT_H_
 #define PALETTE_SRC_PLANNER_SNAPSHOT_H_
 
+#include <cstddef>
 #include <cstdint>
-#include <functional>
-#include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
 #include "src/common/instance_id.h"
-#include "src/common/string_hash.h"
 #include "src/common/types.h"
 #include "src/core/color.h"
+#include "src/core/palette_load_balancer.h"
 
 namespace palette {
 
@@ -56,7 +56,8 @@ struct PlacementSnapshot {
 
 // Stateful collector: remembers each color's cumulative count from the
 // previous collection so it can difference out the latest window, and keeps
-// the EWMA across windows. One collector per platform.
+// the EWMA across windows. One collector per platform: it holds pointers to
+// that platform's per-color counters.
 class SnapshotCollector {
  public:
   explicit SnapshotCollector(double ewma_beta) : beta_(ewma_beta) {}
@@ -68,15 +69,24 @@ class SnapshotCollector {
 
  private:
   struct ColorState {
+    const PaletteLoadBalancer::ColorCount* counter;  // name, running count
     std::uint64_t last_count = 0;
     double ewma = 0;
-    std::size_t index = 0;  // position in the latest snapshot's colors
+    std::size_t index = 0;  // position in by_name_ and the snapshot
   };
 
+  // Appends the colors the LB first counted since the last collection and
+  // merges them into by_name_; only they are sorted.
+  void MergeNewColors(const PaletteLoadBalancer& lb);
+
   double beta_;
-  std::unordered_map<std::string, ColorState, TransparentStringHash,
-                     std::equal_to<>>
-      state_;
+  const PaletteLoadBalancer* lb_ = nullptr;
+  // Indexed like lb.counted_colors() (first-counted order).
+  std::vector<ColorState> colors_;
+  // Indexes into colors_, in color-name order: the snapshot's order.
+  std::vector<std::size_t> by_name_;
+  // Color name -> index into colors_; the names live in the LB's counters.
+  std::unordered_map<std::string_view, std::size_t> ids_;
 };
 
 }  // namespace palette
