@@ -35,8 +35,10 @@
 #include "src/hash/hash.h"
 #include "src/planner/rebalance_planner.h"
 #include "src/planner/snapshot.h"
+#include "src/sim/network.h"
 #include "src/sim/simulator.h"
 #include "src/sketch/hyperloglog.h"
+#include "src/storage/storage_layer.h"
 #include "src/workload/arrival.h"
 #include "src/workload/driver.h"
 #include "src/workload/sharded_run.h"
@@ -190,24 +192,26 @@ void BM_SimulatorEvents(benchmark::State& state) {
 }
 BENCHMARK(BM_SimulatorEvents)->Arg(100000);
 
-// The pull matcher at deep pending queues (docs/DISPATCH.md): 32 idle
-// workers face `range(0)` pending colors that none of them may claim (each
-// homed on one busy anchor worker, stealing off), and each iteration
+// The pull matcher at deep pending queues (docs/DISPATCH.md): `range(1)`
+// idle workers face `range(0)` pending colors that none of them may claim
+// (each homed on one busy anchor worker, stealing off), and each iteration
 // submits one invocation homed on an idle worker and runs the platform
 // until its claimer is idle again. One iteration is one claim, so the
 // time per iteration is ns per claim. It covers two matches over the full
 // backlog: the arrival's, which claims, and the claimer's return to the
-// idle set, which finds nothing.
+// idle pool, which finds nothing. The idle width shows what a match costs
+// per idle worker it visits; all workers live in this one process and no
+// thread is started.
 void BM_PullMatch(benchmark::State& state) {
   const int pending_colors = static_cast<int>(state.range(0));
-  constexpr int kIdle = 32;
+  const int idle_workers = static_cast<int>(state.range(1));
   PlatformConfig config;
   config.dispatch_mode = FaasDispatchMode::kPull;
   config.steal_budget = 0;
   config.cold_start = SimTime();
   config.serialization_bytes_per_second = 0;
   std::vector<std::string> idle_names;
-  for (int i = 0; i < kIdle; ++i) {
+  for (int i = 0; i < idle_workers; ++i) {
     idle_names.push_back(StrFormat("w%d", i));
   }
   const std::string anchor = "anchor";
@@ -277,7 +281,9 @@ void BM_PullMatch(benchmark::State& state) {
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(claims));
 }
-BENCHMARK(BM_PullMatch)->Arg(16)->Arg(256)->Arg(2048);
+BENCHMARK(BM_PullMatch)
+    ->ArgNames({"pending", "idle"})
+    ->ArgsProduct({{16, 256, 2048}, {8, 32, 256}});
 
 // One FaastCache::Get, the input fetch every run makes once a claim
 // lands, on a 32-shard cache holding 1024 objects at their ring homes.
@@ -337,6 +343,67 @@ void BM_CacheFetch(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_CacheFetch)->Arg(0)->Arg(1)->Arg(2);
+
+// One write-back StorageLayer::OnWrite of a replicated output on
+// `range(0)` instances, plus the events it schedules: the flush its
+// dirty-age timer fires and the anti-entropy replay on every peer outside
+// the write's replica set. The writer is the object's ring home (colored
+// routing) and the next two instances in join order hold synchronous
+// replicas, as a split color's writes land. Writes rotate over 1024
+// objects. The layer's anti-entropy log is never trimmed, so it grows by
+// one record per iteration.
+void BM_StorageWrite(benchmark::State& state) {
+  const int instances = static_cast<int>(state.range(0));
+  constexpr int kObjects = 1024;
+  Simulator sim;
+  Network network(&sim, NetworkConfig{});
+  network.AddNode(kStorageNode);
+  FaastCache cache;
+  StorageConfig config;
+  config.mode = CoherenceMode::kWriteBack;
+  StorageLayer storage(&sim, &network, &cache, config, kStorageNode);
+  std::vector<std::string> names;
+  for (int i = 0; i < instances; ++i) {
+    names.push_back(StrFormat("w%d", i));
+    network.AddNode(names.back());
+    cache.AddInstance(names.back());
+    storage.OnInstanceJoin(names.back());
+  }
+  sim.Run();  // the joins' catch-up replays
+  struct Write {
+    std::string object;
+    std::string home;
+    std::vector<std::string> replicas;
+  };
+  std::vector<Write> writes;
+  for (int i = 0; i < kObjects; ++i) {
+    Write write;
+    write.object = StrFormat("color-%d___out", i);
+    write.home = InstanceName(*cache.HomeInstanceId(write.object));
+    const auto at = static_cast<std::size_t>(
+        std::find(names.begin(), names.end(), write.home) - names.begin());
+    for (std::size_t r = 1; r <= 2; ++r) {
+      write.replicas.push_back(names[(at + r) % names.size()]);
+    }
+    writes.push_back(std::move(write));
+  }
+  const std::uint64_t flushes_before = storage.stats().flushes;
+  std::size_t i = 0;
+  for (auto _ : state) {
+    const Write& write = writes[i++ % writes.size()];
+    benchmark::DoNotOptimize(storage.OnWrite(write.home, write.home,
+                                             write.object, 4 * kKiB,
+                                             std::nullopt, write.replicas,
+                                             sim.Now()));
+    sim.Run();
+  }
+  if (storage.stats().flushes - flushes_before !=
+      static_cast<std::uint64_t>(state.iterations())) {
+    state.SkipWithError("a write did not flush exactly once");
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_StorageWrite)->ArgName("instances")->Arg(4)->Arg(32);
 
 // One planner solve (docs/PLANNER.md) over `range(0)` colors on 32
 // instances: harmonic loads with two hot head colors (one over the split

@@ -72,6 +72,10 @@ struct InvocationResult {
   // Routing-tier replica (src/router) that routed the latest attempt, or -1
   // when the platform's own load balancer routed it directly.
   std::int32_t router = -1;
+  // Pull dispatch: the latest attempt was a budget-gated steal, claimed by
+  // a worker other than its color's home (docs/DISPATCH.md). Always false
+  // under push.
+  bool stolen = false;
 };
 
 }  // namespace palette

@@ -62,11 +62,15 @@ FaasPlatform::FaasPlatform(Simulator* sim, PolicyKind policy,
 
 void FaasPlatform::AddWorker(const std::string& name, double speed) {
   const InstanceId id = InternInstance(name);
-  if (workers_.count(id) > 0) {
+  if (id >= workers_.size()) {
+    workers_.resize(id + 1);
+  }
+  if (workers_[id] != nullptr) {
     return;
   }
   assert(speed > 0);
-  workers_.emplace(id, std::make_unique<Worker>(sim_, speed, name));
+  workers_[id] = std::make_unique<Worker>(sim_, speed, name);
+  ++worker_count_;
   network_.AddNode(name);
   cache_.AddInstance(name);
   if (storage_ != nullptr) {
@@ -89,19 +93,22 @@ void FaasPlatform::Depart(const std::string& name, bool crashed) {
   if (!id.has_value()) {
     return;
   }
-  const auto it = workers_.find(*id);
-  if (it == workers_.end()) {
+  Worker* const worker = WorkerAt(*id);
+  if (worker == nullptr) {
     return;
   }
   // A graceful leave lets the running attempt (if any) finish on the
   // departed worker; a crash kills it, and its partial work is lost (a
   // retry re-executes from scratch: at-least-once). Membership is updated
   // first so the policy re-colors before any retry re-routes.
-  std::deque<AttemptHandle> orphans = std::move(it->second->queue);
+  std::deque<AttemptHandle> orphans = std::move(worker->queue);
   const std::optional<AttemptHandle> running =
-      crashed ? it->second->running : std::nullopt;
-  workers_.erase(it);
-  idle_workers_.erase(*id);
+      crashed ? worker->running : std::nullopt;
+  if (worker->idle) {
+    --idle_count_;
+  }
+  workers_[*id].reset();
+  --worker_count_;
   if (storage_ != nullptr) {
     // Graceful leave: dirty write-back data flushes before the shard is
     // reclaimed (must run while the cache shard still exists). Crash: it
@@ -117,7 +124,7 @@ void FaasPlatform::Depart(const std::string& name, bool crashed) {
   // Requeued orphans land at the heads of their color queues, so walk the
   // FIFO back to front to keep its order there; failed-over ones retry in
   // FIFO order.
-  const bool to_pending = pull_enabled() && !workers_.empty();
+  const bool to_pending = pull_enabled() && worker_count_ > 0;
   while (!orphans.empty()) {
     if (to_pending) {
       Requeue(orphans.back());
@@ -128,14 +135,14 @@ void FaasPlatform::Depart(const std::string& name, bool crashed) {
     }
   }
   MatchPending();
-  if (workers_.empty()) {
+  if (worker_count_ == 0) {
     FailAllPending();
   }
 }
 
 bool FaasPlatform::Requeue(AttemptHandle attempt) {
   Attempt* const live = Live(attempt);
-  if (!pull_enabled() || workers_.empty() || live == nullptr) {
+  if (!pull_enabled() || worker_count_ == 0 || live == nullptr) {
     HandleFailure(attempt, FailureReason::kWorkerLost);
     return false;
   }
@@ -148,30 +155,34 @@ bool FaasPlatform::Requeue(AttemptHandle attempt) {
 
 bool FaasPlatform::HasWorker(const std::string& name) const {
   const auto id = InstanceRegistry::Global().Find(name);
-  return id.has_value() && workers_.count(*id) > 0;
+  return id.has_value() && HasWorkerId(*id);
 }
 
 std::vector<std::string> FaasPlatform::WorkerNames() const {
   std::vector<std::string> names;
-  names.reserve(workers_.size());
-  for (const auto& [_, worker] : workers_) {
-    names.push_back(worker->name);
+  names.reserve(worker_count_);
+  for (const auto& worker : workers_) {
+    if (worker != nullptr) {
+      names.push_back(worker->name);
+    }
   }
   std::sort(names.begin(), names.end());
   return names;
 }
 
 std::string FaasPlatform::DrainCandidateWorker() const {
-  // Minimum over (depth, InstanceId): order-independent, so the victim is
-  // stable no matter how workers_ happens to iterate. Ids intern in join
-  // order, which is identical across rebuilds and shard counts — name
-  // order is not ("w10" sorts before "w2").
+  // Minimum over (depth, InstanceId). Ids intern in join order, which is
+  // identical across rebuilds and shard counts — name order is not ("w10"
+  // sorts before "w2").
   InstanceId best = kInvalidInstanceId;
   std::size_t best_depth = 0;
-  for (const auto& [id, worker] : workers_) {
+  for (InstanceId id = 0; id < workers_.size(); ++id) {
+    const Worker* const worker = workers_[id].get();
+    if (worker == nullptr) {
+      continue;
+    }
     const std::size_t depth = worker->queue.size();
-    if (best == kInvalidInstanceId || depth < best_depth ||
-        (depth == best_depth && id < best)) {
+    if (best == kInvalidInstanceId || depth < best_depth) {
       best = id;
       best_depth = depth;
     }
@@ -257,15 +268,15 @@ void FaasPlatform::DispatchTo(AttemptHandle handle, InstanceId target) {
   result.attempts = attempt.number;
   result.cold_start = SimTime();
 
-  const auto worker_it = workers_.find(target);
-  if (worker_it == workers_.end()) {
+  Worker* const worker = WorkerAt(target);
+  if (worker == nullptr) {
     // An attached router pointed at a worker the cluster no longer runs
     // (the platform's own LB never does this). Fail the attempt; the retry
     // layer routes it afresh.
     HandleFailure(handle, FailureReason::kWorkerLost);
     return;
   }
-  result.instance = worker_it->second->name;
+  result.instance = worker->name;
   if (router_ != nullptr && spec.color.has_value()) {
     // Externally routed (tier) traffic never touches lb_.RouteId, so the
     // platform-side planner's snapshots would see nothing. Teach the LB the
@@ -304,7 +315,7 @@ void FaasPlatform::DispatchTo(AttemptHandle handle, InstanceId target) {
       if (Live(handle) == nullptr) {
         return;  // deadline expired while in dispatch flight
       }
-      if (workers_.empty()) {
+      if (worker_count_ == 0) {
         HandleFailure(handle, FailureReason::kWorkerLost);
         return;
       }
@@ -316,7 +327,7 @@ void FaasPlatform::DispatchTo(AttemptHandle handle, InstanceId target) {
 
   const SimTime dispatch_done =
       sim_->Now() + config_.dispatch_latency + router_hop_ +
-      ChargeColdStart(*worker_it->second, result);
+      ChargeColdStart(*worker, result);
   result.dispatched = dispatch_done;
 
   sim_->At(dispatch_done, [this, handle, target]() {
@@ -324,14 +335,14 @@ void FaasPlatform::DispatchTo(AttemptHandle handle, InstanceId target) {
     if (Live(handle) == nullptr) {
       return;  // deadline expired while in dispatch flight
     }
-    auto it = workers_.find(target);
-    if (it == workers_.end()) {
+    Worker* const arrived = WorkerAt(target);
+    if (arrived == nullptr) {
       // Worker removed while the request was in flight.
       HandleFailure(handle, FailureReason::kWorkerLost);
       return;
     }
-    it->second->queue.push_back(handle);
-    if (!it->second->busy) {
+    arrived->queue.push_back(handle);
+    if (!arrived->busy) {
       StartNextOnWorker(target);
     }
   });
@@ -376,11 +387,11 @@ void FaasPlatform::OnDeadline(AttemptHandle handle) {
     RemoveFromPending(handle, color_slot);
     return;
   }
-  const auto it = workers_.find(target);
-  if (it == workers_.end()) {
+  Worker* const found = WorkerAt(target);
+  if (found == nullptr) {
     return;
   }
-  Worker& worker = *it->second;
+  Worker& worker = *found;
   if (was_running && worker.running == handle) {
     // Cancel on the worker: return the unexecuted tail of the CPU booking
     // so the next queued request starts now instead of after the ghost of
@@ -471,11 +482,11 @@ void FaasPlatform::Resubmit(std::uint32_t invocation, int number,
 }
 
 void FaasPlatform::StartNextOnWorker(InstanceId instance) {
-  auto worker_it = workers_.find(instance);
-  if (worker_it == workers_.end()) {
+  Worker* const found = WorkerAt(instance);
+  if (found == nullptr) {
     return;
   }
-  Worker& worker = *worker_it->second;
+  Worker& worker = *found;
   while (!worker.queue.empty() && Live(worker.queue.front()) == nullptr) {
     worker.queue.pop_front();
   }
@@ -689,10 +700,8 @@ void FaasPlatform::StartNextOnWorker(InstanceId instance) {
 
 FaasPlatform::Worker* FaasPlatform::OccupiedBy(AttemptHandle attempt,
                                               InstanceId instance) {
-  const auto it = workers_.find(instance);
-  return it != workers_.end() && it->second->running == attempt
-             ? it->second.get()
-             : nullptr;
+  Worker* const worker = WorkerAt(instance);
+  return worker != nullptr && worker->running == attempt ? worker : nullptr;
 }
 
 std::uint32_t FaasPlatform::ColorSlotOf(const InvocationSpec& spec) {
@@ -780,10 +789,10 @@ const std::optional<InstanceId>& FaasPlatform::HomeOf(ColorSlot& slot,
 }
 
 void FaasPlatform::MatchPending() {
-  if (pending_total_ == 0 || idle_workers_.empty()) {
+  if (pending_total_ == 0 || idle_count_ == 0) {
     return;
   }
-  constexpr std::uint32_t kEnd = UINT32_MAX;
+  constexpr std::uint32_t kEnd = kNoMatchColor;
   // Drops cancelled attempts from the head of a queue; true once it is
   // empty.
   const auto drop_cancelled_heads = [this](std::deque<AttemptHandle>& queue) {
@@ -794,10 +803,8 @@ void FaasPlatform::MatchPending() {
     return queue.empty();
   };
 
-  // Snapshot: a claim removes the claimer from the idle set mid-pass.
-  match_idle_.assign(idle_workers_.begin(), idle_workers_.end());
-  match_home_chain_.assign(match_idle_.size(), kEnd);
   match_colors_.clear();
+  match_homes_.clear();
   std::uint32_t unowned_chain = kEnd;
   // Live owned colors whose queue is deep enough to steal from. A worker
   // only tries to steal when none of its home colors has work left, so
@@ -827,11 +834,14 @@ void FaasPlatform::MatchPending() {
       }
       // Colors homed on a busy (or departed) worker are foreign to every
       // idle one and join no chain.
-      const auto slot = std::lower_bound(match_idle_.begin(),
-                                         match_idle_.end(), *color.home);
-      chain = slot != match_idle_.end() && *slot == *color.home
-                  ? &match_home_chain_[slot - match_idle_.begin()]
-                  : nullptr;
+      Worker* const home = WorkerAt(*color.home);
+      chain = nullptr;
+      if (home != nullptr && home->idle) {
+        if (home->home_chain == kEnd) {
+          match_homes_.push_back(*color.home);
+        }
+        chain = &home->home_chain;
+      }
     }
     if (chain != nullptr) {
       color.next = *chain;
@@ -859,13 +869,11 @@ void FaasPlatform::MatchPending() {
     return oldest;
   };
 
-  // Ascending InstanceId order is the fixed claim order.
-  for (std::size_t slot = 0; slot < match_idle_.size() && pending_total_ > 0;
-       ++slot) {
-    const InstanceId id = match_idle_[slot];
+  // One idle worker's turn: at most one claim.
+  const auto serve = [&](InstanceId id, const Worker& worker) {
     // Home colors first, then unowned work (uncolored, or a color with no
     // home anywhere: claiming it robs nobody).
-    MatchColor* pick = oldest_head(match_home_chain_[slot]);
+    MatchColor* pick = oldest_head(worker.home_chain);
     if (pick == nullptr) {
       pick = oldest_head(unowned_chain);
     }
@@ -875,7 +883,7 @@ void FaasPlatform::MatchPending() {
       // budget slot and pays the remote fetches when it runs.
       if (stealable == 0 || config_.steal_budget <= 0 ||
           steals_in_flight_ >= config_.steal_budget) {
-        continue;
+        return;
       }
       // Colors with objects already cache-resident on this worker first
       // (the steal is partly pre-paid), then the deepest queue (steal the
@@ -929,6 +937,34 @@ void FaasPlatform::MatchPending() {
       RetireQueue(pick->slot);
       pick->queue = nullptr;
     }
+  };
+
+  // Ascending InstanceId order is the fixed claim order. A worker with no
+  // home work can only claim unowned work or steal, and within one call
+  // unowned work only drains, `stealable` only falls and steals_in_flight_
+  // only rises. So when neither is possible as the call starts, no such
+  // worker claims anything in it, and visiting the idle homes alone claims
+  // exactly what the full walk would.
+  const bool can_steal = stealable > 0 && config_.steal_budget > 0 &&
+                         steals_in_flight_ < config_.steal_budget;
+  if (unowned_chain == kEnd && !can_steal) {
+    std::sort(match_homes_.begin(), match_homes_.end());
+    for (const InstanceId id : match_homes_) {
+      serve(id, *workers_[id]);
+    }
+  } else {
+    std::size_t unvisited = idle_count_;
+    for (InstanceId id = 0;
+         id < workers_.size() && unvisited > 0 && pending_total_ > 0; ++id) {
+      const Worker* const worker = workers_[id].get();
+      if (worker != nullptr && worker->idle) {
+        --unvisited;
+        serve(id, *worker);
+      }
+    }
+  }
+  for (const InstanceId id : match_homes_) {
+    workers_[id]->home_chain = kEnd;
   }
 }
 
@@ -955,9 +991,12 @@ void FaasPlatform::ClaimFrom(std::deque<AttemptHandle>* queue,
 
   // Late binding resolves here: the claimer becomes the placement.
   attempt.worker = instance;
-  Worker& worker = *workers_.at(instance);
+  Worker& worker = *workers_[instance];
   invocation.result.instance = worker.name;
-  idle_workers_.erase(instance);
+  invocation.result.stolen = steal;
+  assert(worker.idle);
+  worker.idle = false;
+  --idle_count_;
   worker.claiming = true;
   // Cold start charged at claim time — in pull mode the final worker is
   // unknown until a claim binds it.
@@ -970,15 +1009,15 @@ void FaasPlatform::ClaimFrom(std::deque<AttemptHandle>* queue,
 }
 
 void FaasPlatform::OnClaimArrive(AttemptHandle attempt, InstanceId instance) {
-  const auto it = workers_.find(instance);
-  if (it == workers_.end()) {
+  Worker* const worker = WorkerAt(instance);
+  if (worker == nullptr) {
     // The claimer died mid-handoff; the claim never started.
     if (Requeue(attempt)) {
       MatchPending();
     }
     return;
   }
-  it->second->claiming = false;
+  worker->claiming = false;
   if (Live(attempt) == nullptr) {
     // Deadline fired during the handoff (HandleFailure freed its steal
     // slot); the claimer goes back to the idle pool, which re-runs the
@@ -986,8 +1025,8 @@ void FaasPlatform::OnClaimArrive(AttemptHandle attempt, InstanceId instance) {
     MaybeIdle(instance);
     return;
   }
-  it->second->queue.push_back(attempt);
-  if (!it->second->busy) {
+  worker->queue.push_back(attempt);
+  if (!worker->busy) {
     StartNextOnWorker(instance);
   }
 }
@@ -996,15 +1035,15 @@ void FaasPlatform::MaybeIdle(InstanceId instance) {
   if (!pull_enabled()) {
     return;
   }
-  const auto it = workers_.find(instance);
-  if (it == workers_.end()) {
+  Worker* const worker = WorkerAt(instance);
+  if (worker == nullptr || worker->busy || worker->claiming ||
+      !worker->queue.empty()) {
     return;
   }
-  const Worker& worker = *it->second;
-  if (worker.busy || worker.claiming || !worker.queue.empty()) {
-    return;
+  if (!worker->idle) {
+    worker->idle = true;
+    ++idle_count_;
   }
-  idle_workers_.insert(instance);
   MatchPending();
 }
 
@@ -1091,8 +1130,10 @@ void FaasPlatform::DeliverCompletion(std::uint32_t index) {
 
 std::unordered_map<std::string, SimTime> FaasPlatform::WorkerBusyTime() const {
   std::unordered_map<std::string, SimTime> out;
-  for (const auto& [_, worker] : workers_) {
-    out[worker->name] = worker->cpu.busy_time();
+  for (const auto& worker : workers_) {
+    if (worker != nullptr) {
+      out[worker->name] = worker->cpu.busy_time();
+    }
   }
   return out;
 }
@@ -1125,8 +1166,8 @@ std::size_t FaasPlatform::WorkerQueueDepth(const std::string& name) const {
   if (!id.has_value()) {
     return 0;
   }
-  const auto it = workers_.find(*id);
-  return it != workers_.end() ? it->second->queue.size() : 0;
+  const Worker* const worker = WorkerAt(*id);
+  return worker != nullptr ? worker->queue.size() : 0;
 }
 
 std::uint64_t FaasPlatform::WorkerColdStarts(const std::string& name) const {
@@ -1134,8 +1175,8 @@ std::uint64_t FaasPlatform::WorkerColdStarts(const std::string& name) const {
   if (!id.has_value()) {
     return 0;
   }
-  const auto it = workers_.find(*id);
-  return it != workers_.end() ? it->second->cold_starts : 0;
+  const Worker* const worker = WorkerAt(*id);
+  return worker != nullptr ? worker->cold_starts : 0;
 }
 
 void FaasPlatform::ApplyPlan(const Plan& plan) {
@@ -1278,7 +1319,11 @@ void FaasPlatform::ExportMetrics(MetricsRegistry* metrics,
                     pending.name.empty() ? "_uncolored" : pending.name.c_str()))
         .SetAt(static_cast<double>(pending.queue->size()), sim_->Now());
   }
-  for (const auto& [id, worker] : workers_) {
+  for (InstanceId id = 0; id < workers_.size(); ++id) {
+    const Worker* const worker = workers_[id].get();
+    if (worker == nullptr) {
+      continue;
+    }
     const std::string& name = worker->name;
     metrics->gauge(StrFormat("worker.%s.queue_depth", name.c_str()))
         .SetAt(static_cast<double>(worker->queue.size()), sim_->Now());

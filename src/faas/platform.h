@@ -35,7 +35,6 @@
 #include <functional>
 #include <memory>
 #include <optional>
-#include <set>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -242,7 +241,7 @@ class FaasPlatform {
   // partially-executed work is lost (re-executed from scratch on retry —
   // at-least-once semantics).
   void CrashWorker(const std::string& name) { Depart(name, true); }
-  std::size_t worker_count() const { return workers_.size(); }
+  std::size_t worker_count() const { return worker_count_; }
   std::vector<std::string> WorkerNames() const;
   // Scale-in victim selection: the worker with the fewest queued requests.
   // Ties resolve by smallest interned InstanceId — the interning order is
@@ -270,7 +269,7 @@ class FaasPlatform {
 
   // Authoritative membership tests for external routers (a stale router
   // view may point at a worker the cluster no longer runs).
-  bool HasWorkerId(InstanceId id) const { return workers_.count(id) > 0; }
+  bool HasWorkerId(InstanceId id) const { return WorkerAt(id) != nullptr; }
   bool HasWorker(const std::string& name) const;
 
   // At most one listener; replaces any previous one (empty = detach). The
@@ -421,6 +420,8 @@ class FaasPlatform {
     free_attempts_.push_back(handle.index);
   }
 
+  // End of a MatchPending color chain.
+  static constexpr std::uint32_t kNoMatchColor = UINT32_MAX;
   // A worker is a single-vCPU application instance: it serves one
   // invocation at a time from a FIFO queue and *blocks* while fetching that
   // invocation's inputs (no async communication thread, unlike serverful
@@ -438,10 +439,23 @@ class FaasPlatform {
     bool busy = false;
     bool warm = false;
     // Pull: a claim handoff bound while this worker was idle is in flight
-    // toward its FIFO, so the worker must not re-enter the idle set yet.
+    // toward its FIFO, so the worker must not turn idle yet.
     bool claiming = false;
+    // Pull: in the idle pool (not busy, not claiming, FIFO empty), so the
+    // matcher may hand it work. idle_count_ counts these.
+    bool idle = false;
+    // MatchPending scratch: the first pending color homed on this idle
+    // worker, chained through MatchColor::next; kNoMatchColor outside a
+    // match.
+    std::uint32_t home_chain = kNoMatchColor;
     std::uint64_t cold_starts = 0;
   };
+
+  // The worker with interned id `id`, or null when none of this platform's
+  // workers has it (never joined, or departed).
+  Worker* WorkerAt(InstanceId id) const {
+    return id < workers_.size() ? workers_[id].get() : nullptr;
+  }
 
   // The placement for attempt `number` of invocation `id`: the attached
   // router's, else the load balancer's. nullopt when neither sees a live
@@ -516,7 +530,9 @@ class FaasPlatform {
   // colors, else among unowned work, else (budget permitting) steals a
   // foreign color. A worker that finds nothing could find nothing later in the
   // same call either (claims only remove work and fill steal slots), so
-  // one pass reaches the fixed point. Order and tie-breaks:
+  // one pass reaches the fixed point. When the call starts with no unowned
+  // work and no steal possible, only the idle homes of pending colors can
+  // claim, so only they are visited. Order and tie-breaks:
   // docs/DISPATCH.md, "How a worker claims".
   void MatchPending();
   // Pops the head of `queue` and hands it to `instance`; the claim
@@ -526,8 +542,8 @@ class FaasPlatform {
   // Claim-handoff arrival: the attempt joins the claimer's FIFO — or, if
   // the worker died mid-handoff, goes through Requeue.
   void OnClaimArrive(AttemptHandle attempt, InstanceId instance);
-  // Re-inserts `instance` into the idle set iff it is genuinely idle, then
-  // matches. No-op in push mode.
+  // Marks `instance` idle iff it is genuinely idle, then matches. No-op in
+  // push mode.
   void MaybeIdle(InstanceId instance);
   void ReleaseStealSlot(Attempt& attempt);
   // The last worker left: everything pending fails over to the retry
@@ -559,10 +575,14 @@ class FaasPlatform {
   // every hook below is a single pointer test in that case.
   std::unique_ptr<StorageLayer> storage_;
   PaletteLoadBalancer lb_;
-  // Keyed by interned id: platform continuations capture the 4-byte id (not
-  // a worker-name string), keeping them inside the simulator's inline
-  // event-callback buffer.
-  std::unordered_map<InstanceId, std::unique_ptr<Worker>> workers_;
+  // Indexed by interned id (WorkerAt); null slots are ids with no worker
+  // here. Ids are never recycled, so a worker that leaves and rejoins under
+  // its name gets a fresh record in its old slot. Platform continuations
+  // capture the 4-byte id (not a worker-name string), keeping them inside
+  // the simulator's inline event-callback buffer.
+  std::vector<std::unique_ptr<Worker>> workers_;
+  std::size_t worker_count_ = 0;  // non-null slots of workers_
+  std::size_t idle_count_ = 0;    // workers with `idle` set
   // The attempt slab and its free lists (indices of freed records). Never
   // pre-reserved: it grows to the peak of attempts in flight.
   std::vector<Invocation> invocations_;
@@ -590,13 +610,10 @@ class FaasPlatform {
   std::vector<std::unique_ptr<std::deque<AttemptHandle>>> queue_pool_;
   std::size_t pending_total_ = 0;
   std::uint64_t next_pending_seq_ = 1;  // age stamps for oldest-first claims
-  // Ordered: the matcher walks idle workers in ascending InstanceId order,
-  // which is part of the deterministic claim schedule.
-  std::set<InstanceId> idle_workers_;
   // MatchPending scratch, kept across calls so a match allocates nothing
   // once the buffers have grown. One entry per pending color, with its home
   // resolved for the length of the call; colors with the same idle home
-  // (or none) are chained through `next`.
+  // (Worker::home_chain) or none are chained through `next`.
   struct MatchColor {
     std::deque<AttemptHandle>* queue;  // null once drained this call
     std::optional<InstanceId> home;  // nullopt: unowned
@@ -604,9 +621,8 @@ class FaasPlatform {
     std::uint32_t next;              // next color in the same chain
   };
   std::vector<MatchColor> match_colors_;
-  std::vector<InstanceId> match_idle_;  // ascending idle snapshot
-  // Per idle snapshot slot: the first color homed on that worker.
-  std::vector<std::uint32_t> match_home_chain_;
+  // The idle workers whose home_chain this call set, each once.
+  std::vector<InstanceId> match_homes_;
   int steals_in_flight_ = 0;
   std::unordered_map<std::string, Bytes> storage_objects_;
   std::string worker_prefix_ = "w";

@@ -642,6 +642,263 @@ TEST(PullMatcherGoldenTest, ClaimScheduleMatchesPinnedValues) {
 }
 
 // ---------------------------------------------------------------------------
+// Golden claim schedules, per invocation: which worker claimed it, whether
+// that claim was a steal, and when it completed. The matcher serves a call
+// from the idle homes alone when no unowned work waits and no steal is
+// possible, and walks every idle worker otherwise; these cells drive the
+// paths where that short walk must hand over to the full walk, or must
+// not. The workload mix never submits uncolored work, so each cell builds
+// the platform directly. A router pins every route hint to one worker and
+// the balancer places nothing, so every home is a cache-ring home. Worker
+// names are unique to a cell and interned at its start, so their ids (the
+// claim order) do not depend on which tests ran first. Every invocation
+// reads its own input from storage, so two claims landing at once contend
+// for the storage link and their order shows in the completion times.
+// The values were recorded from the matcher that walked a snapshot of
+// every idle worker on every call.
+
+class ClaimScheduleCell {
+ public:
+  // `workers` join in the order given, after `intern_order` fixed their
+  // ids; route hints all name `hint`.
+  ClaimScheduleCell(PlatformConfig config,
+                    const std::vector<std::string>& intern_order,
+                    const std::vector<std::string>& workers,
+                    const std::string& hint)
+      : platform_(&sim_, PolicyKind::kLeastAssigned, 1, config) {
+    for (const std::string& name : intern_order) {
+      InternInstance(name);
+    }
+    const InstanceId hint_id = InternInstance(hint);
+    platform_.set_router(
+        [hint_id](const std::optional<Color>&, std::uint64_t, int) {
+          return std::optional<RoutedTarget>(RoutedTarget{hint_id, 0});
+        });
+    for (const std::string& name : workers) {
+      platform_.AddWorker(name);
+    }
+  }
+
+  Simulator& sim() { return sim_; }
+  FaasPlatform& platform() { return platform_; }
+
+  // Submits the next invocation; uncolored when `color` is empty.
+  void Submit(const std::string& color, double cpu_ops) {
+    const std::size_t index = outcomes_.size();
+    outcomes_.emplace_back("-");
+    InvocationSpec spec;
+    spec.function = "f";
+    if (!color.empty()) {
+      spec.color = Color(color);
+    }
+    spec.cpu_ops = cpu_ops;
+    spec.inputs.push_back(ObjectRef{StrFormat("in%zu", index), 256 * kKiB});
+    platform_.Invoke(std::move(spec), [this, index](const InvocationResult& r) {
+      outcomes_[index] =
+          StrFormat("%s%s@%lld", r.instance.c_str(), r.stolen ? "*" : "",
+                    static_cast<long long>(r.completed.nanos()));
+    });
+  }
+  void SubmitAt(SimTime at, const std::string& color, double cpu_ops) {
+    sim_.At(at, [this, color = std::string(color), cpu_ops]() {
+      Submit(color, cpu_ops);
+    });
+  }
+
+  // Runs to the end; "<index>:<claimer>[*]@<completed ns>" per invocation,
+  // * marking a steal.
+  std::string Run() {
+    sim_.Run();
+    EXPECT_TRUE(platform_.counters().BooksClose());
+    EXPECT_EQ(platform_.PendingTotal(), 0u);
+    std::string schedule;
+    for (std::size_t i = 0; i < outcomes_.size(); ++i) {
+      schedule += StrFormat("%s%zu:%s", i == 0 ? "" : " ", i,
+                            outcomes_[i].c_str());
+    }
+    return schedule;
+  }
+
+ private:
+  Simulator sim_;
+  FaasPlatform platform_;
+  std::vector<std::string> outcomes_;
+};
+
+// The first color "<prefix>N" whose ring home is `home` among `members`
+// and, when `later` is given, `later_home` among `later`.
+std::string RingColor(const std::string& prefix,
+                      const std::vector<std::string>& members,
+                      const std::string& home,
+                      const std::vector<std::string>& later = {},
+                      const std::string& later_home = "") {
+  FaastCache ring;
+  for (const std::string& name : members) {
+    ring.AddInstance(name);
+  }
+  FaastCache later_ring;
+  for (const std::string& name : later) {
+    later_ring.AddInstance(name);
+  }
+  for (int i = 0; i < 4096; ++i) {
+    const std::string color = StrFormat("%s%d", prefix.c_str(), i);
+    if (ring.HomeInstanceId(color) == InternInstance(home) &&
+        (later.empty() ||
+         later_ring.HomeInstanceId(color) == InternInstance(later_home))) {
+      return color;
+    }
+  }
+  ADD_FAILURE() << "no color for " << home;
+  return "";
+}
+
+TEST(PullClaimScheduleGoldenTest, UnownedWorkBesideColoredWork) {
+  // Stealing is off, so only uncolored work (unowned: its claim robs no
+  // home) makes a worker without home work claim anything.
+  PlatformConfig config = PullConfig(FaasDispatchMode::kPull);
+  config.steal_budget = 0;
+  const std::vector<std::string> workers = {"un_w0", "un_w1", "un_w2",
+                                            "un_w3"};
+  ClaimScheduleCell cell(config, workers, workers, "un_w0");
+  const std::string a = RingColor("una", workers, "un_w0");
+  const std::string b = RingColor("unb", workers, "un_w1");
+  const std::string c = RingColor("unc", workers, "un_w2");
+  cell.Submit(a, 2e8);  // both homes busy for 200 ms
+  cell.Submit(b, 2e8);
+  for (int i = 0; i < 3; ++i) {
+    cell.Submit(a, 1e7);
+    cell.Submit("", 5e6);
+    cell.Submit(b, 1e7);
+    cell.Submit(c, 8e6);
+  }
+  for (int i = 0; i < 4; ++i) {
+    cell.SubmitAt(SimTime::FromMillis(30 + 7 * i), "", 3e6);
+    cell.SubmitAt(SimTime::FromMillis(32 + 7 * i), c, 4e6);
+  }
+  EXPECT_EQ(cell.Run(),
+            "0:un_w0@203347152 1:un_w1@205444304 2:un_w0@215694304 "
+            "3:un_w2@12541456 4:un_w1@217791456 5:un_w2@22888608 "
+            "6:un_w0@228041456 7:un_w3@14638608 8:un_w1@230138608 "
+            "9:un_w2@33235760 10:un_w0@240388608 11:un_w3@21985760 "
+            "12:un_w1@242485760 13:un_w2@43582912 14:un_w3@36347152 "
+            "15:un_w2@49930064 16:un_w3@43347152 17:un_w2@56277216 "
+            "18:un_w3@51027216 19:un_w2@62624368 20:un_w3@57374368 "
+            "21:un_w2@68971520");
+  EXPECT_EQ(cell.platform().counters().steals, 0u);
+}
+
+// Two hot colors queue deep behind their busy homes while two workers
+// idle; the budget decides how much of the backlog they may steal.
+std::string DeepForeignQueues(const std::string& prefix, int steal_budget) {
+  PlatformConfig config = PullConfig(FaasDispatchMode::kPull);
+  config.steal_budget = steal_budget;
+  config.steal_min_depth = 2;
+  std::vector<std::string> workers;
+  for (int i = 0; i < 4; ++i) {
+    workers.push_back(StrFormat("%s_w%d", prefix.c_str(), i));
+  }
+  ClaimScheduleCell cell(config, workers, workers, workers[0]);
+  const std::string a = RingColor(prefix + "a", workers, workers[0]);
+  const std::string b = RingColor(prefix + "b", workers, workers[1]);
+  const std::string d = RingColor(prefix + "d", workers, workers[3]);
+  cell.Submit(a, 2e8);
+  cell.Submit(b, 2e8);
+  cell.Submit(a, 5e7);  // the first steal holds the budget for 50 ms
+  for (int i = 0; i < 5; ++i) {
+    cell.Submit(a, 1e7);
+    cell.Submit(b, 1e7);
+  }
+  // Home work for an idle worker arrives while the backlog waits: with the
+  // budget held, each arrival is matched by a call no steal can come from.
+  for (int i = 0; i < 4; ++i) {
+    cell.SubmitAt(SimTime::FromMillis(5 + 9 * i), d, 2e6);
+  }
+  return cell.Run();
+}
+
+TEST(PullClaimScheduleGoldenTest, DeepForeignQueuesWithBudgetFree) {
+  EXPECT_EQ(DeepForeignQueues("dqf", 2),
+            "0:dqf_w0@203347152 1:dqf_w1@205444304 2:dqf_w2*@57541456 "
+            "3:dqf_w3*@19638608 4:dqf_w3*@45027216 5:dqf_w3*@61721520 "
+            "6:dqf_w2*@69888608 7:dqf_w3*@74068672 8:dqf_w2*@82235760 "
+            "9:dqf_w3*@86415824 10:dqf_w2*@94582912 11:dqf_w0@215694304 "
+            "12:dqf_w1@217791456 13:dqf_w3@23985760 14:dqf_w3@28332912 "
+            "15:dqf_w3@32680064 16:dqf_w3@49374368");
+}
+
+TEST(PullClaimScheduleGoldenTest, DeepForeignQueuesWithBudgetExhausted) {
+  EXPECT_EQ(DeepForeignQueues("dqx", 1),
+            "0:dqx_w0@203347152 1:dqx_w1@205444304 2:dqx_w2*@57541456 "
+            "3:dqx_w2*@69888608 4:dqx_w2*@82235760 5:dqx_w2*@94582912 "
+            "6:dqx_w2*@106930064 7:dqx_w2*@119277216 8:dqx_w2*@131624368 "
+            "9:dqx_w2*@143971520 10:dqx_w2*@156318672 11:dqx_w0@215694304 "
+            "12:dqx_w1@217791456 13:dqx_w3@11638608 14:dqx_w3@19347152 "
+            "15:dqx_w3@28347152 16:dqx_w3@37347152");
+}
+
+TEST(PullClaimScheduleGoldenTest, TwoIdleHomesClaimInIdOrderNotJoinOrder) {
+  // th_b interns before th_a but joins after it. When th_z leaves, its two
+  // waiting colors re-home onto th_a and th_b, both idle, and one match
+  // serves both: th_b (the smaller id) claims first, so its input fetch
+  // wins the storage link.
+  PlatformConfig config = PullConfig(FaasDispatchMode::kPull);
+  config.steal_budget = 0;
+  const std::vector<std::string> workers = {"th_a", "th_b", "th_z", "th_h"};
+  ClaimScheduleCell cell(config, {"th_b", "th_a", "th_z", "th_h"}, workers,
+                         "th_h");
+  const std::vector<std::string> after = {"th_a", "th_b", "th_h"};
+  const std::string p = RingColor("thp", workers, "th_z", after, "th_a");
+  const std::string q = RingColor("thq", workers, "th_z", after, "th_b");
+  cell.Submit(p, 3e7);  // th_z runs until 31 ms; the rest waits for it
+  for (int i = 0; i < 2; ++i) {
+    cell.Submit(p, 1e6);
+    cell.Submit(q, 1e6);
+  }
+  cell.sim().At(SimTime::FromMillis(10),
+                [&cell]() { cell.platform().RemoveWorker("th_z"); });
+  EXPECT_EQ(cell.Run(),
+            "0:th_z@33347152 1:th_a@15444304 2:th_b@13347152 "
+            "3:th_a@19638608 4:th_b@17541456");
+}
+
+TEST(PullClaimScheduleGoldenTest,
+     IdleWorkerRejoinsUnderItsNameWhileItsColorsWait) {
+  // re_e leaves while idle, its colors queue behind busy homes until it
+  // rejoins under the same name (and InstanceId), then it claims them as
+  // home. Later it leaves with a claim in its handoff window and rejoins
+  // before the handoff lands: the rejoined worker claims again, and the
+  // old handoff joins its FIFO.
+  PlatformConfig config = PullConfig(FaasDispatchMode::kPull);
+  config.steal_budget = 0;
+  config.pull_claim_latency = SimTime::FromMillis(5);
+  const std::vector<std::string> workers = {"re_e", "re_b", "re_z"};
+  ClaimScheduleCell cell(config, workers, workers, "re_z");
+  const std::string e = RingColor("ree", workers, "re_e");
+  cell.Submit(RingColor("rez", workers, "re_z"), 1e8);
+  cell.Submit(RingColor("reb", workers, "re_b"), 1e8);
+  FaasPlatform& platform = cell.platform();
+  cell.sim().At(SimTime::FromMillis(5),
+                [&platform]() { platform.RemoveWorker("re_e"); });
+  for (int i = 0; i < 3; ++i) {
+    cell.SubmitAt(SimTime::FromMillis(6), e, 1e6);
+  }
+  cell.sim().At(SimTime::FromMillis(10),
+                [&platform]() { platform.AddWorker("re_e"); });
+  // Claimed at 46 ms, the handoff lands at 51 ms.
+  cell.SubmitAt(SimTime::FromMillis(45), e, 1e6);
+  cell.sim().At(SimTime::FromMillis(47),
+                [&platform]() { platform.RemoveWorker("re_e"); });
+  cell.SubmitAt(SimTime::FromMillis(47), e, 1e6);
+  cell.SubmitAt(SimTime::FromMillis(47), e, 1e6);
+  cell.sim().At(SimTime::FromMillis(49),
+                [&platform]() { platform.AddWorker("re_e"); });
+  EXPECT_EQ(cell.Run(),
+            "0:re_z@108297152 1:re_b@110394304 2:re_e@18297152 "
+            "3:re_e@26594304 4:re_e@34891456 5:re_e@54297152 "
+            "6:re_e@57594304 7:re_e@65891456");
+}
+
+// ---------------------------------------------------------------------------
 // Satellite: drain-candidate ties resolve by interned InstanceId (join
 // order — stable across rebuilds and shard counts), not by name order.
 
