@@ -33,8 +33,11 @@
 #include "src/faas/platform.h"
 #include "src/hash/consistent_hash_ring.h"
 #include "src/hash/hash.h"
+#include "src/obs/metrics.h"
+#include "src/obs/timeseries.h"
 #include "src/planner/rebalance_planner.h"
 #include "src/planner/snapshot.h"
+#include "src/router/router_tier.h"
 #include "src/sim/network.h"
 #include "src/sim/simulator.h"
 #include "src/sketch/hyperloglog.h"
@@ -42,6 +45,7 @@
 #include "src/workload/arrival.h"
 #include "src/workload/driver.h"
 #include "src/workload/sharded_run.h"
+#include "src/workload/spec.h"
 
 namespace palette {
 namespace {
@@ -508,6 +512,68 @@ void BM_PlannerRound(benchmark::State& state) {
   state.counters["plan_entries"] = static_cast<double>(moves);
 }
 BENCHMARK(BM_PlannerRound)->Arg(4096)->Unit(benchmark::kMicrosecond);
+
+// One group-domain telemetry mark (docs/PERF.md, "Measured: telemetry
+// mark"): the session's refresh, which exports the platform, its 2-router
+// tier and the driver into the registry, plus TimeSeriesSampler::Sample
+// over the tracked series. The platform is warmed by 2 s of diurnal
+// traffic at a sharded_diurnal group's share of the load (3000 rps over 8
+// groups). Each iteration first records 8 values into each of the
+// platform's six latency histograms, so every window holds fresh values;
+// the series rings fill after 4096 marks and wrap from then on.
+void BM_TelemetryMark(benchmark::State& state) {
+  Simulator sim;
+  FaasPlatform platform(&sim, PolicyKind::kLeastAssigned, 1,
+                        DefaultWorkloadPlatformConfig());
+  platform.AddWorkers(8);
+  RouterTierConfig tier_config;
+  tier_config.routers = 2;
+  RouterTier tier(&platform, tier_config);
+  WorkloadSpec spec;
+  spec.arrival.kind = ArrivalKind::kDiurnal;
+  spec.arrival.rate_per_sec = 375;
+  spec.arrival.period_seconds = 10;
+  spec.arrival.amplitude = 0.8;
+  spec.mix.color_count = 512;
+  spec.driver.duration = SimTime::FromSeconds(2);
+  OpenLoopDriver driver(&platform, MakeArrivalProcess(spec.arrival, 1),
+                        InvocationMix(spec.mix), spec.driver, 2);
+  WorkloadObsConfig obs;
+  obs.sample_every = SimTime::FromMillis(100);
+  const WorkloadTelemetry telemetry =
+      BeginTelemetry(obs, &sim, &platform, &tier, &driver);
+  driver.Start();
+  sim.Run();
+  std::vector<LatencyHistogram*> histograms;
+  for (const char* name :
+       {"faas.latency.end_to_end_ns", "faas.latency.route_ns",
+        "faas.latency.queue_ns", "faas.latency.fetch_ns",
+        "faas.latency.compute_ns", "faas.latency.store_ns"}) {
+    histograms.push_back(&telemetry.metrics->histogram(name));
+  }
+  // Log-uniform latencies between 1 us and about 1 s.
+  Rng rng(7);
+  std::vector<std::uint64_t> values(4096);
+  for (std::uint64_t& v : values) {
+    v = std::uint64_t{1000} << rng.NextBelow(20);
+    v += rng.NextBelow(v);
+  }
+  TimeSeriesSampler& sampler = *telemetry.series;
+  SimTime mark = sampler.next_mark();
+  std::size_t next_value = 0;
+  for (auto _ : state) {
+    for (LatencyHistogram* histogram : histograms) {
+      for (int k = 0; k < 8; ++k) {
+        histogram->Record(values[next_value++ % values.size()]);
+      }
+    }
+    sampler.Sample(mark);
+    mark = sampler.next_mark();
+    benchmark::DoNotOptimize(mark);
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_TelemetryMark);
 
 // Timed summary figures for BENCH_core.json.
 

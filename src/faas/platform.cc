@@ -69,7 +69,7 @@ void FaasPlatform::AddWorker(const std::string& name, double speed) {
     return;
   }
   assert(speed > 0);
-  workers_[id] = std::make_unique<Worker>(sim_, speed, name);
+  workers_[id] = std::make_unique<Worker>(sim_, speed, name, ++worker_joins_);
   ++worker_count_;
   network_.AddNode(name);
   cache_.AddInstance(name);
@@ -1003,15 +1003,19 @@ void FaasPlatform::ClaimFrom(std::deque<AttemptHandle>* queue,
   const SimTime start_at =
       SaturatingAdd(SaturatingAdd(sim_->Now(), config_.pull_claim_latency),
                     ChargeColdStart(worker, invocation.result));
-  sim_->At(start_at, [this, handle, instance]() {
-    OnClaimArrive(handle, instance);
-  });
+  sim_->At(start_at,
+           [this, handle, instance, incarnation = worker.incarnation]() {
+             OnClaimArrive(handle, instance, incarnation);
+           });
 }
 
-void FaasPlatform::OnClaimArrive(AttemptHandle attempt, InstanceId instance) {
+void FaasPlatform::OnClaimArrive(AttemptHandle attempt, InstanceId instance,
+                                 std::uint64_t incarnation) {
   Worker* const worker = WorkerAt(instance);
-  if (worker == nullptr) {
-    // The claimer died mid-handoff; the claim never started.
+  if (worker == nullptr || worker->incarnation != incarnation) {
+    // The claimer died mid-handoff; the claim never started. A worker that
+    // rejoined under its name meanwhile is a new record that never claimed
+    // this attempt (it may be idle, or running its own claim).
     if (Requeue(attempt)) {
       MatchPending();
     }
@@ -1255,69 +1259,79 @@ void FaasPlatform::ApplyPlan(const Plan& plan) {
   }
 }
 
-void FaasPlatform::ExportMetrics(MetricsRegistry* metrics,
-                                 bool per_worker) const {
-  metrics->counter("faas.invocations.submitted").Set(counters_.submitted);
-  metrics->counter("faas.invocations.completed").Set(counters_.completed);
-  metrics->counter("faas.cold_starts.total").Set(counters_.cold_starts);
-  metrics->counter("faas.invocations_dropped").Set(counters_.dropped);
-  metrics->counter("faas.invocations_abandoned").Set(counters_.abandoned);
-  metrics->counter("faas.retries").Set(counters_.retries);
-  metrics->counter("faas.timeouts").Set(counters_.timeouts);
-  metrics->counter("faas.pulls").Set(counters_.pulls);
-  metrics->counter("faas.steals").Set(counters_.steals);
-  metrics->counter("faas.steal_bytes").Set(counters_.steal_bytes);
-  metrics->gauge("faas.pending_depth")
-      .SetAt(static_cast<double>(pending_total_), sim_->Now());
+void FaasPlatform::ExportMetrics(MetricWriter* out, bool per_worker) const {
+  const SimTime now = sim_->Now();
+  out->SetCounter("faas.invocations.submitted", counters_.submitted);
+  out->SetCounter("faas.invocations.completed", counters_.completed);
+  out->SetCounter("faas.cold_starts.total", counters_.cold_starts);
+  out->SetCounter("faas.invocations_dropped", counters_.dropped);
+  out->SetCounter("faas.invocations_abandoned", counters_.abandoned);
+  out->SetCounter("faas.retries", counters_.retries);
+  out->SetCounter("faas.timeouts", counters_.timeouts);
+  out->SetCounter("faas.pulls", counters_.pulls);
+  out->SetCounter("faas.steals", counters_.steals);
+  out->SetCounter("faas.steal_bytes", counters_.steal_bytes);
+  out->SetGauge("faas.pending_depth", static_cast<double>(pending_total_),
+                now);
 
-  metrics->counter("lb.routed.total").Set(lb_.total_routed());
-  metrics->counter("lb.hints_honored").Set(lb_.hints_honored());
-  metrics->counter("lb.unhinted").Set(lb_.unhinted_routed());
-  metrics->counter("lb.hint_failures").Set(lb_.hint_failures());
-  metrics->counter("lb.recolored").Set(lb_.recolored());
+  out->SetCounter("lb.routed.total", lb_.total_routed());
+  out->SetCounter("lb.hints_honored", lb_.hints_honored());
+  out->SetCounter("lb.unhinted", lb_.unhinted_routed());
+  out->SetCounter("lb.hint_failures", lb_.hint_failures());
+  out->SetCounter("lb.recolored", lb_.recolored());
   // Planned migration, kept separate from failure-driven re-coloring
   // (lb.recolored) so alert rules can tell them apart.
-  metrics->counter("lb.planner_moves").Set(lb_.planner_moves());
-  metrics->counter("lb.planner_splits").Set(lb_.planner_splits());
-  metrics->counter("planner.rounds").Set(counters_.planner_rounds);
-  metrics->counter("planner.merges").Set(lb_.planner_merges());
-  metrics->counter("planner.moved_bytes").Set(counters_.planner_moved_bytes);
-  metrics->gauge("planner.objective").SetAt(last_plan_objective_, sim_->Now());
-  metrics->gauge("lb.routing_imbalance")
-      .SetAt(lb_.RoutingImbalance(), sim_->Now());
-  metrics->gauge("lb.color_table_bytes")
-      .SetAt(static_cast<double>(lb_.policy().StateBytes()), sim_->Now());
+  out->SetCounter("lb.planner_moves", lb_.planner_moves());
+  out->SetCounter("lb.planner_splits", lb_.planner_splits());
+  out->SetCounter("planner.rounds", counters_.planner_rounds);
+  out->SetCounter("planner.merges", lb_.planner_merges());
+  out->SetCounter("planner.moved_bytes", counters_.planner_moved_bytes);
+  out->SetGauge("planner.objective", last_plan_objective_, now);
+  out->SetGauge("lb.routing_imbalance", lb_.RoutingImbalance(), now);
+  out->SetGauge("lb.color_table_bytes",
+                static_cast<double>(lb_.policy().StateBytes()), now);
 
-  metrics->counter("cache.local_hits").Set(cache_.local_hits());
-  metrics->counter("cache.remote_hits").Set(cache_.remote_hits());
-  metrics->counter("cache.misses").Set(cache_.misses());
-  metrics->counter("cache.evictions").Set(cache_.total_evictions());
-  metrics->counter("cache.local_hit_bytes").Set(cache_.local_hit_bytes());
-  metrics->counter("cache.remote_hit_bytes").Set(cache_.remote_hit_bytes());
-  metrics->counter("cache.put_bytes").Set(cache_.put_bytes());
-  metrics->counter("cache.replicated_bytes").Set(cache_.replicated_bytes());
+  out->SetCounter("cache.local_hits", cache_.local_hits());
+  out->SetCounter("cache.remote_hits", cache_.remote_hits());
+  out->SetCounter("cache.misses", cache_.misses());
+  out->SetCounter("cache.evictions", cache_.total_evictions());
+  out->SetCounter("cache.local_hit_bytes", cache_.local_hit_bytes());
+  out->SetCounter("cache.remote_hit_bytes", cache_.remote_hit_bytes());
+  out->SetCounter("cache.put_bytes", cache_.put_bytes());
+  out->SetCounter("cache.replicated_bytes", cache_.replicated_bytes());
 
   if (storage_ != nullptr) {
-    storage_->ExportMetrics(metrics);
+    storage_->ExportMetrics(out);
   }
 
-  metrics->counter("net.remote_bytes").Set(network_.remote_bytes());
-  metrics->counter("net.local_bytes").Set(network_.local_bytes());
-  metrics->counter("net.remote_transfers").Set(network_.remote_transfers());
-  metrics->counter("net.queue_delay_ns")
-      .Set(static_cast<std::uint64_t>(network_.total_queue_delay().nanos()));
+  out->SetCounter("net.remote_bytes", network_.remote_bytes());
+  out->SetCounter("net.local_bytes", network_.local_bytes());
+  out->SetCounter("net.remote_transfers", network_.remote_transfers());
+  out->SetCounter(
+      "net.queue_delay_ns",
+      static_cast<std::uint64_t>(network_.total_queue_delay().nanos()));
 
   if (!per_worker) {
     return;
   }
+  // Per-entity names are built per call (in one reused buffer), so they
+  // bypass the slots.
+  MetricsRegistry* const metrics = out->registry();
+  std::string key;
+  const auto named = [&key](const char* prefix, std::string_view name,
+                            const char* suffix) {
+    key.assign(prefix).append(name).append(suffix);
+    return std::string_view(key);
+  };
   // Per-color pending-queue depth gauges (pull). Cardinality scales
   // with distinct pending colors, so they ride the per_worker switch with
   // the other per-entity families.
   for (const std::uint32_t slot : pending_) {
     const ColorSlot& pending = color_slots_[slot];
-    metrics->gauge(StrFormat("faas.pending.%s.depth",
-                    pending.name.empty() ? "_uncolored" : pending.name.c_str()))
-        .SetAt(static_cast<double>(pending.queue->size()), sim_->Now());
+    const std::string_view color =
+        pending.name.empty() ? "_uncolored" : pending.name;
+    metrics->gauge(named("faas.pending.", color, ".depth"))
+        .SetAt(static_cast<double>(pending.queue->size()), now);
   }
   for (InstanceId id = 0; id < workers_.size(); ++id) {
     const Worker* const worker = workers_[id].get();
@@ -1325,25 +1339,22 @@ void FaasPlatform::ExportMetrics(MetricsRegistry* metrics,
       continue;
     }
     const std::string& name = worker->name;
-    metrics->gauge(StrFormat("worker.%s.queue_depth", name.c_str()))
-        .SetAt(static_cast<double>(worker->queue.size()), sim_->Now());
-    metrics->gauge(StrFormat("worker.%s.busy_seconds", name.c_str()))
-        .SetAt(worker->cpu.busy_time().seconds(), sim_->Now());
-    metrics->counter(StrFormat("worker.%s.cold_starts", name.c_str()))
+    metrics->gauge(named("worker.", name, ".queue_depth"))
+        .SetAt(static_cast<double>(worker->queue.size()), now);
+    metrics->gauge(named("worker.", name, ".busy_seconds"))
+        .SetAt(worker->cpu.busy_time().seconds(), now);
+    metrics->counter(named("worker.", name, ".cold_starts"))
         .Set(worker->cold_starts);
-    metrics->counter(StrFormat("worker.%s.routed", name.c_str()))
+    metrics->counter(named("worker.", name, ".routed"))
         .Set(lb_.RoutedToId(id));
-    metrics->gauge(StrFormat("cache.shard.%s.used_bytes", name.c_str()))
-        .SetAt(static_cast<double>(cache_.shard_used_bytes(id)),
-               sim_->Now());
-    metrics->counter(StrFormat("cache.shard.%s.evictions", name.c_str()))
+    metrics->gauge(named("cache.shard.", name, ".used_bytes"))
+        .SetAt(static_cast<double>(cache_.shard_used_bytes(id)), now);
+    metrics->counter(named("cache.shard.", name, ".evictions"))
         .Set(cache_.shard_evictions(id));
     const Network::NodeStats net = network_.NodeStatsOf(name);
-    metrics->counter(StrFormat("net.%s.bytes_out", name.c_str()))
-        .Set(net.bytes_out);
-    metrics->counter(StrFormat("net.%s.bytes_in", name.c_str()))
-        .Set(net.bytes_in);
-    metrics->counter(StrFormat("net.%s.queue_delay_ns", name.c_str()))
+    metrics->counter(named("net.", name, ".bytes_out")).Set(net.bytes_out);
+    metrics->counter(named("net.", name, ".bytes_in")).Set(net.bytes_in);
+    metrics->counter(named("net.", name, ".queue_delay_ns"))
         .Set(static_cast<std::uint64_t>(net.queue_delay.nanos()));
   }
 }

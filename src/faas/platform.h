@@ -365,7 +365,14 @@ class FaasPlatform {
   // whose cardinality (and string formatting) scales with the cluster: the
   // telemetry sampler's per-mark refresh passes false — it only tracks
   // cluster-level families — keeping the sampling hot path cheap.
-  void ExportMetrics(MetricsRegistry* metrics, bool per_worker = true) const;
+  void ExportMetrics(MetricsRegistry* metrics, bool per_worker = true) const {
+    MetricWriter out(metrics);
+    ExportMetrics(&out, per_worker);
+  }
+  // The same export through `out`, whose slots a telemetry session keeps
+  // bound across marks (MetricWriter): with per_worker false every name is
+  // a literal, so a bound pass formats, hashes and allocates nothing.
+  void ExportMetrics(MetricWriter* out, bool per_worker = true) const;
 
  private:
   // Attempt slab (docs/FAULTS.md). Each Invoke takes one Invocation record
@@ -427,13 +434,20 @@ class FaasPlatform {
   // invocation's inputs (no async communication thread, unlike serverful
   // Dask workers).
   struct Worker {
-    Worker(Simulator* sim, double speed_factor, std::string worker_name)
-        : cpu(sim), speed(speed_factor), name(std::move(worker_name)) {}
+    Worker(Simulator* sim, double speed_factor, std::string worker_name,
+           std::uint64_t joined)
+        : cpu(sim),
+          speed(speed_factor),
+          name(std::move(worker_name)),
+          incarnation(joined) {}
     FifoResource cpu;  // busy-time accounting
     double speed;      // CPU rate multiplier
     // Its registry name, held here so the dispatch path takes no registry
     // lock.
     std::string name;
+    // Which join of its name this record is: a claim handoff bound to an
+    // earlier incarnation must not land on this one.
+    std::uint64_t incarnation;
     std::deque<AttemptHandle> queue;
     std::optional<AttemptHandle> running;  // attempt occupying the CPU
     bool busy = false;
@@ -540,8 +554,10 @@ class FaasPlatform {
   void ClaimFrom(std::deque<AttemptHandle>* queue, InstanceId instance,
                  bool steal);
   // Claim-handoff arrival: the attempt joins the claimer's FIFO — or, if
-  // the worker died mid-handoff, goes through Requeue.
-  void OnClaimArrive(AttemptHandle attempt, InstanceId instance);
+  // that claimer died mid-handoff (its slot is empty, or holds a later
+  // incarnation that rejoined under its name), goes through Requeue.
+  void OnClaimArrive(AttemptHandle attempt, InstanceId instance,
+                     std::uint64_t incarnation);
   // Marks `instance` idle iff it is genuinely idle, then matches. No-op in
   // push mode.
   void MaybeIdle(InstanceId instance);
@@ -629,6 +645,7 @@ class FaasPlatform {
   std::uint64_t next_id_ = 1;
   PlatformCounters counters_;
   int next_worker_index_ = 0;
+  std::uint64_t worker_joins_ = 0;  // numbers Worker::incarnation
   // Jitter stream for retry backoff; seeded from the platform seed so runs
   // stay bit-reproducible.
   Rng retry_rng_;

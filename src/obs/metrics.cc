@@ -18,7 +18,9 @@ void LatencyHistogram::Record(std::uint64_t value) {
   }
   ++count_;
   sum_ += value;
-  ++buckets_[BucketIndex(value)];
+  const std::size_t index = BucketIndex(value);
+  ++buckets_[index];
+  Touch(index, index);
   if (retain_samples_) {
     samples_.push_back(value);
   }
@@ -123,55 +125,82 @@ void LatencyHistogram::MergeFrom(const LatencyHistogram& other) {
   for (std::size_t i = 0; i < buckets_.size(); ++i) {
     buckets_[i] += other.buckets_[i];
   }
+  // Every value `other` holds lies in [other.min_, other.max_], and bucket
+  // indices grow with the value.
+  Touch(BucketIndex(other.min_), BucketIndex(other.max_));
   if (retain_samples_ && !other.samples_.empty()) {
     samples_.insert(samples_.end(), other.samples_.begin(),
                     other.samples_.end());
   }
 }
 
-double LatencyHistogram::DeltaQuantile(const Snapshot& since,
-                                       double q) const {
-  // A default-constructed Snapshot (empty bucket vector) is the zero
-  // baseline: the delta is the whole population.
-  assert(since.buckets.empty() || since.buckets.size() == buckets_.size());
-  const std::uint64_t delta_count = count_ - since.count;
-  if (delta_count == 0) {
-    return 0.0;
+LatencyHistogram::WindowQuantiles LatencyHistogram::AdvanceWindow(
+    Snapshot* since) const {
+  assert(since->buckets.empty() || since->buckets.size() == buckets_.size());
+  // Outside [lo, hi) the deltas are zero: on the tracked baseline every
+  // bucket written since lies inside the range, and the full scan covers
+  // every bucket.
+  const bool tracked = since->window == window_;
+  const std::size_t lo = tracked ? window_lo_ : 0;
+  const std::size_t hi = tracked ? window_hi_ : buckets_.size();
+  WindowQuantiles out;
+  out.count = count_ - since->count;
+  if (out.count > 0) {
+    // One ascending pass resolves both ranks (the p50 rank never exceeds
+    // the p99 one), each by the arithmetic of a lone single-rank scan.
+    const double target50 = 0.50 * static_cast<double>(out.count);
+    const double target99 = 0.99 * static_cast<double>(out.count);
+    std::uint64_t seen = 0;
+    double window_lo = 0.0;
+    bool have_lo = false;
+    bool have50 = false;
+    for (std::size_t i = lo; i < hi; ++i) {
+      const std::uint64_t delta =
+          buckets_[i] - (since->buckets.empty() ? 0 : since->buckets[i]);
+      if (delta == 0) {
+        continue;
+      }
+      if (!have_lo) {
+        window_lo = static_cast<double>(BucketLowerBound(i));
+        have_lo = true;
+      }
+      const double reach = static_cast<double>(seen + delta);
+      const auto interpolate = [&](double target) {
+        const double into = std::max(0.0, target - static_cast<double>(seen));
+        const double frac = into / static_cast<double>(delta);
+        const double bucket_lo = static_cast<double>(BucketLowerBound(i));
+        const double bucket_hi =
+            static_cast<double>(BucketUpperBound(i)) + 1.0;
+        return std::max(bucket_lo + frac * (bucket_hi - bucket_lo),
+                        window_lo);
+      };
+      if (!have50 && reach >= target50) {
+        out.p50 = interpolate(target50);
+        have50 = true;
+      }
+      if (reach >= target99) {
+        out.p99 = interpolate(target99);
+        break;
+      }
+      seen += delta;
+    }
   }
-  q = std::clamp(q, 0.0, 1.0);
-  const double target = q * static_cast<double>(delta_count);
-  std::uint64_t seen = 0;
-  double window_lo = 0.0;
-  bool have_lo = false;
-  for (std::size_t i = 0; i < buckets_.size(); ++i) {
-    const std::uint64_t delta =
-        buckets_[i] - (since.buckets.empty() ? 0 : since.buckets[i]);
-    if (delta == 0) {
-      continue;
-    }
-    if (!have_lo) {
-      window_lo = static_cast<double>(BucketLowerBound(i));
-      have_lo = true;
-    }
-    if (static_cast<double>(seen + delta) >= target) {
-      const double into = std::max(0.0, target - static_cast<double>(seen));
-      const double frac = into / static_cast<double>(delta);
-      const double lo = static_cast<double>(BucketLowerBound(i));
-      const double hi = static_cast<double>(BucketUpperBound(i)) + 1.0;
-      // The window's exact min/max are unknown (only the cumulative ones
-      // are tracked), so clamp to the first delta bucket's lower bound —
-      // the tightest bound the deltas themselves provide.
-      return std::max(lo + frac * (hi - lo), window_lo);
-    }
-    seen += delta;
-  }
-  return 0.0;  // unreachable when delta_count > 0
+  // Move the baseline to now: outside [lo, hi) it already matches.
+  since->buckets.resize(buckets_.size());
+  std::copy(buckets_.begin() + static_cast<std::ptrdiff_t>(lo),
+            buckets_.begin() + static_cast<std::ptrdiff_t>(std::max(lo, hi)),
+            since->buckets.begin() + static_cast<std::ptrdiff_t>(lo));
+  since->count = count_;
+  since->window = ++window_;
+  window_lo_ = buckets_.size();
+  window_hi_ = 0;
+  return out;
 }
 
 template <typename T>
 T& MetricsRegistry::GetOrCreate(std::string_view name, std::deque<T>* store,
-                                std::unordered_map<std::string, T*>* index) {
-  const auto it = index->find(std::string(name));
+                                Index<T>* index) {
+  const auto it = index->find(name);
   if (it != index->end()) {
     return *it->second;
   }
@@ -194,9 +223,8 @@ LatencyHistogram& MetricsRegistry::histogram(std::string_view name) {
 }
 
 bool MetricsRegistry::HasMetric(std::string_view name) const {
-  const std::string key(name);
-  return counters_.count(key) > 0 || gauges_.count(key) > 0 ||
-         histograms_.count(key) > 0;
+  return counters_.contains(name) || gauges_.contains(name) ||
+         histograms_.contains(name);
 }
 
 void MetricsRegistry::MergeFrom(const MetricsRegistry& other) {

@@ -27,6 +27,35 @@ TimeSeries::TimeSeries(std::string name, SeriesKind kind,
       kind_(kind),
       capacity_(std::max<std::size_t>(1, capacity)) {}
 
+namespace {
+
+SeriesPoint CombinePoints(SeriesKind kind, const SeriesPoint& a,
+                          const SeriesPoint& b) {
+  SeriesPoint out;
+  out.t = a.t;
+  switch (kind) {
+    case SeriesKind::kRate:
+    case SeriesKind::kGauge:
+      // Cluster totals: per-group rates and additive levels (queue depth,
+      // bytes) sum. Non-additive gauges should stay per-group.
+      out.value = a.value + b.value;
+      out.weight = a.weight + b.weight;
+      break;
+    case SeriesKind::kQuantile: {
+      // Count-weighted mean — an approximation of the cluster quantile,
+      // but a deterministic one (exact cluster quantiles would need the
+      // merged bucket deltas per window).
+      const double w = a.weight + b.weight;
+      out.value = w > 0 ? (a.value * a.weight + b.value * b.weight) / w : 0;
+      out.weight = w;
+      break;
+    }
+  }
+  return out;
+}
+
+}  // namespace
+
 void TimeSeries::Append(SeriesPoint point) {
   if (count_ < capacity_) {
     ring_.push_back(point);
@@ -37,6 +66,45 @@ void TimeSeries::Append(SeriesPoint point) {
   ring_[head_] = point;
   head_ = (head_ + 1) % capacity_;
   ++dropped_;
+}
+
+void TimeSeries::MergeFrom(const TimeSeries& other) {
+  bool aligned = kind_ == other.kind_ && count_ == other.count_;
+  for (std::size_t i = 0; aligned && i < count_; ++i) {
+    aligned = At(i).t == other.At(i).t;
+  }
+  if (aligned) {
+    for (std::size_t i = 0; i < count_; ++i) {
+      SeriesPoint& mine = ring_[(head_ + i) % ring_.size()];
+      mine = CombinePoints(kind_, mine, other.At(i));
+    }
+    dropped_ = 0;
+    return;
+  }
+  const std::vector<SeriesPoint> a = Points();
+  const std::vector<SeriesPoint> b = other.Points();
+  std::vector<SeriesPoint> merged;
+  merged.reserve(a.size() + b.size());
+  std::size_t i = 0;
+  std::size_t j = 0;
+  while (i < a.size() || j < b.size()) {
+    if (j >= b.size() || (i < a.size() && a[i].t < b[j].t)) {
+      merged.push_back(a[i++]);
+    } else if (i >= a.size() || b[j].t < a[i].t) {
+      merged.push_back(b[j++]);
+    } else {
+      merged.push_back(CombinePoints(kind_, a[i++], b[j++]));
+    }
+  }
+  kind_ = other.kind_;
+  ring_.clear();
+  ring_.reserve(std::min(merged.size(), capacity_));
+  head_ = 0;
+  count_ = 0;
+  dropped_ = 0;
+  for (const SeriesPoint& p : merged) {
+    Append(p);
+  }
 }
 
 const SeriesPoint& TimeSeries::At(std::size_t i) const {
@@ -122,16 +190,16 @@ bool TimeSeriesSampler::Tracked(const std::string& name) const {
   return false;
 }
 
-TimeSeries& TimeSeriesSampler::SeriesFor(const std::string& name,
+TimeSeries& TimeSeriesSampler::SeriesFor(std::string_view name,
                                          SeriesKind kind) {
   const auto it = index_.find(name);
   if (it != index_.end()) {
     return *it->second;
   }
-  series_.push_back(
-      std::make_unique<TimeSeries>(name, kind, config_.ring_capacity));
+  series_.push_back(std::make_unique<TimeSeries>(std::string(name), kind,
+                                                 config_.ring_capacity));
   TimeSeries* s = series_.back().get();
-  index_.emplace(name, s);
+  index_.emplace(s->name(), s);
   return *s;
 }
 
@@ -145,15 +213,21 @@ void TimeSeriesSampler::RebuildTracks() {
   counter_tracks_.clear();
   gauge_tracks_.clear();
   histogram_tracks_.clear();
+  // Series names are built in one reused buffer.
+  std::string key;
+  const auto suffixed = [&key](const std::string& name, const char* suffix) {
+    key.assign(name).append(suffix);
+    return std::string_view(key);
+  };
   for (const auto& [name, c] : source_->SortedCounters()) {
     if (!Tracked(name)) {
       continue;
     }
     // counter_last_/histogram_last_ nodes are stable across rehash, so
     // the cached pointers survive later insertions.
-    counter_tracks_.push_back(CounterTrack{
-        c, &SeriesFor(name + ".rate", SeriesKind::kRate),
-        &counter_last_[name]});
+    TimeSeries* const rate = &SeriesFor(suffixed(name, ".rate"),
+                                        SeriesKind::kRate);
+    counter_tracks_.push_back(CounterTrack{c, rate, &counter_last_[rate]});
   }
   for (const auto& [name, g] : source_->SortedGauges()) {
     if (!Tracked(name)) {
@@ -166,11 +240,12 @@ void TimeSeriesSampler::RebuildTracks() {
     if (!Tracked(name)) {
       continue;
     }
+    TimeSeries* const p50 =
+        &SeriesFor(suffixed(name, ".p50"), SeriesKind::kQuantile);
     histogram_tracks_.push_back(HistogramTrack{
-        h, &SeriesFor(name + ".p50", SeriesKind::kQuantile),
-        &SeriesFor(name + ".p99", SeriesKind::kQuantile),
-        &SeriesFor(name + ".rate", SeriesKind::kRate),
-        &histogram_last_[name]});
+        h, p50, &SeriesFor(suffixed(name, ".p99"), SeriesKind::kQuantile),
+        &SeriesFor(suffixed(name, ".rate"), SeriesKind::kRate),
+        &histogram_last_[p50]});
   }
   tracked_source_ = source_;
   tracked_registry_size_ = source_->size();
@@ -199,16 +274,13 @@ void TimeSeriesSampler::Sample(SimTime mark) {
     }
     for (HistogramTrack& track : histogram_tracks_) {
       // Default-constructed baseline = zero snapshot: the first window
-      // covers everything recorded so far.
-      LatencyHistogram::Snapshot& base = *track.base;
-      const auto delta_count =
-          static_cast<double>(track.histogram->DeltaCount(base));
-      track.p50->Append(
-          {mark, track.histogram->DeltaQuantile(base, 0.50), delta_count});
-      track.p99->Append(
-          {mark, track.histogram->DeltaQuantile(base, 0.99), delta_count});
+      // covers everything recorded so far. The baseline advances in place.
+      const LatencyHistogram::WindowQuantiles window =
+          track.histogram->AdvanceWindow(track.base);
+      const auto delta_count = static_cast<double>(window.count);
+      track.p50->Append({mark, window.p50, delta_count});
+      track.p99->Append({mark, window.p99, delta_count});
       track.rate->Append({mark, delta_count / interval_s, delta_count});
-      base = track.histogram->TakeSnapshot();
     }
   }
   last_mark_ = mark;
@@ -222,57 +294,9 @@ void TimeSeriesSampler::FlushUpTo(SimTime horizon) {
   }
 }
 
-namespace {
-
-SeriesPoint CombinePoints(SeriesKind kind, const SeriesPoint& a,
-                          const SeriesPoint& b) {
-  SeriesPoint out;
-  out.t = a.t;
-  switch (kind) {
-    case SeriesKind::kRate:
-    case SeriesKind::kGauge:
-      // Cluster totals: per-group rates and additive levels (queue depth,
-      // bytes) sum. Non-additive gauges should stay per-group.
-      out.value = a.value + b.value;
-      out.weight = a.weight + b.weight;
-      break;
-    case SeriesKind::kQuantile: {
-      // Count-weighted mean — an approximation of the cluster quantile,
-      // but a deterministic one (exact cluster quantiles would need the
-      // merged bucket deltas per window).
-      const double w = a.weight + b.weight;
-      out.value = w > 0 ? (a.value * a.weight + b.value * b.weight) / w : 0;
-      out.weight = w;
-      break;
-    }
-  }
-  return out;
-}
-
-}  // namespace
-
 void TimeSeriesSampler::MergeFrom(const TimeSeriesSampler& other) {
   for (const TimeSeries* theirs : other.AllSeries()) {
-    TimeSeries& mine = SeriesFor(theirs->name(), theirs->kind());
-    const std::vector<SeriesPoint> a = mine.Points();
-    const std::vector<SeriesPoint> b = theirs->Points();
-    std::vector<SeriesPoint> merged;
-    merged.reserve(a.size() + b.size());
-    std::size_t i = 0;
-    std::size_t j = 0;
-    while (i < a.size() || j < b.size()) {
-      if (j >= b.size() || (i < a.size() && a[i].t < b[j].t)) {
-        merged.push_back(a[i++]);
-      } else if (i >= a.size() || b[j].t < a[i].t) {
-        merged.push_back(b[j++]);
-      } else {
-        merged.push_back(CombinePoints(mine.kind(), a[i++], b[j++]));
-      }
-    }
-    mine = TimeSeries(theirs->name(), theirs->kind(), config_.ring_capacity);
-    for (const SeriesPoint& p : merged) {
-      mine.Append(p);
-    }
+    SeriesFor(theirs->name(), theirs->kind()).MergeFrom(*theirs);
   }
   samples_ = std::max(samples_, other.samples_);
   last_mark_ = std::max(last_mark_, other.last_mark_);
@@ -280,7 +304,7 @@ void TimeSeriesSampler::MergeFrom(const TimeSeriesSampler& other) {
 }
 
 const TimeSeries* TimeSeriesSampler::Find(std::string_view name) const {
-  const auto it = index_.find(std::string(name));
+  const auto it = index_.find(name);
   return it != index_.end() ? it->second : nullptr;
 }
 

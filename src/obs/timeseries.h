@@ -65,6 +65,12 @@ class TimeSeries {
   std::uint64_t dropped() const { return dropped_; }
 
   void Append(SeriesPoint point);
+  // Folds `other` in window by window, matched on the mark: points at the
+  // same mark combine (rates and gauges add, quantiles take the
+  // weight-weighted mean), the rest interleave by mark. The result keeps
+  // `other`'s kind, holds the newest capacity() points and counts only
+  // the drops of this fold. Series on one mark grid fold in place.
+  void MergeFrom(const TimeSeries& other);
   // Points oldest -> newest.
   std::vector<SeriesPoint> Points() const;
   const SeriesPoint& At(std::size_t i) const;  // 0 = oldest
@@ -157,7 +163,7 @@ class TimeSeriesSampler {
   void AppendChromeCounterTracks(JsonWriter* json, int pid) const;
 
  private:
-  TimeSeries& SeriesFor(const std::string& name, SeriesKind kind);
+  TimeSeries& SeriesFor(std::string_view name, SeriesKind kind);
   bool Tracked(const std::string& name) const;
   // Re-resolves the metric -> series tracks below from `source_`. Called
   // lazily from Sample() whenever the source pointer or the registry size
@@ -192,11 +198,15 @@ class TimeSeriesSampler {
   std::uint64_t samples_ = 0;
 
   std::vector<std::unique_ptr<TimeSeries>> series_;
-  std::unordered_map<std::string, TimeSeries*> index_;
-  // Cumulative baselines from the previous mark. Node pointers into these
-  // maps are stable, so the tracks below may cache them.
-  std::unordered_map<std::string, std::uint64_t> counter_last_;
-  std::unordered_map<std::string, LatencyHistogram::Snapshot> histogram_last_;
+  // Keys view each series' own name, which never changes.
+  std::unordered_map<std::string_view, TimeSeries*> index_;
+  // Cumulative baselines from the previous mark, keyed by the series the
+  // metric feeds (its .rate series; a histogram's .p50), which stands for
+  // the metric's name. Node pointers into these maps are stable, so the
+  // tracks below may cache them.
+  std::unordered_map<const TimeSeries*, std::uint64_t> counter_last_;
+  std::unordered_map<const TimeSeries*, LatencyHistogram::Snapshot>
+      histogram_last_;
 
   std::vector<CounterTrack> counter_tracks_;
   std::vector<GaugeTrack> gauge_tracks_;

@@ -29,6 +29,18 @@ bool ParseDispatchMode(std::string_view id, DispatchMode* out) {
   return false;
 }
 
+RouterTier::Router::Router(std::string router_name, int router_index,
+                           std::unique_ptr<ColorSchedulingPolicy> policy)
+    : name(std::move(router_name)),
+      index(router_index),
+      routed_metric(StrFormat("router.%s.routed", name.c_str())),
+      misroutes_metric(StrFormat("router.%s.misroutes", name.c_str())),
+      stale_routes_metric(StrFormat("router.%s.stale_routes", name.c_str())),
+      recolored_metric(StrFormat("router.%s.recolored", name.c_str())),
+      view_lag_metric(StrFormat("router.%s.view_lag", name.c_str())),
+      up_metric(StrFormat("router.%s.up", name.c_str())),
+      lb(std::move(policy)) {}
+
 RouterTier::RouterTier(FaasPlatform* platform, RouterTierConfig config)
     : platform_(platform),
       config_(config),
@@ -51,7 +63,11 @@ RouterTier::RouterTier(FaasPlatform* platform, RouterTierConfig config)
     for (const std::string& worker : workers) {
       router->lb.AddInstance(worker);
     }
-    name_index_[router->name] = i;
+    const InstanceId id = InternInstance(router->name);
+    if (id >= router_of_id_.size()) {
+      router_of_id_.resize(id + 1, -1);
+    }
+    router_of_id_[id] = i;
     ring_.AddMember(router->name);
     routers_.push_back(std::move(router));
   }
@@ -140,9 +156,9 @@ RouterTier::Router* RouterTier::PickRouter(const std::optional<Color>& color) {
     return nullptr;
   }
   if (config_.dispatch == DispatchMode::kColorPartition && color.has_value()) {
-    const auto name = ring_.Lookup(*color);
-    assert(name.has_value());  // ring holds exactly the live replicas
-    return routers_[name_index_.at(*name)].get();
+    const auto id = ring_.LookupId(*color);
+    assert(id.has_value());  // ring holds exactly the live replicas
+    return routers_[router_of_id_[*id]].get();
   }
   // Spray, and the no-color fallback of color partitioning.
   Router* router = routers_[live_[spray_next_ % live_.size()]].get();
@@ -193,23 +209,31 @@ std::optional<RoutedTarget> RouterTier::RouteAttempt(
   return RoutedTarget{*target, router->index};
 }
 
+RouterTier::Router* RouterTier::RouterNamed(const std::string& router) const {
+  const auto id = InstanceRegistry::Global().Find(router);
+  if (!id.has_value() || *id >= router_of_id_.size() ||
+      router_of_id_[*id] < 0) {
+    return nullptr;
+  }
+  return routers_[router_of_id_[*id]].get();
+}
+
 bool RouterTier::CrashRouter(const std::string& router) {
-  const auto it = name_index_.find(router);
-  if (it == name_index_.end() || !routers_[it->second]->up) {
+  Router* const crashed = RouterNamed(router);
+  if (crashed == nullptr || !crashed->up) {
     return false;
   }
-  routers_[it->second]->up = false;
+  crashed->up = false;
   ring_.RemoveMember(router);
   RebuildLive();
   return true;
 }
 
 bool RouterTier::RestartRouter(const std::string& router) {
-  const auto it = name_index_.find(router);
-  if (it == name_index_.end() || routers_[it->second]->up) {
+  Router* const restarted = RouterNamed(router);
+  if (restarted == nullptr || restarted->up) {
     return false;
   }
-  Router* restarted = routers_[it->second].get();
   restarted->up = true;
   // A restarting replica bootstraps its view from the membership log
   // before taking traffic (its sync ticks no-op'd while it was down).
@@ -253,30 +277,24 @@ std::uint64_t RouterTier::planner_moves() const {
   return total;
 }
 
-void RouterTier::ExportMetrics(MetricsRegistry* metrics) const {
-  metrics->counter("router.routes").Set(routes_);
-  metrics->counter("router.stale_routes").Set(stale_routes_);
-  metrics->counter("router.misroutes").Set(misroutes_);
-  metrics->counter("router.forwards").Set(forwards_);
-  metrics->counter("router.membership_updates").Set(latest_seq_);
-  metrics->counter("router.recolored").Set(recolored());
-  metrics->counter("router.planner_moves").Set(planner_moves());
-  metrics->gauge("router.live")
-      .SetAt(static_cast<double>(live_.size()), scheduler_->Now());
+void RouterTier::ExportMetrics(MetricWriter* out) const {
+  const SimTime now = scheduler_->Now();
+  out->SetCounter("router.routes", routes_);
+  out->SetCounter("router.stale_routes", stale_routes_);
+  out->SetCounter("router.misroutes", misroutes_);
+  out->SetCounter("router.forwards", forwards_);
+  out->SetCounter("router.membership_updates", latest_seq_);
+  out->SetCounter("router.recolored", recolored());
+  out->SetCounter("router.planner_moves", planner_moves());
+  out->SetGauge("router.live", static_cast<double>(live_.size()), now);
   for (const auto& router : routers_) {
-    const char* name = router->name.c_str();
-    metrics->counter(StrFormat("router.%s.routed", name)).Set(router->routed);
-    metrics->counter(StrFormat("router.%s.misroutes", name))
-        .Set(router->misroutes);
-    metrics->counter(StrFormat("router.%s.stale_routes", name))
-        .Set(router->stale_routes);
-    metrics->counter(StrFormat("router.%s.recolored", name))
-        .Set(router->lb.recolored());
-    metrics->gauge(StrFormat("router.%s.view_lag", name))
-        .SetAt(static_cast<double>(latest_seq_ - router->applied_seq),
-               scheduler_->Now());
-    metrics->gauge(StrFormat("router.%s.up", name))
-        .SetAt(router->up ? 1.0 : 0.0, scheduler_->Now());
+    out->SetCounter(router->routed_metric, router->routed);
+    out->SetCounter(router->misroutes_metric, router->misroutes);
+    out->SetCounter(router->stale_routes_metric, router->stale_routes);
+    out->SetCounter(router->recolored_metric, router->lb.recolored());
+    out->SetGauge(router->view_lag_metric,
+                  static_cast<double>(latest_seq_ - router->applied_seq), now);
+    out->SetGauge(router->up_metric, router->up ? 1.0 : 0.0, now);
   }
 }
 

@@ -39,7 +39,6 @@
 #include <optional>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
 #include "src/common/instance_id.h"
@@ -139,7 +138,13 @@ class RouterTier {
 
   // Snapshots tier + per-replica counters into `metrics` under
   // "router.*" (docs/OBSERVABILITY.md).
-  void ExportMetrics(MetricsRegistry* metrics) const;
+  void ExportMetrics(MetricsRegistry* metrics) const {
+    MetricWriter out(metrics);
+    ExportMetrics(&out);
+  }
+  // The same export through `out` (MetricWriter); the per-replica names
+  // are formatted once, when the replica is built.
+  void ExportMetrics(MetricWriter* out) const;
 
   // Records one hop span per routed attempt on the replica's trace track.
   void set_trace_recorder(TraceRecorder* trace) { trace_ = trace; }
@@ -155,12 +160,16 @@ class RouterTier {
  private:
   struct Router {
     Router(std::string router_name, int router_index,
-           std::unique_ptr<ColorSchedulingPolicy> policy)
-        : name(std::move(router_name)),
-          index(router_index),
-          lb(std::move(policy)) {}
+           std::unique_ptr<ColorSchedulingPolicy> policy);
     std::string name;
     int index;
+    // Its router.<name>.* export names.
+    std::string routed_metric;
+    std::string misroutes_metric;
+    std::string stale_routes_metric;
+    std::string recolored_metric;
+    std::string view_lag_metric;
+    std::string up_metric;
     PaletteLoadBalancer lb;  // this replica's membership view
     bool up = true;
     std::uint64_t applied_seq = 0;  // log position the view reflects
@@ -193,6 +202,8 @@ class RouterTier {
   void ApplyThrough(Router* router, std::uint64_t seq);
   // Dispatch-mode replica selection over live replicas only.
   Router* PickRouter(const std::optional<Color>& color);
+  // The replica named `router`, or null when this tier has none.
+  Router* RouterNamed(const std::string& router) const;
   // The router attached to the platform: picks a replica, routes on its
   // (possibly stale) view and misroute-corrects, for every attempt.
   std::optional<RoutedTarget> RouteAttempt(const std::optional<Color>& color,
@@ -205,7 +216,10 @@ class RouterTier {
   LocalScheduler local_scheduler_;       // default seam: the platform's sim
   EventScheduler* scheduler_ = nullptr;  // active seam (see set_scheduler)
   std::vector<std::unique_ptr<Router>> routers_;
-  std::unordered_map<std::string, int> name_index_;
+  // Replica index by the interned id of its name; -1 for every other id.
+  // The ring answers color lookups with ids, so PickRouter maps an id to
+  // its replica without copying or hashing the name.
+  std::vector<int> router_of_id_;
   // Color -> live replica partition (color-partition dispatch).
   ConsistentHashRing ring_;
   std::vector<int> live_;  // indices of up replicas, ascending

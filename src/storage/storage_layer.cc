@@ -393,34 +393,33 @@ void StorageLayer::ApplyRecord(const std::string& instance,
   }
 }
 
-void StorageLayer::ExportMetrics(MetricsRegistry* metrics) const {
-  metrics->counter("storage.writes_total").Set(stats_.writes_total);
-  metrics->counter("storage.writes_durable").Set(stats_.writes_durable);
-  metrics->counter("storage.writes_lost").Set(stats_.writes_lost);
-  metrics->counter("storage.write_bytes").Set(stats_.write_bytes);
-  metrics->counter("storage.flushes").Set(stats_.flushes);
-  metrics->counter("storage.dirty_bytes_flushed")
-      .Set(stats_.dirty_bytes_flushed);
-  metrics->counter("storage.dirty_bytes_lost").Set(stats_.dirty_bytes_lost);
-  metrics->counter("storage.coherence_syncs").Set(stats_.coherence_syncs);
-  metrics->counter("storage.coherence_bytes").Set(stats_.coherence_bytes);
-  metrics->counter("storage.stale_reads").Set(stats_.stale_reads);
-  metrics->counter("storage.max_served_staleness_ns")
-      .Set(static_cast<std::uint64_t>(stats_.max_served_staleness_ns));
-  metrics->counter("storage.ae.records").Set(stats_.ae_records);
-  metrics->counter("storage.ae.applied").Set(stats_.ae_applied);
-  metrics->counter("storage.ae.invalidations").Set(stats_.ae_invalidations);
-  metrics->counter("storage.ae.refreshes").Set(stats_.ae_refreshes);
-  metrics->counter("storage.ae.refresh_bytes").Set(stats_.ae_refresh_bytes);
-  metrics->counter("storage.tier.fast_reads").Set(stats_.tier_fast_reads);
-  metrics->counter("storage.tier.slow_reads").Set(stats_.tier_slow_reads);
-  metrics->counter("storage.tier.promotions").Set(stats_.tier_promotions);
-  metrics->counter("storage.tier.demotions").Set(stats_.tier_demotions);
-  metrics->counter("storage.tier.promoted_bytes")
-      .Set(stats_.tier_promoted_bytes);
-  metrics->counter("storage.tier.demoted_bytes").Set(stats_.tier_demoted_bytes);
-  metrics->gauge("storage.dirty_bytes")
-      .SetAt(static_cast<double>(total_dirty_bytes()), sim_->Now());
+void StorageLayer::ExportMetrics(MetricWriter* out) const {
+  out->SetCounter("storage.writes_total", stats_.writes_total);
+  out->SetCounter("storage.writes_durable", stats_.writes_durable);
+  out->SetCounter("storage.writes_lost", stats_.writes_lost);
+  out->SetCounter("storage.write_bytes", stats_.write_bytes);
+  out->SetCounter("storage.flushes", stats_.flushes);
+  out->SetCounter("storage.dirty_bytes_flushed", stats_.dirty_bytes_flushed);
+  out->SetCounter("storage.dirty_bytes_lost", stats_.dirty_bytes_lost);
+  out->SetCounter("storage.coherence_syncs", stats_.coherence_syncs);
+  out->SetCounter("storage.coherence_bytes", stats_.coherence_bytes);
+  out->SetCounter("storage.stale_reads", stats_.stale_reads);
+  out->SetCounter(
+      "storage.max_served_staleness_ns",
+      static_cast<std::uint64_t>(stats_.max_served_staleness_ns));
+  out->SetCounter("storage.ae.records", stats_.ae_records);
+  out->SetCounter("storage.ae.applied", stats_.ae_applied);
+  out->SetCounter("storage.ae.invalidations", stats_.ae_invalidations);
+  out->SetCounter("storage.ae.refreshes", stats_.ae_refreshes);
+  out->SetCounter("storage.ae.refresh_bytes", stats_.ae_refresh_bytes);
+  out->SetCounter("storage.tier.fast_reads", stats_.tier_fast_reads);
+  out->SetCounter("storage.tier.slow_reads", stats_.tier_slow_reads);
+  out->SetCounter("storage.tier.promotions", stats_.tier_promotions);
+  out->SetCounter("storage.tier.demotions", stats_.tier_demotions);
+  out->SetCounter("storage.tier.promoted_bytes", stats_.tier_promoted_bytes);
+  out->SetCounter("storage.tier.demoted_bytes", stats_.tier_demoted_bytes);
+  out->SetGauge("storage.dirty_bytes",
+                static_cast<double>(total_dirty_bytes()), sim_->Now());
 }
 
 }  // namespace palette

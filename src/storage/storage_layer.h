@@ -122,8 +122,9 @@ class StorageLayer {
     tiers_.set_trace_recorder(recorder);
   }
 
-  // Snapshots the storage.* counter family into `metrics`.
-  void ExportMetrics(MetricsRegistry* metrics) const;
+  // Snapshots the storage.* counter family through `out`
+  // (FaasPlatform::ExportMetrics).
+  void ExportMetrics(MetricWriter* out) const;
 
  private:
   struct CopyState {

@@ -132,22 +132,23 @@ void AppendWorkloadSpecJson(const WorkloadSpec& spec, JsonWriter* json) {
 
 namespace {
 
-// Exports one domain's non-null sources into `m`. Per-window refreshes skip
-// the per-worker families: the sampler does not track them and their
-// export cost scales with the cluster.
+// Exports one domain's non-null sources through `out`, from its first
+// slot. Per-window refreshes skip the per-worker families: the sampler
+// does not track them and their export cost scales with the cluster.
 void ExportDomain(const FaasPlatform* platform, const RouterTier* tier,
                   const OpenLoopDriver* driver, bool per_worker,
-                  MetricsRegistry* m) {
+                  MetricWriter* out) {
+  out->Rewind();
   if (platform != nullptr) {
-    platform->ExportMetrics(m, per_worker);
+    platform->ExportMetrics(out, per_worker);
   }
   if (tier != nullptr) {
-    tier->ExportMetrics(m);
+    tier->ExportMetrics(out);
   }
   if (driver != nullptr) {
-    m->counter("driver.submitted").Set(driver->submitted());
-    m->counter("driver.completed").Set(driver->completed());
-    m->counter("driver.rejected").Set(driver->rejected());
+    out->SetCounter("driver.submitted", driver->submitted());
+    out->SetCounter("driver.completed", driver->completed());
+    out->SetCounter("driver.rejected", driver->rejected());
   }
 }
 
@@ -166,8 +167,11 @@ WorkloadTelemetry BeginTelemetry(const WorkloadObsConfig& obs, Simulator* sim,
   ts_config.ring_capacity = obs.ring_capacity;
   t.series = std::make_shared<TimeSeriesSampler>(ts_config);
   t.series->set_source(t.metrics.get());
-  t.series->set_refresh([platform, tier, driver, m = t.metrics.get()] {
-    ExportDomain(platform, tier, driver, /*per_worker=*/false, m);
+  // The writer lives in the refresh: its slots bind on the first mark,
+  // and every later mark writes through them.
+  t.series->set_refresh([platform, tier, driver,
+                         out = MetricWriter(t.metrics.get())]() mutable {
+    ExportDomain(platform, tier, driver, /*per_worker=*/false, &out);
   });
   sim->SetClockObserver(obs.sample_every, [sampler = t.series.get()](
                                               SimTime mark) {
@@ -182,7 +186,8 @@ void FinishTelemetry(Simulator* sim, FaasPlatform* platform, RouterTier* tier,
   sim->FlushObserverUpTo(std::max(sim->Now(), horizon));
   sim->SetClockObserver(SimTime(), nullptr);
   t->series->set_refresh(nullptr);
-  ExportDomain(platform, tier, driver, /*per_worker=*/true, t->metrics.get());
+  MetricWriter out(t->metrics.get());
+  ExportDomain(platform, tier, driver, /*per_worker=*/true, &out);
 }
 
 void EvaluateAlerts(const WorkloadObsConfig& obs, WorkloadTelemetry* t) {

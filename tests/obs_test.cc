@@ -436,24 +436,26 @@ TEST(LatencyHistogramTest, DeltaQuantileSeesOnlyTheWindow) {
   for (int i = 0; i < 100; ++i) {
     h.Record(100);  // old regime: fast
   }
-  const LatencyHistogram::Snapshot base = h.TakeSnapshot();
+  LatencyHistogram::Snapshot base = h.TakeSnapshot();
   for (int i = 0; i < 100; ++i) {
     h.Record(1000000);  // new regime: slow
   }
   // The cumulative median straddles both regimes; the windowed one sees
   // only the slow values.
-  EXPECT_EQ(h.DeltaCount(base), 100u);
-  EXPECT_GE(h.DeltaQuantile(base, 0.50), 900000.0);
-  EXPECT_LE(h.Quantile(0.50), h.DeltaQuantile(base, 0.50));
+  const LatencyHistogram::WindowQuantiles window = h.AdvanceWindow(&base);
+  EXPECT_EQ(window.count, 100u);
+  EXPECT_GE(window.p50, 900000.0);
+  EXPECT_LE(h.Quantile(0.50), window.p50);
 }
 
 TEST(LatencyHistogramTest, DeltaQuantileEmptyWindowIsZero) {
   LatencyHistogram h;
   h.Record(5000);
-  const LatencyHistogram::Snapshot base = h.TakeSnapshot();
-  EXPECT_EQ(h.DeltaCount(base), 0u);
-  EXPECT_EQ(h.DeltaQuantile(base, 0.50), 0.0);
-  EXPECT_EQ(h.DeltaQuantile(base, 0.99), 0.0);
+  LatencyHistogram::Snapshot base = h.TakeSnapshot();
+  const LatencyHistogram::WindowQuantiles window = h.AdvanceWindow(&base);
+  EXPECT_EQ(window.count, 0u);
+  EXPECT_EQ(window.p50, 0.0);
+  EXPECT_EQ(window.p99, 0.0);
 }
 
 TEST(LatencyHistogramTest, QuantileEdgePins) {

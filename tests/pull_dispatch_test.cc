@@ -7,6 +7,7 @@
 // configs.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <set>
 #include <string>
@@ -867,7 +868,8 @@ TEST(PullClaimScheduleGoldenTest,
   // rejoins under the same name (and InstanceId), then it claims them as
   // home. Later it leaves with a claim in its handoff window and rejoins
   // before the handoff lands: the rejoined worker claims again, and the
-  // old handoff joins its FIFO.
+  // old handoff, bound to the departed incarnation, goes back to the head
+  // of its color queue as if its claimer had died.
   PlatformConfig config = PullConfig(FaasDispatchMode::kPull);
   config.steal_budget = 0;
   config.pull_claim_latency = SimTime::FromMillis(5);
@@ -894,8 +896,41 @@ TEST(PullClaimScheduleGoldenTest,
                 [&platform]() { platform.AddWorker("re_e"); });
   EXPECT_EQ(cell.Run(),
             "0:re_z@108297152 1:re_b@110394304 2:re_e@18297152 "
-            "3:re_e@26594304 4:re_e@34891456 5:re_e@54297152 "
-            "6:re_e@57594304 7:re_e@65891456");
+            "3:re_e@26594304 4:re_e@34891456 5:re_e@65594304 "
+            "6:re_e@57297152 7:re_e@73891456");
+}
+
+TEST(PullRejoinTest, NoFifoFillsWhileItsWorkerRuns) {
+  // rf_e leaves with a claim in its handoff window and rejoins under its
+  // name before the handoff lands, then claims again. Under pull a handoff
+  // to a worker that is not running starts at once, so a FIFO that holds
+  // work at an event boundary means a claim landed on a running worker:
+  // the matcher took the worker for idle while it ran.
+  PlatformConfig config = PullConfig(FaasDispatchMode::kPull);
+  config.steal_budget = 0;
+  config.pull_claim_latency = SimTime::FromMillis(5);
+  const std::vector<std::string> workers = {"rf_e", "rf_b", "rf_z"};
+  ClaimScheduleCell cell(config, workers, workers, "rf_z");
+  const std::string e = RingColor("rfe", workers, "rf_e");
+  cell.Submit(RingColor("rfz", workers, "rf_z"), 1e8);
+  cell.Submit(RingColor("rfb", workers, "rf_b"), 1e8);
+  FaasPlatform& platform = cell.platform();
+  cell.SubmitAt(SimTime::FromMillis(45), e, 1e6);
+  cell.sim().At(SimTime::FromMillis(47),
+                [&platform]() { platform.RemoveWorker("rf_e"); });
+  cell.SubmitAt(SimTime::FromMillis(47), e, 1e6);
+  cell.SubmitAt(SimTime::FromMillis(47), e, 1e6);
+  cell.sim().At(SimTime::FromMillis(49),
+                [&platform]() { platform.AddWorker("rf_e"); });
+  std::size_t worst_depth = 0;
+  for (int us = 40000; us <= 90000; us += 250) {
+    cell.sim().At(SimTime::FromMicros(us), [&platform, &worst_depth]() {
+      worst_depth =
+          std::max(worst_depth, platform.WorkerQueueDepth("rf_e"));
+    });
+  }
+  cell.Run();
+  EXPECT_EQ(worst_depth, 0u);
 }
 
 // ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <cstdio>
 #include <map>
@@ -14,6 +15,7 @@
 
 #include "src/common/rng.h"
 #include "src/common/table_printer.h"
+#include "src/hash/hash.h"
 #include "src/workload/arrival.h"
 #include "src/workload/driver.h"
 #include "src/workload/fault_schedule.h"
@@ -656,6 +658,227 @@ TEST(TelemetryTest, MergedClusterRegistryMatchesDriverBooks) {
 }
 
 }  // namespace
+
+// ---------------------------------------------------------------------------
+// Telemetry goldens: the merged series CSV, the alert log and the final
+// registry table of TelemetrySpec runs, pinned as FNV-1a digests. A change
+// to how a mark exports or windows the registry must reproduce every
+// sampled value bit for bit.
+
+namespace {
+
+struct TelemetryDigests {
+  std::uint64_t csv = 0;
+  std::uint64_t alerts = 0;
+  std::uint64_t table = 0;
+  std::uint64_t fired = 0;
+};
+
+// Rules over a counter rate and a histogram window, so both the exports
+// and the window quantiles feed the alert log.
+std::vector<AlertRule> GoldenAlertRules() {
+  std::vector<std::string> errors;
+  std::vector<AlertRule> rules = ParseAlertRules(
+      "submit=driver.submitted.rate>0:1:1;"
+      "slow=faas.latency.end_to_end_ns.p99>30ms:1:1",
+      &errors);
+  EXPECT_TRUE(errors.empty());
+  return rules;
+}
+
+TelemetryDigests DigestTelemetry(const WorkloadTelemetry& t) {
+  TelemetryDigests d;
+  EXPECT_TRUE(t.enabled());
+  if (!t.enabled() || t.alerts == nullptr || t.metrics == nullptr) {
+    return d;
+  }
+  d.csv = Fnv1a64(t.series->ToCsv());
+  d.alerts = Fnv1a64(t.alerts->ToLogLines());
+  d.table = Fnv1a64(t.metrics->ToTable());
+  d.fired = t.alerts->fired_count();
+  return d;
+}
+
+void ExpectDigests(const TelemetryDigests& got, const TelemetryDigests& want,
+                   const std::string& cell) {
+  const std::string line = StrFormat(
+      "{0x%016llxull, 0x%016llxull, 0x%016llxull, %llu}",
+      static_cast<unsigned long long>(got.csv),
+      static_cast<unsigned long long>(got.alerts),
+      static_cast<unsigned long long>(got.table),
+      static_cast<unsigned long long>(got.fired));
+  EXPECT_EQ(got.csv, want.csv) << cell << " " << line;
+  EXPECT_EQ(got.alerts, want.alerts) << cell << " " << line;
+  EXPECT_EQ(got.table, want.table) << cell << " " << line;
+  EXPECT_EQ(got.fired, want.fired) << cell << " " << line;
+}
+
+}  // namespace
+
+TEST(TelemetryGoldenTest, ShardedRunDigests) {
+  const WorkloadSpec spec = TelemetrySpec();
+  SloConfig slo;
+  slo.warmup = SimTime::FromMillis(500);
+  // 4 groups x 2 routers: every mark exports a platform, a router tier
+  // (per-router families included) and a driver per group.
+  const TelemetryDigests want = {0x40fae4245a369db2ull, 0x1e431eac08ee00caull,
+                                 0x345ce2fc26afeb67ull, 3};
+  for (const int shards : {1, 2}) {
+    ShardedWorkloadConfig config;
+    config.groups = 4;
+    config.shards = shards;
+    config.routers_per_group = 2;
+    config.hop = SimTime::FromMillis(2);
+    config.obs.sample_every = SimTime::FromMillis(100);
+    config.obs.alert_rules = GoldenAlertRules();
+    const ShardedRunResult run =
+        RunShardedWorkload(spec, PolicyKind::kLeastAssigned,
+                           /*total_workers=*/16, config, slo,
+                           DefaultWorkloadPlatformConfig());
+    ExpectDigests(DigestTelemetry(run.telemetry), want,
+                  StrFormat("shards=%d", shards));
+  }
+}
+
+TEST(TelemetryGoldenTest, MonolithicRunDigests) {
+  // Writes under write-back storage, so the storage layer's exports are
+  // pinned too.
+  WorkloadSpec spec = TelemetrySpec();
+  spec.mix.write_fraction = 0.2;
+  PlatformConfig config = DefaultWorkloadPlatformConfig();
+  config.storage.mode = CoherenceMode::kWriteBack;
+  WorkloadObsConfig obs;
+  obs.sample_every = SimTime::FromMillis(100);
+  obs.alert_rules = GoldenAlertRules();
+  const WorkloadRunResult run = RunWorkload(
+      spec, PolicyKind::kLeastAssigned, 8, SloConfig(), config, nullptr, &obs);
+  ExpectDigests(DigestTelemetry(run.telemetry),
+                {0xaa45d3033961a99full, 0x59f9fd427da1787aull,
+                 0x6bc33ca47307dfc3ull, 3},
+                "monolithic");
+}
+
+namespace {
+
+// The reference the sampler's windows must equal: the quantile of the
+// bucket deltas between two full TakeSnapshot copies, scanned over every
+// bucket, one quantile per scan.
+double ReferenceDeltaQuantile(const LatencyHistogram::Snapshot& now,
+                              const LatencyHistogram::Snapshot& since,
+                              double q) {
+  const std::uint64_t delta_count = now.count - since.count;
+  if (delta_count == 0) {
+    return 0.0;
+  }
+  q = std::clamp(q, 0.0, 1.0);
+  const double target = q * static_cast<double>(delta_count);
+  std::uint64_t seen = 0;
+  double window_lo = 0.0;
+  bool have_lo = false;
+  for (std::size_t i = 0; i < now.buckets.size(); ++i) {
+    const std::uint64_t delta =
+        now.buckets[i] - (since.buckets.empty() ? 0 : since.buckets[i]);
+    if (delta == 0) {
+      continue;
+    }
+    if (!have_lo) {
+      window_lo = static_cast<double>(LatencyHistogram::BucketLowerBound(i));
+      have_lo = true;
+    }
+    if (static_cast<double>(seen + delta) >= target) {
+      const double into = std::max(0.0, target - static_cast<double>(seen));
+      const double frac = into / static_cast<double>(delta);
+      const double lo =
+          static_cast<double>(LatencyHistogram::BucketLowerBound(i));
+      const double hi =
+          static_cast<double>(LatencyHistogram::BucketUpperBound(i)) + 1.0;
+      return std::max(lo + frac * (hi - lo), window_lo);
+    }
+    seen += delta;
+  }
+  return 0.0;
+}
+
+std::uint64_t Bits(double v) { return std::bit_cast<std::uint64_t>(v); }
+
+}  // namespace
+
+TEST(TelemetryGoldenTest, HistogramWindowMatchesSnapshotScan) {
+  Rng rng(2024);
+  // Values log-uniform over [0, 2^40), so windows span many octaves.
+  const auto wide = [&rng]() {
+    return rng.Next() >> (24 + rng.NextBelow(40));
+  };
+  for (int trial = 0; trial < 20; ++trial) {
+    LatencyHistogram h;
+    LatencyHistogram::Snapshot base;       // the sampler's, advanced in place
+    LatencyHistogram::Snapshot reference;  // a full copy per window
+    // A second reader every third window: each reader's advance leaves the
+    // other's baseline behind the histogram's written range.
+    LatencyHistogram::Snapshot second;
+    LatencyHistogram::Snapshot second_reference;
+    for (int window = 0; window < 200; ++window) {
+      switch (rng.NextBelow(6)) {
+        case 0:  // empty window
+          break;
+        case 1:  // values below 16: the linear low buckets
+          for (std::uint64_t n = 1 + rng.NextBelow(20); n > 0; --n) {
+            h.Record(rng.NextBelow(16));
+          }
+          break;
+        case 2: {  // one bucket, many values
+          const std::uint64_t v = wide();
+          for (std::uint64_t n = 1 + rng.NextBelow(50); n > 0; --n) {
+            h.Record(v);
+          }
+          break;
+        }
+        case 3: {  // a merged-in histogram
+          LatencyHistogram other;
+          for (std::uint64_t n = rng.NextBelow(30); n > 0; --n) {
+            other.Record(wide());
+          }
+          h.MergeFrom(other);
+          break;
+        }
+        case 4:  // a second reader took a full copy: the untracked path
+          base = h.TakeSnapshot();
+          reference = base;
+          for (std::uint64_t n = rng.NextBelow(10); n > 0; --n) {
+            h.Record(wide());
+          }
+          break;
+        default:
+          for (std::uint64_t n = 1 + rng.NextBelow(100); n > 0; --n) {
+            h.Record(wide());
+          }
+          break;
+      }
+      const LatencyHistogram::Snapshot now = h.TakeSnapshot();
+      const LatencyHistogram::WindowQuantiles got = h.AdvanceWindow(&base);
+      SCOPED_TRACE(StrFormat("trial %d window %d", trial, window));
+      EXPECT_EQ(got.count, now.count - reference.count);
+      EXPECT_EQ(Bits(got.p50), Bits(ReferenceDeltaQuantile(now, reference,
+                                                           0.50)));
+      EXPECT_EQ(Bits(got.p99), Bits(ReferenceDeltaQuantile(now, reference,
+                                                           0.99)));
+      // The baseline moved to the current state.
+      EXPECT_EQ(base.buckets, now.buckets);
+      EXPECT_EQ(base.count, now.count);
+      reference = now;
+      if (window % 3 == 2) {
+        const LatencyHistogram::WindowQuantiles late =
+            h.AdvanceWindow(&second);
+        EXPECT_EQ(late.count, now.count - second_reference.count);
+        EXPECT_EQ(Bits(late.p50), Bits(ReferenceDeltaQuantile(
+                                      now, second_reference, 0.50)));
+        EXPECT_EQ(Bits(late.p99), Bits(ReferenceDeltaQuantile(
+                                      now, second_reference, 0.99)));
+        second_reference = now;
+      }
+    }
+  }
+}
 
 // ---------------------------------------------------------------------------
 // Harness golden runs: the digests, event counts and counters the harness
