@@ -35,10 +35,11 @@ void Run() {
     BucketHashingConfig bh;
     bh.bucket_count = buckets;
     PaletteLoadBalancer lb(std::make_unique<BucketHashingPolicy>(5, bh));
+    InstanceTable ids;
     std::unordered_map<std::string, std::unique_ptr<LruCache>> caches;
     for (int w = 0; w < 24; ++w) {
       const std::string name = StrFormat("w%d", w);
-      lb.AddInstance(name);
+      lb.AddInstance(name, ids.Intern(name));
       caches.emplace(name, std::make_unique<LruCache>(128 * kMiB));
     }
     std::uint64_t hits = 0;

@@ -28,10 +28,11 @@ WebAppResult RunWithCapacity(const std::vector<CacheAccess>& trace,
   LeastAssignedConfig la;
   la.table_capacity = capacity;
   PaletteLoadBalancer lb(std::make_unique<LeastAssignedPolicy>(5, la));
+  InstanceTable ids;
   std::unordered_map<std::string, std::unique_ptr<LruCache>> caches;
   for (int w = 0; w < workers; ++w) {
     const std::string name = StrFormat("w%d", w);
-    lb.AddInstance(name);
+    lb.AddInstance(name, ids.Intern(name));
     caches.emplace(name, std::make_unique<LruCache>(128 * kMiB));
   }
   WebAppResult result;

@@ -30,10 +30,11 @@ struct ChurnResult {
 ChurnResult Replay(const std::vector<CacheAccess>& trace, PolicyKind policy,
                    bool churn) {
   PaletteLoadBalancer lb(MakePolicy(policy, /*seed=*/5));
+  InstanceTable ids;
   std::unordered_map<std::string, std::unique_ptr<LruCache>> caches;
   const auto ensure_instance = [&](int i) {
     const std::string name = StrFormat("w%d", i);
-    lb.AddInstance(name);
+    lb.AddInstance(name, ids.Intern(name));
     caches.try_emplace(name, std::make_unique<LruCache>(128 * kMiB));
   };
   // Start at full size; caches persist across scale-in/out so a returning

@@ -89,7 +89,7 @@ BENCHMARK(BM_JumpConsistentHash)->Arg(16)->Arg(1024)->Arg(16384);
 void BM_RingLookup(benchmark::State& state) {
   ConsistentHashRing ring;
   for (int i = 0; i < state.range(0); ++i) {
-    ring.AddMember(StrFormat("w%d", i));
+    ring.AddMember(StrFormat("w%d", i), static_cast<InstanceId>(i));
   }
   const auto colors = MakeColors(1024);
   std::size_t i = 0;
@@ -102,12 +102,12 @@ BENCHMARK(BM_RingLookup)->Arg(8)->Arg(48)->Arg(256);
 void BM_PolicyRoute(benchmark::State& state, PolicyKind kind) {
   auto policy = MakePolicy(kind, 1);
   for (int i = 0; i < 48; ++i) {
-    policy->OnInstanceAdded(StrFormat("w%d", i));
+    policy->OnInstanceAdded(StrFormat("w%d", i), static_cast<InstanceId>(i));
   }
   const auto colors = MakeColors(8192);
   std::size_t i = 0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(policy->RouteColored(colors[i++ & 8191]));
+    benchmark::DoNotOptimize(policy->RouteColoredId(colors[i++ & 8191]));
   }
 }
 BENCHMARK_CAPTURE(BM_PolicyRoute, random, PolicyKind::kObliviousRandom);
@@ -124,13 +124,13 @@ void BM_BucketHashingRebalance(benchmark::State& state) {
     BucketHashingConfig config;
     config.bucket_count = static_cast<std::size_t>(state.range(0));
     BucketHashingPolicy policy(1, config);
-    policy.OnInstanceAdded("w0");
+    policy.OnInstanceAdded("w0", 0);
     const auto colors = MakeColors(4096);
     for (const auto& color : colors) {
-      policy.RouteColored(color);
+      policy.RouteColoredId(color);
     }
     for (int i = 1; i < 8; ++i) {
-      policy.OnInstanceAdded(StrFormat("w%d", i));
+      policy.OnInstanceAdded(StrFormat("w%d", i), static_cast<InstanceId>(i));
     }
     state.ResumeTiming();
     benchmark::DoNotOptimize(policy.Rebalance());
@@ -161,7 +161,7 @@ BENCHMARK(BM_HllEstimate)->Arg(8)->Arg(12);
 void BM_LoadBalancerEndToEnd(benchmark::State& state) {
   PaletteLoadBalancer lb(MakePolicy(PolicyKind::kLeastAssigned, 1));
   for (int i = 0; i < 48; ++i) {
-    lb.AddInstance(StrFormat("w%d", i));
+    lb.AddInstance(StrFormat("w%d", i), static_cast<InstanceId>(i));
   }
   const auto colors = MakeColors(8192);
   std::size_t i = 0;
@@ -220,12 +220,14 @@ void BM_PullMatch(benchmark::State& state) {
   }
   const std::string anchor = "anchor";
   // Colors are picked against the final membership's cache ring, which is
-  // the home rule for work no load balancer placed.
+  // the home rule for work no load balancer placed. Its ids follow the
+  // platform's join order below: the anchor first, then the idle workers.
   FaastCache ring(config.cache);
-  ring.AddInstance(anchor);
-  const InstanceId anchor_id = InternInstance(anchor);
+  InstanceTable ids;
+  const InstanceId anchor_id = ids.Intern(anchor);
+  ring.AddInstance(anchor, anchor_id);
   for (const std::string& name : idle_names) {
-    ring.AddInstance(name);
+    ring.AddInstance(name, ids.Intern(name));
   }
   std::vector<std::string> anchored;
   std::vector<std::string> idle_homed;
@@ -302,7 +304,7 @@ void BM_CacheFetch(benchmark::State& state) {
   std::vector<std::string> shards;
   for (int i = 0; i < kShards; ++i) {
     shards.push_back(StrFormat("w%d", i));
-    cache.AddInstance(shards.back());
+    cache.AddInstance(shards.back(), static_cast<InstanceId>(i));
   }
   struct Read {
     InstanceId reader;
@@ -319,12 +321,8 @@ void BM_CacheFetch(benchmark::State& state) {
     }
     InstanceId reader = home;
     if (outcome != 0) {
-      // Any shard but the home: the next one in name-index order.
-      const auto at =
-          std::find(shards.begin(), shards.end(), InstanceName(home));
-      reader = InternInstance(
-          shards[static_cast<std::size_t>(at - shards.begin() + 1) %
-                 shards.size()]);
+      // Any shard but the home: the next one in join order.
+      reader = (home + 1) % kShards;
     }
     reads.push_back(Read{reader, std::move(object)});
   }
@@ -363,14 +361,15 @@ void BM_StorageWrite(benchmark::State& state) {
   Network network(&sim, NetworkConfig{});
   network.AddNode(kStorageNode);
   FaastCache cache;
+  InstanceTable ids;
   StorageConfig config;
   config.mode = CoherenceMode::kWriteBack;
-  StorageLayer storage(&sim, &network, &cache, config, kStorageNode);
+  StorageLayer storage(&sim, &network, &cache, &ids, config, kStorageNode);
   std::vector<std::string> names;
   for (int i = 0; i < instances; ++i) {
     names.push_back(StrFormat("w%d", i));
     network.AddNode(names.back());
-    cache.AddInstance(names.back());
+    cache.AddInstance(names.back(), ids.Intern(names.back()));
     storage.OnInstanceJoin(names.back());
   }
   sim.Run();  // the joins' catch-up replays
@@ -383,7 +382,7 @@ void BM_StorageWrite(benchmark::State& state) {
   for (int i = 0; i < kObjects; ++i) {
     Write write;
     write.object = StrFormat("color-%d___out", i);
-    write.home = InstanceName(*cache.HomeInstanceId(write.object));
+    write.home = ids.NameOf(*cache.HomeInstanceId(write.object));
     const auto at = static_cast<std::size_t>(
         std::find(names.begin(), names.end(), write.home) - names.begin());
     for (std::size_t r = 1; r <= 2; ++r) {
@@ -418,7 +417,7 @@ void BM_PlannerSolve(benchmark::State& state) {
   Rng rng(42);
   PlacementSnapshot snapshot;
   for (int i = 0; i < 32; ++i) {
-    snapshot.instances.push_back(InternInstance(StrFormat("w%d", i)));
+    snapshot.instances.push_back(static_cast<InstanceId>(i));
   }
   for (int c = 0; c < colors; ++c) {
     ColorObservation obs;
@@ -669,7 +668,7 @@ std::vector<ShardedPoint> MeasureShardedEngine() {
 double MeasureRoutesPerSec(PolicyKind kind, std::uint64_t n) {
   PaletteLoadBalancer lb(MakePolicy(kind, 1));
   for (int i = 0; i < 48; ++i) {
-    lb.AddInstance(StrFormat("w%d", i));
+    lb.AddInstance(StrFormat("w%d", i), static_cast<InstanceId>(i));
   }
   const auto colors = MakeColors(8192);
   // Warm the color tables so the steady-state (hit) path dominates.

@@ -35,8 +35,10 @@ void Run() {
   };
   for (const Row& row : rows) {
     PaletteLoadBalancer lb(MakePolicy(row.kind, /*seed=*/1));
+    InstanceTable ids;
     for (int i = 0; i < kInstances; ++i) {
-      lb.AddInstance(StrFormat("w%d", i));
+      const std::string name = StrFormat("w%d", i);
+      lb.AddInstance(name, ids.Intern(name));
     }
     for (int r = 0; r < kRequestsPerColor; ++r) {
       for (int c = 0; c < kColors; ++c) {

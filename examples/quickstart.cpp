@@ -2,7 +2,8 @@
 //
 // Demonstrates the core API surface:
 //   1. build a PaletteLoadBalancer with a color scheduling policy,
-//   2. register instances (as the scale controller would),
+//   2. register instances (as the platform would), each under the id an
+//      InstanceTable assigns it when it joins,
 //   3. route invocations with and without locality hints,
 //   4. watch what colors buy you: stickiness under Palette policies,
 //      scattering under oblivious ones,
@@ -10,12 +11,14 @@
 //
 // Build & run:  ./build/examples/quickstart
 #include <cstdio>
+#include <string>
 
 #include "src/common/table_printer.h"
 #include "src/core/palette_load_balancer.h"
 #include "src/core/policy_factory.h"
 
 using palette::Color;
+using palette::InstanceTable;
 using palette::MakePolicy;
 using palette::PaletteLoadBalancer;
 using palette::PolicyKind;
@@ -27,9 +30,12 @@ int main() {
 
   // One application, one load balancer, one color scheduling policy.
   // Least-Assigned is the strongest policy for apps with < 16K colors.
+  // Whoever owns the instances owns the table that names them with ids.
   PaletteLoadBalancer lb(MakePolicy(PolicyKind::kLeastAssigned, /*seed=*/42));
+  InstanceTable ids;
   for (int i = 0; i < 4; ++i) {
-    lb.AddInstance(StrFormat("instance-%d", i));
+    const std::string name = StrFormat("instance-%d", i);
+    lb.AddInstance(name, ids.Intern(name));
   }
 
   // Invocations carrying the same color land on the same instance.
@@ -65,7 +71,8 @@ int main() {
   for (PolicyKind kind : palette::AllPolicyKinds()) {
     PaletteLoadBalancer other(MakePolicy(kind, 42));
     for (int i = 0; i < 4; ++i) {
-      other.AddInstance(StrFormat("instance-%d", i));
+      const std::string name = StrFormat("instance-%d", i);
+      other.AddInstance(name, ids.Intern(name));
     }
     std::printf("  %-28s f(.., color=alice) -> %s, %s, %s\n",
                 std::string(other.policy().name()).c_str(),

@@ -7,20 +7,19 @@ namespace palette {
 
 FaastCache::FaastCache(FaastCacheConfig config) : config_(config) {}
 
-void FaastCache::AddInstance(const std::string& instance) {
-  const InstanceId id = InternInstance(instance);
+void FaastCache::AddInstance(const std::string& instance, InstanceId id) {
   if (HasInstance(id)) {
     return;
   }
-  ring_.AddMember(instance);
+  ring_.AddMember(instance, id);
   shards_.resize(std::max<std::size_t>(shards_.size(), id + 1));
   shards_[id] = std::make_unique<LruCache>(config_.per_instance_capacity);
 }
 
 void FaastCache::RemoveInstance(const std::string& instance) {
-  ring_.RemoveMember(instance);
-  const auto id = InstanceRegistry::Global().Find(instance);
-  if (id.has_value() && HasInstance(*id)) {
+  const auto id = ring_.MemberId(instance);
+  if (id.has_value()) {
+    ring_.RemoveMember(instance);
     shards_[*id].reset();
   }
 }

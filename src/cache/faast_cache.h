@@ -59,10 +59,11 @@ class FaastCache {
  public:
   explicit FaastCache(FaastCacheConfig config = {});
 
-  // Membership, by name (the ring hashes names); every other call names a
-  // shard by InstanceId. Removing an instance drops its shard (state on a
-  // reclaimed worker is lost); a name that rejoins starts with an empty one.
-  void AddInstance(const std::string& instance);
+  // Membership, by name and the id its owner assigned (the ring hashes
+  // names); every other call names a shard by InstanceId. Removing an
+  // instance drops its shard (state on a reclaimed worker is lost); a name
+  // that rejoins starts with an empty one.
+  void AddInstance(const std::string& instance, InstanceId id);
   void RemoveInstance(const std::string& instance);
   std::size_t instance_count() const { return ring_.member_count(); }
   bool HasInstance(InstanceId id) const { return Shard(id) != nullptr; }
@@ -73,8 +74,7 @@ class FaastCache {
 
   // The instance that owns (is home for) `object_name` under consistent
   // hashing of its hashing key. Empty optional when no instances exist. No
-  // string copy, no registry lock (the ring carries its members' interned
-  // ids).
+  // string copy (the ring carries its members' ids).
   std::optional<InstanceId> HomeInstanceId(std::string_view object_name) const;
 
   // Writes an object produced at `producer`. The object is stored at its

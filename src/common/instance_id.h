@@ -1,30 +1,34 @@
 // Interned instance identifiers.
 //
-// Application instances are named by strings ("w0", "app1-w17", ...) at the
+// Application instances are named by strings ("w0", "g1w17", ...) at the
 // API surface, but the routing hot path — color tables, routed counts,
-// worker maps — previously hashed and compared those strings on every
-// invocation. InstanceRegistry interns each name once into a dense
-// InstanceId; ids hash as integers, compare in one instruction, and shrink
-// per-color table entries from a 32-byte std::string to 4 bytes.
+// worker maps — keys them by a dense InstanceId: ids hash as integers,
+// compare in one instruction, and index flat per-instance tables.
 //
-// The registry is process-global so the load balancer, policies, platform,
-// and cache all agree on ids without plumbing a registry handle through
-// every constructor. It is append-only (ids are never recycled — an
-// instance that leaves and rejoins keeps its id) and thread-safe, because
-// the parallel sweep runner interns from worker threads. NameOf returns a
-// reference into a std::deque, which never relocates elements, so the
-// reference stays valid without holding the lock.
+// An InstanceTable assigns those ids. Whoever owns a set of instances owns
+// the table: each FaasPlatform has one, and a standalone load balancer's
+// caller keeps one beside it. Ids are assigned only where an instance
+// joins, in join order starting at 0, and flow down with the membership
+// notification as a (name, id) pair; the balancer, its policies, rings and
+// the cache store that pair and never intern. So a run's ids, and every
+// tie-break that compares them, depend on its own join order alone — never
+// on what else the process built before it. The table is append-only: an
+// instance that leaves and rejoins under its name keeps its id.
+//
+// A table is not shared across threads; each event-core domain owns the
+// platforms, and so the tables, it drives. It holds one owner's instances
+// (tens), and names are looked up on joins, leaves, storage replays and
+// planner collects, never per route, so Find scans the names rather than
+// keep a hash index, whose per-name nodes would cost every platform's
+// set-up more allocations than the scan costs time.
 #ifndef PALETTE_SRC_COMMON_INSTANCE_ID_H_
 #define PALETTE_SRC_COMMON_INSTANCE_ID_H_
 
 #include <cstdint>
-#include <deque>
-#include <functional>
 #include <optional>
-#include <shared_mutex>
 #include <string>
 #include <string_view>
-#include <unordered_map>
+#include <vector>
 
 namespace palette {
 
@@ -32,45 +36,23 @@ using InstanceId = std::uint32_t;
 
 inline constexpr InstanceId kInvalidInstanceId = 0xFFFFFFFFu;
 
-class InstanceRegistry {
+class InstanceTable {
  public:
-  static InstanceRegistry& Global();
-
-  // Returns the id for `name`, interning it on first sight.
+  // Returns the id for `name`, assigning the next one on first sight.
   InstanceId Intern(std::string_view name);
 
-  // Returns the id for `name` if already interned.
+  // Returns the id for `name` if it was ever interned here; never assigns.
   std::optional<InstanceId> Find(std::string_view name) const;
 
-  // Name for an interned id. The reference is stable for the process
-  // lifetime. `id` must have come from Intern.
-  const std::string& NameOf(InstanceId id) const;
+  // Name for an id this table assigned. The reference is valid until the
+  // next Intern.
+  const std::string& NameOf(InstanceId id) const { return names_[id]; }
 
-  std::size_t size() const;
+  std::size_t size() const { return names_.size(); }
 
  private:
-  InstanceRegistry() = default;
-
-  struct StringHash {
-    using is_transparent = void;
-    std::size_t operator()(std::string_view s) const noexcept {
-      return std::hash<std::string_view>{}(s);
-    }
-  };
-
-  mutable std::shared_mutex mu_;
-  std::unordered_map<std::string, InstanceId, StringHash, std::equal_to<>>
-      ids_;
-  std::deque<std::string> names_;  // index == id; deque: stable references
+  std::vector<std::string> names_;  // index == id
 };
-
-// Shorthands for the common conversions.
-inline InstanceId InternInstance(std::string_view name) {
-  return InstanceRegistry::Global().Intern(name);
-}
-inline const std::string& InstanceName(InstanceId id) {
-  return InstanceRegistry::Global().NameOf(id);
-}
 
 }  // namespace palette
 

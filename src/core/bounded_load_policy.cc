@@ -36,9 +36,10 @@ std::optional<InstanceId> BoundedLoadPolicy::Place(std::string_view key) {
   return LeastAssignedPolicy::Place(key);
 }
 
-void BoundedLoadPolicy::OnInstanceAdded(const std::string& instance) {
-  LeastAssignedPolicy::OnInstanceAdded(instance);
-  ring_.AddMember(instance);
+void BoundedLoadPolicy::OnInstanceAdded(const std::string& instance,
+                                        InstanceId id) {
+  LeastAssignedPolicy::OnInstanceAdded(instance, id);
+  ring_.AddMember(instance, id);
   // Existing mappings stay put (moving them would trade locality for
   // balance); the newcomer's spare capacity attracts new colors via the
   // capacity test.

@@ -41,7 +41,7 @@ class BoundedLoadPolicy : public LeastAssignedPolicy {
  public:
   explicit BoundedLoadPolicy(std::uint64_t seed, BoundedLoadConfig config = {});
 
-  void OnInstanceAdded(const std::string& instance) override;
+  void OnInstanceAdded(const std::string& instance, InstanceId id) override;
   void OnInstanceRemoved(const std::string& instance) override;
   std::size_t StateBytes() const override;
   std::string_view name() const override {

@@ -42,10 +42,10 @@ void BucketHashingPolicy::MoveBucket(std::size_t index, InstanceId to) {
   owner_lists_[to].push_back(index);
 }
 
-void BucketHashingPolicy::OnInstanceAdded(const std::string& instance) {
+void BucketHashingPolicy::OnInstanceAdded(const std::string& instance,
+                                          InstanceId added) {
   const bool first = instances().empty();
-  PolicyBase::OnInstanceAdded(instance);
-  const InstanceId added = InternInstance(instance);
+  PolicyBase::OnInstanceAdded(instance, added);
   owner_lists_.try_emplace(added);
   if (first) {
     for (std::size_t i = 0; i < buckets_.size(); ++i) {
@@ -76,8 +76,8 @@ void BucketHashingPolicy::OnInstanceAdded(const std::string& instance) {
 }
 
 void BucketHashingPolicy::OnInstanceRemoved(const std::string& instance) {
+  const auto removed = MemberId(instance);
   PolicyBase::OnInstanceRemoved(instance);
-  const auto removed = InstanceRegistry::Global().Find(instance);
   if (!removed.has_value()) {
     return;
   }
@@ -145,15 +145,15 @@ int BucketHashingPolicy::Rebalance() {
     for (auto it = loads.begin(); it != loads.end(); ++it) {
       total += it->second;
       // Ties break on the lexicographically smaller instance *name* (ids
-      // are interned in first-use order, so name order must be looked up).
+      // are assigned in join order, so name order must be looked up).
       if (it->second > max_it->second ||
           (it->second == max_it->second &&
-           InstanceName(it->first) < InstanceName(max_it->first))) {
+           MemberName(it->first) < MemberName(max_it->first))) {
         max_it = it;
       }
       if (it->second < min_it->second ||
           (it->second == min_it->second &&
-           InstanceName(it->first) < InstanceName(min_it->first))) {
+           MemberName(it->first) < MemberName(min_it->first))) {
         min_it = it;
       }
     }
@@ -207,7 +207,7 @@ const std::string& BucketHashingPolicy::BucketOwner(std::size_t b) const {
   if (bucket.owner == kInvalidInstanceId) {
     return kUnowned;
   }
-  return InstanceName(bucket.owner);
+  return MemberName(bucket.owner);
 }
 
 std::size_t BucketHashingPolicy::StateBytes() const {

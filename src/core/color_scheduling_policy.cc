@@ -1,35 +1,18 @@
 #include "src/core/color_scheduling_policy.h"
 
 #include <algorithm>
+#include <cassert>
 
 namespace palette {
 
-std::optional<std::string> ColorSchedulingPolicy::RouteColored(
-    std::string_view color) {
-  const auto id = RouteColoredId(color);
-  if (!id.has_value()) {
-    return std::nullopt;
-  }
-  return InstanceName(*id);
-}
-
-std::optional<std::string> ColorSchedulingPolicy::RouteUncolored() {
-  const auto id = RouteUncoloredId();
-  if (!id.has_value()) {
-    return std::nullopt;
-  }
-  return InstanceName(*id);
-}
-
-void PolicyBase::OnInstanceAdded(const std::string& instance) {
+void PolicyBase::OnInstanceAdded(const std::string& instance, InstanceId id) {
   auto it = std::lower_bound(instances_.begin(), instances_.end(), instance);
   if (it != instances_.end() && *it == instance) {
     return;
   }
   const auto index = it - instances_.begin();
   instances_.insert(it, instance);
-  instance_ids_.insert(instance_ids_.begin() + index,
-                       InternInstance(instance));
+  instance_ids_.insert(instance_ids_.begin() + index, id);
 }
 
 void PolicyBase::OnInstanceRemoved(const std::string& instance) {
@@ -51,8 +34,20 @@ std::optional<InstanceId> PolicyBase::RandomInstance() {
   return instance_ids_[rng_.NextBelow(instance_ids_.size())];
 }
 
-bool PolicyBase::HasInstance(const std::string& instance) const {
-  return std::binary_search(instances_.begin(), instances_.end(), instance);
+std::optional<InstanceId> PolicyBase::MemberId(
+    const std::string& instance) const {
+  const auto it =
+      std::lower_bound(instances_.begin(), instances_.end(), instance);
+  if (it == instances_.end() || *it != instance) {
+    return std::nullopt;
+  }
+  return instance_ids_[static_cast<std::size_t>(it - instances_.begin())];
+}
+
+const std::string& PolicyBase::MemberName(InstanceId id) const {
+  const auto it = std::find(instance_ids_.begin(), instance_ids_.end(), id);
+  assert(it != instance_ids_.end());
+  return instances_[static_cast<std::size_t>(it - instance_ids_.begin())];
 }
 
 }  // namespace palette

@@ -2,17 +2,16 @@
 //
 // A policy maps a color (from a user invocation) onto an application
 // instance. The Palette load balancer keeps one policy per application and
-// forwards instance membership changes from the scale controller. Policies
+// forwards instance membership changes from the platform. Policies
 // assume "a single active instance per color at any time" (one instance may
 // hold many colors), matching the paper's prototype.
 //
-// The hot path speaks interned InstanceIds (src/common/instance_id.h): the
+// The hot path speaks InstanceIds (src/common/instance_id.h): the
 // per-invocation RouteColoredId/RouteUncoloredId return a dense uint32 id,
 // and concrete policies key their color tables by id rather than instance
-// name. The string-returning RouteColored/RouteUncolored remain as
-// non-virtual shims so existing callers (benches, tests, CLI) stay
-// source-compatible; membership notifications keep their string signatures
-// because membership churn is rare.
+// name. An instance joins with the id its owner assigned, and a policy
+// never assigns ids itself; names it needs (tie-breaks, reports) come from
+// its own members.
 #ifndef PALETTE_SRC_CORE_COLOR_SCHEDULING_POLICY_H_
 #define PALETTE_SRC_CORE_COLOR_SCHEDULING_POLICY_H_
 
@@ -41,12 +40,9 @@ class ColorSchedulingPolicy {
   // optional — uncolored traffic must still be served.
   virtual std::optional<InstanceId> RouteUncoloredId() = 0;
 
-  // String shims over the id-based hot path (pre-interning API).
-  std::optional<std::string> RouteColored(std::string_view color);
-  std::optional<std::string> RouteUncolored();
-
-  // Membership notifications from the scale controller.
-  virtual void OnInstanceAdded(const std::string& instance) = 0;
+  // Membership notifications from the platform: `instance` joins under
+  // the id its owner assigned.
+  virtual void OnInstanceAdded(const std::string& instance, InstanceId id) = 0;
   virtual void OnInstanceRemoved(const std::string& instance) = 0;
 
   // Approximate bytes of policy-private state (the "State" row of Table 1).
@@ -77,7 +73,7 @@ class ColorSchedulingPolicy {
   // empty, and the write path stores at the home shard only. The storage
   // tier uses this to keep a replicated hot color's copies coherent at
   // write time instead of paying anti-entropy for every replica.
-  virtual std::vector<std::string> WriteReplicaSetOf(
+  virtual std::vector<InstanceId> WriteReplicaSetOf(
       std::string_view color) const {
     (void)color;
     return {};
@@ -116,23 +112,26 @@ class ColorSchedulingPolicy {
 
 // Shared instance bookkeeping for concrete policies: a name-sorted instance
 // list (sorted so that tie-breaking is deterministic) mirrored by the
-// matching id list, plus random selection for uncolored traffic.
+// members' ids, plus random selection for uncolored traffic.
 class PolicyBase : public ColorSchedulingPolicy {
  public:
   explicit PolicyBase(std::uint64_t seed) : rng_(seed) {}
 
-  void OnInstanceAdded(const std::string& instance) override;
+  void OnInstanceAdded(const std::string& instance, InstanceId id) override;
   void OnInstanceRemoved(const std::string& instance) override;
 
   std::optional<InstanceId> RouteUncoloredId() override;
 
   const std::vector<std::string>& instances() const { return instances_; }
-  // Interned ids in the same (name-sorted) order as instances().
+  // Member ids in the same (name-sorted) order as instances().
   const std::vector<InstanceId>& instance_ids() const { return instance_ids_; }
 
  protected:
   std::optional<InstanceId> RandomInstance();
-  bool HasInstance(const std::string& instance) const;
+  // The id `instance` joined with; nullopt when it is not a member.
+  std::optional<InstanceId> MemberId(const std::string& instance) const;
+  // The name member `id` joined with. `id` must be a member.
+  const std::string& MemberName(InstanceId id) const;
 
   Rng rng_;
 

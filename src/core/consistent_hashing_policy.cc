@@ -11,9 +11,10 @@ std::optional<InstanceId> ConsistentHashingPolicy::RouteColoredId(
   return ring_.LookupId(color);
 }
 
-void ConsistentHashingPolicy::OnInstanceAdded(const std::string& instance) {
-  PolicyBase::OnInstanceAdded(instance);
-  ring_.AddMember(instance);
+void ConsistentHashingPolicy::OnInstanceAdded(const std::string& instance,
+                                              InstanceId id) {
+  PolicyBase::OnInstanceAdded(instance, id);
+  ring_.AddMember(instance, id);
 }
 
 void ConsistentHashingPolicy::OnInstanceRemoved(const std::string& instance) {

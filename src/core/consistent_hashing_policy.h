@@ -17,7 +17,7 @@ class ConsistentHashingPolicy : public PolicyBase {
   explicit ConsistentHashingPolicy(std::uint64_t seed);
 
   std::optional<InstanceId> RouteColoredId(std::string_view color) override;
-  void OnInstanceAdded(const std::string& instance) override;
+  void OnInstanceAdded(const std::string& instance, InstanceId id) override;
   void OnInstanceRemoved(const std::string& instance) override;
   std::size_t StateBytes() const override;
   std::string_view name() const override { return "Palette: Consistent Hashing"; }

@@ -42,14 +42,15 @@ std::optional<InstanceId> LeastAssignedPolicy::RouteColoredId(
   return target;
 }
 
-void LeastAssignedPolicy::OnInstanceAdded(const std::string& instance) {
-  PolicyBase::OnInstanceAdded(instance);
-  assigned_counts_.try_emplace(InternInstance(instance), 0);
+void LeastAssignedPolicy::OnInstanceAdded(const std::string& instance,
+                                          InstanceId id) {
+  PolicyBase::OnInstanceAdded(instance, id);
+  assigned_counts_.try_emplace(id, 0);
 }
 
 void LeastAssignedPolicy::OnInstanceRemoved(const std::string& instance) {
+  const auto removed = MemberId(instance);
   PolicyBase::OnInstanceRemoved(instance);
-  const auto removed = InstanceRegistry::Global().Find(instance);
   if (!removed.has_value()) {
     return;
   }
@@ -172,7 +173,7 @@ void LeastAssignedPolicy::EvictLru() {
 
 std::size_t LeastAssignedPolicy::AssignedCount(
     const std::string& instance) const {
-  const auto id = InstanceRegistry::Global().Find(instance);
+  const auto id = MemberId(instance);
   return id.has_value() ? CountOf(*id) : 0;
 }
 
@@ -183,7 +184,7 @@ std::optional<std::string> LeastAssignedPolicy::LookupColor(
   if (it == table_.end() || it->second->instance == kInvalidInstanceId) {
     return std::nullopt;
   }
-  return InstanceName(it->second->instance);
+  return MemberName(it->second->instance);
 }
 
 std::size_t LeastAssignedPolicy::StateBytes() const {

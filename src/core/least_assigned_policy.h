@@ -42,7 +42,7 @@ class LeastAssignedPolicy : public PolicyBase {
                                LeastAssignedConfig config = {});
 
   std::optional<InstanceId> RouteColoredId(std::string_view color) override;
-  void OnInstanceAdded(const std::string& instance) override;
+  void OnInstanceAdded(const std::string& instance, InstanceId id) override;
   void OnInstanceRemoved(const std::string& instance) override;
   std::size_t StateBytes() const override;
   std::string_view name() const override { return "Palette: Least Assigned"; }

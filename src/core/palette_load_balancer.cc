@@ -36,10 +36,8 @@ std::optional<InstanceId> PaletteLoadBalancer::RouteId(
     } else {
       ++unhinted_routed_;
     }
-    if (*instance >= routed_counts_.size()) {
-      routed_counts_.resize(*instance + 1, 0);
-    }
-    ++routed_counts_[*instance];
+    assert(*instance < slots_.size());  // policies route to members only
+    ++slots_[*instance].routed;
   } else if (color.has_value()) {
     ++hint_failures_;
   }
@@ -52,41 +50,37 @@ std::optional<std::string> PaletteLoadBalancer::Route(
   if (!id.has_value()) {
     return std::nullopt;
   }
-  return InstanceName(*id);
+  return MemberName(*id);
 }
 
-void PaletteLoadBalancer::AddInstance(const std::string& instance) {
+void PaletteLoadBalancer::AddInstance(const std::string& instance,
+                                      InstanceId id) {
   ++placement_version_;
-  if (std::find(instances_.begin(), instances_.end(), instance) !=
-      instances_.end()) {
+  const auto at = FindMember(instance);
+  if (at != instance_ids_.end() && slots_[*at].name == instance) {
     return;
   }
-  const auto at = std::lower_bound(instances_.begin(), instances_.end(),
-                                   instance);
-  const auto index = static_cast<std::size_t>(at - instances_.begin());
-  instances_.insert(at, instance);
-  instance_ids_.insert(instance_ids_.begin() + index,
-                       InternInstance(instance));
-  policy_->OnInstanceAdded(instance);
+  instance_ids_.insert(at, id);
+  if (id >= slots_.size()) {
+    slots_.resize(id + 1);
+  }
+  slots_[id].name = instance;
+  policy_->OnInstanceAdded(instance, id);
 }
 
 void PaletteLoadBalancer::RemoveInstance(const std::string& instance) {
   ++placement_version_;
-  auto it = std::find(instances_.begin(), instances_.end(), instance);
-  if (it == instances_.end()) {
+  const auto it = FindMember(instance);
+  if (it == instance_ids_.end() || slots_[*it].name != instance) {
     return;
   }
-  const std::size_t index = static_cast<std::size_t>(it - instances_.begin());
-  const InstanceId id = instance_ids_[index];
-  // Interned ids are reused when a name rejoins, so the per-id routing
+  const InstanceId id = *it;
+  // Ids are reused when a name rejoins, so the per-id routing
   // counter must die with the membership — otherwise a removed-then-re-added
   // instance starts with the dead incarnation's count (counter
   // bleed-through).
-  if (id < routed_counts_.size()) {
-    routed_counts_[id] = 0;
-  }
-  instance_ids_.erase(instance_ids_.begin() + index);
-  instances_.erase(it);
+  slots_[id].routed = 0;
+  instance_ids_.erase(it);
   // Prune the departed instance from split replica sets; a split that
   // loses all members collapses back to plain policy routing.
   for (auto split_it = splits_.begin(); split_it != splits_.end();) {
@@ -129,7 +123,7 @@ std::optional<std::string> PaletteLoadBalancer::ResolveColor(
   if (!id.has_value()) {
     return std::nullopt;
   }
-  return InstanceName(*id);
+  return MemberName(*id);
 }
 
 std::string PaletteLoadBalancer::TranslateObjectName(
@@ -150,16 +144,27 @@ std::string PaletteLoadBalancer::TranslateObjectName(
     // name untranslated; the cache will hash it by its raw prefix.
     return object_name;
   }
-  return InstanceName(*instance) + object_name.substr(pos);
+  return MemberName(*instance) + object_name.substr(pos);
 }
 
 std::uint64_t PaletteLoadBalancer::RoutedToId(InstanceId id) const {
-  return id < routed_counts_.size() ? routed_counts_[id] : 0;
+  return id < slots_.size() ? slots_[id].routed : 0;
 }
 
 std::uint64_t PaletteLoadBalancer::RoutedTo(const std::string& instance) const {
-  const auto id = InstanceRegistry::Global().Find(instance);
-  return id.has_value() ? RoutedToId(*id) : 0;
+  const auto it = FindMember(instance);
+  return it != instance_ids_.end() && slots_[*it].name == instance
+             ? RoutedToId(*it)
+             : 0;
+}
+
+std::vector<InstanceId>::const_iterator PaletteLoadBalancer::FindMember(
+    const std::string& instance) const {
+  return std::lower_bound(
+      instance_ids_.begin(), instance_ids_.end(), instance,
+      [this](InstanceId id, const std::string& name) {
+        return slots_[id].name < name;
+      });
 }
 
 InstanceId PaletteLoadBalancer::PickSplitMember(SplitEntry& entry) {

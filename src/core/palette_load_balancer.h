@@ -2,13 +2,16 @@
 //
 // Sits between colored invocations and the application's instances: applies
 // the application's chosen color scheduling policy, tracks per-instance
-// routing counts, and receives membership updates from the scale controller.
+// routing counts, and receives membership updates from the platform.
 // One PaletteLoadBalancer exists per application — the color namespace is
 // application-scoped, so no state is shared across applications.
 //
-// The hot path is id-based: RouteId() returns an interned InstanceId and
-// bumps a flat per-id counter (no string hashing per route). Route() remains
-// as a string-returning shim for callers that want names.
+// The hot path is id-based: RouteId() returns the routed instance's
+// InstanceId and bumps a flat per-id counter (no string hashing per route).
+// Ids come from whoever owns the instances (src/common/instance_id.h): each
+// instance joins with its (name, id) pair. Route() remains as a
+// string-returning shim for callers that want names; it reads them from
+// the balancer's own members.
 #ifndef PALETTE_SRC_CORE_PALETTE_LOAD_BALANCER_H_
 #define PALETTE_SRC_CORE_PALETTE_LOAD_BALANCER_H_
 
@@ -41,10 +44,16 @@ class PaletteLoadBalancer {
   // String-returning shim over RouteId().
   std::optional<std::string> Route(const std::optional<Color>& color);
 
-  // Scale controller integration.
-  void AddInstance(const std::string& instance);
+  // Membership, from the platform (or a standalone caller): `instance`
+  // joins under the id its owner assigned.
+  void AddInstance(const std::string& instance, InstanceId id);
   void RemoveInstance(const std::string& instance);
-  const std::vector<std::string>& instances() const { return instances_; }
+  // Member ids, in their names' order.
+  const std::vector<InstanceId>& instance_ids() const { return instance_ids_; }
+  // The name instance `id` joined with. `id` must have joined.
+  const std::string& MemberName(InstanceId id) const {
+    return slots_[id].name;
+  }
 
   // Translates a color to the instance it maps to *without* recording an
   // invocation. Used for Faa$T object-name translation (§5.1): the LB
@@ -157,14 +166,22 @@ class PaletteLoadBalancer {
   };
 
   InstanceId PickSplitMember(SplitEntry& entry);
+  // The first member whose name is not less than `instance`.
+  std::vector<InstanceId>::const_iterator FindMember(
+      const std::string& instance) const;
   void CountColor(const Color& color);
 
   std::unique_ptr<ColorSchedulingPolicy> policy_;
-  std::vector<std::string> instances_;       // name-sorted
-  std::vector<InstanceId> instance_ids_;     // parallel to instances_
-  // Indexed by global InstanceId; grows on demand. Ids are dense, so this
-  // stays a flat array bump instead of a hash lookup per route.
-  std::vector<std::uint64_t> routed_counts_;
+  std::vector<InstanceId> instance_ids_;  // members, sorted by name
+  // Indexed by InstanceId, grown as ids join: the name each id joined with
+  // (kept after a departure, since a rejoin brings the same pair back) and
+  // the routes it took. Ids are dense, so a route bumps a flat array slot
+  // instead of hashing a name.
+  struct IdSlot {
+    std::string name;
+    std::uint64_t routed = 0;
+  };
+  std::vector<IdSlot> slots_;
   std::uint64_t total_routed_ = 0;
   std::uint64_t hints_honored_ = 0;
   std::uint64_t unhinted_routed_ = 0;

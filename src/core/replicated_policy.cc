@@ -14,10 +14,12 @@ ReplicatedColorPolicy::ReplicatedColorPolicy(std::uint64_t seed,
   assert(config_.table_capacity > 0);
 }
 
-std::vector<std::string> ReplicatedColorPolicy::ReplicaSetOf(
+std::vector<InstanceId> ReplicatedColorPolicy::ReplicaSetOf(
     std::string_view color) const {
-  return ring_.LookupN(TruncateColor(color),
-                       static_cast<std::size_t>(config_.replicas));
+  std::vector<InstanceId> ids;
+  ring_.LookupNIds(TruncateColor(color),
+                   static_cast<std::size_t>(config_.replicas), &ids);
+  return ids;
 }
 
 bool ReplicatedColorPolicy::IsHot(std::string_view color) const {
@@ -90,9 +92,10 @@ std::optional<InstanceId> ReplicatedColorPolicy::RouteColoredId(
   return replica_buffer_[cursor % replica_buffer_.size()];
 }
 
-void ReplicatedColorPolicy::OnInstanceAdded(const std::string& instance) {
-  PolicyBase::OnInstanceAdded(instance);
-  ring_.AddMember(instance);
+void ReplicatedColorPolicy::OnInstanceAdded(const std::string& instance,
+                                            InstanceId id) {
+  PolicyBase::OnInstanceAdded(instance, id);
+  ring_.AddMember(instance, id);
 }
 
 void ReplicatedColorPolicy::OnInstanceRemoved(const std::string& instance) {

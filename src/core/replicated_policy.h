@@ -52,7 +52,7 @@ class ReplicatedColorPolicy : public PolicyBase {
                                  ReplicatedColorConfig config = {});
 
   std::optional<InstanceId> RouteColoredId(std::string_view color) override;
-  void OnInstanceAdded(const std::string& instance) override;
+  void OnInstanceAdded(const std::string& instance, InstanceId id) override;
   void OnInstanceRemoved(const std::string& instance) override;
   std::size_t StateBytes() const override;
   std::string_view name() const override {
@@ -60,12 +60,12 @@ class ReplicatedColorPolicy : public PolicyBase {
   }
 
   // The replica set a color currently maps to (<= `replicas` instances).
-  std::vector<std::string> ReplicaSetOf(std::string_view color) const;
+  std::vector<InstanceId> ReplicaSetOf(std::string_view color) const;
 
   // Writes to a replicated color land on the whole replica set (the
   // storage tier keeps the copies coherent synchronously; see
   // ColorSchedulingPolicy::WriteReplicaSetOf).
-  std::vector<std::string> WriteReplicaSetOf(
+  std::vector<InstanceId> WriteReplicaSetOf(
       std::string_view color) const override {
     return ReplicaSetOf(color);
   }

@@ -55,13 +55,15 @@ FaasPlatform::FaasPlatform(Simulator* sim, PolicyKind policy,
       retry_rng_(seed ^ 0x5EEDBACC0FFULL) {
   network_.AddNode(kStorageNode);
   if (config_.storage.enabled()) {
-    storage_ = std::make_unique<StorageLayer>(sim_, &network_, &cache_,
-                                              config_.storage, kStorageNode);
+    storage_ = std::make_unique<StorageLayer>(
+        sim_, &network_, &cache_, &instances_, config_.storage, kStorageNode);
   }
 }
 
 void FaasPlatform::AddWorker(const std::string& name, double speed) {
-  const InstanceId id = InternInstance(name);
+  // The one place this platform assigns ids: in join order, and a name
+  // that rejoins keeps its id.
+  const InstanceId id = instances_.Intern(name);
   if (id >= workers_.size()) {
     workers_.resize(id + 1);
   }
@@ -72,24 +74,27 @@ void FaasPlatform::AddWorker(const std::string& name, double speed) {
   workers_[id] = std::make_unique<Worker>(sim_, speed, name, ++worker_joins_);
   ++worker_count_;
   network_.AddNode(name);
-  cache_.AddInstance(name);
+  cache_.AddInstance(name, id);
   if (storage_ != nullptr) {
     storage_->OnInstanceJoin(name);
   }
-  lb_.AddInstance(name);
-  NotifyMembership(MembershipEvent::kAdded, name);
+  lb_.AddInstance(name, id);
+  NotifyMembership(MembershipEvent::kAdded, name, id);
   // A fresh worker is idle; in pull mode it can drain a backlog at once.
   MaybeIdle(id);
 }
 
 void FaasPlatform::AddWorkers(int count) {
+  // New names take the next ids, so the id-indexed table grows once.
+  workers_.reserve(workers_.size() +
+                   static_cast<std::size_t>(std::max(count, 0)));
   for (int i = 0; i < count; ++i) {
     AddWorker(StrFormat("%s%d", worker_prefix_.c_str(), next_worker_index_++));
   }
 }
 
 void FaasPlatform::Depart(const std::string& name, bool crashed) {
-  const auto id = InstanceRegistry::Global().Find(name);
+  const auto id = instances_.Find(name);
   if (!id.has_value()) {
     return;
   }
@@ -117,7 +122,7 @@ void FaasPlatform::Depart(const std::string& name, bool crashed) {
   }
   cache_.RemoveInstance(name);
   lb_.RemoveInstance(name);
-  NotifyMembership(MembershipEvent::kRemoved, name);
+  NotifyMembership(MembershipEvent::kRemoved, name, *id);
   if (running.has_value()) {
     HandleFailure(*running, FailureReason::kWorkerLost);
   }
@@ -154,8 +159,7 @@ bool FaasPlatform::Requeue(AttemptHandle attempt) {
 }
 
 bool FaasPlatform::HasWorker(const std::string& name) const {
-  const auto id = InstanceRegistry::Global().Find(name);
-  return id.has_value() && HasWorkerId(*id);
+  return WorkerNamed(name) != nullptr;
 }
 
 std::vector<std::string> FaasPlatform::WorkerNames() const {
@@ -171,9 +175,9 @@ std::vector<std::string> FaasPlatform::WorkerNames() const {
 }
 
 std::string FaasPlatform::DrainCandidateWorker() const {
-  // Minimum over (depth, InstanceId). Ids intern in join order, which is
-  // identical across rebuilds and shard counts — name order is not ("w10"
-  // sorts before "w2").
+  // Minimum over (depth, InstanceId). Ids follow this platform's join
+  // order, which is identical across rebuilds and shard counts — name order
+  // is not ("w10" sorts before "w2").
   InstanceId best = kInvalidInstanceId;
   std::size_t best_depth = 0;
   for (InstanceId id = 0; id < workers_.size(); ++id) {
@@ -187,7 +191,7 @@ std::string FaasPlatform::DrainCandidateWorker() const {
       best_depth = depth;
     }
   }
-  return best == kInvalidInstanceId ? std::string() : InstanceName(best);
+  return best == kInvalidInstanceId ? std::string() : instances_.NameOf(best);
 }
 
 void FaasPlatform::SeedStorageObject(const std::string& name, Bytes size) {
@@ -432,7 +436,8 @@ void FaasPlatform::HandleFailure(AttemptHandle handle, FailureReason reason) {
     if (trace_ != nullptr) {
       trace_->RecordRetry(RetryTrace{
           invocations_[invocation].result.id, number,
-          worker != kInvalidInstanceId ? InstanceName(worker) : std::string(),
+          worker != kInvalidInstanceId ? instances_.NameOf(worker)
+                                       : std::string(),
           reason == FailureReason::kTimeout ? RetryReason::kTimeout
                                             : RetryReason::kWorkerLost,
           sim_->Now(), resubmit_at});
@@ -534,8 +539,8 @@ void FaasPlatform::StartNextOnWorker(InstanceId instance) {
         ++result.remote_hits;
         result.network_bytes += lookup.size;
         source = FetchSource::kRemote;
-        done = network_.Transfer(InstanceName(lookup.owner), instance_name,
-                                 lookup.size);
+        done = network_.Transfer(instances_.NameOf(lookup.owner),
+                                 instance_name, lookup.size);
         if (storage_ != nullptr && config_.cache.replicate_on_remote_hit) {
           // The cache just copied the object into the reader's shard; the
           // home serves the authoritative copy, so the new copy is fresh.
@@ -618,7 +623,7 @@ void FaasPlatform::StartNextOnWorker(InstanceId instance) {
               : cache_.PutReplicated(instance, output.name, output.size,
                                      replicas);
       const std::string& home_name =
-          home == instance ? result2.instance : InstanceName(home);
+          home == instance ? result2.instance : instances_.NameOf(home);
       SimTime done =
           network_.Transfer(result2.instance, home_name, output.size);
       if (storage_ != nullptr) {
@@ -626,7 +631,7 @@ void FaasPlatform::StartNextOnWorker(InstanceId instance) {
         // the producer too; the slowest transfer gates the write.
         std::vector<std::string> replica_names;
         for (const InstanceId replica : replicas) {
-          replica_names.push_back(InstanceName(replica));
+          replica_names.push_back(instances_.NameOf(replica));
           if (replica == home || !cache_.HasInstance(replica)) {
             continue;
           }
@@ -1095,8 +1100,7 @@ std::vector<InstanceId> FaasPlatform::WriteReplicasFor(
   if (lb_.IsSplit(key)) {
     replicas = lb_.SplitMembers(key);
   }
-  for (const std::string& name : lb_.policy().WriteReplicaSetOf(key)) {
-    const InstanceId id = InternInstance(name);
+  for (const InstanceId id : lb_.policy().WriteReplicaSetOf(key)) {
     if (std::find(replicas.begin(), replicas.end(), id) == replicas.end()) {
       replicas.push_back(id);
     }
@@ -1166,20 +1170,12 @@ void FaasPlatform::set_metrics(MetricsRegistry* metrics) {
 }
 
 std::size_t FaasPlatform::WorkerQueueDepth(const std::string& name) const {
-  const auto id = InstanceRegistry::Global().Find(name);
-  if (!id.has_value()) {
-    return 0;
-  }
-  const Worker* const worker = WorkerAt(*id);
+  const Worker* const worker = WorkerNamed(name);
   return worker != nullptr ? worker->queue.size() : 0;
 }
 
 std::uint64_t FaasPlatform::WorkerColdStarts(const std::string& name) const {
-  const auto id = InstanceRegistry::Global().Find(name);
-  if (!id.has_value()) {
-    return 0;
-  }
-  const Worker* const worker = WorkerAt(*id);
+  const Worker* const worker = WorkerNamed(name);
   return worker != nullptr ? worker->cold_starts : 0;
 }
 
@@ -1211,8 +1207,8 @@ void FaasPlatform::ApplyPlan(const Plan& plan) {
     if (!src.has_value() || *src == migration.to) {
       continue;  // Nothing placed yet, or a no-op move: no bytes to haul.
     }
-    const std::string& src_name = InstanceName(*src);
-    const std::string& dst_name = InstanceName(migration.to);
+    const std::string& src_name = instances_.NameOf(*src);
+    const std::string& dst_name = instances_.NameOf(migration.to);
     auto batch = std::make_shared<std::vector<FaastCache::ResidentObject>>(
         cache_.PeekKeyObjects(*src, *migration.color));
     if (batch->empty()) {
@@ -1243,7 +1239,7 @@ void FaasPlatform::ApplyPlan(const Plan& plan) {
       if (!HasWorkerId(dst_id)) {
         return;  // Destination died mid-flight; the bytes are lost.
       }
-      const std::string& name = InstanceName(dst_id);
+      const std::string& name = instances_.NameOf(dst_id);
       for (const FaastCache::ResidentObject& object : *batch) {
         cache_.PutLocal(dst_id, object.name, object.size);
         if (storage_ != nullptr) {

@@ -211,10 +211,11 @@ class FaasPlatform {
   // Cluster membership change feed for external routing tiers: fired
   // synchronously from AddWorker / RemoveWorker / CrashWorker, after the
   // platform's own membership (cache shards, LB view) has been updated but
-  // before orphaned attempts are failed over.
+  // before orphaned attempts are failed over. `id` is the worker's id in
+  // this platform's instance_table().
   enum class MembershipEvent { kAdded, kRemoved };
-  using MembershipListener =
-      std::function<void(MembershipEvent event, const std::string& worker)>;
+  using MembershipListener = std::function<void(
+      MembershipEvent event, const std::string& worker, InstanceId id)>;
 
   // The platform owns its network, cache and load balancer; `sim` must
   // outlive it.
@@ -222,11 +223,13 @@ class FaasPlatform {
                PlatformConfig config = {});
 
   // Workers are named "<prefix>N" by AddWorkers (default prefix "w"), or
-  // explicitly. The sharded engine (src/workload/sharded_run.cc) gives each
-  // group a distinct prefix so worker names, and the instance ids interned
-  // from them, stay unique across groups. `speed` scales the worker's CPU
-  // rate (1.0 = the platform rating; 0.5 = a straggler VM) — real clusters
-  // are never perfectly homogeneous.
+  // explicitly. A worker's InstanceId is assigned here, by this platform's
+  // own table, in join order; a name that rejoins keeps its id. The sharded
+  // engine (src/workload/sharded_run.cc) gives each group a distinct prefix,
+  // which keeps worker names — and so the cache ring's homes, which hash
+  // names — what they are; ids start at 0 in every group. `speed` scales
+  // the worker's CPU rate (1.0 = the platform rating; 0.5 = a straggler
+  // VM) — real clusters are never perfectly homogeneous.
   void AddWorker(const std::string& name, double speed = 1.0);
   void AddWorkers(int count);
   void set_worker_prefix(std::string prefix) {
@@ -244,11 +247,11 @@ class FaasPlatform {
   std::size_t worker_count() const { return worker_count_; }
   std::vector<std::string> WorkerNames() const;
   // Scale-in victim selection: the worker with the fewest queued requests.
-  // Ties resolve by smallest interned InstanceId — the interning order is
-  // the order workers joined the cluster, which is identical across
-  // rebuilds and shard counts, unlike name order or container iteration
-  // order. Removing the shallowest queue strands the fewest in-flight
-  // attempts. Empty string when there are no workers.
+  // Ties resolve by smallest InstanceId — the order workers first joined
+  // this platform, which is identical across rebuilds and shard counts,
+  // unlike name order or container iteration order. Removing the shallowest
+  // queue strands the fewest in-flight attempts. Empty string when there
+  // are no workers.
   std::string DrainCandidateWorker() const;
 
   // Submits an invocation; `on_complete` fires (via the simulator) when its
@@ -318,6 +321,8 @@ class FaasPlatform {
   // read but never produced in this run come from storage.
   void SeedStorageObject(const std::string& name, Bytes size);
 
+  // The table that assigned this platform's instance ids (AddWorker).
+  const InstanceTable& instance_table() const { return instances_; }
   PaletteLoadBalancer& load_balancer() { return lb_; }
   const PaletteLoadBalancer& load_balancer() const { return lb_; }
   FaastCache& cache() { return cache_; }
@@ -442,9 +447,7 @@ class FaasPlatform {
           incarnation(joined) {}
     FifoResource cpu;  // busy-time accounting
     double speed;      // CPU rate multiplier
-    // Its registry name, held here so the dispatch path takes no registry
-    // lock.
-    std::string name;
+    std::string name;  // dispatch and fetch read it here, not in the table
     // Which join of its name this record is: a claim handoff bound to an
     // earlier incarnation must not land on this one.
     std::uint64_t incarnation;
@@ -465,10 +468,14 @@ class FaasPlatform {
     std::uint64_t cold_starts = 0;
   };
 
-  // The worker with interned id `id`, or null when none of this platform's
-  // workers has it (never joined, or departed).
+  // The worker with id `id` (or named `name`), or null when none of this
+  // platform's workers has it (never joined, or departed).
   Worker* WorkerAt(InstanceId id) const {
     return id < workers_.size() ? workers_[id].get() : nullptr;
+  }
+  Worker* WorkerNamed(std::string_view name) const {
+    const auto id = instances_.Find(name);
+    return id.has_value() ? WorkerAt(*id) : nullptr;
   }
 
   // The placement for attempt `number` of invocation `id`: the attached
@@ -577,25 +584,28 @@ class FaasPlatform {
   // the paper's coherence-free case. Only consulted when storage_ is on.
   std::vector<InstanceId> WriteReplicasFor(std::string_view key) const;
 
-  void NotifyMembership(MembershipEvent event, const std::string& worker) {
+  void NotifyMembership(MembershipEvent event, const std::string& worker,
+                        InstanceId id) {
     if (membership_listener_) {
-      membership_listener_(event, worker);
+      membership_listener_(event, worker, id);
     }
   }
 
   Simulator* sim_;
   PlatformConfig config_;
+  // Assigns this platform's instance ids (AddWorker) and names them.
+  InstanceTable instances_;
   Network network_;
   FaastCache cache_;
   // Stateful storage tier; null when config_.storage is disabled, and
   // every hook below is a single pointer test in that case.
   std::unique_ptr<StorageLayer> storage_;
   PaletteLoadBalancer lb_;
-  // Indexed by interned id (WorkerAt); null slots are ids with no worker
-  // here. Ids are never recycled, so a worker that leaves and rejoins under
-  // its name gets a fresh record in its old slot. Platform continuations
-  // capture the 4-byte id (not a worker-name string), keeping them inside
-  // the simulator's inline event-callback buffer.
+  // Indexed by id (WorkerAt); null slots are ids with no worker here. Ids
+  // are never recycled, so a worker that leaves and rejoins under its name
+  // gets a fresh record in its old slot. Platform continuations capture the
+  // 4-byte id (not a worker-name string), keeping them inside the
+  // simulator's inline event-callback buffer.
   std::vector<std::unique_ptr<Worker>> workers_;
   std::size_t worker_count_ = 0;  // non-null slots of workers_
   std::size_t idle_count_ = 0;    // workers with `idle` set

@@ -10,13 +10,13 @@ namespace palette {
 ConsistentHashRing::ConsistentHashRing(int virtual_nodes, std::uint64_t seed)
     : virtual_nodes_(virtual_nodes), seed_(seed) {}
 
-bool ConsistentHashRing::AddMember(const std::string& member) {
+bool ConsistentHashRing::AddMember(const std::string& member, InstanceId id) {
   if (member_index_.find(member) != member_index_.end()) {
     return false;
   }
   member_index_.emplace(member,
                         static_cast<std::uint32_t>(members_.size()));
-  members_.push_back(Member{member, InternInstance(member)});
+  members_.push_back(Member{member, id});
   dirty_ = true;
   return true;
 }
@@ -37,18 +37,13 @@ bool ConsistentHashRing::RemoveMember(const std::string& member) {
   return true;
 }
 
-bool ConsistentHashRing::Contains(const std::string& member) const {
-  return member_index_.find(member) != member_index_.end();
-}
-
-std::vector<std::string> ConsistentHashRing::Members() const {
-  std::vector<std::string> out;
-  out.reserve(members_.size());
-  for (const Member& member : members_) {
-    out.push_back(member.name);
+std::optional<InstanceId> ConsistentHashRing::MemberId(
+    std::string_view member) const {
+  const auto it = member_index_.find(member);
+  if (it == member_index_.end()) {
+    return std::nullopt;
   }
-  std::sort(out.begin(), out.end());
-  return out;
+  return members_[it->second].id;
 }
 
 void ConsistentHashRing::RebuildIfDirty() const {
@@ -130,18 +125,6 @@ void ConsistentHashRing::LookupNIds(std::string_view key, std::size_t count,
     }
     index = index + 1 == ring_.size() ? 0 : index + 1;
   }
-}
-
-std::vector<std::string> ConsistentHashRing::LookupN(std::string_view key,
-                                                     std::size_t count) const {
-  std::vector<InstanceId> ids;
-  LookupNIds(key, count, &ids);
-  std::vector<std::string> out;
-  out.reserve(ids.size());
-  for (const InstanceId id : ids) {
-    out.push_back(InstanceName(id));
-  }
-  return out;
 }
 
 }  // namespace palette

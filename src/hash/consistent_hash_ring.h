@@ -12,8 +12,9 @@
 // rare scale events, so the ring is a flat position-sorted std::vector
 // searched with binary search, rebuilt lazily after membership changes
 // (previously a std::map with per-node allocation and pointer-chasing
-// successor walks). Members carry interned InstanceIds so the routing hot
-// path (LookupId/LookupNIds) never materializes name strings.
+// successor walks). Each member joins with the InstanceId its owner assigned
+// (src/common/instance_id.h), so the routing hot path (LookupId/LookupNIds)
+// never materializes name strings; the ring itself never assigns ids.
 #ifndef PALETTE_SRC_HASH_CONSISTENT_HASH_RING_H_
 #define PALETTE_SRC_HASH_CONSISTENT_HASH_RING_H_
 
@@ -40,15 +41,16 @@ class ConsistentHashRing {
   explicit ConsistentHashRing(int virtual_nodes = kRingVirtualNodes,
                               std::uint64_t seed = 0x9A1E5EEDULL);
 
-  // Adds a member. Returns false (no-op) if already present.
-  bool AddMember(const std::string& member);
+  // Adds a member under the id its owner assigned. Returns false (no-op)
+  // if already present.
+  bool AddMember(const std::string& member, InstanceId id);
 
   // Removes a member. Returns false (no-op) if absent.
   bool RemoveMember(const std::string& member);
 
-  bool Contains(const std::string& member) const;
+  // The id `member` joined with; nullopt when it is not a member.
+  std::optional<InstanceId> MemberId(std::string_view member) const;
   std::size_t member_count() const { return members_.size(); }
-  std::vector<std::string> Members() const;
 
   // Maps a key to a member. If `key` equals a member name the result is that
   // member (identity property). Returns nullopt when the ring is empty.
@@ -57,13 +59,9 @@ class ConsistentHashRing {
   // Id-returning Lookup for the routing hot path.
   std::optional<InstanceId> LookupId(std::string_view key) const;
 
-  // Like Lookup but walks the ring to return up to `count` distinct members
-  // (replica set order). Used by tests and by replication experiments.
-  std::vector<std::string> LookupN(std::string_view key,
-                                   std::size_t count) const;
-
-  // Allocation-free LookupN: clears `*out` and appends up to `count`
-  // distinct member ids in ring-successor order.
+  // Like LookupId but walks the ring for up to `count` distinct members
+  // (replica set order): clears `*out` and appends their ids in
+  // ring-successor order, allocation-free once `*out` has grown.
   void LookupNIds(std::string_view key, std::size_t count,
                   std::vector<InstanceId>* out) const;
 

@@ -39,12 +39,7 @@ PlacementSnapshot SnapshotCollector::Collect(FaasPlatform& platform) {
   PaletteLoadBalancer& lb = platform.load_balancer();
   assert(lb_ == nullptr || lb_ == &lb);  // one collector per platform
   lb_ = &lb;
-  for (const std::string& name : lb.instances()) {
-    const auto id = InstanceRegistry::Global().Find(name);
-    if (id.has_value()) {
-      snapshot.instances.push_back(*id);
-    }
-  }
+  snapshot.instances = lb.instance_ids();
 
   // Colors come from the LB's opt-in per-color counters, in name order so
   // the snapshot (and everything the solver derives from it) has one
@@ -102,9 +97,10 @@ PlacementSnapshot SnapshotCollector::Collect(FaasPlatform& platform) {
         });
   }
   if (platform.storage_layer() != nullptr) {
+    const InstanceTable& ids = platform.instance_table();
     platform.storage_layer()->ForEachDirtyObject(
         [&](const std::string& object, const std::string& owner, Bytes bytes) {
-          const auto at = InstanceRegistry::Global().Find(owner);
+          const auto at = ids.Find(owner);
           if (ColorObservation* obs = at ? placed_at(object, *at) : nullptr) {
             obs->dirty_bytes += bytes;
           }

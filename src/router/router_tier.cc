@@ -56,26 +56,21 @@ RouterTier::RouterTier(FaasPlatform* platform, RouterTierConfig config)
   // (log position 0).
   const std::uint64_t policy_seed = MixU64(config_.seed ^ 0x529EBA11ULL);
   const std::vector<std::string> workers = platform_->WorkerNames();
+  const InstanceTable& ids = platform_->instance_table();
   routers_.reserve(static_cast<std::size_t>(config_.routers));
   for (int i = 0; i < config_.routers; ++i) {
     auto router = std::make_unique<Router>(
         StrFormat("r%d", i), i, MakePolicy(config_.policy, policy_seed));
     for (const std::string& worker : workers) {
-      router->lb.AddInstance(worker);
+      router->lb.AddInstance(worker, *ids.Find(worker));
     }
-    const InstanceId id = InternInstance(router->name);
-    if (id >= router_of_id_.size()) {
-      router_of_id_.resize(id + 1, -1);
-    }
-    router_of_id_[id] = i;
-    ring_.AddMember(router->name);
+    ring_.AddMember(router->name, static_cast<InstanceId>(i));
     routers_.push_back(std::move(router));
   }
   RebuildLive();
   platform_->set_membership_listener(
-      [this](FaasPlatform::MembershipEvent event, const std::string& worker) {
-        OnMembershipEvent(event, worker);
-      });
+      [this](FaasPlatform::MembershipEvent event, const std::string& worker,
+             InstanceId id) { OnMembershipEvent(event, worker, id); });
   platform_->set_plan_listener(
       [this](const Plan& plan) { OnPlanApplied(plan); });
   platform_->set_router(
@@ -98,14 +93,14 @@ std::optional<std::uint64_t> RouterTier::Invoke(
 }
 
 void RouterTier::OnMembershipEvent(FaasPlatform::MembershipEvent event,
-                                   const std::string& worker) {
-  log_.push_back(MembershipUpdate{event, worker, nullptr});
+                                   const std::string& worker, InstanceId id) {
+  log_.push_back(MembershipUpdate{event, worker, id, nullptr});
   BroadcastThrough(++latest_seq_);
 }
 
 void RouterTier::OnPlanApplied(const Plan& plan) {
   log_.push_back(MembershipUpdate{FaasPlatform::MembershipEvent::kAdded,
-                                  std::string(),
+                                  std::string(), kInvalidInstanceId,
                                   std::make_shared<const Plan>(plan)});
   BroadcastThrough(++latest_seq_);
 }
@@ -142,7 +137,7 @@ void RouterTier::ApplyThrough(Router* router, std::uint64_t seq) {
       // platform's LB did, converging its color table (and split table).
       router->lb.ApplyPlan(*update.plan);
     } else if (update.event == FaasPlatform::MembershipEvent::kAdded) {
-      router->lb.AddInstance(update.worker);
+      router->lb.AddInstance(update.worker, update.id);
     } else {
       // Per-view failure-aware re-coloring: the replica's own policy
       // remaps the dead instance's colors inside this view.
@@ -156,9 +151,9 @@ RouterTier::Router* RouterTier::PickRouter(const std::optional<Color>& color) {
     return nullptr;
   }
   if (config_.dispatch == DispatchMode::kColorPartition && color.has_value()) {
-    const auto id = ring_.LookupId(*color);
-    assert(id.has_value());  // ring holds exactly the live replicas
-    return routers_[router_of_id_[*id]].get();
+    const auto index = ring_.LookupId(*color);
+    assert(index.has_value());  // ring holds exactly the live replicas
+    return routers_[*index].get();
   }
   // Spray, and the no-color fallback of color partitioning.
   Router* router = routers_[live_[spray_next_ % live_.size()]].get();
@@ -190,7 +185,7 @@ std::optional<RoutedTarget> RouterTier::RouteAttempt(
     ++misroutes_;
     ++router->misroutes;
     if (target.has_value()) {
-      stale_instance = InstanceName(*target);
+      stale_instance = platform_->instance_table().NameOf(*target);
     }
     ApplyThrough(router, latest_seq_);
     forwarded = true;
@@ -203,19 +198,20 @@ std::optional<RoutedTarget> RouterTier::RouteAttempt(
   if (trace_ != nullptr) {
     const SimTime now = platform_->simulator().Now();
     trace_->RecordRouterHop(RouterHopTrace{
-        invocation_id, attempt, router->name, color, InstanceName(*target),
+        invocation_id, attempt, router->name, color,
+        platform_->instance_table().NameOf(*target),
         stale_instance, forwarded, now, now + config_.hop_latency});
   }
   return RoutedTarget{*target, router->index};
 }
 
 RouterTier::Router* RouterTier::RouterNamed(const std::string& router) const {
-  const auto id = InstanceRegistry::Global().Find(router);
-  if (!id.has_value() || *id >= router_of_id_.size() ||
-      router_of_id_[*id] < 0) {
-    return nullptr;
+  for (const auto& replica : routers_) {
+    if (replica->name == router) {
+      return replica.get();
+    }
   }
-  return routers_[router_of_id_[*id]].get();
+  return nullptr;
 }
 
 bool RouterTier::CrashRouter(const std::string& router) {
@@ -238,7 +234,7 @@ bool RouterTier::RestartRouter(const std::string& router) {
   // A restarting replica bootstraps its view from the membership log
   // before taking traffic (its sync ticks no-op'd while it was down).
   ApplyThrough(restarted, latest_seq_);
-  ring_.AddMember(router);
+  ring_.AddMember(router, static_cast<InstanceId>(restarted->index));
   RebuildLive();
   return true;
 }

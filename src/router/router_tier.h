@@ -186,13 +186,14 @@ class RouterTier {
   struct MembershipUpdate {
     FaasPlatform::MembershipEvent event;
     std::string worker;
+    InstanceId id = kInvalidInstanceId;  // the worker's platform id
     std::shared_ptr<const Plan> plan;
   };
 
   // The platform membership listener: appends to the log and schedules
   // (or, at zero lag, immediately performs) per-replica application.
   void OnMembershipEvent(FaasPlatform::MembershipEvent event,
-                         const std::string& worker);
+                         const std::string& worker, InstanceId id);
   // The platform plan listener: same log, same lag, plan payload.
   void OnPlanApplied(const Plan& plan);
   // Schedules (or performs, at zero lag) application of the log through
@@ -216,11 +217,10 @@ class RouterTier {
   LocalScheduler local_scheduler_;       // default seam: the platform's sim
   EventScheduler* scheduler_ = nullptr;  // active seam (see set_scheduler)
   std::vector<std::unique_ptr<Router>> routers_;
-  // Replica index by the interned id of its name; -1 for every other id.
-  // The ring answers color lookups with ids, so PickRouter maps an id to
-  // its replica without copying or hashing the name.
-  std::vector<int> router_of_id_;
-  // Color -> live replica partition (color-partition dispatch).
+  // Color -> live replica partition (color-partition dispatch). Replicas
+  // are not platform instances: each joins the ring under its name with
+  // its index into routers_ as the member id, so a lookup answers with the
+  // replica itself.
   ConsistentHashRing ring_;
   std::vector<int> live_;  // indices of up replicas, ascending
   std::size_t spray_next_ = 0;

@@ -3,8 +3,10 @@
 #include <cassert>
 #include <memory>
 #include <unordered_map>
+#include <vector>
 
 #include "src/cache/lru_cache.h"
+#include "src/common/instance_id.h"
 #include "src/common/rng.h"
 #include "src/common/table_printer.h"
 #include "src/core/palette_load_balancer.h"
@@ -25,12 +27,13 @@ WebAppResult RunWebAppExperiment(const std::vector<CacheAccess>& trace,
     // hit first).
     std::unordered_map<std::string, std::uint64_t> cached_version;
   };
-  std::unordered_map<std::string, std::unique_ptr<Instance>> instances;
+  InstanceTable ids;
+  std::vector<std::unique_ptr<Instance>> instances;  // indexed by id
   for (int w = 0; w < config.workers; ++w) {
     const std::string name = StrFormat("w%d", w);
-    lb.AddInstance(name);
-    instances.emplace(
-        name, std::make_unique<Instance>(config.per_instance_cache_bytes));
+    lb.AddInstance(name, ids.Intern(name));
+    instances.push_back(
+        std::make_unique<Instance>(config.per_instance_cache_bytes));
   }
 
   // Authoritative object versions (the backend database's view).
@@ -40,9 +43,9 @@ WebAppResult RunWebAppExperiment(const std::vector<CacheAccess>& trace,
   WebAppResult result;
   for (const CacheAccess& access : trace) {
     const auto routed =
-        config.use_colors ? lb.Route(access.key) : lb.Route(std::nullopt);
+        config.use_colors ? lb.RouteId(access.key) : lb.RouteId(std::nullopt);
     assert(routed.has_value());
-    Instance& instance = *instances.at(*routed);
+    Instance& instance = *instances[*routed];
     ++result.accesses;
 
     const bool is_write =
@@ -87,7 +90,7 @@ WebAppResult RunWebAppExperiment(const std::vector<CacheAccess>& trace,
                 static_cast<double>(result.hits)
           : 0.0;
   result.routing_imbalance = lb.RoutingImbalance();
-  for (const auto& [_, instance] : instances) {
+  for (const auto& instance : instances) {
     result.aggregate_cached_bytes += instance->cache.used_bytes();
   }
   return result;

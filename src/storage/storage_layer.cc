@@ -1,16 +1,25 @@
 #include "src/storage/storage_layer.h"
 
 #include <algorithm>
+#include <cassert>
 
 namespace palette {
 
 StorageLayer::StorageLayer(Simulator* sim, Network* network, FaastCache* cache,
-                           StorageConfig config, std::string storage_node)
+                           const InstanceTable* ids, StorageConfig config,
+                           std::string storage_node)
     : sim_(sim),
       network_(network),
       cache_(cache),
+      ids_(ids),
       config_(config),
       tiers_(sim, network, config.tiers, std::move(storage_node), &stats_) {}
+
+InstanceId StorageLayer::IdOf(const std::string& instance) const {
+  const auto id = ids_->Find(instance);
+  assert(id.has_value());
+  return *id;
+}
 
 void StorageLayer::OnInstanceJoin(const std::string& instance) {
   instances_.insert(instance);
@@ -149,12 +158,12 @@ SimTime StorageLayer::ForcedSync(const std::string& reader,
   SimTime sync_done;
   if (!obj.owner.empty() && obj.owner != reader &&
       instances_.count(obj.owner) > 0 &&
-      cache_->ContainsLocal(InternInstance(obj.owner), name)) {
+      cache_->ContainsLocal(IdOf(obj.owner), name)) {
     sync_done = network_->Transfer(obj.owner, reader, obj.size);
   } else {
     sync_done = tiers_.Read(reader, name, obj.size);
   }
-  cache_->PutLocal(InternInstance(reader), name, obj.size);
+  cache_->PutLocal(IdOf(reader), name, obj.size);
   obj.copies[reader] = CopyState{obj.version, SimTime()};
   ++stats_.coherence_syncs;
   stats_.coherence_bytes += obj.size;
@@ -326,6 +335,7 @@ void StorageLayer::ApplyLogAt(const std::string& instance) {
     return;  // instance left before its replay fired
   }
   const SimTime now = sim_->Now();
+  const InstanceId id = IdOf(instance);
   // Records append in seq order with monotone applies_at, so the replay
   // stops at the first not-yet-due record.
   for (std::size_t i = cursor->second; i < log_.size(); ++i) {
@@ -333,18 +343,18 @@ void StorageLayer::ApplyLogAt(const std::string& instance) {
     if (record.applies_at > now) {
       break;
     }
-    ApplyRecord(instance, record);
+    ApplyRecord(instance, id, record);
     cursor->second = record.seq;
     ++stats_.ae_applied;
   }
 }
 
-void StorageLayer::ApplyRecord(const std::string& instance,
+void StorageLayer::ApplyRecord(const std::string& instance, InstanceId id,
                                const AeRecord& record) {
   if (instance == record.source) {
     return;  // its own write; cursor advances, nothing to do
   }
-  if (!cache_->ContainsLocal(InternInstance(instance), record.object)) {
+  if (!cache_->ContainsLocal(id, record.object)) {
     return;  // no local copy to reconcile
   }
   const auto it = objects_.find(record.object);
@@ -360,7 +370,7 @@ void StorageLayer::ApplyRecord(const std::string& instance,
   // Causal-mode objects are replicated hot objects worth keeping warm
   // (refresh); everything else just drops the stale copy (invalidate).
   if (record.mode != CoherenceMode::kCausal) {
-    cache_->EraseLocal(InternInstance(instance), record.object);
+    cache_->EraseLocal(id, record.object);
     obj.copies.erase(instance);
     ++stats_.ae_invalidations;
     if (trace_ != nullptr) {
@@ -376,12 +386,12 @@ void StorageLayer::ApplyRecord(const std::string& instance,
   SimTime refresh_done;
   if (!obj.owner.empty() && obj.owner != instance &&
       instances_.count(obj.owner) > 0 &&
-      cache_->ContainsLocal(InternInstance(obj.owner), record.object)) {
+      cache_->ContainsLocal(IdOf(obj.owner), record.object)) {
     refresh_done = network_->Transfer(obj.owner, instance, obj.size);
   } else {
     refresh_done = tiers_.Read(instance, record.object, obj.size);
   }
-  cache_->PutLocal(InternInstance(instance), record.object, obj.size);
+  cache_->PutLocal(id, record.object, obj.size);
   obj.copies[instance] = CopyState{obj.version, SimTime()};
   ++stats_.ae_refreshes;
   stats_.ae_refresh_bytes += obj.size;

@@ -32,6 +32,7 @@
 #include <vector>
 
 #include "src/cache/faast_cache.h"
+#include "src/common/instance_id.h"
 #include "src/common/types.h"
 #include "src/obs/metrics.h"
 #include "src/obs/trace.h"
@@ -44,11 +45,13 @@ namespace palette {
 
 class StorageLayer {
  public:
-  // `sim`, `network`, and `cache` must outlive the layer. `storage_node`
-  // is the slow-tier network pseudo-node (the platform's legacy backing
-  // store node).
+  // `sim`, `network`, `cache` and `ids` must outlive the layer. `ids` is
+  // the table that assigned the cache's instance ids; the layer only looks
+  // names up in it. `storage_node` is the slow-tier network pseudo-node
+  // (the platform's legacy backing store node).
   StorageLayer(Simulator* sim, Network* network, FaastCache* cache,
-               StorageConfig config, std::string storage_node);
+               const InstanceTable* ids, StorageConfig config,
+               std::string storage_node);
 
   // Membership, forwarded from the platform. A crashed owner's dirty
   // write-back data is lost (counted in the books); a graceful leave
@@ -162,13 +165,18 @@ class StorageLayer {
   // Makes `obj`'s pending write-back data durable, charged from `from`.
   void Flush(const std::string& from, const std::string& name,
              ObjectState& obj);
+  // The cache shard id of `instance`, which must have joined.
+  InstanceId IdOf(const std::string& instance) const;
   // Applies every due log record past `instance`'s cursor.
   void ApplyLogAt(const std::string& instance);
-  void ApplyRecord(const std::string& instance, const AeRecord& record);
+  // `id` is `instance`'s cache shard id, resolved once per replay.
+  void ApplyRecord(const std::string& instance, InstanceId id,
+                   const AeRecord& record);
 
   Simulator* sim_;
   Network* network_;
   FaastCache* cache_;
+  const InstanceTable* ids_;
   StorageConfig config_;
   TieredStore tiers_;
   TraceRecorder* trace_ = nullptr;

@@ -276,30 +276,32 @@ TEST(FaastCacheTest, InstanceNamePrefixMakesProducerHome) {
   // §5.1: with the hashing key set to an instance name, the home location is
   // exactly that instance (ring identity property).
   FaastCache cache;
-  cache.AddInstance("w0");
-  cache.AddInstance("w1");
-  cache.AddInstance("w2");
-  EXPECT_EQ(InstanceName(cache.HomeInstanceId("w1___task7").value()), "w1");
+  InstanceTable ids;
+  cache.AddInstance("w0", ids.Intern("w0"));
+  cache.AddInstance("w1", ids.Intern("w1"));
+  cache.AddInstance("w2", ids.Intern("w2"));
+  EXPECT_EQ(ids.NameOf(cache.HomeInstanceId("w1___task7").value()), "w1");
   const InstanceId stored_at =
-      cache.Put(InternInstance("w1"), "w1___task7", 100);
-  EXPECT_EQ(InstanceName(stored_at), "w1");
+      cache.Put(*ids.Find("w1"), "w1___task7", 100);
+  EXPECT_EQ(ids.NameOf(stored_at), "w1");
 }
 
 TEST(FaastCacheTest, LocalRemoteMissClassification) {
   FaastCache cache;
-  cache.AddInstance("w0");
-  cache.AddInstance("w1");
-  cache.Put(InternInstance("w0"), "w0___obj", 64);
+  InstanceTable ids;
+  cache.AddInstance("w0", ids.Intern("w0"));
+  cache.AddInstance("w1", ids.Intern("w1"));
+  cache.Put(*ids.Find("w0"), "w0___obj", 64);
 
-  const CacheLookup local = cache.Get(InternInstance("w0"), "w0___obj");
+  const CacheLookup local = cache.Get(*ids.Find("w0"), "w0___obj");
   EXPECT_EQ(local.outcome, CacheOutcome::kLocalHit);
   EXPECT_EQ(local.size, 64u);
 
-  const CacheLookup remote = cache.Get(InternInstance("w1"), "w0___obj");
+  const CacheLookup remote = cache.Get(*ids.Find("w1"), "w0___obj");
   EXPECT_EQ(remote.outcome, CacheOutcome::kRemoteHit);
-  EXPECT_EQ(InstanceName(remote.owner), "w0");
+  EXPECT_EQ(ids.NameOf(remote.owner), "w0");
 
-  const CacheLookup miss = cache.Get(InternInstance("w1"), "w0___nothere");
+  const CacheLookup miss = cache.Get(*ids.Find("w1"), "w0___nothere");
   EXPECT_EQ(miss.outcome, CacheOutcome::kMiss);
 
   EXPECT_EQ(cache.local_hits(), 1u);
@@ -309,11 +311,12 @@ TEST(FaastCacheTest, LocalRemoteMissClassification) {
 
 TEST(FaastCacheTest, LookupOwnerIsTheHomeInstanceId) {
   FaastCache cache;
+  InstanceTable ids;
   for (const char* w : {"w0", "w1", "w2", "w3"}) {
-    cache.AddInstance(w);
+    cache.AddInstance(w, ids.Intern(w));
   }
-  const InstanceId w0 = InternInstance("w0");
-  const InstanceId w1 = InternInstance("w1");
+  const InstanceId w0 = *ids.Find("w0");
+  const InstanceId w1 = *ids.Find("w1");
   for (int i = 0; i < 32; ++i) {
     const std::string object = StrFormat("color-%d___obj", i);
     const InstanceId home = cache.HomeInstanceId(object).value();
@@ -330,45 +333,49 @@ TEST(FaastCacheTest, LookupOwnerIsTheHomeInstanceId) {
 
 TEST(FaastCacheTest, RemoteHitDoesNotReplicateByDefault) {
   FaastCache cache;
-  cache.AddInstance("w0");
-  cache.AddInstance("w1");
-  cache.Put(InternInstance("w0"), "w0___obj", 64);
-  cache.Get(InternInstance("w1"), "w0___obj");
+  InstanceTable ids;
+  cache.AddInstance("w0", ids.Intern("w0"));
+  cache.AddInstance("w1", ids.Intern("w1"));
+  cache.Put(*ids.Find("w0"), "w0___obj", 64);
+  cache.Get(*ids.Find("w1"), "w0___obj");
   // Second read from w1 is still remote: no local copy was made.
-  EXPECT_EQ(cache.Get(InternInstance("w1"), "w0___obj").outcome,
+  EXPECT_EQ(cache.Get(*ids.Find("w1"), "w0___obj").outcome,
             CacheOutcome::kRemoteHit);
-  EXPECT_EQ(cache.shard_used_bytes(InternInstance("w1")), 0u);
+  EXPECT_EQ(cache.shard_used_bytes(*ids.Find("w1")), 0u);
 }
 
 TEST(FaastCacheTest, ReplicateOnRemoteHitOption) {
   FaastCacheConfig config;
   config.replicate_on_remote_hit = true;
   FaastCache cache(config);
-  cache.AddInstance("w0");
-  cache.AddInstance("w1");
-  cache.Put(InternInstance("w0"), "w0___obj", 64);
-  cache.Get(InternInstance("w1"), "w0___obj");
-  EXPECT_EQ(cache.Get(InternInstance("w1"), "w0___obj").outcome,
+  InstanceTable ids;
+  cache.AddInstance("w0", ids.Intern("w0"));
+  cache.AddInstance("w1", ids.Intern("w1"));
+  cache.Put(*ids.Find("w0"), "w0___obj", 64);
+  cache.Get(*ids.Find("w1"), "w0___obj");
+  EXPECT_EQ(cache.Get(*ids.Find("w1"), "w0___obj").outcome,
             CacheOutcome::kLocalHit);
 }
 
 TEST(FaastCacheTest, PutLocalStoresAtReader) {
   FaastCache cache;
-  cache.AddInstance("w0");
-  cache.AddInstance("w1");
-  cache.PutLocal(InternInstance("w1"), "whatever", 32);
-  EXPECT_EQ(cache.Get(InternInstance("w1"), "whatever").outcome,
+  InstanceTable ids;
+  cache.AddInstance("w0", ids.Intern("w0"));
+  cache.AddInstance("w1", ids.Intern("w1"));
+  cache.PutLocal(*ids.Find("w1"), "whatever", 32);
+  EXPECT_EQ(cache.Get(*ids.Find("w1"), "whatever").outcome,
             CacheOutcome::kLocalHit);
 }
 
 TEST(FaastCacheTest, RemoveInstanceDropsItsShard) {
   FaastCache cache;
-  cache.AddInstance("w0");
-  cache.AddInstance("w1");
-  cache.Put(InternInstance("w0"), "w0___obj", 64);
+  InstanceTable ids;
+  cache.AddInstance("w0", ids.Intern("w0"));
+  cache.AddInstance("w1", ids.Intern("w1"));
+  cache.Put(*ids.Find("w0"), "w0___obj", 64);
   cache.RemoveInstance("w0");
   EXPECT_EQ(cache.instance_count(), 1u);
-  EXPECT_EQ(cache.Get(InternInstance("w1"), "w0___obj").outcome,
+  EXPECT_EQ(cache.Get(*ids.Find("w1"), "w0___obj").outcome,
             CacheOutcome::kMiss);
 }
 
@@ -376,14 +383,15 @@ TEST(FaastCacheTest, InvalidateRemovesEverywhere) {
   FaastCacheConfig config;
   config.replicate_on_remote_hit = true;
   FaastCache cache(config);
-  cache.AddInstance("w0");
-  cache.AddInstance("w1");
-  cache.Put(InternInstance("w0"), "w0___obj", 64);
-  cache.Get(InternInstance("w1"), "w0___obj");  // replicate
+  InstanceTable ids;
+  cache.AddInstance("w0", ids.Intern("w0"));
+  cache.AddInstance("w1", ids.Intern("w1"));
+  cache.Put(*ids.Find("w0"), "w0___obj", 64);
+  cache.Get(*ids.Find("w1"), "w0___obj");  // replicate
   cache.Invalidate("w0___obj");
-  EXPECT_EQ(cache.Get(InternInstance("w0"), "w0___obj").outcome,
+  EXPECT_EQ(cache.Get(*ids.Find("w0"), "w0___obj").outcome,
             CacheOutcome::kMiss);
-  EXPECT_EQ(cache.Get(InternInstance("w1"), "w0___obj").outcome,
+  EXPECT_EQ(cache.Get(*ids.Find("w1"), "w0___obj").outcome,
             CacheOutcome::kMiss);
 }
 
@@ -391,40 +399,42 @@ TEST(FaastCacheTest, CapacityEvictionLosesObject) {
   FaastCacheConfig config;
   config.per_instance_capacity = 100;
   FaastCache cache(config);
-  cache.AddInstance("w0");
-  cache.Put(InternInstance("w0"), "w0___a", 60);
-  cache.Put(InternInstance("w0"), "w0___b", 60);  // evicts a
-  EXPECT_EQ(cache.Get(InternInstance("w0"), "w0___a").outcome,
+  InstanceTable ids;
+  cache.AddInstance("w0", ids.Intern("w0"));
+  cache.Put(*ids.Find("w0"), "w0___a", 60);
+  cache.Put(*ids.Find("w0"), "w0___b", 60);  // evicts a
+  EXPECT_EQ(cache.Get(*ids.Find("w0"), "w0___a").outcome,
             CacheOutcome::kMiss);
-  EXPECT_EQ(cache.Get(InternInstance("w0"), "w0___b").outcome,
+  EXPECT_EQ(cache.Get(*ids.Find("w0"), "w0___b").outcome,
             CacheOutcome::kLocalHit);
 }
 
 TEST(FaastCacheTest, ByteCountersTrackHitsAndPuts) {
   FaastCache cache;
-  cache.AddInstance("w0");
-  cache.AddInstance("w1");
+  InstanceTable ids;
+  cache.AddInstance("w0", ids.Intern("w0"));
+  cache.AddInstance("w1", ids.Intern("w1"));
 
   // "___"-prefixed names home on the instance named by the prefix.
-  cache.Put(InternInstance("w0"), "w0___obj", 100);
+  cache.Put(*ids.Find("w0"), "w0___obj", 100);
   EXPECT_EQ(cache.put_bytes(), 100u);
 
   // Local hit from the producer.
-  EXPECT_EQ(cache.Get(InternInstance("w0"), "w0___obj").outcome,
+  EXPECT_EQ(cache.Get(*ids.Find("w0"), "w0___obj").outcome,
             CacheOutcome::kLocalHit);
   EXPECT_EQ(cache.local_hit_bytes(), 100u);
   EXPECT_EQ(cache.remote_hit_bytes(), 0u);
 
   // Remote hit from the peer. Replication is off by default, so no extra
   // put bytes and no replicated bytes.
-  EXPECT_EQ(cache.Get(InternInstance("w1"), "w0___obj").outcome,
+  EXPECT_EQ(cache.Get(*ids.Find("w1"), "w0___obj").outcome,
             CacheOutcome::kRemoteHit);
   EXPECT_EQ(cache.remote_hit_bytes(), 100u);
   EXPECT_EQ(cache.put_bytes(), 100u);
   EXPECT_EQ(cache.replicated_bytes(), 0u);
 
   // A miss moves no cache bytes.
-  EXPECT_EQ(cache.Get(InternInstance("w1"), "w1___absent").outcome,
+  EXPECT_EQ(cache.Get(*ids.Find("w1"), "w1___absent").outcome,
             CacheOutcome::kMiss);
   EXPECT_EQ(cache.local_hit_bytes(), 100u);
   EXPECT_EQ(cache.remote_hit_bytes(), 100u);
@@ -437,53 +447,55 @@ TEST(FaastCacheTest, ReplicationCountsPutAndReplicatedBytes) {
   FaastCacheConfig config;
   config.replicate_on_remote_hit = true;
   FaastCache cache(config);
-  cache.AddInstance("w0");
-  cache.AddInstance("w1");
+  InstanceTable ids;
+  cache.AddInstance("w0", ids.Intern("w0"));
+  cache.AddInstance("w1", ids.Intern("w1"));
 
-  cache.Put(InternInstance("w0"), "w0___obj", 100);
-  EXPECT_EQ(cache.Get(InternInstance("w1"), "w0___obj").outcome,
+  cache.Put(*ids.Find("w0"), "w0___obj", 100);
+  EXPECT_EQ(cache.Get(*ids.Find("w1"), "w0___obj").outcome,
             CacheOutcome::kRemoteHit);
   // The remote hit copied the object into w1's shard: counted both as put
   // bytes and as replicated bytes (replicated is a subset of put).
   EXPECT_EQ(cache.put_bytes(), 200u);
   EXPECT_EQ(cache.replicated_bytes(), 100u);
   // The copy serves the next read locally.
-  EXPECT_EQ(cache.Get(InternInstance("w1"), "w0___obj").outcome,
+  EXPECT_EQ(cache.Get(*ids.Find("w1"), "w0___obj").outcome,
             CacheOutcome::kLocalHit);
   EXPECT_EQ(cache.local_hit_bytes(), 100u);
 
   // PutLocal (miss fill) counts put bytes but not replicated bytes.
-  cache.PutLocal(InternInstance("w1"), "fill", 40);
+  cache.PutLocal(*ids.Find("w1"), "fill", 40);
   EXPECT_EQ(cache.put_bytes(), 240u);
   EXPECT_EQ(cache.replicated_bytes(), 100u);
 }
 
 TEST(FaastCacheTest, PutReplicatedCountsBytesPerLandedReplica) {
   FaastCache cache;
+  InstanceTable ids;
   for (const char* w : {"w0", "w1", "w2", "w3"}) {
-    cache.AddInstance(w);
+    cache.AddInstance(w, ids.Intern(w));
   }
 
   // Home store + two replica copies: three stores, three counted.
-  EXPECT_EQ(InstanceName(cache.PutReplicated(
-                InternInstance("w0"), "w0___obj", 100,
-                {InternInstance("w1"), InternInstance("w2")})),
+  EXPECT_EQ(ids.NameOf(cache.PutReplicated(
+                *ids.Find("w0"), "w0___obj", 100,
+                {*ids.Find("w1"), *ids.Find("w2")})),
             "w0");
   EXPECT_EQ(cache.put_bytes(), 300u);
   EXPECT_EQ(cache.replicated_bytes(), 200u);
-  EXPECT_TRUE(cache.ContainsLocal(InternInstance("w1"), "w0___obj"));
-  EXPECT_TRUE(cache.ContainsLocal(InternInstance("w2"), "w0___obj"));
-  EXPECT_FALSE(cache.ContainsLocal(InternInstance("w3"), "w0___obj"));
+  EXPECT_TRUE(cache.ContainsLocal(*ids.Find("w1"), "w0___obj"));
+  EXPECT_TRUE(cache.ContainsLocal(*ids.Find("w2"), "w0___obj"));
+  EXPECT_FALSE(cache.ContainsLocal(*ids.Find("w3"), "w0___obj"));
 
   // A replica naming the home is already covered by the home store: no
   // double count. A dead replica lands nothing and counts nothing.
-  cache.PutReplicated(InternInstance("w0"), "w0___dup", 50,
-                      {InternInstance("w0"), InternInstance("w3")});
+  cache.PutReplicated(*ids.Find("w0"), "w0___dup", 50,
+                      {*ids.Find("w0"), *ids.Find("w3")});
   EXPECT_EQ(cache.put_bytes(), 300u + 50u + 50u);
   EXPECT_EQ(cache.replicated_bytes(), 200u + 50u);
   cache.RemoveInstance("w3");
-  cache.PutReplicated(InternInstance("w0"), "w0___late", 70,
-                      {InternInstance("w3")});
+  cache.PutReplicated(*ids.Find("w0"), "w0___late", 70,
+                      {*ids.Find("w3")});
   EXPECT_EQ(cache.put_bytes(), 400u + 70u);
   EXPECT_EQ(cache.replicated_bytes(), 250u);
 }
@@ -492,20 +504,21 @@ TEST(FaastCacheTest, EvictionCountersPerShardAndTotal) {
   FaastCacheConfig config;
   config.per_instance_capacity = 100;
   FaastCache cache(config);
-  cache.AddInstance("w0");
-  cache.AddInstance("w1");
+  InstanceTable ids;
+  cache.AddInstance("w0", ids.Intern("w0"));
+  cache.AddInstance("w1", ids.Intern("w1"));
 
-  cache.Put(InternInstance("w0"), "w0___a", 60);
-  cache.Put(InternInstance("w0"), "w0___b", 60);  // evicts a from w0's shard
-  cache.Put(InternInstance("w1"), "w1___c", 50);
-  EXPECT_EQ(cache.shard_evictions(InternInstance("w0")), 1u);
-  EXPECT_EQ(cache.shard_evictions(InternInstance("w1")), 0u);
+  cache.Put(*ids.Find("w0"), "w0___a", 60);
+  cache.Put(*ids.Find("w0"), "w0___b", 60);  // evicts a from w0's shard
+  cache.Put(*ids.Find("w1"), "w1___c", 50);
+  EXPECT_EQ(cache.shard_evictions(*ids.Find("w0")), 1u);
+  EXPECT_EQ(cache.shard_evictions(*ids.Find("w1")), 0u);
   EXPECT_EQ(cache.total_evictions(), 1u);
 
-  cache.Put(InternInstance("w1"), "w1___d", 60);  // evicts c from w1's shard
-  EXPECT_EQ(cache.shard_evictions(InternInstance("w1")), 1u);
+  cache.Put(*ids.Find("w1"), "w1___d", 60);  // evicts c from w1's shard
+  EXPECT_EQ(cache.shard_evictions(*ids.Find("w1")), 1u);
   EXPECT_EQ(cache.total_evictions(), 2u);
-  EXPECT_EQ(cache.shard_evictions(InternInstance("no-such-instance")), 0u);
+  EXPECT_EQ(cache.shard_evictions(ids.size()), 0u);
 
   // Dropping an instance loses its shard's eviction count with the shard
   // (reclaimed-worker semantics).
@@ -515,8 +528,9 @@ TEST(FaastCacheTest, EvictionCountersPerShardAndTotal) {
 
 TEST(FaastCacheTest, HashKeyNamesShareHomeUnprefixedNamesDoNot) {
   FaastCache cache;
-  cache.AddInstance("w0");
-  cache.AddInstance("w1");
+  InstanceTable ids;
+  cache.AddInstance("w0", ids.Intern("w0"));
+  cache.AddInstance("w1", ids.Intern("w1"));
 
   // Same "___" prefix -> same hashing key -> same home instance.
   const auto home_x = cache.HomeInstanceId("w0___x");
@@ -524,15 +538,15 @@ TEST(FaastCacheTest, HashKeyNamesShareHomeUnprefixedNamesDoNot) {
   ASSERT_TRUE(home_x.has_value());
   ASSERT_TRUE(home_y.has_value());
   EXPECT_EQ(*home_x, *home_y);
-  EXPECT_EQ(InstanceName(*home_x), "w0");  // ring maps a member name to itself
+  EXPECT_EQ(ids.NameOf(*home_x), "w0");  // ring maps a member name to itself
 
   // Without the token the whole name hashes; byte counters still track a
   // remote hit when the home is not the reader.
-  cache.Put(InternInstance("w0"), "plain-object", 30);
+  cache.Put(*ids.Find("w0"), "plain-object", 30);
   const auto home = cache.HomeInstanceId("plain-object");
   ASSERT_TRUE(home.has_value());
-  const std::string reader = InstanceName(*home) == "w0" ? "w1" : "w0";
-  const auto lookup = cache.Get(InternInstance(reader), "plain-object");
+  const std::string reader = ids.NameOf(*home) == "w0" ? "w1" : "w0";
+  const auto lookup = cache.Get(*ids.Find(reader), "plain-object");
   EXPECT_EQ(lookup.outcome, CacheOutcome::kRemoteHit);
   EXPECT_EQ(cache.remote_hit_bytes(), 30u);
 }

@@ -1,5 +1,5 @@
 // Unit tests for src/common: types, RNG, distributions, stats, tables,
-// inline callbacks, instance interning, the thread pool, and JSON output.
+// inline callbacks, instance id tables, the thread pool, and JSON output.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -428,37 +428,24 @@ TEST(InlineFunctionTest, MoveAssignReplacesExistingCallable) {
   EXPECT_EQ(*a, 0);
 }
 
-TEST(InstanceRegistryTest, InternIsIdempotentAndRoundTrips) {
-  const InstanceId id = InternInstance("common-test-wA");
-  EXPECT_EQ(InternInstance("common-test-wA"), id);
-  EXPECT_EQ(InstanceName(id), "common-test-wA");
-  EXPECT_NE(InternInstance("common-test-wB"), id);
+TEST(InstanceTableTest, InternIsIdempotentAndRoundTrips) {
+  InstanceTable table;
+  const InstanceId id = table.Intern("wA");
+  EXPECT_EQ(id, 0u);  // ids count joins from 0
+  EXPECT_EQ(table.Intern("wA"), id);
+  EXPECT_EQ(table.NameOf(id), "wA");
+  EXPECT_EQ(table.Intern("wB"), 1u);
+  EXPECT_EQ(table.size(), 2u);
 }
 
-TEST(InstanceRegistryTest, FindDoesNotIntern) {
-  const auto& registry = InstanceRegistry::Global();
-  EXPECT_FALSE(registry.Find("common-test-never-interned").has_value());
-  const InstanceId id = InternInstance("common-test-wC");
-  const auto found = registry.Find("common-test-wC");
+TEST(InstanceTableTest, FindDoesNotIntern) {
+  InstanceTable table;
+  EXPECT_FALSE(table.Find("never-interned").has_value());
+  EXPECT_EQ(table.size(), 0u);
+  const InstanceId id = table.Intern("wC");
+  const auto found = table.Find("wC");
   ASSERT_TRUE(found.has_value());
   EXPECT_EQ(*found, id);
-}
-
-TEST(InstanceRegistryTest, ConcurrentInternAgreesOnIds) {
-  // All threads intern the same names; every thread must observe the same
-  // id for a given name.
-  constexpr int kNames = 64;
-  std::vector<std::vector<InstanceId>> seen(4,
-                                            std::vector<InstanceId>(kNames));
-  ParallelFor(4, 4, [&seen](std::size_t t) {
-    for (int i = 0; i < kNames; ++i) {
-      seen[t][static_cast<std::size_t>(i)] =
-          InternInstance(StrFormat("common-test-conc-%d", i));
-    }
-  });
-  for (std::size_t t = 1; t < seen.size(); ++t) {
-    EXPECT_EQ(seen[t], seen[0]);
-  }
 }
 
 TEST(ThreadPoolTest, RunsEveryIndexExactlyOnce) {

@@ -28,10 +28,27 @@ std::vector<std::string> MakeInstances(int n) {
   return out;
 }
 
-void AddAll(ColorSchedulingPolicy& policy, const std::vector<std::string>& v) {
+// A test's table plays the platform's part: `name` joins `policy` under
+// the id `ids` assigns it, in join order.
+void Join(ColorSchedulingPolicy& policy, InstanceTable& ids,
+          const std::string& name) {
+  policy.OnInstanceAdded(name, ids.Intern(name));
+}
+
+void AddAll(ColorSchedulingPolicy& policy, InstanceTable& ids,
+            const std::vector<std::string>& v) {
   for (const auto& name : v) {
-    policy.OnInstanceAdded(name);
+    Join(policy, ids, name);
   }
+}
+
+// The name of a routed instance, or nullopt when nothing was routed.
+std::optional<std::string> NameOf(const InstanceTable& ids,
+                                  std::optional<InstanceId> id) {
+  if (!id.has_value()) {
+    return std::nullopt;
+  }
+  return ids.NameOf(*id);
 }
 
 // ---------- shared invariants across every policy ----------
@@ -39,17 +56,19 @@ void AddAll(ColorSchedulingPolicy& policy, const std::vector<std::string>& v) {
 class AllPoliciesTest : public ::testing::TestWithParam<PolicyKind> {};
 
 TEST_P(AllPoliciesTest, RoutesOnlyToLiveInstances) {
+  InstanceTable ids;
   auto policy = MakePolicy(GetParam(), /*seed=*/11);
   const auto instances = MakeInstances(5);
-  AddAll(*policy, instances);
+  AddAll(*policy, ids, instances);
   const std::set<std::string> live(instances.begin(), instances.end());
   for (int i = 0; i < 500; ++i) {
-    const auto target = policy->RouteColored(StrFormat("color%d", i % 37));
+    const auto target =
+        NameOf(ids, policy->RouteColoredId(StrFormat("color%d", i % 37)));
     ASSERT_TRUE(target.has_value());
     EXPECT_TRUE(live.count(*target)) << *target;
   }
   for (int i = 0; i < 100; ++i) {
-    const auto target = policy->RouteUncolored();
+    const auto target = NameOf(ids, policy->RouteUncoloredId());
     ASSERT_TRUE(target.has_value());
     EXPECT_TRUE(live.count(*target)) << *target;
   }
@@ -57,16 +76,18 @@ TEST_P(AllPoliciesTest, RoutesOnlyToLiveInstances) {
 
 TEST_P(AllPoliciesTest, EmptyMembershipRoutesNowhere) {
   auto policy = MakePolicy(GetParam(), 11);
-  EXPECT_FALSE(policy->RouteColored("c").has_value());
-  EXPECT_FALSE(policy->RouteUncolored().has_value());
+  EXPECT_FALSE(policy->RouteColoredId("c").has_value());
+  EXPECT_FALSE(policy->RouteUncoloredId().has_value());
 }
 
 TEST_P(AllPoliciesTest, RemovedInstanceNeverChosen) {
+  InstanceTable ids;
   auto policy = MakePolicy(GetParam(), 11);
-  AddAll(*policy, MakeInstances(4));
+  AddAll(*policy, ids, MakeInstances(4));
   policy->OnInstanceRemoved("w2");
   for (int i = 0; i < 400; ++i) {
-    const auto target = policy->RouteColored(StrFormat("c%d", i));
+    const auto target =
+        NameOf(ids, policy->RouteColoredId(StrFormat("c%d", i)));
     ASSERT_TRUE(target.has_value());
     EXPECT_NE(*target, "w2");
   }
@@ -83,14 +104,15 @@ TEST_P(AllPoliciesTest, FactoryNameRoundTrip) {
 // to the same instance — or, for Replicated Colors, the same small replica
 // set — while membership is stable.
 TEST_P(AllPoliciesTest, LocalityAwarePoliciesAreSticky) {
+  InstanceTable ids;
   const PolicyKind kind = GetParam();
   auto policy = MakePolicy(kind, 11);
-  AddAll(*policy, MakeInstances(8));
+  AddAll(*policy, ids, MakeInstances(8));
   std::map<std::string, std::set<std::string>> routed_to;
   for (int round = 0; round < 6; ++round) {
     for (int c = 0; c < 100; ++c) {
       const std::string color = StrFormat("c%d", c);
-      const auto target = policy->RouteColored(color);
+      const auto target = NameOf(ids, policy->RouteColoredId(color));
       ASSERT_TRUE(target.has_value());
       routed_to[color].insert(*target);
     }
@@ -115,11 +137,12 @@ INSTANTIATE_TEST_SUITE_P(
 // ---------- policy-specific behavior ----------
 
 TEST(ObliviousRandomTest, SpreadsAcrossInstances) {
+  InstanceTable ids;
   ObliviousRandomPolicy policy(3);
-  AddAll(policy, MakeInstances(4));
+  AddAll(policy, ids, MakeInstances(4));
   std::map<std::string, int> counts;
   for (int i = 0; i < 4000; ++i) {
-    ++counts[*policy.RouteColored("same-color")];
+    ++counts[*NameOf(ids, policy.RouteColoredId("same-color"))];
   }
   EXPECT_EQ(counts.size(), 4u);  // ignores the hint
   for (const auto& [_, count] : counts) {
@@ -129,11 +152,12 @@ TEST(ObliviousRandomTest, SpreadsAcrossInstances) {
 }
 
 TEST(ObliviousRoundRobinTest, CyclesThroughInstances) {
+  InstanceTable ids;
   ObliviousRoundRobinPolicy policy(3);
-  AddAll(policy, MakeInstances(3));
+  AddAll(policy, ids, MakeInstances(3));
   std::vector<std::string> seen;
   for (int i = 0; i < 6; ++i) {
-    seen.push_back(*policy.RouteColored("x"));
+    seen.push_back(*NameOf(ids, policy.RouteColoredId("x")));
   }
   EXPECT_EQ(seen[0], seen[3]);
   EXPECT_EQ(seen[1], seen[4]);
@@ -142,11 +166,12 @@ TEST(ObliviousRoundRobinTest, CyclesThroughInstances) {
 }
 
 TEST(ObliviousRoundRobinTest, PerfectBalanceOverMultiples) {
+  InstanceTable ids;
   ObliviousRoundRobinPolicy policy(3);
-  AddAll(policy, MakeInstances(4));
+  AddAll(policy, ids, MakeInstances(4));
   std::map<std::string, int> counts;
   for (int i = 0; i < 400; ++i) {
-    ++counts[*policy.RouteUncolored()];
+    ++counts[*NameOf(ids, policy.RouteUncoloredId())];
   }
   for (const auto& [_, count] : counts) {
     EXPECT_EQ(count, 100);
@@ -154,17 +179,18 @@ TEST(ObliviousRoundRobinTest, PerfectBalanceOverMultiples) {
 }
 
 TEST(ConsistentHashingPolicyTest, MinimalRemapOnMembershipChange) {
+  InstanceTable ids;
   ConsistentHashingPolicy policy(5);
-  AddAll(policy, MakeInstances(10));
+  AddAll(policy, ids, MakeInstances(10));
   std::map<std::string, std::string> before;
   for (int c = 0; c < 2000; ++c) {
     const std::string color = StrFormat("c%d", c);
-    before[color] = *policy.RouteColored(color);
+    before[color] = *NameOf(ids, policy.RouteColoredId(color));
   }
   policy.OnInstanceRemoved("w4");
   int moved_from_survivors = 0;
   for (auto& [color, owner] : before) {
-    const std::string now = *policy.RouteColored(color);
+    const std::string now = *NameOf(ids, policy.RouteColoredId(color));
     if (owner != "w4" && now != owner) {
       ++moved_from_survivors;
     }
@@ -173,31 +199,34 @@ TEST(ConsistentHashingPolicyTest, MinimalRemapOnMembershipChange) {
 }
 
 TEST(BucketHashingPolicyTest, SameColorSameBucketOwner) {
+  InstanceTable ids;
   BucketHashingConfig config;
   config.bucket_count = 64;
   BucketHashingPolicy policy(7, config);
-  AddAll(policy, MakeInstances(4));
-  const auto a = policy.RouteColored("blue");
-  const auto b = policy.RouteColored("blue");
+  AddAll(policy, ids, MakeInstances(4));
+  const auto a = NameOf(ids, policy.RouteColoredId("blue"));
+  const auto b = NameOf(ids, policy.RouteColoredId("blue"));
   EXPECT_EQ(a, b);
   EXPECT_EQ(policy.bucket_count(), 64u);
 }
 
 TEST(BucketHashingPolicyTest, AllBucketsOwnedAfterFirstInstance) {
+  InstanceTable ids;
   BucketHashingConfig config;
   config.bucket_count = 128;
   BucketHashingPolicy policy(7, config);
-  policy.OnInstanceAdded("w0");
+  Join(policy, ids, "w0");
   for (std::size_t b = 0; b < policy.bucket_count(); ++b) {
     EXPECT_EQ(policy.BucketOwner(b), "w0");
   }
 }
 
 TEST(BucketHashingPolicyTest, RemovalReassignsOrphans) {
+  InstanceTable ids;
   BucketHashingConfig config;
   config.bucket_count = 128;
   BucketHashingPolicy policy(7, config);
-  AddAll(policy, MakeInstances(3));
+  AddAll(policy, ids, MakeInstances(3));
   policy.OnInstanceRemoved("w1");
   for (std::size_t b = 0; b < policy.bucket_count(); ++b) {
     EXPECT_NE(policy.BucketOwner(b), "w1");
@@ -206,28 +235,30 @@ TEST(BucketHashingPolicyTest, RemovalReassignsOrphans) {
 }
 
 TEST(BucketHashingPolicyTest, RebalanceLowersRelativeLoad) {
+  InstanceTable ids;
   BucketHashingConfig config;
   config.bucket_count = 256;
   config.rebalance_threshold = 1.3;
   BucketHashingPolicy policy(7, config);
-  policy.OnInstanceAdded("w0");
+  Join(policy, ids, "w0");
   // All colors land on w0 (only instance); then two instances join and the
   // policy must spread buckets out.
   for (int c = 0; c < 5000; ++c) {
-    policy.RouteColored(StrFormat("c%d", c));
+    policy.RouteColoredId(StrFormat("c%d", c));
   }
-  policy.OnInstanceAdded("w1");
-  policy.OnInstanceAdded("w2");
+  Join(policy, ids, "w1");
+  Join(policy, ids, "w2");
   EXPECT_LE(policy.CurrentRelativeMaxLoad(), 1.5);
 }
 
 TEST(BucketHashingPolicyTest, RotateWindowsForgetsOldColors) {
+  InstanceTable ids;
   BucketHashingConfig config;
   config.bucket_count = 64;
   BucketHashingPolicy policy(7, config);
-  policy.OnInstanceAdded("w0");
+  Join(policy, ids, "w0");
   for (int c = 0; c < 1000; ++c) {
-    policy.RouteColored(StrFormat("old%d", c));
+    policy.RouteColoredId(StrFormat("old%d", c));
   }
   policy.RotateWindows();
   policy.RotateWindows();
@@ -246,10 +277,11 @@ TEST(BucketHashingPolicyTest, StateBytesScaleWithBuckets) {
 }
 
 TEST(LeastAssignedPolicyTest, BalancesNewColorsExactly) {
+  InstanceTable ids;
   LeastAssignedPolicy policy(7);
-  AddAll(policy, MakeInstances(4));
+  AddAll(policy, ids, MakeInstances(4));
   for (int c = 0; c < 400; ++c) {
-    policy.RouteColored(StrFormat("c%d", c));
+    policy.RouteColoredId(StrFormat("c%d", c));
   }
   for (const auto& name : MakeInstances(4)) {
     EXPECT_EQ(policy.AssignedCount(name), 100u);
@@ -257,12 +289,13 @@ TEST(LeastAssignedPolicyTest, BalancesNewColorsExactly) {
 }
 
 TEST(LeastAssignedPolicyTest, TableCapAndLruEviction) {
+  InstanceTable ids;
   LeastAssignedConfig config;
   config.table_capacity = 100;
   LeastAssignedPolicy policy(7, config);
-  AddAll(policy, MakeInstances(4));
+  AddAll(policy, ids, MakeInstances(4));
   for (int c = 0; c < 250; ++c) {
-    policy.RouteColored(StrFormat("c%d", c));
+    policy.RouteColoredId(StrFormat("c%d", c));
   }
   EXPECT_EQ(policy.table_size(), 100u);
   EXPECT_EQ(policy.evictions(), 150u);
@@ -272,36 +305,39 @@ TEST(LeastAssignedPolicyTest, TableCapAndLruEviction) {
 }
 
 TEST(LeastAssignedPolicyTest, ReaccessKeepsColorWarm) {
+  InstanceTable ids;
   LeastAssignedConfig config;
   config.table_capacity = 3;
   LeastAssignedPolicy policy(7, config);
-  AddAll(policy, MakeInstances(2));
-  policy.RouteColored("a");
-  policy.RouteColored("b");
-  policy.RouteColored("c");
-  policy.RouteColored("a");  // refresh a
-  policy.RouteColored("d");  // evicts b (LRU), not a
+  AddAll(policy, ids, MakeInstances(2));
+  policy.RouteColoredId("a");
+  policy.RouteColoredId("b");
+  policy.RouteColoredId("c");
+  policy.RouteColoredId("a");  // refresh a
+  policy.RouteColoredId("d");  // evicts b (LRU), not a
   EXPECT_TRUE(policy.LookupColor("a").has_value());
   EXPECT_FALSE(policy.LookupColor("b").has_value());
 }
 
 TEST(LeastAssignedPolicyTest, ColorTruncationAt32Bytes) {
+  InstanceTable ids;
   LeastAssignedPolicy policy(7);
-  AddAll(policy, MakeInstances(4));
+  AddAll(policy, ids, MakeInstances(4));
   const std::string long_a(40, 'a');
   const std::string long_b = long_a.substr(0, 32) + "-different-suffix";
-  const auto first = policy.RouteColored(long_a);
-  const auto second = policy.RouteColored(long_b);
+  const auto first = NameOf(ids, policy.RouteColoredId(long_a));
+  const auto second = NameOf(ids, policy.RouteColoredId(long_b));
   // Both truncate to the same 32-byte key, so they share a mapping.
   EXPECT_EQ(first, second);
   EXPECT_EQ(policy.table_size(), 1u);
 }
 
 TEST(LeastAssignedPolicyTest, RemovalRedistributesToSurvivors) {
+  InstanceTable ids;
   LeastAssignedPolicy policy(7);
-  AddAll(policy, MakeInstances(3));
+  AddAll(policy, ids, MakeInstances(3));
   for (int c = 0; c < 300; ++c) {
-    policy.RouteColored(StrFormat("c%d", c));
+    policy.RouteColoredId(StrFormat("c%d", c));
   }
   policy.OnInstanceRemoved("w0");
   // Every color still maps, and only to survivors.
@@ -316,23 +352,26 @@ TEST(LeastAssignedPolicyTest, RemovalRedistributesToSurvivors) {
 }
 
 TEST(LeastAssignedPolicyTest, NewInstanceAttractsNewColors) {
+  InstanceTable ids;
   LeastAssignedPolicy policy(7);
-  AddAll(policy, MakeInstances(2));
+  AddAll(policy, ids, MakeInstances(2));
   for (int c = 0; c < 200; ++c) {
-    policy.RouteColored(StrFormat("c%d", c));
+    policy.RouteColoredId(StrFormat("c%d", c));
   }
-  policy.OnInstanceAdded("w_new");
+  Join(policy, ids, "w_new");
   // The next 100 new colors all go to the empty newcomer.
   for (int c = 200; c < 300; ++c) {
-    EXPECT_EQ(*policy.RouteColored(StrFormat("c%d", c)), "w_new");
+    EXPECT_EQ(*NameOf(ids, policy.RouteColoredId(StrFormat("c%d", c))),
+              "w_new");
   }
 }
 
 TEST(LeastAssignedPolicyTest, StateStaysUnderPaperBudget) {
+  InstanceTable ids;
   LeastAssignedPolicy policy(7);
-  AddAll(policy, MakeInstances(4));
+  AddAll(policy, ids, MakeInstances(4));
   for (int c = 0; c < 20000; ++c) {
-    policy.RouteColored(StrFormat("color-%d", c));
+    policy.RouteColoredId(StrFormat("color-%d", c));
   }
   EXPECT_EQ(policy.table_size(), kDefaultColorTableCapacity);
   // §5: "we use a maximum of 512KB of data per application" — allow modest
@@ -343,9 +382,10 @@ TEST(LeastAssignedPolicyTest, StateStaysUnderPaperBudget) {
 // ---------- load balancer ----------
 
 TEST(PaletteLoadBalancerTest, RoutesAndCounts) {
+  InstanceTable ids;
   PaletteLoadBalancer lb(MakePolicy(PolicyKind::kLeastAssigned, 9));
-  lb.AddInstance("w0");
-  lb.AddInstance("w1");
+  lb.AddInstance("w0", ids.Intern("w0"));
+  lb.AddInstance("w1", ids.Intern("w1"));
   for (int i = 0; i < 10; ++i) {
     EXPECT_TRUE(lb.Route(Color("c1")).has_value());
   }
@@ -356,8 +396,9 @@ TEST(PaletteLoadBalancerTest, RoutesAndCounts) {
 }
 
 TEST(PaletteLoadBalancerTest, UncoloredRoutesSomewhere) {
+  InstanceTable ids;
   PaletteLoadBalancer lb(MakePolicy(PolicyKind::kBucketHashing, 9));
-  lb.AddInstance("w0");
+  lb.AddInstance("w0", ids.Intern("w0"));
   EXPECT_TRUE(lb.Route(std::nullopt).has_value());
 }
 
@@ -368,9 +409,10 @@ TEST(PaletteLoadBalancerTest, NoInstancesRoutesNowhere) {
 }
 
 TEST(PaletteLoadBalancerTest, TranslateObjectNameRewritesColorPrefix) {
+  InstanceTable ids;
   PaletteLoadBalancer lb(MakePolicy(PolicyKind::kLeastAssigned, 9));
-  lb.AddInstance("w0");
-  lb.AddInstance("w1");
+  lb.AddInstance("w0", ids.Intern("w0"));
+  lb.AddInstance("w1", ids.Intern("w1"));
   const auto instance = lb.ResolveColor("blue");
   ASSERT_TRUE(instance.has_value());
   EXPECT_EQ(lb.TranslateObjectName("blue___task3"), *instance + "___task3");
@@ -379,17 +421,19 @@ TEST(PaletteLoadBalancerTest, TranslateObjectNameRewritesColorPrefix) {
 }
 
 TEST(PaletteLoadBalancerTest, TranslationStableAcrossCalls) {
+  InstanceTable ids;
   PaletteLoadBalancer lb(MakePolicy(PolicyKind::kLeastAssigned, 9));
-  lb.AddInstance("w0");
-  lb.AddInstance("w1");
+  lb.AddInstance("w0", ids.Intern("w0"));
+  lb.AddInstance("w1", ids.Intern("w1"));
   const std::string first = lb.TranslateObjectName("red___o");
   const std::string second = lb.TranslateObjectName("red___o");
   EXPECT_EQ(first, second);
 }
 
 TEST(PaletteLoadBalancerTest, TranslateEmptyPrefixPassesThrough) {
+  InstanceTable ids;
   PaletteLoadBalancer lb(MakePolicy(PolicyKind::kLeastAssigned, 9));
-  lb.AddInstance("w0");
+  lb.AddInstance("w0", ids.Intern("w0"));
   // "___rest" has an empty color prefix: not a hint. It must pass through
   // untranslated, and resolving it must not fabricate an empty-color
   // mapping in the policy's table.
@@ -398,9 +442,10 @@ TEST(PaletteLoadBalancerTest, TranslateEmptyPrefixPassesThrough) {
 }
 
 TEST(PaletteLoadBalancerTest, TranslateSplitsAtFirstSeparatorOnly) {
+  InstanceTable ids;
   PaletteLoadBalancer lb(MakePolicy(PolicyKind::kLeastAssigned, 9));
-  lb.AddInstance("w0");
-  lb.AddInstance("w1");
+  lb.AddInstance("w0", ids.Intern("w0"));
+  lb.AddInstance("w1", ids.Intern("w1"));
   // "a___b___c" splits at the first token: prefix "a", rest "___b___c"
   // carried through verbatim.
   const auto instance = lb.ResolveColor("a");
@@ -416,9 +461,10 @@ TEST(PaletteLoadBalancerTest, TranslateWithNoInstancesPassesThrough) {
 }
 
 TEST(PaletteLoadBalancerTest, RemoveAndReAddInstanceResetsRoutingCounts) {
+  InstanceTable ids;
   PaletteLoadBalancer lb(MakePolicy(PolicyKind::kLeastAssigned, 9));
-  lb.AddInstance("w0");
-  lb.AddInstance("w1");
+  lb.AddInstance("w0", ids.Intern("w0"));
+  lb.AddInstance("w1", ids.Intern("w1"));
   // Pin every route onto one instance via a sticky color.
   const auto sticky = lb.ResolveColor("c");
   ASSERT_TRUE(sticky.has_value());
@@ -427,12 +473,12 @@ TEST(PaletteLoadBalancerTest, RemoveAndReAddInstanceResetsRoutingCounts) {
   }
   ASSERT_EQ(lb.RoutedTo(*sticky), 10u);
 
-  // Remove the instance, then bring the same name back. Interned ids are
-  // reused on re-add, so a stale counter would bleed the dead
+  // Remove the instance, then bring the same name back. Its id is reused
+  // on re-add, so a stale counter would bleed the dead
   // incarnation's 10 routes into the new one.
   lb.RemoveInstance(*sticky);
   EXPECT_EQ(lb.RoutedTo(*sticky), 0u);
-  lb.AddInstance(*sticky);
+  lb.AddInstance(*sticky, ids.Intern(*sticky));
   EXPECT_EQ(lb.RoutedTo(*sticky), 0u);
 
   // And the re-added instance participates in fresh routing from zero.
@@ -443,9 +489,10 @@ TEST(PaletteLoadBalancerTest, RemoveAndReAddInstanceResetsRoutingCounts) {
 }
 
 TEST(PaletteLoadBalancerTest, RemoveInstanceKeepsStickyResolutionLive) {
+  InstanceTable ids;
   PaletteLoadBalancer lb(MakePolicy(PolicyKind::kLeastAssigned, 9));
-  lb.AddInstance("w0");
-  lb.AddInstance("w1");
+  lb.AddInstance("w0", ids.Intern("w0"));
+  lb.AddInstance("w1", ids.Intern("w1"));
   const auto before = lb.ResolveColor("c");
   ASSERT_TRUE(before.has_value());
   lb.RemoveInstance(*before);

@@ -1,14 +1,14 @@
 // Determinism regression suite for the allocation-free event core and the
-// interned-id routing path.
+// id-keyed routing path.
 //
 // The simulator's contract is a deterministic total order on events
-// ((time, seq), with past events clamped to now), and every policy's
-// tie-breaks are defined on instance *names*, not interned id values — so
-// running the identical scenario twice, in the same process, must produce
-// bit-identical outcomes even though the second run sees a registry
-// pre-populated by the first (different numeric ids). This pins down the
-// property the PR's refactors must preserve: pooled-heap ordering matches
-// the old binary heap, and no code path depends on id assignment order.
+// ((time, seq), with past events clamped to now), and every platform
+// assigns its instance ids in join order from its own table — so running
+// the identical scenario twice, in the same process, must produce
+// bit-identical outcomes: nothing the first run built can renumber the
+// second. This pins down the property the event core's refactors must
+// preserve: pooled-heap ordering matches the old binary heap, and no run
+// leaks state into the next.
 #include <gtest/gtest.h>
 
 #include <vector>
@@ -82,8 +82,8 @@ TEST_P(DeterminismPerPolicyTest, SameScenarioTwiceIsBitIdentical) {
 }
 
 TEST_P(DeterminismPerPolicyTest, DifferentSeedsAreIndependent) {
-  // Running an unrelated seed in between must not perturb a replay — the
-  // policies may share the global intern registry but no mutable state.
+  // Running an unrelated seed in between must not perturb a replay — each
+  // run builds its own platform, instance table and policies.
   const PolicyKind policy = GetParam();
   const RunFingerprint before = RunScenario(policy, /*seed=*/21);
   RunScenario(policy, /*seed=*/22);

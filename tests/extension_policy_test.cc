@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <optional>
 #include <set>
+#include <string>
 
 #include "src/common/rng.h"
 #include "src/common/table_printer.h"
@@ -15,19 +17,36 @@
 namespace palette {
 namespace {
 
-void AddInstances(ColorSchedulingPolicy& policy, int n) {
+// A test's table plays the platform's part: `name` joins `policy` under
+// the id `ids` assigns it, in join order.
+void Join(ColorSchedulingPolicy& policy, InstanceTable& ids,
+          const std::string& name) {
+  policy.OnInstanceAdded(name, ids.Intern(name));
+}
+
+void AddInstances(ColorSchedulingPolicy& policy, InstanceTable& ids, int n) {
   for (int i = 0; i < n; ++i) {
-    policy.OnInstanceAdded(StrFormat("w%d", i));
+    Join(policy, ids, StrFormat("w%d", i));
   }
 }
 
+// The name of a routed instance, or nullopt when nothing was routed.
+std::optional<std::string> NameOf(const InstanceTable& ids,
+                                  std::optional<InstanceId> id) {
+  if (!id.has_value()) {
+    return std::nullopt;
+  }
+  return ids.NameOf(*id);
+}
+
 TEST(BoundedLoadPolicyTest, RespectsLoadCap) {
+  InstanceTable ids;
   BoundedLoadConfig config;
   config.c_factor = 1.25;
   BoundedLoadPolicy policy(7, config);
-  AddInstances(policy, 10);
+  AddInstances(policy, ids, 10);
   for (int c = 0; c < 2000; ++c) {
-    policy.RouteColored(StrFormat("color%d", c));
+    policy.RouteColoredId(StrFormat("color%d", c));
   }
   // The invariant Mirrokni et al. guarantee: max/avg <= c (rounding slack
   // for the ceil on small averages).
@@ -35,13 +54,14 @@ TEST(BoundedLoadPolicyTest, RespectsLoadCap) {
 }
 
 TEST(BoundedLoadPolicyTest, StickyWhileMembershipStable) {
+  InstanceTable ids;
   BoundedLoadPolicy policy(7);
-  AddInstances(policy, 8);
+  AddInstances(policy, ids, 8);
   std::map<std::string, std::string> first;
   for (int round = 0; round < 3; ++round) {
     for (int c = 0; c < 200; ++c) {
       const std::string color = StrFormat("c%d", c);
-      const auto target = policy.RouteColored(color);
+      const auto target = NameOf(ids, policy.RouteColoredId(color));
       ASSERT_TRUE(target.has_value());
       auto [it, inserted] = first.emplace(color, *target);
       if (!inserted) {
@@ -52,17 +72,18 @@ TEST(BoundedLoadPolicyTest, StickyWhileMembershipStable) {
 }
 
 TEST(BoundedLoadPolicyTest, OnlyRemovedInstancesColorsMove) {
+  InstanceTable ids;
   BoundedLoadPolicy policy(7);
-  AddInstances(policy, 8);
+  AddInstances(policy, ids, 8);
   std::map<std::string, std::string> before;
   for (int c = 0; c < 1000; ++c) {
     const std::string color = StrFormat("c%d", c);
-    before[color] = *policy.RouteColored(color);
+    before[color] = *NameOf(ids, policy.RouteColoredId(color));
   }
   policy.OnInstanceRemoved("w3");
   int moved_from_survivors = 0;
   for (const auto& [color, owner] : before) {
-    const auto now = policy.RouteColored(color);
+    const auto now = NameOf(ids, policy.RouteColoredId(color));
     ASSERT_TRUE(now.has_value());
     EXPECT_NE(*now, "w3");
     if (owner != "w3" && *now != owner) {
@@ -75,42 +96,45 @@ TEST(BoundedLoadPolicyTest, OnlyRemovedInstancesColorsMove) {
 }
 
 TEST(BoundedLoadPolicyTest, BetterBalancedThanPlainHashWalk) {
+  InstanceTable ids;
   // With the cap at 1.05 the distribution is near-perfect even for few
   // colors, where plain CH would be far more skewed.
   BoundedLoadConfig config;
   config.c_factor = 1.05;
   BoundedLoadPolicy policy(7, config);
-  AddInstances(policy, 10);
+  AddInstances(policy, ids, 10);
   for (int c = 0; c < 100; ++c) {
-    policy.RouteColored(StrFormat("c%d", c));
+    policy.RouteColoredId(StrFormat("c%d", c));
   }
   EXPECT_LE(policy.RelativeMaxAssigned(), 1.2);
 }
 
 TEST(BoundedLoadPolicyTest, TableCapEviction) {
+  InstanceTable ids;
   BoundedLoadConfig config;
   config.table_capacity = 50;
   BoundedLoadPolicy policy(7, config);
-  AddInstances(policy, 4);
+  AddInstances(policy, ids, 4);
   for (int c = 0; c < 200; ++c) {
-    policy.RouteColored(StrFormat("c%d", c));
+    policy.RouteColoredId(StrFormat("c%d", c));
   }
   EXPECT_EQ(policy.table_size(), 50u);
 }
 
 TEST(BoundedLoadPolicyTest, EmptyMembership) {
   BoundedLoadPolicy policy(7);
-  EXPECT_FALSE(policy.RouteColored("c").has_value());
+  EXPECT_FALSE(policy.RouteColoredId("c").has_value());
 }
 
 TEST(ReplicatedColorPolicyTest, SpreadsHotColorAcrossExactlyKReplicas) {
+  InstanceTable ids;
   ReplicatedColorConfig config;
   config.replicas = 3;
   ReplicatedColorPolicy policy(7, config);
-  AddInstances(policy, 10);
+  AddInstances(policy, ids, 10);
   std::map<std::string, int> counts;
   for (int i = 0; i < 3000; ++i) {
-    ++counts[*policy.RouteColored("viral-post")];
+    ++counts[*NameOf(ids, policy.RouteColoredId("viral-post"))];
   }
   EXPECT_EQ(counts.size(), 3u);
   for (const auto& [_, count] : counts) {
@@ -119,55 +143,59 @@ TEST(ReplicatedColorPolicyTest, SpreadsHotColorAcrossExactlyKReplicas) {
 }
 
 TEST(ReplicatedColorPolicyTest, ReplicaSetMatchesRouting) {
+  InstanceTable ids;
   ReplicatedColorConfig config;
   config.replicas = 2;
   ReplicatedColorPolicy policy(7, config);
-  AddInstances(policy, 6);
+  AddInstances(policy, ids, 6);
   const auto replicas = policy.ReplicaSetOf("c1");
   ASSERT_EQ(replicas.size(), 2u);
-  const std::set<std::string> expected(replicas.begin(), replicas.end());
+  const std::set<InstanceId> expected(replicas.begin(), replicas.end());
   for (int i = 0; i < 20; ++i) {
-    EXPECT_TRUE(expected.count(*policy.RouteColored("c1")));
+    EXPECT_TRUE(expected.count(*policy.RouteColoredId("c1")));
   }
 }
 
 TEST(ReplicatedColorPolicyTest, SingleReplicaDegeneratesToCh) {
+  InstanceTable ids;
   ReplicatedColorConfig config;
   config.replicas = 1;
   ReplicatedColorPolicy policy(7, config);
-  AddInstances(policy, 6);
-  const auto first = policy.RouteColored("c1");
+  AddInstances(policy, ids, 6);
+  const auto first = NameOf(ids, policy.RouteColoredId("c1"));
   for (int i = 0; i < 10; ++i) {
-    EXPECT_EQ(policy.RouteColored("c1"), first);
+    EXPECT_EQ(NameOf(ids, policy.RouteColoredId("c1")), first);
   }
 }
 
 TEST(ReplicatedColorPolicyTest, FewerInstancesThanReplicas) {
+  InstanceTable ids;
   ReplicatedColorConfig config;
   config.replicas = 4;
   ReplicatedColorPolicy policy(7, config);
-  AddInstances(policy, 2);
+  AddInstances(policy, ids, 2);
   std::set<std::string> seen;
   for (int i = 0; i < 8; ++i) {
-    seen.insert(*policy.RouteColored("c"));
+    seen.insert(*NameOf(ids, policy.RouteColoredId("c")));
   }
   EXPECT_EQ(seen.size(), 2u);  // clamped to membership
 }
 
 TEST(ReplicatedColorPolicyTest, AdaptiveHysteresisEntersAtThetaExitsAtHalf) {
+  InstanceTable ids;
   ReplicatedColorConfig config;
   config.replicas = 3;
   config.adaptive = true;
   config.hot_share_threshold = 0.2;
   config.decay_interval = 1 << 20;  // no decay during the test
   ReplicatedColorPolicy policy(7, config);
-  AddInstances(policy, 10);
+  AddInstances(policy, ids, 10);
 
   // Undiluted traffic: share = 1.0 > theta, the color enters hot state and
   // its routes fan out across the replica set.
   std::set<std::string> hot_targets;
   for (int i = 0; i < 30; ++i) {
-    hot_targets.insert(*policy.RouteColored("viral"));
+    hot_targets.insert(*NameOf(ids, policy.RouteColoredId("viral")));
   }
   EXPECT_TRUE(policy.IsHot("viral"));
   EXPECT_EQ(hot_targets.size(), 3u);
@@ -175,52 +203,54 @@ TEST(ReplicatedColorPolicyTest, AdaptiveHysteresisEntersAtThetaExitsAtHalf) {
   // Dilute to theta/2 < share < theta: 30 + 1 of ~201 ≈ 0.154. Entering
   // needed > 0.2, exiting needs < 0.1 — in between the state must hold.
   for (int i = 0; i < 170; ++i) {
-    policy.RouteColored(StrFormat("bg%d", i));
+    policy.RouteColoredId(StrFormat("bg%d", i));
   }
-  policy.RouteColored("viral");
+  policy.RouteColoredId("viral");
   EXPECT_TRUE(policy.IsHot("viral"));
 
   // Dilute below theta/2: 32 of ~402 ≈ 0.08 < 0.1 — now it cools off and
   // collapses back to a single instance (full locality again).
   for (int i = 0; i < 200; ++i) {
-    policy.RouteColored(StrFormat("bg2_%d", i));
+    policy.RouteColoredId(StrFormat("bg2_%d", i));
   }
-  policy.RouteColored("viral");
+  policy.RouteColoredId("viral");
   EXPECT_FALSE(policy.IsHot("viral"));
   std::set<std::string> cold_targets;
   for (int i = 0; i < 6; ++i) {
-    cold_targets.insert(*policy.RouteColored("viral"));
+    cold_targets.insert(*NameOf(ids, policy.RouteColoredId("viral")));
   }
   EXPECT_EQ(cold_targets.size(), 1u);
 }
 
 TEST(ReplicatedColorPolicyTest, AdaptiveColdColorNeverReplicates) {
+  InstanceTable ids;
   ReplicatedColorConfig config;
   config.replicas = 4;
   config.adaptive = true;
   config.hot_share_threshold = 0.2;
   ReplicatedColorPolicy policy(7, config);
-  AddInstances(policy, 10);
+  AddInstances(policy, ids, 10);
   // Interleave so "steady" never exceeds a ~10% share: it must keep one
   // sticky instance throughout.
   std::set<std::string> targets;
   for (int round = 0; round < 50; ++round) {
     for (int i = 0; i < 9; ++i) {
-      policy.RouteColored(StrFormat("bg%d_%d", round, i));
+      policy.RouteColoredId(StrFormat("bg%d_%d", round, i));
     }
-    targets.insert(*policy.RouteColored("steady"));
+    targets.insert(*NameOf(ids, policy.RouteColoredId("steady")));
   }
   EXPECT_FALSE(policy.IsHot("steady"));
   EXPECT_EQ(targets.size(), 1u);
 }
 
 TEST(ReplicatedColorPolicyTest, MembershipChangeShiftsReplicaSetMinimally) {
+  InstanceTable ids;
   ReplicatedColorConfig config;
   config.replicas = 2;
   ReplicatedColorPolicy policy(7, config);
-  AddInstances(policy, 8);
+  AddInstances(policy, ids, 8);
   const auto before = policy.ReplicaSetOf("c-stable");
-  policy.OnInstanceAdded("w_extra");
+  Join(policy, ids, "w_extra");
   const auto after = policy.ReplicaSetOf("c-stable");
   // Consistent hashing: at most one member of the pair changes when one
   // instance joins.
@@ -250,10 +280,11 @@ std::string ReplayColorTableTrace(std::size_t table_capacity,
   Config config;
   config.table_capacity = table_capacity;
   Policy policy(11, config);
+  InstanceTable ids;
   const auto name = [](int i) { return StrFormat("gt-w%d", i); };
-  const auto id = [&](int i) { return InternInstance(name(i)); };
+  const auto id = [&](int i) { return *ids.Find(name(i)); };
   for (int i = 0; i < 6; ++i) {
-    policy.OnInstanceAdded(name(i));
+    Join(policy, ids, name(i));
   }
   const auto color_of = [](std::uint64_t k) {
     return k % 9 == 4 ? StrFormat("%03d-padded-past-the-32-byte-key-cap-%d",
@@ -276,7 +307,7 @@ std::string ReplayColorTableTrace(std::size_t table_capacity,
     if (step == 600) {
       policy.OnInstanceRemoved(name(2));
     } else if (step == 900) {
-      policy.OnInstanceAdded(name(6));
+      Join(policy, ids, name(6));
     } else if (step == 1000) {
       policy.ApplyPlan(plan_with(17, 42, 99, 150, 1));
     } else if (step == 1500) {
@@ -285,8 +316,8 @@ std::string ReplayColorTableTrace(std::size_t table_capacity,
       for (const int i : {0, 1, 3, 4, 5, 6}) {
         policy.OnInstanceRemoved(name(i));
       }
-      policy.OnInstanceAdded(name(7));
-      policy.OnInstanceAdded(name(8));
+      Join(policy, ids, name(7));
+      Join(policy, ids, name(8));
     }
     const std::string color = color_of(rng.NextBelow(200));
     if (step % 97 == 13) {
@@ -294,7 +325,7 @@ std::string ReplayColorTableTrace(std::size_t table_capacity,
       continue;
     }
     const auto routed = policy.RouteColoredId(color);
-    routes += routed.has_value() ? InstanceName(*routed) : "-";
+    routes += routed.has_value() ? ids.NameOf(*routed) : "-";
     routes += ',';
   }
   *route_digest = Fnv1a64(routes);
@@ -304,7 +335,7 @@ std::string ReplayColorTableTrace(std::size_t table_capacity,
   }
   for (std::uint64_t k = 0; k < 200; ++k) {
     const auto peeked = policy.PeekColorId(color_of(k));
-    state += peeked.has_value() ? InstanceName(*peeked) : "-";
+    state += peeked.has_value() ? ids.NameOf(*peeked) : "-";
     state += ',';
   }
   *state_digest = Fnv1a64(state);

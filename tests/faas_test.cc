@@ -1,5 +1,5 @@
 // Tests for the FaaS platform: invocation life cycle, cache/network
-// integration, name translation, and the scale controller.
+// integration, name translation, and instance ids across a rejoin.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "src/faas/platform.h"
-#include "src/faas/scale_controller.h"
 #include "src/sim/simulator.h"
 
 namespace palette {
@@ -275,7 +274,7 @@ TEST(FaasPlatformTest, ExactlyOneColdStartPerWarmWorker) {
   EXPECT_EQ(platform.WorkerColdStarts("no-such-worker"), 0u);
 }
 
-// A worker that leaves and rejoins under its name keeps its interned id,
+// A worker that leaves and rejoins under its name keeps its id,
 // but its cache shard is a new one: empty, with no evictions carried over.
 TEST(FaasPlatformTest, RejoinedWorkerKeepsItsIdAndStartsWithAnEmptyShard) {
   Simulator sim;
@@ -283,7 +282,7 @@ TEST(FaasPlatformTest, RejoinedWorkerKeepsItsIdAndStartsWithAnEmptyShard) {
   config.cache.per_instance_capacity = 2 * kMiB;
   FaasPlatform platform(&sim, PolicyKind::kLeastAssigned, 1, config);
   platform.AddWorker("w0");
-  const InstanceId id = InternInstance("w0");
+  const InstanceId id = *platform.instance_table().Find("w0");
   // Three 1 MiB outputs homed on w0 overflow its 2 MiB shard once.
   for (int i = 0; i < 3; ++i) {
     InvocationSpec spec;
@@ -299,56 +298,11 @@ TEST(FaasPlatformTest, RejoinedWorkerKeepsItsIdAndStartsWithAnEmptyShard) {
 
   platform.RemoveWorker("w0");
   platform.AddWorker("w0");
-  EXPECT_EQ(InternInstance("w0"), id);
+  EXPECT_EQ(platform.instance_table().Find("w0"), id);
   EXPECT_TRUE(platform.HasWorkerId(id));
   EXPECT_EQ(platform.cache().shard_used_bytes(id), 0u);
   EXPECT_EQ(platform.cache().shard_evictions(id), 0u);
   EXPECT_EQ(platform.cache().total_evictions(), 0u);
-}
-
-TEST(ScaleControllerTest, ScalesOutUnderLoad) {
-  Simulator sim;
-  FaasPlatform platform(&sim, PolicyKind::kLeastAssigned, 1, FastConfig());
-  platform.AddWorkers(1);
-  ScaleControllerConfig config;
-  config.min_workers = 1;
-  config.max_workers = 8;
-  ScaleController controller(&platform, config);
-  for (int i = 0; i < 20; ++i) {
-    controller.OnInvocationSubmitted();
-  }
-  EXPECT_GT(controller.Evaluate(), 0);
-  EXPECT_GT(platform.worker_count(), 1u);
-}
-
-TEST(ScaleControllerTest, ScalesInWhenIdle) {
-  Simulator sim;
-  FaasPlatform platform(&sim, PolicyKind::kLeastAssigned, 1, FastConfig());
-  platform.AddWorkers(4);
-  ScaleControllerConfig config;
-  config.min_workers = 1;
-  ScaleController controller(&platform, config);
-  EXPECT_LT(controller.Evaluate(), 0);
-  EXPECT_EQ(platform.worker_count(), 3u);
-}
-
-TEST(ScaleControllerTest, RespectsBounds) {
-  Simulator sim;
-  FaasPlatform platform(&sim, PolicyKind::kLeastAssigned, 1, FastConfig());
-  platform.AddWorkers(2);
-  ScaleControllerConfig config;
-  config.min_workers = 2;
-  config.max_workers = 2;
-  ScaleController controller(&platform, config);
-  for (int i = 0; i < 100; ++i) {
-    controller.OnInvocationSubmitted();
-  }
-  EXPECT_EQ(controller.Evaluate(), 0);
-  for (int i = 0; i < 100; ++i) {
-    controller.OnInvocationCompleted();
-  }
-  EXPECT_EQ(controller.Evaluate(), 0);
-  EXPECT_EQ(platform.worker_count(), 2u);
 }
 
 }  // namespace

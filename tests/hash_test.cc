@@ -80,14 +80,16 @@ TEST(JumpHashTest, MinimalMovementOnGrowth) {
 TEST(RingTest, EmptyRingReturnsNothing) {
   ConsistentHashRing ring;
   EXPECT_FALSE(ring.Lookup("anything").has_value());
-  EXPECT_TRUE(ring.LookupN("anything", 3).empty());
+  std::vector<InstanceId> replicas = {7};
+  ring.LookupNIds("anything", 3, &replicas);
+  EXPECT_TRUE(replicas.empty());
 }
 
 TEST(RingTest, AddRemoveMembership) {
   ConsistentHashRing ring;
-  EXPECT_TRUE(ring.AddMember("a"));
-  EXPECT_FALSE(ring.AddMember("a"));
-  EXPECT_TRUE(ring.Contains("a"));
+  EXPECT_TRUE(ring.AddMember("a", 0));
+  EXPECT_FALSE(ring.AddMember("a", 0));
+  EXPECT_EQ(ring.MemberId("a"), 0u);
   EXPECT_EQ(ring.member_count(), 1u);
   EXPECT_TRUE(ring.RemoveMember("a"));
   EXPECT_FALSE(ring.RemoveMember("a"));
@@ -98,7 +100,7 @@ TEST(RingTest, MemberNameMapsToItself) {
   // §5.1 identity property: CH(I(c)) = I(c) for ring members.
   ConsistentHashRing ring;
   for (int i = 0; i < 10; ++i) {
-    ring.AddMember(StrFormat("w%d", i));
+    ring.AddMember(StrFormat("w%d", i), static_cast<InstanceId>(i));
   }
   for (int i = 0; i < 10; ++i) {
     const std::string name = StrFormat("w%d", i);
@@ -110,8 +112,8 @@ TEST(RingTest, LookupDeterministic) {
   ConsistentHashRing a;
   ConsistentHashRing b;
   for (int i = 0; i < 5; ++i) {
-    a.AddMember(StrFormat("w%d", i));
-    b.AddMember(StrFormat("w%d", i));
+    a.AddMember(StrFormat("w%d", i), static_cast<InstanceId>(i));
+    b.AddMember(StrFormat("w%d", i), static_cast<InstanceId>(i));
   }
   for (int k = 0; k < 100; ++k) {
     const std::string key = StrFormat("key%d", k);
@@ -122,7 +124,7 @@ TEST(RingTest, LookupDeterministic) {
 TEST(RingTest, MinimalDisruptionOnMemberRemoval) {
   ConsistentHashRing ring;
   for (int i = 0; i < 10; ++i) {
-    ring.AddMember(StrFormat("w%d", i));
+    ring.AddMember(StrFormat("w%d", i), static_cast<InstanceId>(i));
   }
   constexpr int kKeys = 5000;
   std::map<std::string, std::string> before;
@@ -150,7 +152,7 @@ TEST(RingTest, KeysSpreadAcrossMembers) {
   ConsistentHashRing ring;
   constexpr int kMembers = 10;
   for (int i = 0; i < kMembers; ++i) {
-    ring.AddMember(StrFormat("w%d", i));
+    ring.AddMember(StrFormat("w%d", i), static_cast<InstanceId>(i));
   }
   std::map<std::string, int> counts;
   constexpr int kKeys = 20000;
@@ -168,20 +170,23 @@ TEST(RingTest, KeysSpreadAcrossMembers) {
 TEST(RingTest, LookupNReturnsDistinctMembers) {
   ConsistentHashRing ring;
   for (int i = 0; i < 5; ++i) {
-    ring.AddMember(StrFormat("w%d", i));
+    ring.AddMember(StrFormat("w%d", i), static_cast<InstanceId>(i));
   }
-  const auto replicas = ring.LookupN("object", 3);
+  std::vector<InstanceId> replicas;
+  ring.LookupNIds("object", 3, &replicas);
   ASSERT_EQ(replicas.size(), 3u);
-  std::set<std::string> unique(replicas.begin(), replicas.end());
+  std::set<InstanceId> unique(replicas.begin(), replicas.end());
   EXPECT_EQ(unique.size(), 3u);
   // First replica matches single lookup.
-  EXPECT_EQ(replicas[0], ring.Lookup("object").value());
+  EXPECT_EQ(replicas[0], ring.LookupId("object").value());
 }
 
 TEST(RingTest, LookupNClampsToMemberCount) {
   ConsistentHashRing ring;
-  ring.AddMember("only");
-  EXPECT_EQ(ring.LookupN("x", 5).size(), 1u);
+  ring.AddMember("only", 0);
+  std::vector<InstanceId> replicas;
+  ring.LookupNIds("x", 5, &replicas);
+  EXPECT_EQ(replicas.size(), 1u);
 }
 
 }  // namespace

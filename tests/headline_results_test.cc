@@ -112,8 +112,10 @@ TEST(HeadlineResults, BucketHashingLoadBound) {
 TEST(HeadlineResults, PolicyLoadBalanceOrdering) {
   const auto imbalance_of = [](PolicyKind kind) {
     PaletteLoadBalancer lb(MakePolicy(kind, 1));
+    InstanceTable ids;
     for (int i = 0; i < 16; ++i) {
-      lb.AddInstance(StrFormat("w%d", i));
+      const std::string name = StrFormat("w%d", i);
+      lb.AddInstance(name, ids.Intern(name));
     }
     for (int c = 0; c < 4000; ++c) {
       lb.Route(Color(StrFormat("color%d", c)));

@@ -28,10 +28,12 @@
 namespace palette {
 namespace {
 
-std::vector<InstanceId> MakeInstances(int n) {
+// Instances "w0".."w<n-1>", joining in that order under the ids `table`
+// assigns them.
+std::vector<InstanceId> MakeInstances(InstanceTable& table, int n) {
   std::vector<InstanceId> ids;
   for (int i = 0; i < n; ++i) {
-    ids.push_back(InternInstance(StrFormat("w%d", i)));
+    ids.push_back(table.Intern(StrFormat("w%d", i)));
   }
   return ids;
 }
@@ -43,7 +45,8 @@ std::vector<InstanceId> MakeInstances(int n) {
 PlacementSnapshot SkewedSnapshot(int instances, int colors) {
   PlacementSnapshot snapshot;
   snapshot.taken = SimTime::FromSeconds(1);
-  snapshot.instances = MakeInstances(instances);
+  InstanceTable ids;
+  snapshot.instances = MakeInstances(ids, instances);
   for (int c = 0; c < colors; ++c) {
     ColorObservation obs;
     obs.color = StrFormat("c%03d", c);
@@ -74,25 +77,25 @@ std::string PlanSignature(const Plan& plan) {
 }
 
 // A plan with instances by name, so the signature does not depend on the
-// order in which the process interned them.
-std::string NamedPlanSignature(const Plan& plan) {
+// id values `ids` assigned them.
+std::string NamedPlanSignature(const InstanceTable& ids, const Plan& plan) {
   std::string sig;
   for (const PlanMove& move : plan.moves) {
     sig += StrFormat("M %s %s->%s;", move.color.c_str(),
-                     InstanceName(move.from).c_str(),
-                     InstanceName(move.to).c_str());
+                     ids.NameOf(move.from).c_str(),
+                     ids.NameOf(move.to).c_str());
   }
   for (const PlanSplit& split : plan.splits) {
     sig += StrFormat("S %s", split.color.c_str());
     for (std::size_t i = 0; i < split.instances.size(); ++i) {
-      sig += StrFormat(" %s*%u", InstanceName(split.instances[i]).c_str(),
+      sig += StrFormat(" %s*%u", ids.NameOf(split.instances[i]).c_str(),
                        split.weights[i]);
     }
     sig += ";";
   }
   for (const PlanMerge& merge : plan.merges) {
     sig += StrFormat("G %s ->%s;", merge.color.c_str(),
-                     InstanceName(merge.to).c_str());
+                     ids.NameOf(merge.to).c_str());
   }
   return sig;
 }
@@ -103,12 +106,13 @@ std::string NamedPlanSignature(const Plan& plan) {
 // a split (0.35), an existing split held by hysteresis (0.15), an existing
 // split with a dead member cooling into a merge (0.03), and an existing
 // split staying above the threshold (0.25).
-PlacementSnapshot GoldenSnapshot(int instances, int colors) {
+PlacementSnapshot GoldenSnapshot(InstanceTable& ids, int instances,
+                                 int colors) {
   Rng rng(static_cast<std::uint64_t>(instances * 10007 + colors));
   PlacementSnapshot snapshot;
   snapshot.taken = SimTime::FromSeconds(3);
-  snapshot.instances = MakeInstances(instances);
-  const InstanceId dead = InternInstance("golden-dead");
+  snapshot.instances = MakeInstances(ids, instances);
+  const InstanceId dead = ids.Intern("golden-dead");
   double cold_load = 0;
   for (int c = 0; c < colors; ++c) {
     ColorObservation obs;
@@ -130,12 +134,12 @@ PlacementSnapshot GoldenSnapshot(int instances, int colors) {
   }
   const double total = cold_load / 0.22;
   const auto members = [&](int offset, int width) {
-    std::vector<InstanceId> ids;
+    std::vector<InstanceId> out;
     for (int j = 0; j < std::min(width, instances); ++j) {
-      ids.push_back(snapshot.instances[static_cast<std::size_t>(
+      out.push_back(snapshot.instances[static_cast<std::size_t>(
           (offset + j) % instances)]);
     }
-    return ids;
+    return out;
   };
   const auto make_hot = [&](int c, double share,
                             std::vector<InstanceId> split) {
@@ -210,9 +214,10 @@ TEST(PlannerGoldenTest, SolveMatchesPinnedPlansAndObjectives) {
       config.move_alpha = 0;
       config.dirty_move_weight = 0;
     }
+    InstanceTable ids;
     const Plan plan = RebalancePlanner(config).Solve(
-        GoldenSnapshot(cell.instances, cell.colors));
-    const std::string sig = NamedPlanSignature(plan);
+        GoldenSnapshot(ids, cell.instances, cell.colors));
+    const std::string sig = NamedPlanSignature(ids, plan);
     const std::string got = StrFormat(
         "{%d, %d, %s, %zu, %lluULL, %zu, %zu, %zu, \"%a\", \"%a\"},",
         cell.instances, cell.colors, cell.free_moves ? "true" : "false",
@@ -234,11 +239,12 @@ TEST(PlannerGoldenTest, SolveMatchesPinnedPlansAndObjectives) {
 // with one instance holding an extra eighth of the colors (so the descent
 // moves primaries and later sweeps see them away from home), cached and
 // dirty bytes, and one split color held above the split threshold.
-PlacementSnapshot ZipfSnapshot(int instances, int colors) {
+PlacementSnapshot ZipfSnapshot(InstanceTable& ids, int instances,
+                               int colors) {
   Rng rng(static_cast<std::uint64_t>(instances * 7919 + colors));
   PlacementSnapshot snapshot;
   snapshot.taken = SimTime::FromSeconds(5);
-  snapshot.instances = MakeInstances(instances);
+  snapshot.instances = MakeInstances(ids, instances);
   std::vector<int> rank(static_cast<std::size_t>(colors));
   for (int c = 0; c < colors; ++c) {
     rank[static_cast<std::size_t>(c)] = c;
@@ -286,11 +292,12 @@ PlacementSnapshot ZipfSnapshot(int instances, int colors) {
 // solver forms is exact), instances 1 and 2 hold the same loads, and
 // instance 0 holds twice theirs. Moving load off instance 0 leaves two or
 // three instances tied at the max.
-PlacementSnapshot TiedSnapshot(int instances, int colors) {
+PlacementSnapshot TiedSnapshot(InstanceTable& ids, int instances,
+                               int colors) {
   Rng rng(static_cast<std::uint64_t>(instances * 31 + colors));
   PlacementSnapshot snapshot;
   snapshot.taken = SimTime::FromSeconds(6);
-  snapshot.instances = MakeInstances(instances);
+  snapshot.instances = MakeInstances(ids, instances);
   for (int c = 0; c < colors; ++c) {
     ColorObservation obs;
     obs.color = StrFormat("t%04d", c);
@@ -353,10 +360,11 @@ TEST(PlannerGoldenTest, LedgerShapedPlansMatchPinnedPlansAndObjectives) {
       config.move_alpha = 0;
       config.dirty_move_weight = 0;
     }
+    InstanceTable ids;
     const Plan plan = RebalancePlanner(config).Solve(
-        cell.tied ? TiedSnapshot(cell.instances, cell.colors)
-                  : ZipfSnapshot(cell.instances, cell.colors));
-    const std::string sig = NamedPlanSignature(plan);
+        cell.tied ? TiedSnapshot(ids, cell.instances, cell.colors)
+                  : ZipfSnapshot(ids, cell.instances, cell.colors));
+    const std::string sig = NamedPlanSignature(ids, plan);
     const std::string got = StrFormat(
         "{%s, %d, %d, %s, %zu, %lluULL, %zu, %zu, %zu, \"%a\", \"%a\"},",
         cell.tied ? "true" : "false", cell.instances, cell.colors,
@@ -381,8 +389,9 @@ TEST(RebalancePlannerTest, NoSplitWhenFewerThanTwoInstancesCanHost) {
        {std::pair{1, 4}, std::pair{4, 1}, std::pair{4, 0}}) {
     PlannerConfig config;
     config.max_split = max_split;
+    InstanceTable ids;
     const Plan plan =
-        RebalancePlanner(config).Solve(GoldenSnapshot(instances, 64));
+        RebalancePlanner(config).Solve(GoldenSnapshot(ids, instances, 64));
     EXPECT_TRUE(plan.splits.empty()) << instances << " " << max_split;
     EXPECT_TRUE(std::isfinite(plan.objective_before));
     EXPECT_TRUE(std::isfinite(plan.objective_after));
@@ -433,7 +442,8 @@ TEST(RebalancePlannerTest, HigherAlphaMovesFewerColors) {
 TEST(RebalancePlannerTest, SplitsHotColorAcrossDistinctInstances) {
   PlacementSnapshot snapshot;
   snapshot.taken = SimTime::FromSeconds(1);
-  snapshot.instances = MakeInstances(4);
+  InstanceTable ids;
+  snapshot.instances = MakeInstances(ids, 4);
   ColorObservation hot;
   hot.color = "viral";
   hot.load_ewma = 600;  // 60% share
@@ -466,7 +476,8 @@ TEST(RebalancePlannerTest, SplitsHotColorAcrossDistinctInstances) {
 TEST(RebalancePlannerTest, SplitHysteresisKeepsThenMerges) {
   PlacementSnapshot snapshot;
   snapshot.taken = SimTime::FromSeconds(2);
-  snapshot.instances = MakeInstances(4);
+  InstanceTable ids;
+  snapshot.instances = MakeInstances(ids, 4);
   ColorObservation cooling;
   cooling.color = "viral";
   cooling.cache_bytes = 1000;
@@ -504,8 +515,10 @@ TEST(RebalancePlannerTest, SplitHysteresisKeepsThenMerges) {
 
 TEST(PaletteLoadBalancerPlanTest, SplitMergeRoundTripOnLoadBalancer) {
   PaletteLoadBalancer lb(std::make_unique<LeastAssignedPolicy>(7));
+  InstanceTable ids;
   for (int i = 0; i < 4; ++i) {
-    lb.AddInstance(StrFormat("w%d", i));
+    const std::string name = StrFormat("w%d", i);
+    lb.AddInstance(name, ids.Intern(name));
   }
   const auto home = lb.RouteId(Color("viral"));
   ASSERT_TRUE(home.has_value());
@@ -513,7 +526,7 @@ TEST(PaletteLoadBalancerPlanTest, SplitMergeRoundTripOnLoadBalancer) {
   Plan split_plan;
   split_plan.splits.push_back(PlanSplit{
       "viral",
-      {InternInstance("w0"), InternInstance("w1"), InternInstance("w2")},
+      {*ids.Find("w0"), *ids.Find("w1"), *ids.Find("w2")},
       {1, 1, 1}});
   lb.ApplyPlan(split_plan);
   EXPECT_TRUE(lb.IsSplit("viral"));
@@ -527,19 +540,21 @@ TEST(PaletteLoadBalancerPlanTest, SplitMergeRoundTripOnLoadBalancer) {
   EXPECT_EQ(lb.ResolveColor(Color("viral")), "w0");
 
   Plan merge_plan;
-  merge_plan.merges.push_back(PlanMerge{"viral", InternInstance("w3")});
+  merge_plan.merges.push_back(PlanMerge{"viral", *ids.Find("w3")});
   lb.ApplyPlan(merge_plan);
   EXPECT_FALSE(lb.IsSplit("viral"));
   EXPECT_EQ(lb.planner_merges(), 1u);
   for (int i = 0; i < 5; ++i) {
-    EXPECT_EQ(*lb.RouteId(Color("viral")), InternInstance("w3"));
+    EXPECT_EQ(*lb.RouteId(Color("viral")), *ids.Find("w3"));
   }
 }
 
 TEST(PaletteLoadBalancerPlanTest, PlanRacingCrashSkipsDeadInstances) {
   PaletteLoadBalancer lb(std::make_unique<LeastAssignedPolicy>(7));
+  InstanceTable ids;
   for (int i = 0; i < 3; ++i) {
-    lb.AddInstance(StrFormat("w%d", i));
+    const std::string name = StrFormat("w%d", i);
+    lb.AddInstance(name, ids.Intern(name));
   }
   lb.RouteId(Color("a"));
   lb.RemoveInstance("w2");
@@ -548,14 +563,14 @@ TEST(PaletteLoadBalancerPlanTest, PlanRacingCrashSkipsDeadInstances) {
   // instance and split across a set containing it. Both degrade safely.
   Plan stale;
   stale.moves.push_back(
-      PlanMove{"a", InternInstance("w0"), InternInstance("w2")});
+      PlanMove{"a", *ids.Find("w0"), *ids.Find("w2")});
   stale.splits.push_back(PlanSplit{
-      "b", {InternInstance("w0"), InternInstance("w2")}, {1, 1}});
+      "b", {*ids.Find("w0"), *ids.Find("w2")}, {1, 1}});
   lb.ApplyPlan(stale);
   // The move to the dead instance was skipped, not applied.
   const auto placed = lb.PeekColorId("a");
   ASSERT_TRUE(placed.has_value());
-  EXPECT_NE(*placed, InternInstance("w2"));
+  EXPECT_NE(*placed, *ids.Find("w2"));
   // The split lost w2, leaving one live member: not installed as a split.
   EXPECT_FALSE(lb.IsSplit("b"));
 }
@@ -654,7 +669,8 @@ TEST(SnapshotCollectorTest, BytesMatchBruteForceSumsUnderWriteBack) {
         Bytes cache = 0;
         Bytes dirty = 0;
         if (obs.placement != kInvalidInstanceId) {
-          const std::string& at = InstanceName(obs.placement);
+          const std::string& at =
+              platform.instance_table().NameOf(obs.placement);
           platform.cache().ForEachObject(
               obs.placement, [&](const std::string& name, Bytes size) {
                 if (FaastCache::HashKeyOf(name) == obs.color) {

@@ -1,10 +1,10 @@
 // Pull dispatch tests: late binding from per-color pending queues,
 // locality-aware claim ordering, budget-gated stealing, cached homes that
 // follow placement changes, and the fault paths that return
-// claimed-but-unstarted work to its color queue. Also
-// the dispatch-path bugfix sweep riding along: drain-candidate tie-breaks
-// by interned InstanceId, and RetryPolicy backoff saturation at extreme
-// configs.
+// claimed-but-unstarted work to its color queue. Also drain-candidate
+// tie-breaks by InstanceId, RetryPolicy backoff saturation at extreme
+// configs, and runs whose results must not depend on what else the
+// process built.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "src/common/table_printer.h"
+#include "src/common/thread_pool.h"
 #include "src/core/plan.h"
 #include "src/faas/platform.h"
 #include "src/faas/retry_policy.h"
@@ -43,6 +44,11 @@ InvocationSpec Colored(const std::string& color, double cpu_ops) {
   return spec;
 }
 
+// The id `name` joined `platform` under.
+InstanceId IdOf(const FaasPlatform& platform, const std::string& name) {
+  return *platform.instance_table().Find(name);
+}
+
 // Finds a color whose cache-ring home AND load-balancer placement both
 // land on `want` once both workers are live, so the other worker is
 // unambiguously foreign for it. Placement is forced by running one
@@ -50,7 +56,7 @@ InvocationSpec Colored(const std::string& color, double cpu_ops) {
 std::string ForeignProofColor(Simulator* sim, FaasPlatform* platform,
                               const std::string& want,
                               const std::string& other) {
-  const InstanceId want_id = InternInstance(want);
+  const InstanceId want_id = IdOf(*platform, want);
   for (int i = 0; i < 64; ++i) {
     const std::string color = StrFormat("pin%d", i);
     if (platform->cache().HomeInstanceId(color) == want_id) {
@@ -316,7 +322,7 @@ TEST(PullDispatchFaultTest, ApplyPlanRacingStealKeepsBooksClosed) {
   sim.After(SimTime::FromMillis(3), [&]() {
     Plan plan;
     plan.moves.push_back(
-        PlanMove{color, InternInstance("w0"), InternInstance("w2")});
+        PlanMove{color, IdOf(platform, "w0"), IdOf(platform, "w2")});
     platform.ApplyPlan(plan);
   });
   sim.Run();
@@ -360,7 +366,7 @@ TEST(PullHomeInvalidationTest, PlanMoveReHomesAWaitingColor) {
 
   Plan plan;
   plan.moves.push_back(
-      PlanMove{color, InternInstance("w0"), InternInstance("w1")});
+      PlanMove{color, IdOf(platform, "w0"), IdOf(platform, "w1")});
   platform.ApplyPlan(plan);
   platform.Invoke(Colored(color, 1e7), record);
   sim.Run();
@@ -377,7 +383,7 @@ TEST(PullHomeInvalidationTest, ObservedRouteReHomesAWaitingColor) {
   // A routing tier places every attempt; with color stats on, the
   // platform's balancer learns each routed placement (ObserveRoute).
   platform.load_balancer().set_color_stats_enabled(true);
-  InstanceId routed_to = InternInstance("w0");
+  InstanceId routed_to = IdOf(platform, "w0");
   platform.set_router(
       [&routed_to](const std::optional<Color>&, std::uint64_t, int) {
         return std::optional<RoutedTarget>(RoutedTarget{routed_to, 0});
@@ -392,7 +398,7 @@ TEST(PullHomeInvalidationTest, ObservedRouteReHomesAWaitingColor) {
   sim.RunUntil(sim.Now() + SimTime::FromMillis(5));
   ASSERT_EQ(platform.PendingTotal(), 1u);
 
-  routed_to = InternInstance("w1");  // the tier re-places the color
+  routed_to = IdOf(platform, "w1");  // the tier re-places the color
   platform.Invoke(Colored("observed", 1e7), record);
   sim.Run();
   EXPECT_EQ(ran_on, (std::vector<std::string>{"w1", "w1"}));
@@ -407,8 +413,8 @@ TEST(PullHomeInvalidationTest, FirstPlacementReHomesARingHomedColor) {
   platform.AddWorker("w1");
   // A routing tier without color stats: the platform's balancer places
   // nothing, so every color's home is its cache-ring home.
-  const InstanceId w0 = InternInstance("w0");
-  const InstanceId w1 = InternInstance("w1");
+  const InstanceId w0 = IdOf(platform, "w0");
+  const InstanceId w1 = IdOf(platform, "w1");
   platform.set_router([w0](const std::optional<Color>&, std::uint64_t, int) {
     return std::optional<RoutedTarget>(RoutedTarget{w0, 0});
   });
@@ -499,6 +505,113 @@ TEST(PullDispatchDeterminismTest, ShardCountsAgreeUnderPull) {
   EXPECT_EQ(one.counters.platform.steals, four.counters.platform.steals);
   EXPECT_EQ(one.counters.platform.steal_bytes,
             four.counters.platform.steal_bytes);
+}
+
+// ---------------------------------------------------------------------------
+// A run's instance ids come from its own platform, in join order, so its
+// result cannot depend on what else the process built before it or builds
+// beside it. Each case below first builds, or runs alongside, platforms
+// whose workers join in reverse order ("w15".."w0", "g3w7".."g0w0"). When
+// one process-wide registry handed out ids in first-intern order, those
+// platforms renumbered the next run's workers and moved its claim
+// schedule. The pinned values are the cells' results in a fresh process.
+
+WorkloadSpec InternHistorySpec() {
+  WorkloadSpec spec;
+  spec.arrival.kind = ArrivalKind::kMmpp;
+  spec.arrival.rate_per_sec = 900;
+  spec.driver.duration = SimTime::FromSeconds(4);
+  spec.mix.color_count = 64;
+  spec.seed = 7;
+  return spec;
+}
+
+PlatformConfig PullWorkloadConfig() {
+  PlatformConfig config = DefaultWorkloadPlatformConfig();
+  config.dispatch_mode = FaasDispatchMode::kPull;
+  return config;
+}
+
+WorkloadRunResult MonolithicPullCell() {
+  return RunWorkload(InternHistorySpec(), PolicyKind::kLeastAssigned,
+                     /*workers=*/12, SloConfig(), PullWorkloadConfig());
+}
+
+ShardedRunResult ShardedPullCell() {
+  ShardedWorkloadConfig config;
+  config.groups = 4;
+  config.shards = 1;
+  config.routers_per_group = 2;
+  return RunShardedWorkload(InternHistorySpec(), PolicyKind::kLeastAssigned,
+                            /*total_workers=*/32, config, SloConfig(),
+                            PullWorkloadConfig(), nullptr);
+}
+
+// "w<n-1>".."w0", or with several groups "g<groups-1>w<n-1>".."g0w0": the
+// names the runs above give their workers, in reverse.
+std::vector<std::string> ReversedWorkerNames(int groups, int per_group) {
+  std::vector<std::string> names;
+  for (int g = groups - 1; g >= 0; --g) {
+    for (int w = per_group - 1; w >= 0; --w) {
+      names.push_back(groups == 1 ? StrFormat("w%d", w)
+                                  : StrFormat("g%dw%d", g, w));
+    }
+  }
+  return names;
+}
+
+// A pull platform whose workers join as `names` run a short colored burst.
+// True when every invocation completed.
+bool RunReversedJoinCell(const std::vector<std::string>& names) {
+  Simulator sim;
+  FaasPlatform platform(&sim, PolicyKind::kLeastAssigned, 1,
+                        PullWorkloadConfig());
+  for (const std::string& name : names) {
+    platform.AddWorker(name);
+  }
+  constexpr std::uint64_t kInvocations = 256;
+  for (std::uint64_t i = 0; i < kInvocations; ++i) {
+    platform.Invoke(Colored(StrFormat("rev%d", static_cast<int>(i % 24)), 1e6),
+                    nullptr);
+  }
+  sim.Run();
+  return platform.counters().completed == kInvocations;
+}
+
+constexpr std::uint64_t kMonolithicPullDigest = 0x754d8ec4ca2651d1ULL;
+constexpr std::uint64_t kMonolithicPullSteals = 414;
+
+TEST(PullDispatchDeterminismTest, ResultDoesNotDependOnInternHistory) {
+  ASSERT_TRUE(RunReversedJoinCell(ReversedWorkerNames(1, 16)));
+  ASSERT_TRUE(RunReversedJoinCell(ReversedWorkerNames(4, 8)));
+  const WorkloadRunResult monolithic = MonolithicPullCell();
+  EXPECT_EQ(monolithic.samples_digest, kMonolithicPullDigest);
+  EXPECT_EQ(monolithic.counters.platform.steals, kMonolithicPullSteals);
+  const ShardedRunResult sharded = ShardedPullCell();
+  EXPECT_TRUE(sharded.books_close);
+  EXPECT_EQ(sharded.samples_digest, 0x2236a33334296960ULL);
+  EXPECT_EQ(sharded.counters.platform.steals, 347u);
+}
+
+// The same monolithic cell on a thread pool, beside cells whose workers
+// join in reverse order at the same time: no table is shared between
+// them, so it gets the serial result. The pool starts its tasks in index
+// order, so the reversed cells are queued first and their joins come
+// first.
+TEST(PullDispatchDeterminismTest, ResultDoesNotDependOnCellsBesideIt) {
+  WorkloadRunResult monolithic;
+  std::vector<int> reversed_done(3, 0);
+  ParallelFor(4, 4, [&](std::size_t i) {
+    if (i == 3) {
+      monolithic = MonolithicPullCell();
+    } else {
+      reversed_done[i] = RunReversedJoinCell(
+          i == 0 ? ReversedWorkerNames(1, 16) : ReversedWorkerNames(4, 8));
+    }
+  });
+  EXPECT_EQ(reversed_done, (std::vector<int>{1, 1, 1}));
+  EXPECT_EQ(monolithic.samples_digest, kMonolithicPullDigest);
+  EXPECT_EQ(monolithic.counters.platform.steals, kMonolithicPullSteals);
 }
 
 // ---------------------------------------------------------------------------
@@ -650,9 +763,9 @@ TEST(PullMatcherGoldenTest, ClaimScheduleMatchesPinnedValues) {
 // paths where that short walk must hand over to the full walk, or must
 // not. The workload mix never submits uncolored work, so each cell builds
 // the platform directly. A router pins every route hint to one worker and
-// the balancer places nothing, so every home is a cache-ring home. Worker
-// names are unique to a cell and interned at its start, so their ids (the
-// claim order) do not depend on which tests ran first. Every invocation
+// the balancer places nothing, so every home is a cache-ring home. Each
+// cell's platform assigns its workers' ids in join order, so their ids
+// (the claim order) do not depend on which tests ran first. Every invocation
 // reads its own input from storage, so two claims landing at once contend
 // for the storage link and their order shows in the completion times.
 // The values were recorded from the matcher that walked a snapshot of
@@ -660,24 +773,20 @@ TEST(PullMatcherGoldenTest, ClaimScheduleMatchesPinnedValues) {
 
 class ClaimScheduleCell {
  public:
-  // `workers` join in the order given, after `intern_order` fixed their
-  // ids; route hints all name `hint`.
+  // `workers` join in the order given, which fixes their ids; route hints
+  // all name `hint`, one of them.
   ClaimScheduleCell(PlatformConfig config,
-                    const std::vector<std::string>& intern_order,
                     const std::vector<std::string>& workers,
                     const std::string& hint)
       : platform_(&sim_, PolicyKind::kLeastAssigned, 1, config) {
-    for (const std::string& name : intern_order) {
-      InternInstance(name);
+    for (const std::string& name : workers) {
+      platform_.AddWorker(name);
     }
-    const InstanceId hint_id = InternInstance(hint);
+    const InstanceId hint_id = IdOf(platform_, hint);
     platform_.set_router(
         [hint_id](const std::optional<Color>&, std::uint64_t, int) {
           return std::optional<RoutedTarget>(RoutedTarget{hint_id, 0});
         });
-    for (const std::string& name : workers) {
-      platform_.AddWorker(name);
-    }
   }
 
   Simulator& sim() { return sim_; }
@@ -733,19 +842,20 @@ std::string RingColor(const std::string& prefix,
                       const std::string& home,
                       const std::vector<std::string>& later = {},
                       const std::string& later_home = "") {
+  InstanceTable ids;
   FaastCache ring;
   for (const std::string& name : members) {
-    ring.AddInstance(name);
+    ring.AddInstance(name, ids.Intern(name));
   }
   FaastCache later_ring;
   for (const std::string& name : later) {
-    later_ring.AddInstance(name);
+    later_ring.AddInstance(name, ids.Intern(name));
   }
   for (int i = 0; i < 4096; ++i) {
     const std::string color = StrFormat("%s%d", prefix.c_str(), i);
-    if (ring.HomeInstanceId(color) == InternInstance(home) &&
+    if (ring.HomeInstanceId(color) == ids.Find(home) &&
         (later.empty() ||
-         later_ring.HomeInstanceId(color) == InternInstance(later_home))) {
+         later_ring.HomeInstanceId(color) == ids.Find(later_home))) {
       return color;
     }
   }
@@ -760,7 +870,7 @@ TEST(PullClaimScheduleGoldenTest, UnownedWorkBesideColoredWork) {
   config.steal_budget = 0;
   const std::vector<std::string> workers = {"un_w0", "un_w1", "un_w2",
                                             "un_w3"};
-  ClaimScheduleCell cell(config, workers, workers, "un_w0");
+  ClaimScheduleCell cell(config, workers, "un_w0");
   const std::string a = RingColor("una", workers, "un_w0");
   const std::string b = RingColor("unb", workers, "un_w1");
   const std::string c = RingColor("unc", workers, "un_w2");
@@ -798,7 +908,7 @@ std::string DeepForeignQueues(const std::string& prefix, int steal_budget) {
   for (int i = 0; i < 4; ++i) {
     workers.push_back(StrFormat("%s_w%d", prefix.c_str(), i));
   }
-  ClaimScheduleCell cell(config, workers, workers, workers[0]);
+  ClaimScheduleCell cell(config, workers, workers[0]);
   const std::string a = RingColor(prefix + "a", workers, workers[0]);
   const std::string b = RingColor(prefix + "b", workers, workers[1]);
   const std::string d = RingColor(prefix + "d", workers, workers[3]);
@@ -837,16 +947,15 @@ TEST(PullClaimScheduleGoldenTest, DeepForeignQueuesWithBudgetExhausted) {
             "15:dqx_w3@28347152 16:dqx_w3@37347152");
 }
 
-TEST(PullClaimScheduleGoldenTest, TwoIdleHomesClaimInIdOrderNotJoinOrder) {
-  // th_b interns before th_a but joins after it. When th_z leaves, its two
-  // waiting colors re-home onto th_a and th_b, both idle, and one match
-  // serves both: th_b (the smaller id) claims first, so its input fetch
-  // wins the storage link.
+TEST(PullClaimScheduleGoldenTest, TwoIdleHomesClaimInIdOrderNotNameOrder) {
+  // th_b joins before th_a, so it has the smaller id though th_a sorts
+  // first by name. When th_z leaves, its two waiting colors re-home onto
+  // th_a and th_b, both idle, and one match serves both: th_b (the smaller
+  // id) claims first, so its input fetch wins the storage link.
   PlatformConfig config = PullConfig(FaasDispatchMode::kPull);
   config.steal_budget = 0;
-  const std::vector<std::string> workers = {"th_a", "th_b", "th_z", "th_h"};
-  ClaimScheduleCell cell(config, {"th_b", "th_a", "th_z", "th_h"}, workers,
-                         "th_h");
+  const std::vector<std::string> workers = {"th_b", "th_a", "th_z", "th_h"};
+  ClaimScheduleCell cell(config, workers, "th_h");
   const std::vector<std::string> after = {"th_a", "th_b", "th_h"};
   const std::string p = RingColor("thp", workers, "th_z", after, "th_a");
   const std::string q = RingColor("thq", workers, "th_z", after, "th_b");
@@ -874,7 +983,7 @@ TEST(PullClaimScheduleGoldenTest,
   config.steal_budget = 0;
   config.pull_claim_latency = SimTime::FromMillis(5);
   const std::vector<std::string> workers = {"re_e", "re_b", "re_z"};
-  ClaimScheduleCell cell(config, workers, workers, "re_z");
+  ClaimScheduleCell cell(config, workers, "re_z");
   const std::string e = RingColor("ree", workers, "re_e");
   cell.Submit(RingColor("rez", workers, "re_z"), 1e8);
   cell.Submit(RingColor("reb", workers, "re_b"), 1e8);
@@ -910,7 +1019,7 @@ TEST(PullRejoinTest, NoFifoFillsWhileItsWorkerRuns) {
   config.steal_budget = 0;
   config.pull_claim_latency = SimTime::FromMillis(5);
   const std::vector<std::string> workers = {"rf_e", "rf_b", "rf_z"};
-  ClaimScheduleCell cell(config, workers, workers, "rf_z");
+  ClaimScheduleCell cell(config, workers, "rf_z");
   const std::string e = RingColor("rfe", workers, "rf_e");
   cell.Submit(RingColor("rfz", workers, "rf_z"), 1e8);
   cell.Submit(RingColor("rfb", workers, "rf_b"), 1e8);
@@ -934,8 +1043,8 @@ TEST(PullRejoinTest, NoFifoFillsWhileItsWorkerRuns) {
 }
 
 // ---------------------------------------------------------------------------
-// Satellite: drain-candidate ties resolve by interned InstanceId (join
-// order — stable across rebuilds and shard counts), not by name order.
+// Drain-candidate ties resolve by InstanceId (join order — stable across
+// rebuilds and shard counts), not by name order.
 
 TEST(DrainCandidateTest, EqualDepthTiesResolveBySmallestInstanceId) {
   Simulator sim;

@@ -247,7 +247,7 @@ TEST(RouterTierTest, RouterCrashFailsOverAndRestartResyncs) {
   platform.CrashWorker("w3");
   ASSERT_TRUE(tier.RestartRouter(StrFormat("r%d", owner)));
   EXPECT_EQ(tier.live_router_count(), 2);
-  EXPECT_EQ(tier.RouterView(owner).instances().size(), 3u);
+  EXPECT_EQ(tier.RouterView(owner).instance_ids().size(), 3u);
 
   // With every replica down the tier refuses new work.
   tier.CrashRouter("r0");

@@ -3,10 +3,10 @@
 // Fans the full (policy × seed × worker-count) grid of Task Bench DAG
 // replays across cores: every cell owns a private Simulator and platform
 // (RunDagOnFaas builds a fresh one per call), so replicas share no mutable
-// simulation state and the pool needs no locking on the hot path. The
-// interned-instance registry is the only shared structure and is
-// thread-safe; cell outcomes do not depend on the numeric ids it assigns,
-// so a parallel sweep reports bit-identical metrics to a serial one.
+// simulation state and the pool needs no locking on the hot path. Each
+// platform assigns its own instance ids in join order, so a cell's
+// outcome does not depend on the other cells, and a parallel sweep
+// reports bit-identical metrics to a serial one.
 //
 // Emits BENCH_sweep.json (schema "palette-bench-v1", shared with
 // bench/micro_core's BENCH_core.json) plus a human-readable table.

@@ -111,8 +111,10 @@ int CmdRoute(const FlagParser& flags) {
   const int requests = static_cast<int>(flags.GetInt("requests", 1000));
 
   PaletteLoadBalancer lb(MakePolicy(kind, flags.GetInt("seed", 1)));
+  InstanceTable ids;
   for (int i = 0; i < workers; ++i) {
-    lb.AddInstance(StrFormat("w%d", i));
+    const std::string name = StrFormat("w%d", i);
+    lb.AddInstance(name, ids.Intern(name));
   }
   for (int r = 0; r < requests; ++r) {
     lb.Route(Color(StrFormat("color-%d", r % colors)));
